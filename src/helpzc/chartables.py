@@ -145,6 +145,9 @@ class TableBundle:
         self.is_solvable = is_solvable
         self.is_nilpotent = is_nilpotent
         self.p_solvable_for = p_solvable_for
+        # table set -> its integer coefficient tables (see constraints.py),
+        # built on first use and dropped with the bundle
+        self.trace_tables: dict = {}
 
     def brauer_for(self, p: int) -> CharacterTable | None:
         for t in self.brauer:

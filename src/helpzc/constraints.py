@@ -16,16 +16,36 @@ where a collects the d > 1 terms, known once the partial augmentations of
 all proper powers of u are fixed.  This module builds those systems,
 including the variant that aggregates all order-p classes into a single
 variable when only p-constant characters are used.
+
+Assembly is integer-only; two identities make that exact.
+
+1. The constant term is a dot product.  The trace is Q-linear and
+   psi(u^d) = sum_x eps_x(u^d) psi(x), so with e = k/d
+
+       Tr(psi(u^d) zeta_e^{-l}) = sum_x eps_x(u^d) * C_e[psi][l mod e][x],
+
+   where C_e[psi][l][x] = Tr_{Q(zeta_e)/Q}(psi(x) zeta_e^{-l}) is the
+   coefficient of eps_x in the order-e system; the e = 1 term is deg psi.
+2. Each coefficient is a sum of Ramanujan sums.  With psi(x) stored as
+   sum_a c_a zeta_n^a over its conductor n | m,
+
+       C_m[psi][l][x] = sum_a c_a * c_m(a*m/n - l),
+
+   where c_m(j) = mu(r) phi(m)/phi(r), r = m/gcd(m, j), is the trace of
+   zeta_m^j.  No product, reduction or descent in Q(zeta_m) is needed.
+
+Each table set gets one integer table C_m per unit order m, built from the
+stored exponents on first use and kept while the bundle lives; cyclotomic
+(Cyc) arithmetic only loads and validates the character tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arith import divisors, is_prime
 from .chartables import CharacterTable, TableBundle
-from .cyclotomics import Cyc, FieldError, rational, root_of_unity
+from .cyclotomics import Cyc, FieldError, rational
 from .intsolve import LinSystem
 
 
@@ -130,6 +150,10 @@ class PATuple:
     def is_complete(self) -> bool:
         return all(self.has_level(e) for e in divisors(self.order) if e > 1)
 
+    def restrict(self, m: int) -> "PATuple":
+        """The levels dividing m: the tuple of u^(order/m), of order m."""
+        return PATuple(m, tuple((e, pa) for e, pa in self.levels if m % e == 0))
+
 
 # -- character rows -----------------------------------------------------------
 
@@ -182,43 +206,118 @@ def character_value_at_unit(row: CharRow, pa: PAVector) -> Cyc:
 # -- traces and coefficients ---------------------------------------------------
 
 
-def _integer_trace(value: Cyc, m: int, context: str) -> int:
+def _integer_traces(value: Cyc, m: int, context: str) -> tuple[int, ...]:
+    """Tr_{Q(zeta_m)/Q}(value * zeta_m^-l) for l = 0 .. m-1, each an integer."""
     try:
-        t = value.trace_to_rational(m)
+        traces = value.twisted_traces(m)
     except FieldError as exc:
         raise ConstraintError(f"{context}: {exc}") from None
-    if t.denominator != 1:
+    if any(t.denominator != 1 for t in traces):
         raise ConstraintError(
             f"{context}: table value is not an algebraic integer"
         )
-    return int(t)
+    return tuple(int(t) for t in traces)
 
 
 def mu_coefficient(row: CharRow, k: int, ell: int, class_index: int) -> int:
     """Coefficient of eps_x in the (row, ell) constraint: Tr(psi(x) zeta_k^-l)."""
-    return _mu_coefficient_cached(row, k, ell % k, class_index)
-
-
-@lru_cache(maxsize=None)
-def _mu_coefficient_cached(row, k, ell, class_index):
-    value = row.value_at(class_index) * root_of_unity(k, -ell)
-    return _integer_trace(value, k, row.label)
+    return _integer_traces(row.value_at(class_index), k, row.label)[ell % k]
 
 
 def a_term_scaled(row: CharRow, k: int, ell: int, tup: PATuple) -> int:
     """k*a minus the d=1 part: the constant side of the (row, ell) constraint,
-    summing the proper-power terms Tr_{Q(zeta_{k/d})/Q}(psi(u^d) zeta_{k/d}^{-l})."""
+    summing the proper-power terms Tr_{Q(zeta_{k/d})/Q}(psi(u^d) zeta_{k/d}^{-l}),
+    each a dot product of eps(u^d) with the order-k/d coefficients."""
     total = 0
     for d in divisors(k):
         if d == 1:
             continue
         e = k // d  # order of u^d
         if e == 1:
-            val = rational(row.degree)
+            total += row.degree
         else:
-            val = character_value_at_unit(row, tup.level(e))
-        total += _integer_trace(val * root_of_unity(e, -ell), e, row.label)
+            total += sum(
+                eps * mu_coefficient(row, e, ell, x)
+                for x, eps in tup.level(e).entries
+            )
     return total
+
+
+@dataclass(frozen=True)
+class TraceTable:
+    """The integer coefficients of one table set at one unit order m:
+    values[r][l][i] = Tr_{Q(zeta_m)/Q}(psi_r(x) zeta_m^-l) for row r, l < m
+    and x = support[i], the i-th class of order dividing m."""
+
+    support: tuple[int, ...]
+    values: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def positions(self, pa: PAVector) -> list[tuple[int, int]]:
+        """pa's (support position, eps) pairs."""
+        try:
+            return [(self.support.index(x), eps) for x, eps in pa.entries]
+        except ValueError:
+            raise ConstraintError(
+                f"partial augmentations of order {pa.order} sit on a class"
+                " of another order"
+            ) from None
+
+
+class _TableSet:
+    """The rows of one table set and its TraceTables, built on first use."""
+
+    def __init__(self, bundle: TableBundle, tables):
+        self.ordinary = bundle.ordinary
+        self.rows = char_rows(tables, len(bundle.ordinary.classes))
+        self._by_order: dict[int, TraceTable] = {}
+
+    def at(self, m: int) -> TraceTable:
+        table = self._by_order.get(m)
+        if table is None:
+            support = self.ordinary.classes_of_order_dividing(m)
+            values = []
+            for row in self.rows:
+                columns = [
+                    _integer_traces(row.value_at(x), m, row.label) for x in support
+                ]
+                values.append(tuple(zip(*columns)) if columns else ((),) * m)
+            table = self._by_order[m] = TraceTable(support, tuple(values))
+        return table
+
+    def constant_terms(self, k: int, levels, row_indices):
+        """a(psi, l) for each listed row and l < k: deg psi plus one dot
+        product per proper power, `levels` holding eps(u^d) for each order
+        k/d > 1 (identity 1 of the module docstring)."""
+        parts = []
+        for pa in levels:
+            table = self.at(pa.order)
+            parts.append((pa.order, table.values, table.positions(pa)))
+        return [
+            tuple(
+                self.rows[r].degree
+                + sum(
+                    eps * values[r][ell % e][i]
+                    for e, values, entries in parts
+                    for i, eps in entries
+                )
+                for ell in range(k)
+            )
+            for r in row_indices
+        ]
+
+
+def _table_set(bundle: TableBundle, tables) -> _TableSet:
+    key = tuple(tables)
+    found = bundle.trace_tables.get(key)
+    if found is None:
+        found = bundle.trace_tables[key] = _TableSet(bundle, key)
+    return found
+
+
+def trace_table(bundle: TableBundle, tables, m: int) -> TraceTable:
+    """The integer coefficient table of `tables` (rows in char_rows order)
+    at unit order m."""
+    return _table_set(bundle, tables).at(m)
 
 
 # -- system assembly -----------------------------------------------------------
@@ -257,9 +356,24 @@ class MuVar:
         return f"mu:{label}:{ell}{extra}"
 
 
-def default_tables(bundle: TableBundle, k: int):
-    """Ordinary table plus every Brauer table for primes not dividing k."""
-    return (bundle.ordinary,) + tuple(t for t in bundle.brauer if k % t.prime)
+def usable_tables(bundle: TableBundle, k: int, options=None):
+    """Ordinary table plus Brauer(p) for p not dividing k; Brauer tables of
+    primes the group is p-solvable for add nothing and are skipped.
+
+    `options` is a verify.SolverOptions, of which only use_brauer and
+    fong_swan are read; None means both on.
+    """
+    use_brauer = options is None or options.use_brauer
+    fong_swan = options is None or options.fong_swan
+    tables = [bundle.ordinary]
+    if use_brauer:
+        for t in bundle.brauer:
+            if k % t.prime == 0:
+                continue
+            if fong_swan and t.prime in bundle.p_solvable_for:
+                continue
+            tables.append(t)
+    return tuple(tables)
 
 
 def build_system(
@@ -272,18 +386,18 @@ def build_system(
         raise ConstraintError("unit order must be at least 2")
     ordinary = bundle.ordinary
     if tables is None:
-        tables = default_tables(bundle, k)
-    rows = char_rows(tables, len(ordinary.classes))
-    support = ordinary.classes_of_order_dividing(k)
+        tables = usable_tables(bundle, k)
+    ts = _table_set(bundle, tables)
+    top = ts.at(k)
+    levels = [proper.level(e) for e in divisors(k) if 1 < e < k]
+    a_terms = ts.constant_terms(k, levels, range(len(ts.rows)))
 
     merged: dict[tuple, list] = {}
-    for row in rows:
+    for row, coeffs, a_row in zip(ts.rows, top.values, a_terms):
         for ell in range(k):
-            coeffs = tuple(mu_coefficient(row, k, ell, x) for x in support)
-            a = a_term_scaled(row, k, ell, proper)
-            merged.setdefault((coeffs, a), []).append((row.label, ell))
+            merged.setdefault((coeffs[ell], a_row[ell]), []).append((row.label, ell))
 
-    eps_vars = [EpsVar(i, ordinary.classes[i].name) for i in support]
+    eps_vars = [EpsVar(i, ordinary.classes[i].name) for i in top.support]
     return _finish_system(eps_vars, None, merged, k)
 
 
@@ -330,44 +444,34 @@ def build_system_p_constant(
         raise ConstraintError(f"{k} is not a product of two distinct primes with {p}")
     ordinary = bundle.ordinary
     if tables is None:
-        tables = default_tables(bundle, k)
-    rows = [
-        row
-        for row in char_rows(tables, len(ordinary.classes))
-        if is_p_constant(row, ordinary, p)
-    ]
+        tables = usable_tables(bundle, k)
+    ts = _table_set(bundle, tables)
+    rows = [r for r, row in enumerate(ts.rows) if is_p_constant(row, ordinary, p)]
     if not rows:
         raise ConstraintError("no p-constant rows")
 
     support = ordinary.classes_of_order_dividing(k)
-    agg_classes = [i for i in support if ordinary.classes[i].element_order == p]
-    keep = [i for i in support if ordinary.classes[i].element_order != p]
-    if not agg_classes:
+    agg = [i for i, x in enumerate(support) if ordinary.classes[x].element_order == p]
+    keep = [i for i, x in enumerate(support) if ordinary.classes[x].element_order != p]
+    if not agg:
         raise ConstraintError(f"no classes of order {p}")
-    witness = agg_classes[0]
+    witness = agg[0]
+
+    top = ts.at(k)
+    # u^q has order p; constancy gives psi(u^q) = psi(x_p), the character
+    # value of a unit with eps = 1 at the witness class
+    levels = (PAVector(p, ((support[witness], 1),)), proper.level(q))
+    a_terms = ts.constant_terms(k, levels, rows)
 
     merged: dict[tuple, list] = {}
-    for row in rows:
-        p_value = row.value_at(witness)
+    for r, a_row in zip(rows, a_terms):
+        label = ts.rows[r].label
         for ell in range(k):
-            coeffs = tuple(mu_coefficient(row, k, ell, x) for x in keep)
-            coeffs += (mu_coefficient(row, k, ell, witness),)
-            a = 0
-            for d in divisors(k):
-                if d == 1:
-                    continue
-                e = k // d
-                if e == 1:
-                    val = rational(row.degree)
-                elif e == p:
-                    # u^q has order p; constancy gives psi(u^q) = psi(x_p)
-                    val = p_value
-                else:
-                    val = character_value_at_unit(row, proper.level(e))
-                a += _integer_trace(val * root_of_unity(e, -ell), e, row.label)
-            merged.setdefault((coeffs, a), []).append((row.label, ell))
+            c = top.values[r][ell]
+            coeffs = tuple(c[i] for i in keep) + (c[witness],)
+            merged.setdefault((coeffs, a_row[ell]), []).append((label, ell))
 
-    eps_vars = [EpsVar(i, ordinary.classes[i].name) for i in keep]
+    eps_vars = [EpsVar(support[i], ordinary.classes[support[i]].name) for i in keep]
     return _finish_system(eps_vars, AggVar(p), merged, k)
 
 

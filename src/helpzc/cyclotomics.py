@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .arith import divisors, euler_phi, mobius, prime_factors
 
@@ -355,20 +355,38 @@ class Cyc:
     def trace_to_rational(self, m: int) -> Fraction:
         """Trace from Q(zeta_m) down to Q; the value must lie in Q(zeta_m).
 
-        Equals the sum of galois(j) over j coprime to m, computed via the
-        Ramanujan-sum identity Tr(zeta^i) = mu(r) * phi(m)/phi(r) with r the
-        order of zeta^i.
+        Equals the sum of galois(j) over j coprime to m, computed term by
+        term from the Ramanujan sums Tr(zeta_m^j) (see ramanujan_sums).
         """
+        step = self._step_into(m)
+        sums = ramanujan_sums(m)
+        return sum((c * sums[e * step] for e, c in self._c.items()), Fraction(0))
+
+    def twisted_traces(self, m: int) -> tuple[Fraction, ...]:
+        """Tr_{Q(zeta_m)/Q}(self * zeta_m^-l) for l = 0 .. m-1; the value
+        must lie in Q(zeta_m).
+
+        With self = sum_a c_a zeta_n^a, each trace is
+        sum_a c_a * Tr(zeta_m^(a*m/n - l)): a dot product with the Ramanujan
+        sums, read off the stored exponents with no field multiplication.
+        """
+        step = self._step_into(m)
+        sums = ramanujan_sums(m)
+        den = lcm(*(c.denominator for c in self._c.values()))
+        terms = [(e * step, int(c * den)) for e, c in self._c.items()]
+        # j - ell lies in (-m, m), and a negative index wraps to j - ell + m
+        return tuple(
+            Fraction(sum(c * sums[j - ell] for j, c in terms), den)
+            for ell in range(m)
+        )
+
+    def _step_into(self, m: int) -> int:
+        # zeta_n = zeta_m^(m/n) once the conductor n divides m
         if m < 1 or m % self.n:
             raise FieldError(
                 f"value outside stated field: conductor {self.n} does not divide {m}"
             )
-        phim = euler_phi(m)
-        total = Fraction(0)
-        for e, c in self._c.items():
-            r = self.n // gcd(self.n, e)
-            total += c * mobius(r) * (phim // euler_phi(r))
-        return total
+        return m // self.n
 
     # -- equality, hashing, display ----------------------------------------
 
@@ -414,6 +432,17 @@ class Cyc:
 
     def __repr__(self):
         return f"Cyc({self})"
+
+
+@lru_cache(maxsize=None)
+def ramanujan_sums(m: int) -> tuple[int, ...]:
+    """Tr_{Q(zeta_m)/Q}(zeta_m^j) for j = 0 .. m-1: the Ramanujan sum
+    mu(r) * phi(m)/phi(r), with r = m/gcd(m, j) the order of zeta_m^j."""
+    phim = euler_phi(m)
+    return tuple(
+        mobius(m // gcd(m, j)) * (phim // euler_phi(m // gcd(m, j)))
+        for j in range(m)
+    )
 
 
 def rational(value: int | str | Fraction) -> Cyc:

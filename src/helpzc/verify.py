@@ -36,6 +36,7 @@ from .constraints import (
     char_rows,
     eps_projection,
     pa_vector,
+    usable_tables,
 )
 from .intsolve import DEFAULT_MAX_NODES, Aborted, Finite, Infinite, solve_all
 from .wagner import wagner_test
@@ -135,21 +136,6 @@ def orders_to_check_pq(bundle: TableBundle, shortcuts: bool = True):
     if shortcuts and bundle.is_solvable:
         return ShortcutProved("solvable")
     return list(bundle.ordinary.prime_graph_missing_pq())
-
-
-def usable_tables(bundle: TableBundle, k: int, options: SolverOptions | None = None):
-    """Ordinary table plus Brauer(p) for p not dividing k; Brauer tables of
-    primes the group is p-solvable for add nothing and are skipped."""
-    options = options or SolverOptions()
-    tables = [bundle.ordinary]
-    if options.use_brauer:
-        for t in bundle.brauer:
-            if k % t.prime == 0:
-                continue
-            if options.fong_swan and t.prime in bundle.p_solvable_for:
-                continue
-            tables.append(t)
-    return tuple(tables)
 
 
 # -- lattice recursion ----------------------------------------------------------
@@ -375,4 +361,14 @@ def store_from_json(bundle: TableBundle, data: dict) -> SolutionStore:
                 raise DriverError(
                     f"store has order {k} but no entry for its divisor {d}"
                 )
+    # the recursion builds order k only from stored tuples of each k/p
+    for k, tuples in store.solutions.items():
+        for tup in tuples:
+            for p in prime_factors(k):
+                m = k // p
+                if m > 1 and tup.restrict(m) not in store.solutions[m]:
+                    raise DriverError(
+                        f"stored tuple for order {k} restricts to an order-{m}"
+                        " tuple the store does not hold"
+                    )
     return store

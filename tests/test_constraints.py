@@ -7,12 +7,20 @@ also run the oracle live.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import brute_force_pa_solutions
-from helpzc.chartables import CharacterTable, cyclic_table, load_bundle, resolve_bundle_path
+from helpzc.arith import divisors
+from helpzc.chartables import (
+    CharacterTable,
+    bundle_to_json,
+    cyclic_table,
+    load_bundle,
+    resolve_bundle_path,
+)
 from helpzc.constraints import (
     AggVar,
     CharRow,
@@ -33,9 +41,12 @@ from helpzc.constraints import (
     mu_sums,
     mu_values,
     pa_vector,
+    trace_table,
+    usable_tables,
 )
-from helpzc.cyclotomics import Cyc, rational, root_of_unity
+from helpzc.cyclotomics import Cyc, cyc_to_json, rational, root_of_unity
 from helpzc.intsolve import Finite, Infinite, solve_all
+from helpzc.verify import SolverOptions, check_zc
 
 
 def bundle(name):
@@ -459,3 +470,141 @@ def test_p_constant_errors():
 def test_build_system_rejects_order_one():
     with pytest.raises(ConstraintError):
         build_system(cyclic_table(2), 1, PATuple(1, ()))
+
+
+# -- integer coefficient tables vs the cyclotomic path ---------------------------
+
+
+def cyc_trace(value, m, ell):
+    """Tr_{Q(zeta_m)/Q}(value * zeta_m^-l), through canonical Cyc arithmetic."""
+    return (value * root_of_unity(m, -ell)).trace_to_rational(m)
+
+
+def m11_with_extra_rows():
+    """M11 plus two extra rows: the tensor squares of its first two
+    nonlinear characters."""
+    m11 = bundle("m11")
+    data = bundle_to_json(m11)
+    data["ordinary"]["extra_characters"] = [
+        [cyc_to_json(a * a) for a in m11.ordinary.characters[j]] for j in (1, 2)
+    ]
+    return load_bundle(data)
+
+
+def test_trace_tables_match_cyc():
+    seen = set()
+    reference = {}  # cyclic tables repeat values: trace each one once
+    bundles = [bundle(n) for n in ("s3", "s4", "a5", "sl23")]
+    bundles += [m11_with_extra_rows()] + [cyclic_table(n) for n in range(2, 25)]
+    for b in bundles:
+        t = b.ordinary
+        orders = {m for o in t.element_orders() for m in divisors(o) if m > 1}
+        for m in sorted(orders):
+            tables = (t,) + tuple(bt for bt in b.brauer if m % bt.prime)
+            rows = char_rows(tables, len(t.classes))
+            table = trace_table(b, tables, m)
+            assert table.support == t.classes_of_order_dividing(m)
+            assert len(table.values) == len(rows)
+            for row, per_ell in zip(rows, table.values):
+                seen.add(row.label)
+                assert len(per_ell) == m
+                for ell in range(m):
+                    expect = []
+                    for x in table.support:
+                        key = (row.value_at(x), m, ell)
+                        if key not in reference:
+                            reference[key] = cyc_trace(*key)
+                        expect.append(reference[key])
+                    assert list(per_ell[ell]) == expect
+                    assert all(type(c) is int for c in per_ell[ell])
+    # every kind of row: ordinary, extra, mod 5 and mod 11
+    assert {"ord1", "ordx1", "mod50", "mod110"} <= seen
+
+
+def cyc_constant_term(row, k, ell, tup):
+    total = Fraction(0)
+    for d in divisors(k)[1:]:
+        e = k // d
+        value = rational(row.degree)
+        if e > 1:
+            value = rational(0)
+            for x, eps in tup.level(e).entries:
+                value = value + row.value_at(x) * eps
+        total += cyc_trace(value, e, ell)
+    return total
+
+
+@pytest.mark.parametrize("name", ["m11", "sl23"])
+def test_constant_terms_match_cyc(name):
+    # M11's stored tuples only reach real-valued classes; SL(2,3) also
+    # tells the twist zeta^-l from its conjugate
+    b = bundle(name)
+    store = check_zc(b, SolverOptions(shortcuts=False)).store
+    checked = 0
+    for k, tuples in sorted(store.solutions.items()):
+        tables = usable_tables(b, k)
+        rows = char_rows(tables, len(b.ordinary.classes))
+        for tup in tuples:
+            sys = build_system(b, k, tup.proper(), tables)
+            mu_vars = [v for v in sys.variables if isinstance(v, MuVar)]
+            rhs = {
+                owner: -const
+                for var, (_, const) in zip(mu_vars, sys.equalities[1:])
+                for owner in var.owners
+            }
+            for row in rows:
+                for ell in range(k):
+                    expect = cyc_constant_term(row, k, ell, tup)
+                    assert a_term_scaled(row, k, ell, tup) == expect
+                    assert rhs[(row.label, ell)] == expect
+                    checked += 1
+    assert checked > 100
+
+
+def test_assembly_rejects_bad_table_values():
+    t = cyclic_table(3).ordinary
+    for value, message in [
+        (root_of_unity(3) / 2, "not an algebraic integer"),
+        (root_of_unity(5), "does not divide 3"),
+    ]:
+        bad = CharacterTable(
+            "C3", 3, t.classes, t.power_maps, ((rational(1), value, rational(1)),)
+        )
+        with pytest.raises(ConstraintError, match=message):
+            build_system(cyclic_table(3), 3, PATuple(3, ()), tables=(bad,))
+
+
+def test_assembly_creates_no_cyc(monkeypatch):
+    m11 = bundle("m11")
+    t = m11.ordinary
+    made = []
+    init, raw = Cyc.__init__, Cyc._raw.__func__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_raw(cls, *args):
+        made.append(args)
+        return raw(cls, *args)
+
+    monkeypatch.setattr(Cyc, "__init__", counting_init)
+    monkeypatch.setattr(Cyc, "_raw", classmethod(counting_raw))
+    assert root_of_unity(3) * root_of_unity(4) and made  # the counter sees Cyc
+    made.clear()
+
+    def level(e, values):
+        return (e, pa_vector(t, e, {t.index_of(n): v for n, v in values.items()}))
+
+    proper12 = PATuple(
+        12,
+        (
+            level(2, {"2a": 1}),
+            level(3, {"3a": 1}),
+            level(4, {"4a": 1}),
+            level(6, {"3a": 3, "6a": -2}),
+        ),
+    )
+    build_system(m11, 12, proper12)
+    build_system_p_constant(m11, 6, 2, proper12.restrict(6))
+    assert made == []

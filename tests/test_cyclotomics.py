@@ -200,6 +200,23 @@ def test_trace_against_galois_sum_oracle():
             assert a.trace_to_rational(m) == trace_by_galois_sum(a, m)
 
 
+def test_twisted_traces_against_galois_sum_oracle():
+    # random values carry fractional coefficients, so the common-denominator
+    # path is exercised as well as the integral one
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.choice([3, 4, 5, 8, 9, 12])
+        a = from_coeffs(n, random_value(rng, n))
+        m = a.conductor * rng.choice([1, 2, 3])
+        got = a.twisted_traces(m)
+        assert len(got) == m
+        for ell in range(m):
+            assert got[ell] == trace_by_galois_sum(a * root_of_unity(m, -ell), m)
+    assert rational(0).twisted_traces(3) == (0, 0, 0)
+    with pytest.raises(FieldError):
+        root_of_unity(5).twisted_traces(3)
+
+
 def test_trace_of_rational_scales_by_phi():
     for q in (Fraction(3), Fraction(-7, 2), Fraction(0)):
         for m in (1, 2, 3, 4, 5, 6, 12):

@@ -433,3 +433,35 @@ def test_store_json_rejects_missing_divisor(bundles):
     }
     with pytest.raises(DriverError, match="divisor"):
         store_from_json(bundles["a5"], data)
+
+
+def test_store_json_rejects_foreign_proper_levels(bundles):
+    # the order-8 tuple passes the congruence and its divisors are present,
+    # but its level 4 is not the stored order-4 tuple
+    data = {
+        "group": "M11",
+        "solutions": {
+            "2": [{"2": {"2a": 1}}],
+            "4": [{"2": {"2a": 1}, "4": {"4a": 1}}],
+            "8": [
+                {
+                    "2": {"2a": 1},
+                    "4": {"2a": 2, "4a": -1},
+                    "8": {"4a": 2, "8a": -2, "8b": 1},
+                }
+            ],
+        },
+        "obstructions": {},
+    }
+    with pytest.raises(DriverError, match="order-4 tuple the store does not hold"):
+        store_from_json(bundles["m11"], data)
+    data["solutions"]["4"].append({"2": {"2a": 1}, "4": {"2a": 2, "4a": -1}})
+    assert len(store_from_json(bundles["m11"], data).solutions[8]) == 1
+
+
+def test_stores_written_by_helpzc_load(bundles):
+    for name in ("s4", "a5", "sl23", "m11"):
+        b = bundles[name]
+        store = check_zc(b, SolverOptions(shortcuts=False)).store
+        check_pq(b, SolverOptions(shortcuts=False), store)
+        assert store_from_json(b, store_to_json(b, store)) == store
