@@ -64,6 +64,9 @@ class CharacterTable:
         self._identity = next(
             (i for i, cl in enumerate(classes) if cl.element_order == 1), None
         )
+        # unit order m -> the integer trace block of these rows (see
+        # constraints.trace_block), built on first use
+        self.trace_blocks: dict = {}
 
     @property
     def is_brauer(self) -> bool:
@@ -145,9 +148,6 @@ class TableBundle:
         self.is_solvable = is_solvable
         self.is_nilpotent = is_nilpotent
         self.p_solvable_for = p_solvable_for
-        # table set -> its integer coefficient tables (see constraints.py),
-        # built on first use and dropped with the bundle
-        self.trace_tables: dict = {}
 
     def brauer_for(self, p: int) -> CharacterTable | None:
         for t in self.brauer:
@@ -363,7 +363,9 @@ def load_bundle(source: str | Path | dict) -> TableBundle:
         if key in flags and not isinstance(flags[key], bool):
             raise BundleError(f"{group}: flag {key} must be boolean")
     psf = flags.get("p_solvable_for", [])
-    if not isinstance(psf, list) or not all(is_prime(int(p)) for p in psf):
+    if not isinstance(psf, list) or not all(
+        type(p) is int and is_prime(p) for p in psf
+    ):
         raise BundleError(f"{group}: p_solvable_for must be a list of primes")
 
     return TableBundle(
@@ -372,7 +374,7 @@ def load_bundle(source: str | Path | dict) -> TableBundle:
         tuple(brauer),
         is_solvable=flags.get("is_solvable"),
         is_nilpotent=flags.get("is_nilpotent"),
-        p_solvable_for=frozenset(int(p) for p in psf),
+        p_solvable_for=frozenset(psf),
     )
 
 

@@ -34,9 +34,10 @@ Assembly is integer-only; two identities make that exact.
    where c_m(j) = mu(r) phi(m)/phi(r), r = m/gcd(m, j), is the trace of
    zeta_m^j.  No product, reduction or descent in Q(zeta_m) is needed.
 
-Each table set gets one integer table C_m per unit order m, built from the
-stored exponents on first use and kept while the bundle lives; cyclotomic
-(Cyc) arithmetic only loads and validates the character tables.
+Each character table gets one integer block of C_m per unit order m, built
+from the stored exponents on first use and kept on the table; a table set's
+coefficients are its tables' blocks joined.  Cyclotomic (Cyc) arithmetic
+only loads and validates the character tables.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 from .arith import divisors, is_prime
 from .chartables import CharacterTable, TableBundle
-from .cyclotomics import Cyc, FieldError, rational
+from .cyclotomics import Cyc, FieldError
 from .intsolve import LinSystem
 
 
@@ -195,15 +196,7 @@ def char_rows(tables, n_ordinary_classes: int) -> tuple[CharRow, ...]:
     return tuple(out)
 
 
-def character_value_at_unit(row: CharRow, pa: PAVector) -> Cyc:
-    """psi(u) = sum_x eps_x(u) psi(x) over the support of pa."""
-    total = rational(0)
-    for ci, eps in pa.entries:
-        total = total + row.value_at(ci) * eps
-    return total
-
-
-# -- traces and coefficients ---------------------------------------------------
+# -- integer trace blocks -------------------------------------------------------
 
 
 def _integer_traces(value: Cyc, m: int, context: str) -> tuple[int, ...]:
@@ -219,105 +212,61 @@ def _integer_traces(value: Cyc, m: int, context: str) -> tuple[int, ...]:
     return tuple(int(t) for t in traces)
 
 
-def mu_coefficient(row: CharRow, k: int, ell: int, class_index: int) -> int:
-    """Coefficient of eps_x in the (row, ell) constraint: Tr(psi(x) zeta_k^-l)."""
-    return _integer_traces(row.value_at(class_index), k, row.label)[ell % k]
+def trace_block(table: CharacterTable, ordinary: CharacterTable, m: int):
+    """The integer coefficients of `table`'s rows at unit order m:
+    block[r][l][i] = Tr_{Q(zeta_m)/Q}(psi_r(x) zeta_m^-l) for the r-th row
+    of char_rows((table,)), l < m and x the i-th class of `ordinary` of
+    order dividing m.
+
+    Built on first use and kept on the table, so each row is traced once
+    per m whichever table sets it joins; `ordinary` must be the ordinary
+    table `table` belongs to.
+    """
+    block = table.trace_blocks.get(m)
+    if block is None:
+        support = ordinary.classes_of_order_dividing(m)
+        rows = []
+        for row in char_rows((table,), len(ordinary.classes)):
+            columns = [_integer_traces(row.value_at(x), m, row.label) for x in support]
+            rows.append(tuple(zip(*columns)) if columns else ((),) * m)
+        block = table.trace_blocks[m] = tuple(rows)
+    return block
 
 
-def a_term_scaled(row: CharRow, k: int, ell: int, tup: PATuple) -> int:
-    """k*a minus the d=1 part: the constant side of the (row, ell) constraint,
-    summing the proper-power terms Tr_{Q(zeta_{k/d})/Q}(psi(u^d) zeta_{k/d}^{-l}),
-    each a dot product of eps(u^d) with the order-k/d coefficients."""
-    total = 0
-    for d in divisors(k):
-        if d == 1:
-            continue
-        e = k // d  # order of u^d
-        if e == 1:
-            total += row.degree
-        else:
-            total += sum(
-                eps * mu_coefficient(row, e, ell, x)
-                for x, eps in tup.level(e).entries
-            )
-    return total
+def _coefficients(ordinary: CharacterTable, tables, m: int) -> list:
+    """The order-m blocks of `tables` joined, one entry per row of
+    char_rows(tables)."""
+    return [row for t in tables for row in trace_block(t, ordinary, m)]
 
 
-@dataclass(frozen=True)
-class TraceTable:
-    """The integer coefficients of one table set at one unit order m:
-    values[r][l][i] = Tr_{Q(zeta_m)/Q}(psi_r(x) zeta_m^-l) for row r, l < m
-    and x = support[i], the i-th class of order dividing m."""
-
-    support: tuple[int, ...]
-    values: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def positions(self, pa: PAVector) -> list[tuple[int, int]]:
-        """pa's (support position, eps) pairs."""
+def _constant_terms(ordinary: CharacterTable, tables, k: int, levels, rows):
+    """a(psi, l) for each (r, psi) in `rows` (r indexing char_rows(tables))
+    and l < k: deg psi plus one dot product per proper power, `levels`
+    holding eps(u^d) for each order k/d > 1 (identity 1 of the module
+    docstring)."""
+    parts = []
+    for pa in levels:
+        support = ordinary.classes_of_order_dividing(pa.order)
         try:
-            return [(self.support.index(x), eps) for x, eps in pa.entries]
+            entries = [(support.index(x), eps) for x, eps in pa.entries]
         except ValueError:
             raise ConstraintError(
                 f"partial augmentations of order {pa.order} sit on a class"
                 " of another order"
             ) from None
-
-
-class _TableSet:
-    """The rows of one table set and its TraceTables, built on first use."""
-
-    def __init__(self, bundle: TableBundle, tables):
-        self.ordinary = bundle.ordinary
-        self.rows = char_rows(tables, len(bundle.ordinary.classes))
-        self._by_order: dict[int, TraceTable] = {}
-
-    def at(self, m: int) -> TraceTable:
-        table = self._by_order.get(m)
-        if table is None:
-            support = self.ordinary.classes_of_order_dividing(m)
-            values = []
-            for row in self.rows:
-                columns = [
-                    _integer_traces(row.value_at(x), m, row.label) for x in support
-                ]
-                values.append(tuple(zip(*columns)) if columns else ((),) * m)
-            table = self._by_order[m] = TraceTable(support, tuple(values))
-        return table
-
-    def constant_terms(self, k: int, levels, row_indices):
-        """a(psi, l) for each listed row and l < k: deg psi plus one dot
-        product per proper power, `levels` holding eps(u^d) for each order
-        k/d > 1 (identity 1 of the module docstring)."""
-        parts = []
-        for pa in levels:
-            table = self.at(pa.order)
-            parts.append((pa.order, table.values, table.positions(pa)))
-        return [
-            tuple(
-                self.rows[r].degree
-                + sum(
-                    eps * values[r][ell % e][i]
-                    for e, values, entries in parts
-                    for i, eps in entries
-                )
-                for ell in range(k)
+        parts.append((pa.order, _coefficients(ordinary, tables, pa.order), entries))
+    return [
+        tuple(
+            row.degree
+            + sum(
+                eps * values[r][ell % e][i]
+                for e, values, entries in parts
+                for i, eps in entries
             )
-            for r in row_indices
-        ]
-
-
-def _table_set(bundle: TableBundle, tables) -> _TableSet:
-    key = tuple(tables)
-    found = bundle.trace_tables.get(key)
-    if found is None:
-        found = bundle.trace_tables[key] = _TableSet(bundle, key)
-    return found
-
-
-def trace_table(bundle: TableBundle, tables, m: int) -> TraceTable:
-    """The integer coefficient table of `tables` (rows in char_rows order)
-    at unit order m."""
-    return _table_set(bundle, tables).at(m)
+            for ell in range(k)
+        )
+        for r, row in rows
+    ]
 
 
 # -- system assembly -----------------------------------------------------------
@@ -360,19 +309,14 @@ def usable_tables(bundle: TableBundle, k: int, options=None):
     """Ordinary table plus Brauer(p) for p not dividing k; Brauer tables of
     primes the group is p-solvable for add nothing and are skipped.
 
-    `options` is a verify.SolverOptions, of which only use_brauer and
-    fong_swan are read; None means both on.
+    `options` is a verify.SolverOptions, of which only use_brauer is read;
+    None means on.
     """
-    use_brauer = options is None or options.use_brauer
-    fong_swan = options is None or options.fong_swan
     tables = [bundle.ordinary]
-    if use_brauer:
+    if options is None or options.use_brauer:
         for t in bundle.brauer:
-            if k % t.prime == 0:
-                continue
-            if fong_swan and t.prime in bundle.p_solvable_for:
-                continue
-            tables.append(t)
+            if k % t.prime and t.prime not in bundle.p_solvable_for:
+                tables.append(t)
     return tuple(tables)
 
 
@@ -387,17 +331,18 @@ def build_system(
     ordinary = bundle.ordinary
     if tables is None:
         tables = usable_tables(bundle, k)
-    ts = _table_set(bundle, tables)
-    top = ts.at(k)
+    rows = char_rows(tables, len(ordinary.classes))
+    top = _coefficients(ordinary, tables, k)
     levels = [proper.level(e) for e in divisors(k) if 1 < e < k]
-    a_terms = ts.constant_terms(k, levels, range(len(ts.rows)))
+    a_terms = _constant_terms(ordinary, tables, k, levels, enumerate(rows))
 
     merged: dict[tuple, list] = {}
-    for row, coeffs, a_row in zip(ts.rows, top.values, a_terms):
+    for row, coeffs, a_row in zip(rows, top, a_terms):
         for ell in range(k):
             merged.setdefault((coeffs[ell], a_row[ell]), []).append((row.label, ell))
 
-    eps_vars = [EpsVar(i, ordinary.classes[i].name) for i in top.support]
+    support = ordinary.classes_of_order_dividing(k)
+    eps_vars = [EpsVar(i, ordinary.classes[i].name) for i in support]
     return _finish_system(eps_vars, None, merged, k)
 
 
@@ -445,8 +390,11 @@ def build_system_p_constant(
     ordinary = bundle.ordinary
     if tables is None:
         tables = usable_tables(bundle, k)
-    ts = _table_set(bundle, tables)
-    rows = [r for r, row in enumerate(ts.rows) if is_p_constant(row, ordinary, p)]
+    rows = [
+        (r, row)
+        for r, row in enumerate(char_rows(tables, len(ordinary.classes)))
+        if is_p_constant(row, ordinary, p)
+    ]
     if not rows:
         raise ConstraintError("no p-constant rows")
 
@@ -457,19 +405,18 @@ def build_system_p_constant(
         raise ConstraintError(f"no classes of order {p}")
     witness = agg[0]
 
-    top = ts.at(k)
+    top = _coefficients(ordinary, tables, k)
     # u^q has order p; constancy gives psi(u^q) = psi(x_p), the character
     # value of a unit with eps = 1 at the witness class
     levels = (PAVector(p, ((support[witness], 1),)), proper.level(q))
-    a_terms = ts.constant_terms(k, levels, rows)
+    a_terms = _constant_terms(ordinary, tables, k, levels, rows)
 
     merged: dict[tuple, list] = {}
-    for r, a_row in zip(rows, a_terms):
-        label = ts.rows[r].label
+    for (r, row), a_row in zip(rows, a_terms):
         for ell in range(k):
-            c = top.values[r][ell]
+            c = top[r][ell]
             coeffs = tuple(c[i] for i in keep) + (c[witness],)
-            merged.setdefault((coeffs, a_row[ell]), []).append((label, ell))
+            merged.setdefault((coeffs, a_row[ell]), []).append((row.label, ell))
 
     eps_vars = [EpsVar(support[i], ordinary.classes[support[i]].name) for i in keep]
     return _finish_system(eps_vars, AggVar(p), merged, k)
@@ -485,13 +432,6 @@ def eps_projection(sys: LinSystem, solution) -> dict[int, int]:
         if isinstance(var, EpsVar):
             out[var.class_index] = val
     return out
-
-
-def agg_value(sys: LinSystem, solution):
-    for var, val in zip(sys.variables, solution):
-        if isinstance(var, AggVar):
-            return val
-    return None
 
 
 def mu_values(sys: LinSystem, solution) -> dict[tuple[str, int], int]:

@@ -595,34 +595,3 @@ def solve_all(
         return Aborted(nodes - 1)
 
     return Finite(tuple(sorted(set(solutions))))
-
-
-# -- plain-text dump ---------------------------------------------------------
-
-
-def dump_system(sys: LinSystem) -> str:
-    """Debug format: header lines with variable kinds, one integer row per
-    line (coefficients then right-hand side)."""
-    lines = ["vars " + " ".join(str(v) for v in sys.variables)]
-    lines.append("nonneg " + " ".join(str(i) for i in sorted(sys.nonneg)))
-    for coeffs, rhs in sys.equalities:
-        lines.append(" ".join(str(c) for c in coeffs) + " " + str(rhs))
-    return "\n".join(lines) + "\n"
-
-
-def parse_system(text: str) -> LinSystem:
-    """Inverse of dump_system; variable descriptors come back as strings."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("vars "):
-        raise ValueError("system dump must start with a vars line")
-    variables = tuple(lines[0].split()[1:])
-    if not lines[1].startswith("nonneg"):
-        raise ValueError("system dump must have a nonneg line")
-    nonneg = frozenset(int(t) for t in lines[1].split()[1:])
-    equalities = []
-    for ln in lines[2:]:
-        nums = [int(t) for t in ln.split()]
-        if len(nums) != len(variables) + 1:
-            raise ValueError(f"row has {len(nums)} numbers, expected {len(variables) + 1}")
-        equalities.append((tuple(nums[:-1]), nums[-1]))
-    return LinSystem(variables, tuple(equalities), nonneg)

@@ -57,7 +57,6 @@ class SolverOptions:
     p_constant: bool = False
     redundancy: bool | None = None
     max_nodes: int = DEFAULT_MAX_NODES
-    fong_swan: bool = True
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,8 @@ class SolutionStore:
     """Admissible tuples per order, plus obstruction markers.
 
     An order appears in `solutions` only once all its proper divisor orders
-    do; every stored tuple is complete and passed the congruence test.
+    do, and never in both `solutions` and `obstructions`; every stored tuple
+    is complete and passed the congruence test.
     """
 
     def __init__(self, group_name: str):
@@ -252,6 +252,8 @@ def solve_order_report(bundle, k, store, options=None):
         return None, None
     survivors = tuple(t for t in pre if wagner_test(bundle.ordinary, t))
     store.solutions[k] = survivors
+    # a re-audit that gets through supersedes an earlier obstruction
+    store.obstructions.pop(k, None)
     return survivors, tuple(pre)
 
 
@@ -354,7 +356,10 @@ def store_from_json(bundle: TableBundle, data: dict) -> SolutionStore:
             loaded.append(tup)
         store.solutions[k] = tuple(sorted(set(loaded), key=canonical_key))
     for k_str, reason in data.get("obstructions", {}).items():
-        store.obstructions[int(k_str)] = reason
+        k = int(k_str)
+        if k in store.solutions:
+            raise DriverError(f"store has order {k} both solved and obstructed")
+        store.obstructions[k] = reason
     for k in store.solutions:
         for d in divisors(k):
             if 1 < d < k and d not in store.solutions:

@@ -265,6 +265,11 @@ def test_reject_bad_flags():
     def mutate(d):
         d["flags"] = {"is_solvable": "yes"}
     corrupt(mutate)
+    # p_solvable_for decides which Brauer tables are skipped
+    for bad in ([None], [[2]], ["x"], [2.5], [True], [4], 2):
+        def mutate(d):
+            d["flags"] = {"p_solvable_for": bad}
+        corrupt(mutate)
 
 
 def test_error_names_the_table():

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from helpers import brute_force_pa_solutions
+from helpzc import constraints
 from helpzc.arith import divisors
 from helpzc.chartables import (
     CharacterTable,
@@ -29,19 +30,16 @@ from helpzc.constraints import (
     MuVar,
     PATuple,
     PAVector,
-    a_term_scaled,
     assert_mu_sums,
     build_system,
     build_system_p_constant,
     char_rows,
-    character_value_at_unit,
     eps_projection,
     is_p_constant,
-    mu_coefficient,
     mu_sums,
     mu_values,
     pa_vector,
-    trace_table,
+    trace_block,
     usable_tables,
 )
 from helpzc.cyclotomics import Cyc, cyc_to_json, rational, root_of_unity
@@ -61,6 +59,17 @@ def solutions_on_support(sys, result):
         proj = eps_projection(sys, sol)
         out.append(tuple(proj[i] for i in sorted(proj)))
     return sorted(out)
+
+
+def constant_terms(sys):
+    """(row label, l) -> a(psi, l), read off the right-hand sides of an
+    assembled system (each is -a)."""
+    mu_vars = [v for v in sys.variables if isinstance(v, MuVar)]
+    return {
+        owner: -const
+        for var, (_, const) in zip(mu_vars, sys.equalities[1:])
+        for owner in var.owners
+    }
 
 
 def trivial_proper(table, k, chosen):
@@ -117,68 +126,68 @@ def test_pa_tuple_levels():
 
 
 def test_mu_coefficient_sign_character_c2():
-    rows = char_rows((cyclic_table(2).ordinary,), 2)
-    sign = rows[1]
-    assert mu_coefficient(sign, 2, 1, 1) == 1
-    assert mu_coefficient(sign, 2, 0, 1) == -1
+    t = cyclic_table(2).ordinary
+    sign = trace_block(t, t, 2)[1]
+    assert sign[1][0] == 1  # l = 1 at class 1, the first of order dividing 2
+    assert sign[0][0] == -1
 
 
 def test_mu_coefficient_trivial_character_c3():
-    rows = char_rows((cyclic_table(3).ordinary,), 3)
-    assert mu_coefficient(rows[0], 3, 0, 1) == 2
-    assert mu_coefficient(rows[0], 3, 1, 1) == -1
+    t = cyclic_table(3).ordinary
+    trivial = trace_block(t, t, 3)[0]
+    assert trivial[0][0] == 2
+    assert trivial[1][0] == -1
 
 
 def test_mu_coefficient_galois_sums():
     # linear character j of C6 at class g: Tr(zeta_6^(j-l)), a Ramanujan sum
-    rows = char_rows((cyclic_table(6).ordinary,), 6)
+    t = cyclic_table(6).ordinary
+    block = trace_block(t, t, 6)
     for j in range(6):
         for ell in range(6):
             expect = root_of_unity(6, j - ell).trace_to_rational(6)
-            assert mu_coefficient(rows[j], 6, ell, 1) == expect
+            assert block[j][ell][0] == expect
+
+
+def one_row_table(n, value):
+    """C_n's classes with the single row taking `value` at g and 1 elsewhere."""
+    t = cyclic_table(n).ordinary
+    row = [rational(1)] * n
+    row[1] = value
+    return CharacterTable(f"C{n}", n, t.classes, t.power_maps, (tuple(row),))
 
 
 def test_mu_coefficient_rejects_non_integer():
-    bad = CharRow("bad", 1, (rational(1), root_of_unity(3) / 2))
+    bad = one_row_table(3, root_of_unity(3) / 2)
     with pytest.raises(ConstraintError, match="not an algebraic integer"):
-        mu_coefficient(bad, 3, 0, 1)
+        trace_block(bad, bad, 3)
 
 
 def test_mu_coefficient_rejects_value_outside_field():
-    bad = CharRow("bad", 1, (rational(1), root_of_unity(5)))
+    bad = one_row_table(2, root_of_unity(5))
     with pytest.raises(ConstraintError):
-        mu_coefficient(bad, 2, 0, 1)
+        trace_block(bad, bad, 2)
 
 
 def test_a_term_examples():
-    rows2 = char_rows((cyclic_table(2).ordinary,), 2)
     # the only proper-power term is d = k: Tr over Q of the degree, so the
     # same value for every l
-    assert a_term_scaled(rows2[1], 2, 1, PATuple(2, ())) == 1
-    assert a_term_scaled(rows2[1], 2, 0, PATuple(2, ())) == 1
-    rows3 = char_rows((cyclic_table(3).ordinary,), 3)
-    assert a_term_scaled(rows3[0], 3, 0, PATuple(3, ())) == 1
-    rows4 = char_rows((cyclic_table(4).ordinary,), 4)
+    a2 = constant_terms(build_system(cyclic_table(2), 2, PATuple(2, ())))
+    assert a2[("ord1", 1)] == 1
+    assert a2[("ord1", 0)] == 1
+    a3 = constant_terms(build_system(cyclic_table(3), 3, PATuple(3, ())))
+    assert a3[("ord0", 0)] == 1
     # k=4, trivial proper tuple (u^2 = g^2): d=2 gives Tr_Q(z2)(z4^(2j) z2^-l),
     # d=4 gives 1; for the character j=1: l=0 -> 1 + (-1) = 0, l=1 -> 1 + 1 = 2
     proper4 = PATuple(4, ((2, pa_vector(cyclic_table(4).ordinary, 2, {2: 1})),))
-    assert a_term_scaled(rows4[1], 4, 0, proper4) == 0
-    assert a_term_scaled(rows4[1], 4, 1, proper4) == 2
+    a4 = constant_terms(build_system(cyclic_table(4), 4, proper4))
+    assert a4[("ord1", 0)] == 0
+    assert a4[("ord1", 1)] == 2
 
 
 def test_a_term_missing_level():
-    rows = char_rows((cyclic_table(4).ordinary,), 4)
     with pytest.raises(ConstraintError, match="missing"):
-        a_term_scaled(rows[1], 4, 0, PATuple(4, ()))
-
-
-def test_character_value_at_unit():
-    t = cyclic_table(6).ordinary
-    rows = char_rows((t,), 6)
-    pa = pa_vector(t, 6, {1: 2, 5: -1})
-    assert character_value_at_unit(rows[0], pa) == rational(1)
-    expected = 2 * root_of_unity(6, 1) - root_of_unity(6, 5)
-    assert character_value_at_unit(rows[1], pa) == expected
+        build_system(cyclic_table(4), 4, PATuple(4, ()))
 
 
 def test_char_rows_brauer_expansion():
@@ -189,6 +198,8 @@ def test_char_rows_brauer_expansion():
     assert rows[0].values[i11a] is None
     with pytest.raises(ConstraintError, match="no value"):
         rows[0].value_at(i11a)
+    with pytest.raises(ConstraintError, match="no value"):
+        trace_block(t11, m11.ordinary, 11)
     assert rows[0].degree == 1
 
 
@@ -500,23 +511,23 @@ def test_trace_tables_match_cyc():
         t = b.ordinary
         orders = {m for o in t.element_orders() for m in divisors(o) if m > 1}
         for m in sorted(orders):
-            tables = (t,) + tuple(bt for bt in b.brauer if m % bt.prime)
-            rows = char_rows(tables, len(t.classes))
-            table = trace_table(b, tables, m)
-            assert table.support == t.classes_of_order_dividing(m)
-            assert len(table.values) == len(rows)
-            for row, per_ell in zip(rows, table.values):
-                seen.add(row.label)
-                assert len(per_ell) == m
-                for ell in range(m):
-                    expect = []
-                    for x in table.support:
-                        key = (row.value_at(x), m, ell)
-                        if key not in reference:
-                            reference[key] = cyc_trace(*key)
-                        expect.append(reference[key])
-                    assert list(per_ell[ell]) == expect
-                    assert all(type(c) is int for c in per_ell[ell])
+            support = t.classes_of_order_dividing(m)
+            for table in (t,) + tuple(bt for bt in b.brauer if m % bt.prime):
+                rows = char_rows((table,), len(t.classes))
+                block = trace_block(table, t, m)
+                assert len(block) == len(rows)
+                for row, per_ell in zip(rows, block):
+                    seen.add(row.label)
+                    assert len(per_ell) == m
+                    for ell in range(m):
+                        expect = []
+                        for x in support:
+                            key = (row.value_at(x), m, ell)
+                            if key not in reference:
+                                reference[key] = cyc_trace(*key)
+                            expect.append(reference[key])
+                        assert list(per_ell[ell]) == expect
+                        assert all(type(c) is int for c in per_ell[ell])
     # every kind of row: ordinary, extra, mod 5 and mod 11
     assert {"ord1", "ordx1", "mod50", "mod110"} <= seen
 
@@ -545,33 +556,59 @@ def test_constant_terms_match_cyc(name):
         tables = usable_tables(b, k)
         rows = char_rows(tables, len(b.ordinary.classes))
         for tup in tuples:
-            sys = build_system(b, k, tup.proper(), tables)
-            mu_vars = [v for v in sys.variables if isinstance(v, MuVar)]
-            rhs = {
-                owner: -const
-                for var, (_, const) in zip(mu_vars, sys.equalities[1:])
-                for owner in var.owners
-            }
+            rhs = constant_terms(build_system(b, k, tup.proper(), tables))
             for row in rows:
                 for ell in range(k):
                     expect = cyc_constant_term(row, k, ell, tup)
-                    assert a_term_scaled(row, k, ell, tup) == expect
                     assert rhs[(row.label, ell)] == expect
                     checked += 1
     assert checked > 100
 
 
 def test_assembly_rejects_bad_table_values():
-    t = cyclic_table(3).ordinary
     for value, message in [
         (root_of_unity(3) / 2, "not an algebraic integer"),
         (root_of_unity(5), "does not divide 3"),
     ]:
-        bad = CharacterTable(
-            "C3", 3, t.classes, t.power_maps, ((rational(1), value, rational(1)),)
-        )
+        bad = one_row_table(3, value)
         with pytest.raises(ConstraintError, match=message):
             build_system(cyclic_table(3), 3, PATuple(3, ()), tables=(bad,))
+
+
+def test_trace_blocks_are_shared_between_table_sets(monkeypatch):
+    m11 = bundle("m11")
+    t = m11.ordinary
+    traced = []
+    real = constraints._integer_traces
+
+    def counting(value, m, context):
+        traced.append((context, m))
+        return real(value, m, context)
+
+    monkeypatch.setattr(constraints, "_integer_traces", counting)
+    with_mod5 = usable_tables(m11, 2)
+    without_mod5 = usable_tables(m11, 10)
+    assert [x.prime for x in with_mod5] == [None, 5, 11]
+    assert [x.prime for x in without_mod5] == [None, 11]
+    systems = [
+        build_system(m11, 2, PATuple(2, ()), tables)
+        for tables in (with_mod5, without_mod5)
+    ]
+    # one trace per (row, class of order dividing 2): M11 has only 2a
+    ordinary_rows = len(t.characters) + len(t.extra_characters)
+    assert sorted(c for c, m in traced if c.startswith("ord")) == sorted(
+        f"ord{r}" for r in range(ordinary_rows)
+    )
+    assert len(traced) == len(set(traced)) == sum(
+        len(char_rows((x,), len(t.classes))) for x in with_mod5
+    )
+    assert set(t.trace_blocks) == {2}
+    # the second set's system is the first's without the mod-5 rows
+    mu_owners = [
+        {o for v in s.variables if isinstance(v, MuVar) for o in v.owners}
+        for s in systems
+    ]
+    assert mu_owners[1] == {o for o in mu_owners[0] if not o[0].startswith("mod5")}
 
 
 def test_assembly_creates_no_cyc(monkeypatch):

@@ -15,8 +15,6 @@ from helpzc.intsolve import (
     Optimal,
     Unbounded,
     diophantine_eliminate,
-    dump_system,
-    parse_system,
     remove_redundant,
     simplex_opt,
     solve_all,
@@ -278,22 +276,3 @@ def test_oracle_property(data):
     if isinstance(res, Finite):
         inside = tuple(x for x in res.solutions if in_box(x, 6))
         assert inside == box_solutions(s, 6)
-
-
-# -- text dump ----------------------------------------------------------------
-
-
-def test_dump_parse_roundtrip():
-    s = sys_of([((1, -2, 3), 4), ((0, 5, -6), -7)], nonneg=[0, 2])
-    text = dump_system(s)
-    back = parse_system(text)
-    assert back.equalities == s.equalities
-    assert back.nonneg == s.nonneg
-    assert [str(v) for v in s.variables] == list(back.variables)
-
-
-def test_parse_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_system("1 2 3\n")
-    with pytest.raises(ValueError):
-        parse_system("vars x y\nnonneg\n1 2\n")

@@ -102,25 +102,22 @@ def test_usable_tables(bundles):
 
 def test_usable_tables_fong_swan_skip():
     t = cyclic_table(6).ordinary
-    fake5 = CharacterTable(
-        "C6", 6, t.classes, t.power_maps, t.characters,
-        prime=5, ordinary_index=tuple(range(6)),
-    )
+    fake = [
+        CharacterTable(
+            "C6", 6, t.classes, t.power_maps, t.characters,
+            prime=p, ordinary_index=tuple(range(6)),
+        )
+        for p in (5, 7)
+    ]
     b = TableBundle(
-        "C6", t, (fake5,),
+        "C6", t, tuple(fake),
         is_solvable=True, is_nilpotent=True,
-        p_solvable_for=frozenset({2, 3, 5}),
+        p_solvable_for=frozenset({2, 3, 7}),
     )
-    # p-solvable for 5, so the mod-5 table adds nothing and is dropped
-    assert [x.prime for x in usable_tables(b, 6)] == [None]
-    assert [x.prime for x in usable_tables(b, 6, SolverOptions(fong_swan=False))] == [
-        None,
-        5,
-    ]
-    # dividing the order excludes the table regardless of the flag
-    assert [x.prime for x in usable_tables(b, 10, SolverOptions(fong_swan=False))] == [
-        None
-    ]
+    # p-solvable for 7, so the mod-7 table adds nothing and is dropped
+    assert [x.prime for x in usable_tables(b, 6)] == [None, 5]
+    # dividing the order excludes the table although 5 is not p-solvable
+    assert [x.prime for x in usable_tables(b, 10)] == [None]
 
 
 # -- lattice recursion ----------------------------------------------------------
@@ -289,6 +286,25 @@ def test_node_budget_obstruction():
     assert v.proved
 
 
+def test_reaudit_clears_stale_obstruction(bundles):
+    m11 = bundles["m11"]
+    store = SolutionStore(m11.group_name)
+    assert solve_order_report(m11, 4, store, SolverOptions(max_nodes=0)) == (
+        None,
+        None,
+    )
+    assert store.obstructions == {4: REASON_BUDGET}
+    store = store_from_json(m11, store_to_json(m11, store))
+    survivors, _ = solve_order_report(m11, 4, store)
+    assert len(survivors) == 2
+    assert store.obstructions == {}
+    store = store_from_json(m11, store_to_json(m11, store))
+    # resuming gives the verdict of a fresh store
+    assert check_zc(m11, store=store).obstructions == tuple(
+        (k, REASON_NONTRIVIAL) for k in (4, 6, 8, 11)
+    )
+
+
 def test_infinite_obstruction_propagates():
     # with only two of the six characters the order-3 system is
     # underdetermined, and orders above 3 inherit the obstruction
@@ -433,6 +449,18 @@ def test_store_json_rejects_missing_divisor(bundles):
     }
     with pytest.raises(DriverError, match="divisor"):
         store_from_json(bundles["a5"], data)
+
+
+def test_store_json_rejects_solved_and_obstructed_order(bundles):
+    data = {
+        "group": "M11",
+        "solutions": {"2": [{"2": {"2a": 1}}]},
+        "obstructions": {"2": REASON_BUDGET},
+    }
+    with pytest.raises(DriverError, match="both solved and obstructed"):
+        store_from_json(bundles["m11"], data)
+    del data["obstructions"]["2"]
+    assert store_from_json(bundles["m11"], data).solutions[2]
 
 
 def test_store_json_rejects_foreign_proper_levels(bundles):
