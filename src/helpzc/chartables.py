@@ -67,6 +67,8 @@ class CharacterTable:
         # unit order m -> the integer trace block of these rows (see
         # constraints.trace_block), built on first use
         self.trace_blocks: dict = {}
+        # number of ordinary classes -> these rows as constraints.CharRows
+        self.char_rows: dict = {}
 
     @property
     def is_brauer(self) -> bool:

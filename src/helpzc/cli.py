@@ -55,7 +55,6 @@ def solver_options(args) -> SolverOptions:
         shortcuts=not args.no_shortcuts,
         use_brauer=not args.no_brauer,
         p_constant=args.p_constant,
-        redundancy=False if args.no_redund else None,
         max_nodes=args.max_nodes,
     )
 
@@ -206,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--p-constant",
         action="store_true",
         help="try the aggregated relaxation before each full system",
-    )
-    solver.add_argument(
-        "--no-redund",
-        action="store_true",
-        help="skip the redundant-inequality sweep",
     )
     solver.add_argument(
         "--max-nodes",

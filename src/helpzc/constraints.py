@@ -178,21 +178,35 @@ class CharRow:
 
 
 def char_rows(tables, n_ordinary_classes: int) -> tuple[CharRow, ...]:
-    """Flatten the usable tables into CharRows over ordinary class indices."""
+    """Flatten the usable tables into CharRows over ordinary class indices.
+
+    Each table's rows are built once and kept on the table; a table set
+    joins them in order.
+    """
     out = []
     for t in tables:
-        prefix = f"mod{t.prime}" if t.is_brauer else "ord"
-        groups = (("", t.characters), ("x", t.extra_characters))
-        for tag, rows in groups:
-            for ri, row in enumerate(rows):
-                if t.is_brauer:
-                    values = [None] * n_ordinary_classes
-                    for sub_i, ord_i in enumerate(t.ordinary_index):
-                        values[ord_i] = row[sub_i]
-                    values = tuple(values)
-                else:
-                    values = tuple(row)
-                out.append(CharRow(f"{prefix}{tag}{ri}", t.degree(row), values))
+        rows = t.char_rows.get(n_ordinary_classes)
+        if rows is None:
+            rows = t.char_rows[n_ordinary_classes] = _table_rows(
+                t, n_ordinary_classes
+            )
+        out.extend(rows)
+    return tuple(out)
+
+
+def _table_rows(t: CharacterTable, n_ordinary_classes: int):
+    prefix = f"mod{t.prime}" if t.is_brauer else "ord"
+    out = []
+    for tag, rows in (("", t.characters), ("x", t.extra_characters)):
+        for ri, row in enumerate(rows):
+            if t.is_brauer:
+                values = [None] * n_ordinary_classes
+                for sub_i, ord_i in enumerate(t.ordinary_index):
+                    values[ord_i] = row[sub_i]
+                values = tuple(values)
+            else:
+                values = tuple(row)
+            out.append(CharRow(f"{prefix}{tag}{ri}", t.degree(row), values))
     return tuple(out)
 
 

@@ -8,8 +8,9 @@ of which are flagged nonnegative.  The pipeline:
      origin + integer combination of lattice basis vectors;
   2. push the nonnegativity constraints through that parametrization,
      giving an inequality system over the free integer parameters;
-  3. bound each parameter exactly with a rational simplex (Bland's rule,
-     fraction arithmetic throughout);
+  3. bound each parameter exactly with a fraction-free simplex (Bland's
+     rule on an integer tableau with one common denominator): one phase 1
+     per system, then each bound re-optimized from the feasible basis;
   4. enumerate by depth-first fixing of parameters, tightening intervals by
      integer propagation and re-solved LP bounds.
 
@@ -24,10 +25,6 @@ from fractions import Fraction
 from math import gcd
 
 DEFAULT_MAX_NODES = 10_000_000
-
-# redundancy elimination pays off on large systems and costs on small ones;
-# below this many inequality rows it defaults to off
-REDUNDANCY_ROW_THRESHOLD = 40
 
 # branch directly once an interval is this small; LP re-tightening first
 # only for wider intervals
@@ -199,47 +196,181 @@ def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
 # -- exact simplex ---------------------------------------------------------
 
 
-def _run_simplex(tableau, b, basis, cbar, value, ncols):
-    """Maximize with Bland's rule on an explicit tableau.  Mutates arguments.
+class _Tableau:
+    """Fraction-free simplex tableau for rows coeffs·t >= rhs, t free.
 
-    Returns ("optimal", value) or ("unbounded", entering column).
+    Columns: t = u - v with u, v >= 0 (2d columns), one surplus per row, and
+    during phase 1 one artificial per row whose right side is positive; the
+    last entry of each row is its right side.  Every stored entry is D times
+    the entry of the usual tableau, where D > 0 is the determinant of the
+    basis, so all entries are integer minors of the input and each pivot
+    divides exactly (Bareiss 1968).  Phase 1 runs once, in the constructor;
+    `maximize` then re-optimizes any objective from the current feasible
+    basis with Bland's rule.
     """
-    m = len(tableau)
-    while True:
-        enter = next((j for j in range(ncols) if cbar[j] > 0), None)
-        if enter is None:
-            return "optimal", value
-        best = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = b[i] / a
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
-        if best is None:
-            return "unbounded", enter
-        _, leave = best
-        piv = tableau[leave][enter]
-        if piv != 1:
-            tableau[leave] = [v / piv for v in tableau[leave]]
-            b[leave] /= piv
-        prow = tableau[leave]
-        pb = b[leave]
-        for i in range(m):
-            if i != leave:
-                f = tableau[i][enter]
-                if f:
-                    tableau[i] = [v - f * p for v, p in zip(tableau[i], prow)]
-                    b[i] -= f * pb
-        f = cbar[enter]
-        if f:
-            for j in range(ncols):
-                if prow[j]:
-                    cbar[j] -= f * prow[j]
-            value += f * pb
-        basis[leave] = enter
+
+    def __init__(self, inequalities, d: int):
+        self.inequalities = inequalities
+        self.d = d
+        m = len(inequalities)
+        base = 2 * d + m
+        nart = sum(1 for _, r in inequalities if r > 0)
+        self.ncols = base + nart
+        self.rows = []
+        self.basis = []
+        self.D = 1
+        art = base
+        for i, (coeffs, r) in enumerate(inequalities):
+            row = [0] * (self.ncols + 1)
+            sgn = 1 if r > 0 else -1
+            for j, c in enumerate(coeffs):
+                row[j] = sgn * c
+                row[d + j] = -sgn * c
+            row[2 * d + i] = -sgn
+            row[-1] = sgn * r
+            if r > 0:
+                row[art] = 1
+                self.basis.append(art)
+                art += 1
+            else:
+                self.basis.append(2 * d + i)
+            self.rows.append(row)
+        self.feasible = not nart or self._phase1(base)
+        if nart:
+            self.ncols = base
+            self.rows = [row[:base] + row[-1:] for row in self.rows]
+
+    def _phase1(self, base: int) -> bool:
+        """Maximize -(sum of artificials); on success drive the artificials
+        out of the basis or drop their rows, which are then redundant."""
+        obj = self._objective({j: -1 for j in range(base, self.ncols)})
+        unbounded = self._run(obj)
+        assert unbounded is None, "phase 1 objective is bounded by 0"
+        if obj[-1]:
+            return False
+        keep = []
+        for i, k in enumerate(self.basis):
+            if k >= base:
+                row = self.rows[i]
+                piv = next((j for j in range(base) if row[j]), None)
+                if piv is None:
+                    continue
+                if row[piv] < 0:
+                    # the row reads 0 = ..., so it may change sign
+                    self.rows[i] = [-v for v in row]
+                self._pivot(i, piv, None)
+            keep.append(i)
+        if len(keep) != len(self.rows):
+            self.rows = [self.rows[i] for i in keep]
+            self.basis = [self.basis[i] for i in keep]
+        return True
+
+    def _objective(self, cost: dict[int, int]) -> list[int]:
+        """Reduced costs D·c_j - Σ_i c_B(i)·T[i][j] on the current basis; the
+        last entry is minus D times the objective value."""
+        obj = [0] * (self.ncols + 1)
+        for j, c in cost.items():
+            obj[j] = c * self.D
+        for i, k in enumerate(self.basis):
+            c = cost.get(k)
+            if c:
+                obj = [o - c * v for o, v in zip(obj, self.rows[i])]
+        return obj
+
+    def _pivot(self, r: int, e: int, obj) -> None:
+        prow = self.rows[r]
+        p, D = prow[e], self.D
+        for i, row in enumerate(self.rows):
+            if i != r:
+                self.rows[i] = _bareiss_row(row, prow, p, D, e)
+        if obj is not None:
+            obj[:] = _bareiss_row(obj, prow, p, D, e)
+        self.basis[r] = e
+        self.D = p
+
+    def _run(self, obj):
+        """Bland's rule to the optimum (None) or to an entering column with
+        no leaving row (returned)."""
+        rows, basis = self.rows, self.basis
+        while True:
+            e = next((j for j in range(self.ncols) if obj[j] > 0), None)
+            if e is None:
+                return None
+            leave = None
+            for i, row in enumerate(rows):
+                a = row[e]
+                if a > 0:
+                    if leave is None:
+                        leave, lb, la = i, row[-1], a
+                        continue
+                    # b_i / a_i against b_leave / a_leave, both a > 0
+                    lhs, rhs = row[-1] * la, lb * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, lb, la = i, row[-1], a
+            if leave is None:
+                return e
+            self._pivot(leave, e, obj)
+
+    def maximize(self, cost: dict[int, int]):
+        """Maximize Σ cost[j]·column_j from the current basis.
+
+        Returns (value numerator over self.D, point numerators) at the
+        optimum, or (None, ray) with an integer ray in t-space along which
+        the objective grows without bound.
+        """
+        d = self.d
+        obj = self._objective(cost)
+        e = self._run(obj)
+        if e is not None:
+            direction = {e: self.D}
+            for i, row in enumerate(self.rows):
+                if row[e]:
+                    direction[self.basis[i]] = -row[e]
+            ray = tuple(
+                direction.get(j, 0) - direction.get(d + j, 0) for j in range(d)
+            )
+            for coeffs, _ in self.inequalities:
+                drift = sum(c * v for c, v in zip(coeffs, ray))
+                assert drift >= 0, "unbounded ray must stay feasible"
+            return None, ray
+        xs = {k: row[-1] for k, row in zip(self.basis, self.rows)}
+        point = tuple(xs.get(j, 0) - xs.get(d + j, 0) for j in range(d))
+        for coeffs, r in self.inequalities:
+            total = sum(c * v for c, v in zip(coeffs, point))
+            assert total >= r * self.D, "optimal point must satisfy all rows"
+        return -obj[-1], point
+
+
+def _bareiss_row(row, prow, p, D, e):
+    """(row·p - row[e]·prow) / D, which divides exactly."""
+    f = row[e]
+    if not f:
+        return row if p == D else [v * p // D for v in row]
+    return [(v * p - f * w) // D for v, w in zip(row, prow)]
+
+
+def _integer_row(coeffs, r):
+    """The row scaled by a positive integer to integer entries."""
+    scale = math.lcm(r.denominator, *(c.denominator for c in coeffs))
+    if scale == 1:
+        return tuple(int(c) for c in coeffs), int(r)
+    return tuple(int(c * scale) for c in coeffs), int(r * scale)
+
+
+# The row set simplex_opt solved last, as (d, rows), and its tableau, left
+# feasible at the last optimum.  A run of LPs over one row set, such as
+# lp_bounds over a system's parameters, thus does phase 1 once and
+# re-optimizes each objective from the previous optimum.
+_warm = (None, None)
+
+
+def _feasible_tableau(inequalities, d: int) -> _Tableau:
+    global _warm
+    key = (d, tuple(inequalities))
+    if _warm[0] != key:
+        rows = tuple(_integer_row(c, r) for c, r in inequalities)
+        _warm = (key, _Tableau(rows, d))
+    return _warm[1]
 
 
 def simplex_opt(inequalities, objective, maximize: bool = True):
@@ -247,129 +378,52 @@ def simplex_opt(inequalities, objective, maximize: bool = True):
 
     Returns Optimal(value, point), Unbounded(ray), or Infeasible().  The
     point/ray live in t-space; the ray certifies unboundedness of the
-    requested direction.
+    requested direction.  Consecutive calls on equal rows share one
+    tableau and one phase 1.
     """
     d = len(objective)
-    obj = [Fraction(c) for c in objective]
-    if not maximize:
-        obj = [-c for c in obj]
-
-    # split free vars t = u - v; one surplus var per row; artificials only
-    # for rows whose right side stays positive after sign normalization
-    prepared = []
-    nart = 0
-    for coeffs, r in inequalities:
-        a = [Fraction(c) for c in coeffs]
-        r = Fraction(r)
-        if r > 0:
-            prepared.append((a, Fraction(-1), r, True))
-            nart += 1
-        else:
-            prepared.append(([-c for c in a], Fraction(1), -r, False))
-    m = len(prepared)
-    base = 2 * d + m
-    ncols = base + nart
-
-    tableau = []
-    b = []
-    basis = []
-    art = base
-    for i, (a, sgn, rv, needs_art) in enumerate(prepared):
-        row = [Fraction(0)] * ncols
-        for j in range(d):
-            row[j] = a[j]
-            row[d + j] = -a[j]
-        row[2 * d + i] = sgn
-        if needs_art:
-            row[art] = Fraction(1)
-            basis.append(art)
-            art += 1
-        else:
-            basis.append(2 * d + i)
-        tableau.append(row)
-        b.append(rv)
-
-    if nart:
-        # phase 1: maximize -(sum of artificials)
-        cbar = [Fraction(0)] * ncols
-        value = Fraction(0)
-        for i in range(m):
-            if basis[i] >= base:
-                for j in range(ncols):
-                    cbar[j] += tableau[i][j]
-                value -= b[i]
-        for j in range(base, ncols):
-            cbar[j] -= 1
-        status, value = _run_simplex(tableau, b, basis, cbar, value, ncols)
-        assert status == "optimal", "phase 1 objective is bounded by 0"
-        if value != 0:
-            return Infeasible()
-        # drive leftover artificials out or drop their (redundant) rows
-        keep = []
-        for i in range(m):
-            if basis[i] >= base:
-                piv = next((j for j in range(base) if tableau[i][j] != 0), None)
-                if piv is None:
-                    continue
-                f = tableau[i][piv]
-                tableau[i] = [v / f for v in tableau[i]]
-                b[i] /= f
-                for i2 in range(m):
-                    if i2 != i and tableau[i2][piv]:
-                        f2 = tableau[i2][piv]
-                        tableau[i2] = [
-                            v - f2 * p for v, p in zip(tableau[i2], tableau[i])
-                        ]
-                        b[i2] -= f2 * b[i]
-                basis[i] = piv
-            keep.append(i)
-        if len(keep) != m:
-            tableau = [tableau[i] for i in keep]
-            b = [b[i] for i in keep]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        tableau = [row[:base] for row in tableau]
-    ncols = base
-
-    cost = [Fraction(0)] * ncols
-    for j in range(d):
-        cost[j] = obj[j]
-        cost[d + j] = -obj[j]
-    cbar = cost[:]
-    value = Fraction(0)
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb:
-            for j in range(ncols):
-                if tableau[i][j]:
-                    cbar[j] -= cb * tableau[i][j]
-            value += cb * b[i]
-    status, out = _run_simplex(tableau, b, basis, cbar, value, ncols)
-
-    if status == "unbounded":
-        enter = out
-        direction = [Fraction(0)] * ncols
-        direction[enter] = Fraction(1)
-        for i in range(m):
-            if tableau[i][enter]:
-                direction[basis[i]] = -tableau[i][enter]
-        ray = tuple(direction[j] - direction[d + j] for j in range(d))
-        for coeffs, _ in inequalities:
-            drift = sum(Fraction(c) * rj for c, rj in zip(coeffs, ray))
-            assert drift >= 0, "unbounded ray must stay feasible"
-        return Unbounded(ray)
-
-    value = out
-    xs = {}
-    for i, bi in enumerate(basis):
-        xs[bi] = b[i]
-    point = tuple(
-        xs.get(j, Fraction(0)) - xs.get(d + j, Fraction(0)) for j in range(d)
+    tab = _feasible_tableau(inequalities, d)
+    if not tab.feasible:
+        return Infeasible()
+    scale = math.lcm(*(c.denominator for c in objective))
+    sign = 1 if maximize else -1
+    cost = {}
+    for j, c in enumerate(objective):
+        if c:
+            cost[j] = int(sign * scale * c)
+            cost[d + j] = -cost[j]
+    value, got = tab.maximize(cost)
+    if value is None:
+        return Unbounded(tuple(Fraction(v, tab.D) for v in got))
+    return Optimal(
+        Fraction(sign * value, tab.D * scale),
+        tuple(Fraction(v, tab.D) for v in got),
     )
-    for coeffs, r in inequalities:
-        total = sum(Fraction(c) * p for c, p in zip(coeffs, point))
-        assert total >= Fraction(r), "optimal point must satisfy all rows"
-    return Optimal(value if maximize else -value, point)
+
+
+def lp_bounds(rows, d: int, params):
+    """Integer bounds of the listed parameters over the LP relaxation of
+    `rows` (coeffs·t >= rhs over d free parameters): a maximizing and a
+    minimizing `simplex_opt` per parameter, all from one phase 1.
+
+    Returns [(lo, hi), ...], one interval per parameter; None when the
+    relaxation is infeasible or an interval holds no integer; or the
+    Unbounded result of the first unbounded parameter.
+    """
+    intervals = []
+    for j in params:
+        objective = tuple(1 if i == j else 0 for i in range(d))
+        hi = simplex_opt(rows, objective)
+        if isinstance(hi, Infeasible):
+            return None
+        lo = simplex_opt(rows, objective, maximize=False)
+        if isinstance(hi, Unbounded) or isinstance(lo, Unbounded):
+            return hi if isinstance(hi, Unbounded) else lo
+        lo, hi = math.ceil(lo.value), math.floor(hi.value)
+        if lo > hi:
+            return None
+        intervals.append((lo, hi))
+    return intervals
 
 
 # -- redundancy elimination --------------------------------------------------
@@ -379,7 +433,8 @@ def remove_redundant(inequalities):
     """Drop duplicate rows and rows implied by the remaining ones (LP test).
 
     Never changes the solution set of the system, over rationals or
-    integers.
+    integers.  `solve_all` does not call it: on every system measured, one
+    LP per row cost more than the smaller row set saved.
     """
     seen = set()
     rows = []
@@ -464,36 +519,15 @@ def _substituted_rows(rows, fixed):
     return free, out
 
 
-def _integer_bounds(rows, j, d):
-    """Exact integer floor/ceil bounds of parameter j over the relaxation."""
-    objective = tuple(1 if i == j else 0 for i in range(d))
-    hi = simplex_opt(rows, objective, maximize=True)
-    if isinstance(hi, Infeasible):
-        return "infeasible"
-    lo = simplex_opt(rows, objective, maximize=False)
-    if isinstance(hi, Unbounded) or isinstance(lo, Unbounded):
-        return hi if isinstance(hi, Unbounded) else lo
-    return math.ceil(lo.value), math.floor(hi.value)
-
-
 def _scale_ray(ray):
-    denom = 1
-    for v in ray:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
+    """The primitive integer vector on the rational ray."""
+    denom = math.lcm(*(v.denominator for v in ray))
     ints = [int(v * denom) for v in ray]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def solve_all(
-    sys: LinSystem,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    redundancy: bool | None = None,
-):
+def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
     """All integer solutions of the system.
 
     Finite(solutions) with a duplicate-free, lexicographically sorted tuple;
@@ -518,27 +552,16 @@ def solve_all(
             return Finite((sol,))
         return Finite(())
 
-    if redundancy is None:
-        redundancy = len(rows) > REDUNDANCY_ROW_THRESHOLD
-    if redundancy and rows:
-        rows = list(remove_redundant(tuple(rows)))
-
-    intervals = []
-    for j in range(d):
-        got = _integer_bounds(rows, j, d)
-        if got == "infeasible":
-            return Finite(())
-        if isinstance(got, Unbounded):
-            ray_t = got.ray
-            ray_x = tuple(
-                sum(ray_t[j2] * par.basis[j2][i] for j2 in range(d))
-                for i in range(len(sys.variables))
-            )
-            return Infinite(_scale_ray(ray_x))
-        lo, hi = got
-        if lo > hi:
-            return Finite(())
-        intervals.append((lo, hi))
+    intervals = lp_bounds(rows, d, range(d))
+    if intervals is None:
+        return Finite(())
+    if isinstance(intervals, Unbounded):
+        ray_t = intervals.ray
+        ray_x = tuple(
+            sum(ray_t[j2] * par.basis[j2][i] for j2 in range(d))
+            for i in range(len(sys.variables))
+        )
+        return Infinite(_scale_ray(ray_x))
 
     solutions = []
     nodes = 0
@@ -574,14 +597,12 @@ def solve_all(
             if sub is None:
                 return
             pos = free_idx.index(j)
-            got = _integer_bounds(sub, pos, len(free_idx))
-            if got == "infeasible":
+            got = lp_bounds(sub, len(free_idx), (pos,))
+            if got is None:
                 return
             if not isinstance(got, Unbounded):
-                lo = max(lo, got[0])
-                hi = min(hi, got[1])
-            if lo > hi:
-                return
+                lo = max(lo, got[0][0])
+                hi = min(hi, got[0][1])
         for val in range(lo, hi + 1):
             nfixed = fixed[:]
             nfixed[j] = val

@@ -55,7 +55,6 @@ class SolverOptions:
     shortcuts: bool = True
     use_brauer: bool = True
     p_constant: bool = False
-    redundancy: bool | None = None
     max_nodes: int = DEFAULT_MAX_NODES
 
 
@@ -166,9 +165,7 @@ def _aggregated_rules_out(bundle, k, proper, tables, options) -> bool:
             agg = build_system_p_constant(bundle, k, p, proper, tables)
         except ConstraintError:
             continue
-        result = solve_all(
-            agg, max_nodes=options.max_nodes, redundancy=options.redundancy
-        )
+        result = solve_all(agg, max_nodes=options.max_nodes)
         if isinstance(result, Finite) and not result.solutions:
             return True
     return False
@@ -205,9 +202,7 @@ def _candidates(bundle, k, store, options):
         ):
             continue
         sys = build_system(bundle, k, proper, tables)
-        result = solve_all(
-            sys, max_nodes=options.max_nodes, redundancy=options.redundancy
-        )
+        result = solve_all(sys, max_nodes=options.max_nodes)
         if isinstance(result, Infinite):
             store.obstructions[k] = REASON_INFINITE
             return None
@@ -239,14 +234,28 @@ def solve_order(
         return None
     if k in store.solutions:
         return store.solutions[k]
-    survivors, _ = solve_order_report(bundle, k, store, options)
+    survivors, _ = _audit_order(bundle, k, store, options)
     return survivors
+
+
+def _drop_budget_markers(store: SolutionStore) -> None:
+    """Drop the store's node-budget markers.  Such a marker records the
+    budget of the run that set it, not a fact about the group, so each
+    driver call recomputes those orders (at most once, because a failure
+    sets the marker again); infinite-set markers stay."""
+    for k, reason in list(store.obstructions.items()):
+        if reason == REASON_BUDGET:
+            del store.obstructions[k]
 
 
 def solve_order_report(bundle, k, store, options=None):
     """Like solve_order but also reports the pre-congruence candidates,
     for auditing a single order."""
-    options = options or SolverOptions()
+    _drop_budget_markers(store)
+    return _audit_order(bundle, k, store, options or SolverOptions())
+
+
+def _audit_order(bundle, k, store, options):
     pre = _candidates(bundle, k, store, options)
     if pre is None:
         return None, None
@@ -282,6 +291,7 @@ def check_zc(
 ) -> Verdict:
     options = options or SolverOptions()
     store = store if store is not None else SolutionStore(bundle.group_name)
+    _drop_budget_markers(store)
     orders = orders_to_check_zc(bundle, options.shortcuts)
     if isinstance(orders, ShortcutProved):
         return Verdict(True, orders.reason, store)
@@ -296,6 +306,7 @@ def check_pq(
 ) -> Verdict:
     options = options or SolverOptions()
     store = store if store is not None else SolutionStore(bundle.group_name)
+    _drop_budget_markers(store)
     orders = orders_to_check_pq(bundle, options.shortcuts)
     if isinstance(orders, ShortcutProved):
         return Verdict(True, orders.reason, store)

@@ -5,7 +5,7 @@ from itertools import product
 
 from helpzc.arith import divisors
 from helpzc.cyclotomics import rational, root_of_unity
-from helpzc.intsolve import LinSystem
+from helpzc.intsolve import Infeasible, LinSystem, Optimal, Unbounded
 
 
 def brute_force_pa_solutions(bundle, k, proper_levels, bound, tables=None):
@@ -109,3 +109,182 @@ def box_solutions(sys, bound):
 
 def in_box(point, bound):
     return all(-bound <= v <= bound for v in point)
+
+
+# -- reference simplex --------------------------------------------------------
+
+
+def _run_simplex(tableau, b, basis, cbar, value, ncols):
+    """Maximize with Bland's rule on an explicit tableau.  Mutates arguments.
+
+    Returns ("optimal", value) or ("unbounded", entering column).
+    """
+    m = len(tableau)
+    while True:
+        enter = next((j for j in range(ncols) if cbar[j] > 0), None)
+        if enter is None:
+            return "optimal", value
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = b[i] / a
+                if best is None or ratio < best[0] or (
+                    ratio == best[0] and basis[i] < basis[best[1]]
+                ):
+                    best = (ratio, i)
+        if best is None:
+            return "unbounded", enter
+        _, leave = best
+        piv = tableau[leave][enter]
+        if piv != 1:
+            tableau[leave] = [v / piv for v in tableau[leave]]
+            b[leave] /= piv
+        prow = tableau[leave]
+        pb = b[leave]
+        for i in range(m):
+            if i != leave:
+                f = tableau[i][enter]
+                if f:
+                    tableau[i] = [v - f * p for v, p in zip(tableau[i], prow)]
+                    b[i] -= f * pb
+        f = cbar[enter]
+        if f:
+            for j in range(ncols):
+                if prow[j]:
+                    cbar[j] -= f * prow[j]
+            value += f * pb
+        basis[leave] = enter
+
+
+def reference_simplex(inequalities, objective, maximize: bool = True):
+    """Exact LP over free rational variables t: rows are coeffs·t >= rhs.
+
+    The Fraction-tableau simplex helpzc used before its integer kernel, kept
+    verbatim as an oracle for `simplex_opt`.
+
+    Returns Optimal(value, point), Unbounded(ray), or Infeasible().  The
+    point/ray live in t-space; the ray certifies unboundedness of the
+    requested direction.
+    """
+    d = len(objective)
+    obj = [Fraction(c) for c in objective]
+    if not maximize:
+        obj = [-c for c in obj]
+
+    # split free vars t = u - v; one surplus var per row; artificials only
+    # for rows whose right side stays positive after sign normalization
+    prepared = []
+    nart = 0
+    for coeffs, r in inequalities:
+        a = [Fraction(c) for c in coeffs]
+        r = Fraction(r)
+        if r > 0:
+            prepared.append((a, Fraction(-1), r, True))
+            nart += 1
+        else:
+            prepared.append(([-c for c in a], Fraction(1), -r, False))
+    m = len(prepared)
+    base = 2 * d + m
+    ncols = base + nart
+
+    tableau = []
+    b = []
+    basis = []
+    art = base
+    for i, (a, sgn, rv, needs_art) in enumerate(prepared):
+        row = [Fraction(0)] * ncols
+        for j in range(d):
+            row[j] = a[j]
+            row[d + j] = -a[j]
+        row[2 * d + i] = sgn
+        if needs_art:
+            row[art] = Fraction(1)
+            basis.append(art)
+            art += 1
+        else:
+            basis.append(2 * d + i)
+        tableau.append(row)
+        b.append(rv)
+
+    if nart:
+        # phase 1: maximize -(sum of artificials)
+        cbar = [Fraction(0)] * ncols
+        value = Fraction(0)
+        for i in range(m):
+            if basis[i] >= base:
+                for j in range(ncols):
+                    cbar[j] += tableau[i][j]
+                value -= b[i]
+        for j in range(base, ncols):
+            cbar[j] -= 1
+        status, value = _run_simplex(tableau, b, basis, cbar, value, ncols)
+        assert status == "optimal", "phase 1 objective is bounded by 0"
+        if value != 0:
+            return Infeasible()
+        # drive leftover artificials out or drop their (redundant) rows
+        keep = []
+        for i in range(m):
+            if basis[i] >= base:
+                piv = next((j for j in range(base) if tableau[i][j] != 0), None)
+                if piv is None:
+                    continue
+                f = tableau[i][piv]
+                tableau[i] = [v / f for v in tableau[i]]
+                b[i] /= f
+                for i2 in range(m):
+                    if i2 != i and tableau[i2][piv]:
+                        f2 = tableau[i2][piv]
+                        tableau[i2] = [
+                            v - f2 * p for v, p in zip(tableau[i2], tableau[i])
+                        ]
+                        b[i2] -= f2 * b[i]
+                basis[i] = piv
+            keep.append(i)
+        if len(keep) != m:
+            tableau = [tableau[i] for i in keep]
+            b = [b[i] for i in keep]
+            basis = [basis[i] for i in keep]
+            m = len(keep)
+        tableau = [row[:base] for row in tableau]
+    ncols = base
+
+    cost = [Fraction(0)] * ncols
+    for j in range(d):
+        cost[j] = obj[j]
+        cost[d + j] = -obj[j]
+    cbar = cost[:]
+    value = Fraction(0)
+    for i in range(m):
+        cb = cost[basis[i]]
+        if cb:
+            for j in range(ncols):
+                if tableau[i][j]:
+                    cbar[j] -= cb * tableau[i][j]
+            value += cb * b[i]
+    status, out = _run_simplex(tableau, b, basis, cbar, value, ncols)
+
+    if status == "unbounded":
+        enter = out
+        direction = [Fraction(0)] * ncols
+        direction[enter] = Fraction(1)
+        for i in range(m):
+            if tableau[i][enter]:
+                direction[basis[i]] = -tableau[i][enter]
+        ray = tuple(direction[j] - direction[d + j] for j in range(d))
+        for coeffs, _ in inequalities:
+            drift = sum(Fraction(c) * rj for c, rj in zip(coeffs, ray))
+            assert drift >= 0, "unbounded ray must stay feasible"
+        return Unbounded(ray)
+
+    value = out
+    xs = {}
+    for i, bi in enumerate(basis):
+        xs[bi] = b[i]
+    point = tuple(
+        xs.get(j, Fraction(0)) - xs.get(d + j, Fraction(0)) for j in range(d)
+    )
+    for coeffs, r in inequalities:
+        total = sum(Fraction(c) * p for c, p in zip(coeffs, point))
+        assert total >= Fraction(r), "optimal point must satisfy all rows"
+    return Optimal(value if maximize else -value, point)

@@ -200,8 +200,8 @@ def test_usage_errors_and_help(capsys):
         (("--no-brauer",), "use_brauer", False),
         ((), "p_constant", False),
         (("--p-constant",), "p_constant", True),
-        ((), "redundancy", None),
-        (("--no-redund",), "redundancy", False),
+        (("--no-brauer", "--p-constant"), "use_brauer", False),
+        (("--no-brauer", "--p-constant"), "shortcuts", True),
         ((), "max_nodes", DEFAULT_MAX_NODES),
         (("--max-nodes", "123"), "max_nodes", 123),
     ],

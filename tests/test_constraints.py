@@ -611,6 +611,28 @@ def test_trace_blocks_are_shared_between_table_sets(monkeypatch):
     assert mu_owners[1] == {o for o in mu_owners[0] if not o[0].startswith("mod5")}
 
 
+def test_char_rows_are_built_once_per_table(monkeypatch):
+    m11 = bundle("m11")
+    n = len(m11.ordinary.classes)
+    built = []
+    real = constraints._table_rows
+
+    def counting(table, width):
+        built.append(table.prime)
+        return real(table, width)
+
+    monkeypatch.setattr(constraints, "_table_rows", counting)
+    with_mod5 = usable_tables(m11, 2)
+    first = char_rows(with_mod5, n)
+    build_system(m11, 2, PATuple(2, ()), with_mod5)
+    again = char_rows(usable_tables(m11, 10), n)
+    assert sorted(built, key=str) == sorted((None, 5, 11), key=str)
+    # the joined rows are the tables' own row objects, in table order
+    kept = [r for r in first if not r.label.startswith("mod5")]
+    assert len(again) == len(kept)
+    assert all(a is b for a, b in zip(again, kept))
+
+
 def test_assembly_creates_no_cyc(monkeypatch):
     m11 = bundle("m11")
     t = m11.ordinary

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import box_solutions, in_box, random_system
+from helpers import box_solutions, in_box, random_system, reference_simplex
+from helpzc import intsolve
 from helpzc.intsolve import (
     Aborted,
     Finite,
@@ -146,6 +148,130 @@ def test_simplex_random_vs_enumeration():
             assert not box
 
 
+def random_lp(rng):
+    d = rng.randint(1, 4)
+    rows = tuple(
+        (
+            tuple(rng.randint(-4, 4) for _ in range(d)),
+            rng.choice([rng.randint(-8, 8), Fraction(rng.randint(-8, 8), 3)]),
+        )
+        for _ in range(rng.randint(0, 6))
+    )
+    objective = tuple(rng.randint(-3, 3) for _ in range(d))
+    if rng.random() < 0.2:
+        objective = tuple(Fraction(c, 2) for c in objective)
+    return rows, objective
+
+
+def test_simplex_matches_reference(monkeypatch):
+    # every pivot division must be exact, not merely floored
+    real = intsolve._bareiss_row
+
+    def exact(row, prow, p, D, e):
+        f = row[e]
+        assert all((v * p - f * w) % D == 0 for v, w in zip(row, prow))
+        return real(row, prow, p, D, e)
+
+    monkeypatch.setattr(intsolve, "_bareiss_row", exact)
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(1500):
+        rows, objective = random_lp(rng)
+        maximize = rng.random() < 0.5
+        got = simplex_opt(rows, objective, maximize)
+        want = reference_simplex(rows, objective, maximize)
+        assert type(got) is type(want)
+        seen.add(type(got))
+        if isinstance(got, Optimal):
+            assert got.value == want.value
+            assert sum(c * v for c, v in zip(objective, got.point)) == got.value
+            assert all(isinstance(v, Fraction) for v in got.point)
+        elif isinstance(got, Unbounded):
+            gain = sum(c * v for c, v in zip(objective, got.ray))
+            assert gain > 0 if maximize else gain < 0
+    assert seen == {Optimal, Unbounded, Infeasible}
+
+
+def test_bounding_runs_phase_one_once(monkeypatch):
+    phase1 = []
+    tableaus = []
+    real_phase1 = intsolve._Tableau._phase1
+    real_init = intsolve._Tableau.__init__
+
+    def counting_phase1(self, base):
+        phase1.append(len(tableaus))
+        return real_phase1(self, base)
+
+    def counting_init(self, inequalities, d):
+        tableaus.append(d)
+        real_init(self, inequalities, d)
+
+    monkeypatch.setattr(intsolve._Tableau, "_phase1", counting_phase1)
+    monkeypatch.setattr(intsolve._Tableau, "__init__", counting_init)
+    rng = random.Random(3)
+    bounded_with_phase1 = 0
+    for _ in range(100):
+        n = rng.randint(3, 5)
+        # a bounded polytope: nonnegative variables with a fixed sum
+        s = sys_of(
+            [
+                ((1,) * n, rng.randint(3, 8)),
+                (tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-4, 4)),
+            ],
+            nonneg=range(n),
+        )
+        del phase1[:], tableaus[:]
+        # a budget of 0 stops the search right after the bounds
+        res = solve_all(s, max_nodes=0)
+        assert len(tableaus) <= 1
+        assert len(phase1) <= 1
+        if isinstance(res, Aborted) and phase1 and tableaus[0] >= 2:
+            bounded_with_phase1 += 1
+    assert bounded_with_phase1 >= 20
+
+
+def test_bound_lps_are_simplex_calls(monkeypatch):
+    # each parameter is bounded by one maximizing and one minimizing
+    # simplex_opt call, so a trace of simplex_opt sees every bound LP
+    calls = []
+    real = intsolve.simplex_opt
+
+    def counting(rows, objective, maximize=True):
+        calls.append((tuple(objective), maximize))
+        return real(rows, objective, maximize)
+
+    monkeypatch.setattr(intsolve, "simplex_opt", counting)
+    s = sys_of([((1, 1, 1, 1), 3)], nonneg=range(4))
+    assert solve_all(s) == Finite(box_solutions(s, 3))
+    d = 3
+    unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    assert calls == [(e, m) for e in unit for m in (True, False)]
+
+
+def test_retightened_search_matches_box(monkeypatch):
+    # intervals wider than LP_RETIGHTEN_RANGE re-bound each search node
+    # from the substituted rows
+    calls = []
+    real = intsolve.lp_bounds
+
+    def counting(rows, d, params):
+        calls.append(d)
+        return real(rows, d, params)
+
+    monkeypatch.setattr(intsolve, "lp_bounds", counting)
+    rng = random.Random(17)
+    for _ in range(20):
+        total = rng.randint(8, 12)
+        eqs = [((1, 1, 1), total)]
+        if rng.random() < 0.5:
+            coeffs = tuple(rng.randint(-2, 2) for _ in range(3))
+            eqs.append((coeffs, rng.randint(-2, 2)))
+        s = sys_of(eqs, nonneg=range(3))
+        assert solve_all(s) == Finite(box_solutions(s, total))
+    # one bounding per system, the rest at search nodes
+    assert len(calls) > 2 * 20
+
+
 # -- redundancy removal -------------------------------------------------------
 
 
@@ -158,13 +284,27 @@ def test_remove_redundant_examples():
 
 def test_remove_redundant_preserves_solutions():
     rng = random.Random(11)
+    swept = 0
     for _ in range(40):
-        s = random_system(rng, max_vars=3, cmax=4)
-        with_red = solve_all(s, redundancy=True)
-        without = solve_all(s, redundancy=False)
-        assert type(with_red) is type(without)
-        if isinstance(with_red, Finite):
-            assert with_red.solutions == without.solutions
+        d = rng.randint(1, 3)
+        rows = [
+            (tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-6, 2))
+            for _ in range(rng.randint(1, 4))
+        ]
+        # the sum of two rows, loosened: implied by them
+        (a, ra), (b, rb) = rng.choice(rows), rng.choice(rows)
+        rows.append((tuple(x + y for x, y in zip(a, b)), ra + rb - rng.randint(0, 3)))
+        rows = tuple(row for row in rows if any(row[0]))
+        kept = remove_redundant(rows)
+        assert set(kept) <= set(rows)
+        swept += len(kept) < len(rows)
+        for t in product(range(-6, 7), repeat=d):
+            assert in_polyhedron(rows, t) == in_polyhedron(kept, t)
+    assert swept >= 20
+
+
+def in_polyhedron(rows, t):
+    return all(sum(c * v for c, v in zip(coeffs, t)) >= r for coeffs, r in rows)
 
 
 # -- solve_all ----------------------------------------------------------------

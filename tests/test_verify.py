@@ -305,6 +305,34 @@ def test_reaudit_clears_stale_obstruction(bundles):
     )
 
 
+def test_drivers_retry_budget_markers(bundles):
+    m11 = bundles["m11"]
+    fresh = check_zc(m11)
+    store = SolutionStore(m11.group_name)
+    starved = check_zc(m11, SolverOptions(max_nodes=0), store)
+    assert (4, REASON_BUDGET) in starved.obstructions
+    solve_order_report(m11, 4, store, SolverOptions())
+    # order 8's marker was inherited from order 4 and no longer holds
+    again = check_zc(m11, SolverOptions(), store)
+    assert again.obstructions == fresh.obstructions
+    assert store == fresh.store
+
+
+def test_pq_and_audit_retry_budget_markers(bundles):
+    m11 = bundles["m11"]
+    store = SolutionStore(m11.group_name)
+    assert check_pq(m11, SolverOptions(max_nodes=0), store).obstructions
+    assert check_pq(m11, store=store).proved
+    store = SolutionStore(m11.group_name)
+    assert solve_order_report(m11, 12, store, SolverOptions(max_nodes=0)) == (
+        None,
+        None,
+    )
+    survivors, pre = solve_order_report(m11, 12, store)
+    assert (survivors, len(pre)) == ((), 3)
+    assert REASON_BUDGET not in store.obstructions.values()
+
+
 def test_infinite_obstruction_propagates():
     # with only two of the six characters the order-3 system is
     # underdetermined, and orders above 3 inherit the obstruction
