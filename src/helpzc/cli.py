@@ -50,6 +50,13 @@ def resolve_bundle(name: str):
     return load_bundle(resolve_bundle_path(name))
 
 
+def node_budget(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"node budget must be non-negative, got {n}")
+    return n
+
+
 def solver_options(args) -> SolverOptions:
     return SolverOptions(
         shortcuts=not args.no_shortcuts,
@@ -208,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solver.add_argument(
         "--max-nodes",
-        type=int,
+        type=node_budget,
         default=DEFAULT_MAX_NODES,
         metavar="N",
         help="search node budget per system",

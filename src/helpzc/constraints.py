@@ -34,6 +34,30 @@ Assembly is integer-only; two identities make that exact.
    where c_m(j) = mu(r) phi(m)/phi(r), r = m/gcd(m, j), is the trace of
    zeta_m^j.  No product, reduction or descent in Q(zeta_m) is needed.
 
+3. Galois twists permute solutions.  For j coprime to k, let pi_j be the
+   permutation x -> x^j of the classes of order dividing k, and let the
+   twist of a tuple move every level's eps_x to pi_j(x).  If every usable
+   block at k satisfies
+
+       C_k[psi][l][pi_j(x)] = C_k[psi][l j^-1 mod k][x],
+
+   as it does for ordinary and Brauer rows alike because
+   psi(x^j) = sigma_j(psi(x)), then so does every block at e | k:
+   for x of order dividing e, psi(x) lies in Q(zeta_e), so
+   C_e[psi][l][x] = phi(e)/phi(k) * C_k[psi][l k/e][x], and
+   (l k/e) j^-1 = (l j^-1 mod e) k/e mod k.  Substituting into the row
+   (psi, l) of the system of the twisted proper levels, eps' and constant
+   terms alike, gives the row (psi, l j^-1) of the original system.  So the
+   twisted system is the original with its eps variables permuted by pi_j
+   and its mu_{psi,l} renamed mu_{psi,l j^-1}: twisting is a bijection
+   between the two solution sets, and feasibility, unboundedness and the
+   p-constant relaxation (which permutes order-p classes among themselves
+   and reads its witness only through p-constant rows) are shared.
+   galois_twists derives pi_j from the ordinary block at k alone, since its
+   columns separate the classes, and keeps j only if every other usable
+   block at k is invariant; a row that breaks the symmetry therefore only
+   shrinks the group of twists.
+
 Each character table gets one integer block of C_m per unit order m, built
 from the stored exponents on first use and kept on the table; a table set's
 coefficients are its tables' blocks joined.  Cyclotomic (Cyc) arithmetic
@@ -43,6 +67,7 @@ only loads and validates the character tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .arith import divisors, is_prime
 from .chartables import CharacterTable, TableBundle
@@ -84,6 +109,10 @@ class PAVector:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)
+
+    def twisted(self, perm: dict[int, int]) -> "PAVector":
+        """The entries moved from each class x to perm[x]."""
+        return PAVector(self.order, tuple(sorted((perm[i], v) for i, v in self.entries)))
 
 
 def pa_vector(table: CharacterTable, k: int, values: dict[int, int]) -> PAVector:
@@ -150,6 +179,11 @@ class PATuple:
 
     def is_complete(self) -> bool:
         return all(self.has_level(e) for e in divisors(self.order) if e > 1)
+
+    def twisted(self, perm: dict[int, int]) -> "PATuple":
+        """Every level moved by the class permutation perm (identity 3 of
+        the module docstring)."""
+        return PATuple(self.order, tuple((e, pa.twisted(perm)) for e, pa in self.levels))
 
     def restrict(self, m: int) -> "PATuple":
         """The levels dividing m: the tuple of u^(order/m), of order m."""
@@ -245,6 +279,57 @@ def trace_block(table: CharacterTable, ordinary: CharacterTable, m: int):
             rows.append(tuple(zip(*columns)) if columns else ((),) * m)
         block = table.trace_blocks[m] = tuple(rows)
     return block
+
+
+def galois_twists(ordinary: CharacterTable, tables, k: int) -> dict:
+    """The verified twists of order-k units: unit j mod k -> the class
+    permutation x -> x^j on the classes of order dividing k, for every j
+    that leaves each block of `tables` at k invariant (identity 3 of the
+    module docstring).  The result is a group; j = 1 is always in it.
+
+    Each j outside the group found so far is derived from the ordinary
+    block and checked; an accepted one joins as a generator and the group
+    is closed under composition.
+    """
+    support = ordinary.classes_of_order_dividing(k)
+    top = trace_block(ordinary, ordinary, k)
+    others = [trace_block(t, ordinary, k) for t in tables if t is not ordinary]
+    column = {
+        tuple(c[i] for row in top for c in row): i for i in range(len(support))
+    }
+
+    def derive(j):
+        inv = pow(j, -1, k)
+        at = [
+            column.get(tuple(row[ell * inv % k][i] for row in top for ell in range(k)))
+            for i in range(len(support))
+        ]
+        if None in at or len(set(at)) < len(at):
+            return None
+        for block in others:
+            for row in block:
+                if any(
+                    tuple(row[ell][a] for a in at) != row[ell * inv % k]
+                    for ell in range(k)
+                ):
+                    return None
+        return {x: support[a] for x, a in zip(support, at)}
+
+    group = {1: {x: x for x in support}}
+    for j in range(2, k):
+        if gcd(j, k) != 1 or j in group:
+            continue
+        perm = derive(j)
+        if perm is None:
+            continue
+        # <group, j> is the union of the cosets group * j^i
+        base = dict(group)
+        power, step = j, perm
+        while power not in base:
+            for h, ph in base.items():
+                group[h * power % k] = {x: step[ph[x]] for x in support}
+            power, step = power * j % k, {x: perm[step[x]] for x in support}
+    return group
 
 
 def _coefficients(ordinary: CharacterTable, tables, m: int) -> list:

@@ -9,9 +9,10 @@ Checks two questions about the normalized torsion units of Z[G]:
 
 Orders are processed bottom-up over the divisor lattice: the admissible
 partial augmentation tuples of u^p for every prime p | k are combined into
-compatible candidates for the proper powers of u, each candidate's
-constraint system is solved exactly, and the surviving tuples are filtered
-through the congruence test.  Results land in a SolutionStore which can be
+compatible candidates for the proper powers of u, the constraint system of
+one candidate per Galois orbit is solved exactly and its solutions twisted
+onto the rest of the orbit, and the surviving tuples are filtered through
+the congruence test.  Results land in a SolutionStore which can be
 serialized for audit or resumed from.
 
 A verdict is Proved or Unknown, never "false": an obstruction (nontrivial
@@ -35,6 +36,7 @@ from .constraints import (
     build_system_p_constant,
     char_rows,
     eps_projection,
+    galois_twists,
     pa_vector,
     usable_tables,
 )
@@ -56,6 +58,10 @@ class SolverOptions:
     use_brauer: bool = True
     p_constant: bool = False
     max_nodes: int = DEFAULT_MAX_NODES
+
+    def __post_init__(self):
+        if self.max_nodes < 0:
+            raise DriverError("the node budget must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -188,31 +194,45 @@ def _candidates(bundle, k, store, options):
 
     tables = usable_tables(bundle, k, options)
     rows = char_rows(tables, len(bundle.ordinary.classes))
-    combos = [
-        combo
+    propers = [
+        _merge_levels(k, combo)
         for combo in product(*subs)
         if all(compatible(a, b, k) for a, b in combinations(combo, 2))
     ]
 
+    # one system per Galois orbit: the first combination of each orbit is
+    # solved and its candidates twisted onto the others (identity 3 of the
+    # constraints module)
+    twists = galois_twists(bundle.ordinary, tables, k) if len(propers) > 1 else {}
+    pending = set(propers)
     candidates = []
-    for combo in combos:
-        proper = _merge_levels(k, combo)
-        if options.p_constant and _aggregated_rules_out(
-            bundle, k, proper, tables, options
-        ):
+    for proper in propers:
+        if proper not in pending:
             continue
-        sys = build_system(bundle, k, proper, tables)
-        result = solve_all(sys, max_nodes=options.max_nodes)
-        if isinstance(result, Infinite):
-            store.obstructions[k] = REASON_INFINITE
-            return None
-        if isinstance(result, Aborted):
-            store.obstructions[k] = REASON_BUDGET
-            return None
-        for sol in result.solutions:
-            assert_mu_sums(sys, sol, rows)
-            top = pa_vector(bundle.ordinary, k, eps_projection(sys, sol))
-            candidates.append(proper.with_top(top))
+        found = []
+        if not (
+            options.p_constant
+            and _aggregated_rules_out(bundle, k, proper, tables, options)
+        ):
+            sys = build_system(bundle, k, proper, tables)
+            result = solve_all(sys, max_nodes=options.max_nodes)
+            if isinstance(result, Infinite):
+                store.obstructions[k] = REASON_INFINITE
+                return None
+            if isinstance(result, Aborted):
+                store.obstructions[k] = REASON_BUDGET
+                return None
+            for sol in result.solutions:
+                assert_mu_sums(sys, sol, rows)
+                top = pa_vector(bundle.ordinary, k, eps_projection(sys, sol))
+                found.append(proper.with_top(top))
+        for perm in [None, *twists.values()]:
+            member = proper if perm is None else proper.twisted(perm)
+            if member in pending:
+                pending.discard(member)
+                candidates.extend(
+                    found if perm is None else (c.twisted(perm) for c in found)
+                )
     return sorted(set(candidates), key=canonical_key)
 
 
@@ -251,6 +271,8 @@ def _drop_budget_markers(store: SolutionStore) -> None:
 def solve_order_report(bundle, k, store, options=None):
     """Like solve_order but also reports the pre-congruence candidates,
     for auditing a single order."""
+    if k < 2:
+        raise DriverError("orders start at 2")
     _drop_budget_markers(store)
     return _audit_order(bundle, k, store, options or SolverOptions())
 

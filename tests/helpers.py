@@ -1,11 +1,19 @@
 """Shared test utilities: random system generation and brute-force oracles."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
-from helpzc.arith import divisors
+from helpzc.arith import divisors, is_prime, prime_factors
+from helpzc.chartables import CharacterTable, TableBundle, cyclic_table
+from helpzc.constraints import build_system, eps_projection, pa_vector, usable_tables
 from helpzc.cyclotomics import rational, root_of_unity
-from helpzc.intsolve import Infeasible, LinSystem, Optimal, Unbounded
+from helpzc.intsolve import Finite, Infeasible, LinSystem, Optimal, Unbounded, solve_all
+from helpzc.verify import (
+    _aggregated_rules_out,
+    _merge_levels,
+    canonical_key,
+    compatible,
+)
 
 
 def brute_force_pa_solutions(bundle, k, proper_levels, bound, tables=None):
@@ -76,6 +84,59 @@ def brute_force_pa_solutions(bundle, k, proper_levels, bound, tables=None):
         if good:
             solutions.append(assignment)
     return solutions
+
+
+def full_solve_candidates(bundle, k, store, options):
+    """Reference for verify._candidates without Galois orbits: one system
+    for every compatible combination of the store's tuples of each order
+    k/p, so the store must hold those orders.  The sorted complete tuples,
+    or None when a system is infinite or exhausts the node budget."""
+    subs = [store.solutions[k // p] for p in prime_factors(k) if p < k]
+    tables = usable_tables(bundle, k, options)
+    found = set()
+    for combo in product(*subs):
+        if not all(compatible(a, b, k) for a, b in combinations(combo, 2)):
+            continue
+        proper = _merge_levels(k, combo)
+        if options.p_constant and _aggregated_rules_out(
+            bundle, k, proper, tables, options
+        ):
+            continue
+        sys = build_system(bundle, k, proper, tables)
+        result = solve_all(sys, max_nodes=options.max_nodes)
+        if not isinstance(result, Finite):
+            return None
+        for sol in result.solutions:
+            top = pa_vector(bundle.ordinary, k, eps_projection(sys, sol))
+            found.add(proper.with_top(top))
+    return sorted(found, key=canonical_key)
+
+
+def cyclic_with_row(n, row, brauer):
+    """C_n plus one row: an extra ordinary row, or the last row of a fake
+    Brauer table, for the least prime not dividing n, that also holds every
+    character of C_n."""
+    t = cyclic_table(n).ordinary
+    if not brauer:
+        extended = CharacterTable(
+            t.group_name, n, t.classes, t.power_maps, t.characters,
+            extra_characters=(row,),
+        )
+        return TableBundle(t.group_name, extended)
+    p = next(p for p in range(2, 2 * n + 3) if is_prime(p) and n % p)
+    fake = CharacterTable(
+        t.group_name, n, t.classes, t.power_maps, t.characters + (row,),
+        prime=p, ordinary_index=tuple(range(n)),
+    )
+    return TableBundle(t.group_name, t, (fake,))
+
+
+def asymmetric_row():
+    """The character g -> zeta_12 of C12, but with the value of g^4 also at
+    g^8: psi(x^j) != sigma_j(psi(x)) for x = g^4 and j = 2 mod 3."""
+    row = list(cyclic_table(12).ordinary.characters[1])
+    row[8] = row[4]
+    return tuple(row)
 
 
 def random_system(rng, max_vars=4, cmax=6, name_prefix="x"):

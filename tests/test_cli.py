@@ -143,6 +143,21 @@ def test_node_budget_flag(capsys):
     assert "node budget" in out
 
 
+def test_order_below_two_is_rejected(capsys):
+    for k in ("0", "1"):
+        code, out, err = run(capsys, "order", k, "a5")
+        assert code == 1
+        assert out == ""
+        assert err == "error: orders start at 2\n"
+
+
+def test_negative_node_budget_is_rejected(capsys):
+    code, out, err = run(capsys, "zc", "--max-nodes", "-5", "a5")
+    assert code == 1
+    assert out == ""
+    assert "node budget must be non-negative" in err
+
+
 def test_store_roundtrip(capsys, tmp_path):
     store = tmp_path / "store.json"
     code, first, _ = run(capsys, "pq", "m11", "--store", str(store))
@@ -204,6 +219,7 @@ def test_usage_errors_and_help(capsys):
         (("--no-brauer", "--p-constant"), "shortcuts", True),
         ((), "max_nodes", DEFAULT_MAX_NODES),
         (("--max-nodes", "123"), "max_nodes", 123),
+        (("--max-nodes", "0"), "max_nodes", 0),
     ],
 )
 def test_solver_flag_mapping(flags, field, value):

@@ -8,13 +8,14 @@ also run the oracle live.
 
 import json
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from helpers import brute_force_pa_solutions
+from helpers import asymmetric_row, brute_force_pa_solutions, cyclic_with_row
 from helpzc import constraints
-from helpzc.arith import divisors
+from helpzc.arith import divisors, euler_phi, prime_factors
 from helpzc.chartables import (
     CharacterTable,
     bundle_to_json,
@@ -35,6 +36,7 @@ from helpzc.constraints import (
     build_system_p_constant,
     char_rows,
     eps_projection,
+    galois_twists,
     is_p_constant,
     mu_sums,
     mu_values,
@@ -44,7 +46,7 @@ from helpzc.constraints import (
 )
 from helpzc.cyclotomics import Cyc, cyc_to_json, rational, root_of_unity
 from helpzc.intsolve import Finite, Infinite, solve_all
-from helpzc.verify import SolverOptions, check_zc
+from helpzc.verify import SolverOptions, check_zc, trivial_solutions
 
 
 def bundle(name):
@@ -666,4 +668,71 @@ def test_assembly_creates_no_cyc(monkeypatch):
     )
     build_system(m11, 12, proper12)
     build_system_p_constant(m11, 6, 2, proper12.restrict(6))
+    assert len(galois_twists(t, usable_tables(m11, 12), 12)) == 4
     assert made == []
+
+
+# -- Galois twists -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def twist_cases():
+    """(bundle, k) for every order of the five bundles, of cyclic:2..24 and
+    of C10 with a fake Brauer table of non-rational characters."""
+    bundles = [bundle(n) for n in ("s3", "s4", "a5", "sl23", "m11")]
+    bundles += [cyclic_table(n) for n in range(2, 25)]
+    bundles.append(cyclic_with_row(10, cyclic_table(10).ordinary.characters[1], True))
+    return [
+        (b, k) for b in bundles for k in divisors(b.ordinary.exponent()) if k > 1
+    ]
+
+
+def test_galois_twists_are_power_maps(twist_cases):
+    nontrivial = 0
+    for b, k in twist_cases:
+        t = b.ordinary
+        twists = galois_twists(t, usable_tables(b, k), k)
+        # genuine tables are symmetric under every unit
+        assert set(twists) == {j for j in range(1, k) if gcd(j, k) == 1}
+        group_elements = set(trivial_solutions(t, k))
+        for j, perm in twists.items():
+            assert set(perm) == set(t.classes_of_order_dividing(k))
+            if all(p in t.power_maps for p in prime_factors(j)):
+                for x, y in perm.items():
+                    assert y == t.class_of_power(x, j)
+                nontrivial += any(x != y for x, y in perm.items())
+            # a twisted group element is a group element
+            assert {tup.twisted(perm) for tup in group_elements} == group_elements
+    assert nontrivial > 50
+
+
+def test_lower_blocks_are_scaled_top_blocks(twist_cases):
+    """Identity 3: C_e[psi][l][x] = phi(e)/phi(k) C_k[psi][l k/e][x] for x
+    of order dividing e, so invariance of the blocks at k implies it at
+    every e | k."""
+    for b, k in twist_cases:
+        t = b.ordinary
+        support = t.classes_of_order_dividing(k)
+        for e in divisors(k):
+            if e in (1, k):
+                continue
+            at = [support.index(x) for x in t.classes_of_order_dividing(e)]
+            scale = Fraction(euler_phi(e), euler_phi(k))
+            for table in usable_tables(b, k):
+                top, low = trace_block(table, t, k), trace_block(table, t, e)
+                for row_k, row_e in zip(top, low):
+                    for ell in range(e):
+                        assert list(row_e[ell]) == [
+                            scale * row_k[ell * k // e][i] for i in at
+                        ]
+
+
+@pytest.mark.parametrize("brauer", [False, True], ids=["extra", "brauer"])
+def test_symmetry_breaking_row_shrinks_twists(brauer):
+    b = cyclic_with_row(12, asymmetric_row(), brauer)
+    twists = {
+        k: sorted(galois_twists(b.ordinary, usable_tables(b, k), k))
+        for k in (3, 4, 6, 12)
+    }
+    # the units that are 2 mod 3 are lost; 3 mod 4 survives
+    assert twists == {3: [1], 4: [1, 3], 6: [1], 12: [1, 7]}

@@ -70,6 +70,12 @@ GOLDEN = {
     # rows, as on cyclic:18; the sweep never changed a store
     "zc --no-shortcuts cyclic:18":
         "c8c85502173003ef8883ed914d4c0c86046a2fca91afe9dc167e4ae599117e24",
+    # recorded when every combination of proper powers was solved, not one
+    # per Galois orbit
+    "zc --no-shortcuts cyclic:24":
+        "23faaf2c5ba1b497641c1eea5de26c203015b74de72321a6286f941d6cc8cdc8",
+    "zc --no-shortcuts cyclic:36":
+        "1dd6e429a4b693d19bb5cce628569d29d7c4bcd6637aa79a5501aaeda70c4d4c",
 }
 
 

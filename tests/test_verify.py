@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import asymmetric_row, cyclic_with_row, full_solve_candidates
+from helpzc import verify
 from helpzc.arith import divisors
 from helpzc.chartables import (
     CharacterTable,
@@ -157,8 +159,16 @@ def test_compatible_checks_shared_levels():
 
 def test_solve_order_rejects_bad_order(bundles):
     store = SolutionStore("A5")
-    with pytest.raises(DriverError, match="orders start at 2"):
-        solve_order(bundles["a5"], 1, store)
+    for k in (0, 1):
+        for solve in (solve_order, solve_order_report):
+            with pytest.raises(DriverError, match="orders start at 2"):
+                solve(bundles["a5"], k, store)
+
+
+def test_solver_options_reject_negative_budget():
+    with pytest.raises(DriverError, match="non-negative"):
+        SolverOptions(max_nodes=-1)
+    assert SolverOptions(max_nodes=0).max_nodes == 0
 
 
 def test_solve_order_cyclic_five():
@@ -372,6 +382,83 @@ def test_p_constant_skips_full_builds(bundles, monkeypatch):
     assert {k for k in calls if k in (6, 10, 15)} == set()
     plain = check_pq(bundles["a5"])
     assert v.store.solutions == plain.store.solutions
+
+
+# -- one system per Galois orbit --------------------------------------------------
+
+
+def assert_orbit_solve_is_full_solve(bundle, store, options):
+    """At every order the store holds, the orbit solve's candidates equal
+    those of one system per combination, from the same lower orders; by
+    induction the whole store is the one the full solve builds."""
+    for k in sorted(store.solutions):
+        assert verify._candidates(bundle, k, store, options) == full_solve_candidates(
+            bundle, k, store, options
+        )
+
+
+ORACLE_OPTIONS = {
+    "defaults": SolverOptions(),
+    "p-constant": SolverOptions(p_constant=True),
+    "no-brauer": SolverOptions(use_brauer=False),
+}
+
+
+@pytest.mark.parametrize("option", sorted(ORACLE_OPTIONS))
+@pytest.mark.parametrize("checker", [check_zc, check_pq], ids=["zc", "pq"])
+@pytest.mark.parametrize("name", ["s3", "s4", "a5", "sl23", "m11"])
+def test_orbit_solve_matches_full_solve(bundles, name, checker, option):
+    options = ORACLE_OPTIONS[option]
+    verdict = checker(bundles[name], options)
+    assert not verdict.store.obstructions
+    assert_orbit_solve_is_full_solve(bundles[name], verdict.store, options)
+
+
+def test_orbit_solve_matches_full_solve_m11_order_twelve(bundles):
+    store = SolutionStore("M11")
+    solve_order_report(bundles["m11"], 12, store)
+    assert 12 in store.solutions
+    assert_orbit_solve_is_full_solve(bundles["m11"], store, SolverOptions())
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_orbit_solve_matches_full_solve_cyclic(n):
+    b = cyclic_table(n)
+    options = SolverOptions(shortcuts=False)
+    verdict = check_zc(b, options)
+    assert verdict.proved
+    assert_orbit_solve_is_full_solve(b, verdict.store, options)
+
+
+@pytest.mark.parametrize("brauer", [False, True], ids=["extra", "brauer"])
+def test_symmetry_breaking_row_keeps_full_solve(brauer):
+    b = cyclic_with_row(12, asymmetric_row(), brauer)
+    options = SolverOptions(shortcuts=False)
+    verdict = check_zc(b, options)
+    # the row kills one of the two order-6 group elements and two of the
+    # four of order 12, so the store is not closed under the lost twists
+    assert {k: len(v) for k, v in verdict.store.solutions.items()} == {
+        2: 1, 3: 2, 4: 2, 6: 1, 12: 2
+    }
+    assert_orbit_solve_is_full_solve(b, verdict.store, options)
+
+
+def test_one_system_per_galois_orbit(bundles, monkeypatch):
+    solved = []
+    real = verify.solve_all
+
+    def counting(sys, max_nodes):
+        solved.append(sys)
+        return real(sys, max_nodes=max_nodes)
+
+    monkeypatch.setattr(verify, "solve_all", counting)
+    check_zc(cyclic_table(18), SolverOptions(shortcuts=False))
+    assert len(solved) == 5  # 12 combinations in 5 orbits
+    solved.clear()
+    for checker in (check_zc, check_pq):
+        checker(bundles["m11"])
+    solve_order_report(bundles["m11"], 12, SolutionStore("M11"))
+    assert len(solved) == 52  # 64 combinations
 
 
 # -- single-order audit -----------------------------------------------------------
