@@ -126,10 +126,12 @@ def cmd_order(args) -> int:
     bundle = resolve_bundle(args.bundle)
     store = load_store(bundle, args.store)
     survivors, pre = solve_order_report(bundle, args.k, store, solver_options(args))
+    head = {"command": "order", "group": bundle.group_name, "order": args.k}
     if survivors is None:
-        reason = store.obstructions.get(args.k, "obstructed")
+        reason = store.obstructions[args.k]
         print(f"order {args.k}: Unknown ({reason})")
         save_store(bundle, store, args.store)
+        write_json(args.json_out, {**head, "obstruction": reason})
         return EXIT_UNKNOWN
     t = bundle.ordinary
     kept = set(survivors)
@@ -144,9 +146,7 @@ def cmd_order(args) -> int:
     write_json(
         args.json_out,
         {
-            "command": "order",
-            "group": bundle.group_name,
-            "order": args.k,
+            **head,
             "candidates": [patuple_to_json(t, c) for c in pre],
             "rejected": [
                 pa_to_json(t, c.top) for c in pre if c not in kept

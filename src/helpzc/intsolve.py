@@ -11,8 +11,8 @@ of which are flagged nonnegative.  The pipeline:
   3. bound each parameter exactly with a fraction-free simplex (Bland's
      rule on an integer tableau with one common denominator): one phase 1
      per system, then each bound re-optimized from the feasible basis;
-  4. enumerate by depth-first fixing of parameters, tightening intervals by
-     integer propagation and re-solved LP bounds.
+  4. enumerate by depth-first fixing of parameters inside those bounds,
+     pruning by integer interval propagation over the inequality rows.
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -25,10 +25,6 @@ from fractions import Fraction
 from math import gcd
 
 DEFAULT_MAX_NODES = 10_000_000
-
-# branch directly once an interval is this small; LP re-tightening first
-# only for wider intervals
-LP_RETIGHTEN_RANGE = 4
 
 
 @dataclass(frozen=True)
@@ -401,17 +397,17 @@ def simplex_opt(inequalities, objective, maximize: bool = True):
     )
 
 
-def lp_bounds(rows, d: int, params):
-    """Integer bounds of the listed parameters over the LP relaxation of
-    `rows` (coeffs·t >= rhs over d free parameters): a maximizing and a
-    minimizing `simplex_opt` per parameter, all from one phase 1.
+def lp_bounds(rows, d: int):
+    """Integer bounds of each of the d free parameters over the LP
+    relaxation of `rows` (coeffs·t >= rhs): a maximizing and a minimizing
+    `simplex_opt` per parameter, all from one phase 1.
 
     Returns [(lo, hi), ...], one interval per parameter; None when the
     relaxation is infeasible or an interval holds no integer; or the
     Unbounded result of the first unbounded parameter.
     """
     intervals = []
-    for j in params:
+    for j in range(d):
         objective = tuple(1 if i == j else 0 for i in range(d))
         hi = simplex_opt(rows, objective)
         if isinstance(hi, Infeasible):
@@ -503,22 +499,6 @@ def _interval_propagate(rows, intervals):
     return intervals
 
 
-def _substituted_rows(rows, fixed):
-    """Rows over the unfixed parameters after substituting fixed values."""
-    free = [j for j, v in enumerate(fixed) if v is None]
-    out = []
-    for coeffs, r in rows:
-        rr = r - sum(
-            coeffs[j] * fixed[j] for j in range(len(fixed)) if fixed[j] is not None
-        )
-        cc = tuple(coeffs[j] for j in free)
-        if any(cc):
-            out.append((cc, rr))
-        elif rr > 0:
-            return free, None  # constant row violated
-    return free, out
-
-
 def _scale_ray(ray):
     """The primitive integer vector on the rational ray."""
     denom = math.lcm(*(v.denominator for v in ray))
@@ -552,7 +532,7 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
             return Finite((sol,))
         return Finite(())
 
-    intervals = lp_bounds(rows, d, range(d))
+    intervals = lp_bounds(rows, d)
     if intervals is None:
         return Finite(())
     if isinstance(intervals, Unbounded):
@@ -566,11 +546,8 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
     solutions = []
     nodes = 0
 
-    def leaf(fixed):
-        t = fixed
-        for coeffs, r in rows:
-            if sum(c * v for c, v in zip(coeffs, t)) < r:
-                return
+    def leaf(t):
+        # propagation has checked every row on the point intervals of t
         x = tuple(
             par.origin[i] + sum(t[j] * par.basis[j][i] for j in range(d))
             for i in range(len(sys.variables))
@@ -592,17 +569,6 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
             return
         j = min(free, key=lambda j2: (intervals[j2][1] - intervals[j2][0], j2))
         lo, hi = intervals[j]
-        if hi - lo > LP_RETIGHTEN_RANGE:
-            free_idx, sub = _substituted_rows(rows, fixed)
-            if sub is None:
-                return
-            pos = free_idx.index(j)
-            got = lp_bounds(sub, len(free_idx), (pos,))
-            if got is None:
-                return
-            if not isinstance(got, Unbounded):
-                lo = max(lo, got[0][0])
-                hi = min(hi, got[0][1])
         for val in range(lo, hi + 1):
             nfixed = fixed[:]
             nfixed[j] = val

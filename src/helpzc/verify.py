@@ -52,6 +52,11 @@ class DriverError(ValueError):
     pass
 
 
+def _check_order(k: int) -> None:
+    if k < 2:
+        raise DriverError("orders start at 2")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     shortcuts: bool = True
@@ -203,7 +208,7 @@ def _candidates(bundle, k, store, options):
     # one system per Galois orbit: the first combination of each orbit is
     # solved and its candidates twisted onto the others (identity 3 of the
     # constraints module)
-    twists = galois_twists(bundle.ordinary, tables, k) if len(propers) > 1 else {}
+    twists = None
     pending = set(propers)
     candidates = []
     for proper in propers:
@@ -226,6 +231,12 @@ def _candidates(bundle, k, store, options):
                 assert_mu_sums(sys, sol, rows)
                 top = pa_vector(bundle.ordinary, k, eps_projection(sys, sol))
                 found.append(proper.with_top(top))
+        if twists is None:
+            # derived once the first system's assembly has built the trace
+            # blocks at k, so that their cost counts as assembly
+            twists = (
+                galois_twists(bundle.ordinary, tables, k) if len(propers) > 1 else {}
+            )
         for perm in [None, *twists.values()]:
             member = proper if perm is None else proper.twisted(perm)
             if member in pending:
@@ -248,8 +259,7 @@ def solve_order(
     the order; the reason is recorded in store.obstructions.
     """
     options = options or SolverOptions()
-    if k < 2:
-        raise DriverError("orders start at 2")
+    _check_order(k)
     if k in store.obstructions:
         return None
     if k in store.solutions:
@@ -271,8 +281,7 @@ def _drop_budget_markers(store: SolutionStore) -> None:
 def solve_order_report(bundle, k, store, options=None):
     """Like solve_order but also reports the pre-congruence candidates,
     for auditing a single order."""
-    if k < 2:
-        raise DriverError("orders start at 2")
+    _check_order(k)
     _drop_budget_markers(store)
     return _audit_order(bundle, k, store, options or SolverOptions())
 
@@ -347,13 +356,39 @@ def patuple_to_json(table: CharacterTable, tup: PATuple) -> dict:
     return {str(e): pa_to_json(table, pa) for e, pa in tup.levels}
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DriverError(f"{what} must be a JSON object")
+    return value
+
+
+def _order_key(key) -> int:
+    """An order written as a JSON key: the decimal string of an integer >= 2."""
+    try:
+        k = int(key)
+    except (TypeError, ValueError):
+        k = None
+    if k is None or str(k) != key or k < 2:
+        raise DriverError(f"{key!r} is not an order (an integer from 2 up)")
+    return k
+
+
 def patuple_from_json(table: CharacterTable, order: int, data: dict) -> PATuple:
+    _check_order(order)
     levels = []
-    for e_str, by_name in sorted(data.items(), key=lambda kv: int(kv[0])):
-        e = int(e_str)
-        values = {table.index_of(name): v for name, v in by_name.items()}
+    for e_str, by_name in _json_object(data, f"an order-{order} tuple").items():
+        e = _order_key(e_str)
+        values = {}
+        for name, v in _json_object(by_name, f"level {e}").items():
+            # bool is an int subclass, and a float may carry a fraction
+            if type(v) is not int:
+                raise DriverError(
+                    f"partial augmentation {name} = {v!r} at level {e}"
+                    " is not an integer"
+                )
+            values[table.index_of(name)] = v
         levels.append((e, pa_vector(table, e, values)))
-    return PATuple(order, tuple(levels))
+    return PATuple(order, tuple(sorted(levels, key=lambda level: level[0])))
 
 
 def store_to_json(bundle: TableBundle, store: SolutionStore) -> dict:
@@ -369,14 +404,17 @@ def store_to_json(bundle: TableBundle, store: SolutionStore) -> dict:
 
 
 def store_from_json(bundle: TableBundle, data: dict) -> SolutionStore:
+    _json_object(data, "a store")
     if data.get("group") != bundle.group_name:
         raise DriverError(
             f"store belongs to {data.get('group')!r}, not {bundle.group_name!r}"
         )
     store = SolutionStore(bundle.group_name)
     t = bundle.ordinary
-    for k_str, tuples in data.get("solutions", {}).items():
-        k = int(k_str)
+    for k_str, tuples in _json_object(data.get("solutions", {}), "solutions").items():
+        k = _order_key(k_str)
+        if not isinstance(tuples, list):
+            raise DriverError(f"the tuples of order {k} must be a JSON list")
         loaded = []
         for item in tuples:
             tup = patuple_from_json(t, k, item)
@@ -388,10 +426,16 @@ def store_from_json(bundle: TableBundle, data: dict) -> SolutionStore:
                 )
             loaded.append(tup)
         store.solutions[k] = tuple(sorted(set(loaded), key=canonical_key))
-    for k_str, reason in data.get("obstructions", {}).items():
-        k = int(k_str)
+    for k_str, reason in _json_object(
+        data.get("obstructions", {}), "obstructions"
+    ).items():
+        k = _order_key(k_str)
         if k in store.solutions:
             raise DriverError(f"store has order {k} both solved and obstructed")
+        # _candidates marks only these; nontrivial solutions are a verdict,
+        # and a marker would block the order without ever being retried
+        if reason not in (REASON_INFINITE, REASON_BUDGET):
+            raise DriverError(f"order {k}: unknown obstruction {reason!r}")
         store.obstructions[k] = reason
     for k in store.solutions:
         for d in divisors(k):

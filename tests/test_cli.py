@@ -92,6 +92,62 @@ def test_wagner_subcommand(capsys, tmp_path):
     assert out.strip() == "Wagner: passed"
 
 
+def test_order_obstruction_overwrites_json_out(capsys, tmp_path):
+    out_path = tmp_path / "o.json"
+    code, _, _ = run(capsys, "order", "4", "m11", "--json-out", str(out_path))
+    assert code == 0
+    assert json.loads(out_path.read_text())["candidates"]
+    code, out, _ = run(
+        capsys, "order", "4", "m11", "--max-nodes", "0", "--json-out", str(out_path)
+    )
+    assert code == 2
+    assert out.splitlines()[0] == "order 4: Unknown (node budget)"
+    assert json.loads(out_path.read_text()) == {
+        "command": "order",
+        "group": "M11",
+        "order": 4,
+        "obstruction": "node budget",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, payload, message",
+    [
+        pytest.param(
+            ("zc", "a5", "--store"),
+            {"group": "A5", "solutions": {"5": [{"5": {"5a": 1.5, "5b": -0.5}}]}},
+            "error: partial augmentation 5a = 1.5 at level 5 is not an integer",
+            id="store-fraction",
+        ),
+        pytest.param(
+            ("zc", "a5", "--store"),
+            {"group": "A5", "solutions": {"2": [["2a", 1]]}},
+            "error: an order-2 tuple must be a JSON object",
+            id="store-tuple-list",
+        ),
+        pytest.param(
+            ("wagner", "0", "m11", "--tuple"),
+            {"2": {"2a": 1}},
+            "error: orders start at 2",
+            id="wagner-order-zero",
+        ),
+        pytest.param(
+            ("wagner", "2", "m11", "--tuple"),
+            {"2": {"2a": "1"}},
+            "error: partial augmentation 2a = '1' at level 2 is not an integer",
+            id="wagner-string",
+        ),
+    ],
+)
+def test_malformed_json_input_is_an_error(capsys, tmp_path, argv, payload, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == message + "\n"
+
+
 def test_wagner_incomplete_tuple_is_an_error(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps({"6": {"6a": 1}}))

@@ -248,18 +248,20 @@ def test_bound_lps_are_simplex_calls(monkeypatch):
     assert calls == [(e, m) for e in unit for m in (True, False)]
 
 
-def test_retightened_search_matches_box(monkeypatch):
-    # intervals wider than LP_RETIGHTEN_RANGE re-bound each search node
-    # from the substituted rows
+def test_wide_search_bounds_once_and_matches_box(monkeypatch):
+    # root intervals up to 12 wide, yet the search prunes by interval
+    # propagation alone: one lp_bounds call per system that reaches
+    # bounding, none at the search nodes
     calls = []
     real = intsolve.lp_bounds
 
-    def counting(rows, d, params):
+    def counting(rows, d):
         calls.append(d)
-        return real(rows, d, params)
+        return real(rows, d)
 
     monkeypatch.setattr(intsolve, "lp_bounds", counting)
     rng = random.Random(17)
+    bounded = 0
     for _ in range(20):
         total = rng.randint(8, 12)
         eqs = [((1, 1, 1), total)]
@@ -267,9 +269,17 @@ def test_retightened_search_matches_box(monkeypatch):
             coeffs = tuple(rng.randint(-2, 2) for _ in range(3))
             eqs.append((coeffs, rng.randint(-2, 2)))
         s = sys_of(eqs, nonneg=range(3))
+        del calls[:]
         assert solve_all(s) == Finite(box_solutions(s, total))
-    # one bounding per system, the rest at search nodes
-    assert len(calls) > 2 * 20
+        par = diophantine_eliminate(s)
+        reaches = (
+            par is not None
+            and par.basis
+            and not any(r > 0 and not any(c) for c, r in par.inequalities)
+        )
+        assert calls == ([len(par.basis)] if reaches else [])
+        bounded += bool(reaches)
+    assert bounded >= 15
 
 
 # -- redundancy removal -------------------------------------------------------

@@ -602,6 +602,116 @@ def test_store_json_rejects_foreign_proper_levels(bundles):
     assert len(store_from_json(bundles["m11"], data).solutions[8]) == 1
 
 
+def a5_store_json(solutions=None, obstructions=None):
+    return {
+        "group": "A5",
+        "solutions": {"2": [{"2": {"2a": 1}}]} if solutions is None else solutions,
+        "obstructions": {} if obstructions is None else obstructions,
+    }
+
+
+def a5_order5(pa):
+    return a5_store_json(solutions={"5": [{"5": pa}]})
+
+
+@pytest.mark.parametrize(
+    "load, data, match",
+    [
+        pytest.param("store", [], "a store must be a JSON object", id="store-list"),
+        pytest.param(
+            "store", a5_store_json(solutions=[]), "solutions must be", id="solutions-list"
+        ),
+        pytest.param(
+            "store",
+            a5_store_json(obstructions=[[3, REASON_BUDGET]]),
+            "obstructions must be",
+            id="obstructions-list",
+        ),
+        pytest.param(
+            "store",
+            a5_store_json(solutions={"2": {"2": {"2a": 1}}}),
+            "must be a JSON list",
+            id="tuples-object",
+        ),
+        pytest.param(
+            "store",
+            a5_store_json(solutions={"2": [["2a", 1]]}),
+            "tuple must be a JSON object",
+            id="tuple-list",
+        ),
+        pytest.param(
+            "store",
+            a5_store_json(solutions={"2": [{"2": [1]}]}),
+            "level 2 must be a JSON object",
+            id="level-list",
+        ),
+        pytest.param(
+            "store",
+            a5_store_json(solutions={"two": [{"2": {"2a": 1}}]}),
+            "'two' is not an order",
+            id="order-key-word",
+        ),
+        pytest.param(
+            "store",
+            a5_store_json(solutions={"2": [{"2.0": {"2a": 1}}]}),
+            "'2.0' is not an order",
+            id="level-key-float",
+        ),
+        pytest.param(
+            "store",
+            a5_store_json(solutions={"2": [{"02": {"2a": 1}}]}),
+            "'02' is not an order",
+            id="level-key-padded",
+        ),
+        pytest.param(
+            "store",
+            a5_store_json(obstructions={"-5": REASON_BUDGET}),
+            "'-5' is not an order",
+            id="order-below-two",
+        ),
+        pytest.param(
+            "store",
+            a5_order5({"5a": 1.5, "5b": -0.5}),
+            "5a = 1.5 at level 5 is not an integer",
+            id="pa-fraction",
+        ),
+        pytest.param(
+            "store", a5_order5({"5a": True}), "5a = True", id="pa-bool"
+        ),
+        pytest.param("store", a5_order5({"5a": "1"}), "5a = '1'", id="pa-string"),
+        pytest.param(
+            "store",
+            a5_store_json(obstructions={"10": 42}),
+            "order 10: unknown obstruction 42",
+            id="reason-number",
+        ),
+        pytest.param(
+            "store",
+            a5_store_json(obstructions={"10": "gave up"}),
+            "unknown obstruction 'gave up'",
+            id="reason-text",
+        ),
+        pytest.param(
+            "store",
+            a5_store_json(obstructions={"10": REASON_NONTRIVIAL}),
+            "unknown obstruction 'nontrivial solutions'",
+            id="reason-verdict",
+        ),
+        pytest.param("tuple", (0, {}), "orders start at 2", id="tuple-order-zero"),
+        pytest.param(
+            "tuple", (2, [["2a", 1]]), "tuple must be a JSON object", id="tuple-array"
+        ),
+    ],
+)
+def test_malformed_store_or_tuple_json_is_rejected(bundles, load, data, match):
+    a5 = bundles["a5"]
+    with pytest.raises(DriverError, match=match):
+        if load == "store":
+            store_from_json(a5, data)
+        else:
+            patuple_from_json(a5.ordinary, *data)
+
+
 def test_stores_written_by_helpzc_load(bundles):
     for name in ("s4", "a5", "sl23", "m11"):
         b = bundles[name]
