@@ -4,33 +4,35 @@ A bundle holds one ordinary character table and optionally Brauer (p-modular)
 tables for some primes.  All values are exact cyclotomic numbers.  Loading
 validates the table hard: class sizes must sum to the group order, power maps
 must exist for every prime dividing the exponent and respect element orders,
-and the ordinary rows must satisfy exact row orthogonality.  A table that
-fails any check is rejected outright, since every downstream constraint is
-only as trustworthy as the table it came from.
+the ordinary rows must satisfy exact row orthogonality, and every extra row
+must be a character of the group.  A table that fails any check is rejected
+outright, since every downstream constraint is only as trustworthy as the
+table it came from.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
 from .arith import factorize, is_prime, prime_factors
-from .cyclotomics import Cyc, cyc_from_json, cyc_to_json, rational, root_of_unity
+from .cyclotomics import Cyc, cyc_from_json, cyc_to_json, root_of_unity
+from .records import Record, set_field
 
 
 class BundleError(ValueError):
     """Raised when a table file violates the format or a table invariant."""
 
 
-@dataclass(frozen=True)
-class ClassInfo:
-    name: str
-    element_order: int
-    size: int
+class ClassInfo(Record):
+    __slots__ = ("name", "element_order", "size")
+
+    def __init__(self, name: str, element_order: int, size: int):
+        set_field(self, "name", name)
+        set_field(self, "element_order", element_order)
+        set_field(self, "size", size)
 
 
 class CharacterTable:
@@ -210,18 +212,70 @@ def _check_ordinary(table: CharacterTable) -> None:
             table.degree(row)
 
     # exact row orthogonality over the ordinary irreducibles
-    order = Fraction(table.group_order)
-    for i, chi in enumerate(table.characters):
-        for j in range(i, len(table.characters)):
-            psi = table.characters[j]
-            total = rational(0)
-            for cl, a, b in zip(table.classes, chi, psi):
-                total = total + a * b.conjugate() * cl.size
-            expect = order if i == j else Fraction(0)
-            if total != rational(expect):
+    chars = [_row_terms(row) for row in table.characters]
+    for i, chi in enumerate(chars):
+        for j in range(i, len(chars)):
+            if _inner_product(table, chi, chars[j]) != int(i == j):
                 raise BundleError(
                     f"{g}: row orthogonality fails for characters {i} and {j}"
                 )
+
+    # an extra row must be a character: a sum of irreducibles, each with a
+    # non-negative integer multiplicity <psi, chi_i>; a class function that
+    # is not could add inequalities that a genuine unit need not satisfy
+    complete = len(table.characters) == len(table.classes)
+    for r, psi in enumerate(table.extra_characters):
+        terms = _row_terms(psi)
+        mults = []
+        for i, chi in enumerate(chars):
+            m = _inner_product(table, terms, chi)
+            q = m.as_rational()
+            if q is None or q.denominator != 1 or q < 0:
+                raise BundleError(
+                    f"{g}: extra row {r} is not a character: its multiplicity"
+                    f" of character {i} is {m}"
+                )
+            mults.append(int(q))
+        # with as many irreducibles as classes the rows span all class
+        # functions, so psi must be exactly the sum they determine
+        if complete and any(
+            v != sum(m * chi[x] for m, chi in zip(mults, table.characters) if m)
+            for x, v in enumerate(psi)
+        ):
+            raise BundleError(
+                f"{g}: extra row {r} is not a character: it is not the sum of"
+                " irreducibles its multiplicities give"
+            )
+
+
+def _row_terms(row):
+    """A row over one field: (n, den, terms) with row[x] equal to
+    sum(c * zeta_n^e for e, c in terms[x]) / den, all integers."""
+    n = lcm(*(v.conductor for v in row))
+    den = lcm(*(c.denominator for v in row for c in v.coeffs.values()))
+    terms = tuple(
+        tuple((e * (n // v.conductor), int(c * den)) for e, c in v.coeffs.items())
+        for v in row
+    )
+    return n, den, terms
+
+
+def _inner_product(table: CharacterTable, a, b) -> Cyc:
+    """<a, b> = (1/|G|) sum_x |x| a(x) conj(b(x)) for rows given by
+    _row_terms.  Every product is added unreduced over Q(zeta_N), N the lcm
+    of the two conductors, conjugation negating exponents; the sum is
+    reduced to canonical form once."""
+    (na, da, ta), (nb, db, tb) = a, b
+    n = lcm(na, nb)
+    sa, sb = n // na, n // nb
+    acc: dict[int, int] = {}
+    for cl, xs, ys in zip(table.classes, ta, tb):
+        for e, c in xs:
+            c *= cl.size
+            for f, d in ys:
+                k = (e * sa - f * sb) % n
+                acc[k] = acc.get(k, 0) + c * d
+    return Cyc(n, acc) / (table.group_order * da * db)
 
 
 def _check_brauer(table: CharacterTable, ordinary: CharacterTable) -> None:
@@ -388,9 +442,8 @@ def cyclic_table(n: int) -> TableBundle:
         ClassInfo(f"g{a}", n // gcd(n, a) if a else 1, 1) for a in range(n)
     )
     power_maps = {p: tuple((a * p) % n for a in range(n)) for p in prime_factors(n)}
-    characters = tuple(
-        tuple(root_of_unity(n, j * a) for a in range(n)) for j in range(n)
-    )
+    roots = [root_of_unity(n, e) for e in range(n)]
+    characters = tuple(tuple(roots[j * a % n] for a in range(n)) for j in range(n))
     table = CharacterTable(f"C{n}", n, classes, power_maps, characters)
     return TableBundle(
         f"C{n}",

@@ -66,13 +66,13 @@ only loads and validates the character tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .arith import divisors, is_prime
 from .chartables import CharacterTable, TableBundle
 from .cyclotomics import Cyc, FieldError
 from .intsolve import LinSystem
+from .records import Record, set_field
 
 
 class ConstraintError(ValueError):
@@ -82,23 +82,26 @@ class ConstraintError(ValueError):
 # -- partial augmentations ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PAVector:
+class PAVector(Record):
     """Partial augmentations of one unit of order `order`.
 
     Entries are (class index, value) pairs, sorted, zero values dropped;
     class indices refer to the ordinary table.
     """
 
-    order: int
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ("order", "entries")
 
-    def __post_init__(self):
-        if sum(v for _, v in self.entries) != 1:
+    def __init__(self, order: int, entries: tuple[tuple[int, int], ...]):
+        if sum(v for _, v in entries) != 1:
             raise ConstraintError("partial augmentations must sum to 1")
-        idx = [i for i, _ in self.entries]
-        if idx != sorted(set(idx)) or any(v == 0 for _, v in self.entries):
+        idx = [i for i, _ in entries]
+        if idx != sorted(set(idx)) or any(v == 0 for _, v in entries):
             raise ConstraintError("entries must be sorted, unique, nonzero")
+        set_field(self, "order", order)
+        set_field(self, "entries", entries)
+
+    def __hash__(self):
+        return hash((self.order, self.entries))
 
     def value(self, class_index: int) -> int:
         for i, v in self.entries:
@@ -134,23 +137,26 @@ def pa_vector(table: CharacterTable, k: int, values: dict[int, int]) -> PAVector
     return PAVector(k, tuple(entries))
 
 
-@dataclass(frozen=True)
-class PATuple:
+class PATuple(Record):
     """Partial augmentations of u and its powers: one PAVector per divisor
     e > 1 of `order` (e = order is u itself; smaller e are proper powers)."""
 
-    order: int
-    levels: tuple[tuple[int, PAVector], ...]
+    __slots__ = ("order", "levels")
 
-    def __post_init__(self):
-        keys = [e for e, _ in self.levels]
+    def __init__(self, order: int, levels: tuple[tuple[int, PAVector], ...]):
+        keys = [e for e, _ in levels]
         if keys != sorted(set(keys)):
             raise ConstraintError("levels must be sorted by divisor")
-        for e, pa in self.levels:
-            if e <= 1 or self.order % e:
-                raise ConstraintError(f"level {e} does not divide order {self.order}")
+        for e, pa in levels:
+            if e <= 1 or order % e:
+                raise ConstraintError(f"level {e} does not divide order {order}")
             if pa.order != e:
                 raise ConstraintError(f"level {e} holds a PAVector of order {pa.order}")
+        set_field(self, "order", order)
+        set_field(self, "levels", levels)
+
+    def __hash__(self):
+        return hash((self.order, self.levels))
 
     def has_level(self, e: int) -> bool:
         return any(k == e for k, _ in self.levels)
@@ -193,14 +199,16 @@ class PATuple:
 # -- character rows -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharRow:
+class CharRow(Record):
     """One usable character row, with values indexed by ordinary class
     index (None where a Brauer row is undefined)."""
 
-    label: str
-    degree: int
-    values: tuple
+    __slots__ = ("label", "degree", "values")
+
+    def __init__(self, label: str, degree: int, values: tuple):
+        set_field(self, "label", label)
+        set_field(self, "degree", degree)
+        set_field(self, "values", values)
 
     def value_at(self, class_index: int) -> Cyc:
         v = self.values[class_index]
@@ -371,32 +379,38 @@ def _constant_terms(ordinary: CharacterTable, tables, k: int, levels, rows):
 # -- system assembly -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpsVar:
-    class_index: int
-    name: str
+class EpsVar(Record):
+    __slots__ = ("class_index", "name")
+
+    def __init__(self, class_index: int, name: str):
+        set_field(self, "class_index", class_index)
+        set_field(self, "name", name)
 
     def __str__(self):
         return f"eps:{self.name}"
 
 
-@dataclass(frozen=True)
-class AggVar:
+class AggVar(Record):
     """Sum of the eps over all classes of order `prime` (p-constant mode)."""
 
-    prime: int
+    __slots__ = ("prime",)
+
+    def __init__(self, prime: int):
+        set_field(self, "prime", prime)
 
     def __str__(self):
         return f"agg:{self.prime}"
 
 
-@dataclass(frozen=True)
-class MuVar:
+class MuVar(Record):
     """One eigenvalue-multiplicity variable; rows made identical by Galois
     symmetry share a variable, `owners` lists every (row label, l) it stands
     for."""
 
-    owners: tuple[tuple[str, int], ...]
+    __slots__ = ("owners",)
+
+    def __init__(self, owners: tuple[tuple[str, int], ...]):
+        set_field(self, "owners", owners)
 
     def __str__(self):
         label, ell = self.owners[0]

@@ -20,28 +20,34 @@ Everything is exact; there is no floating point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+from .records import Record, set_field
 
 DEFAULT_MAX_NODES = 10_000_000
 
 
-@dataclass(frozen=True)
-class LinSystem:
+class LinSystem(Record):
     """Integer equalities Σ c·x = rhs plus x_i ≥ 0 for i in nonneg."""
 
-    variables: tuple
-    equalities: tuple[tuple[tuple[int, ...], int], ...]
-    nonneg: frozenset[int]
+    __slots__ = ("variables", "equalities", "nonneg")
 
-    def __post_init__(self):
-        n = len(self.variables)
-        for coeffs, _ in self.equalities:
+    def __init__(
+        self,
+        variables: tuple,
+        equalities: tuple[tuple[tuple[int, ...], int], ...],
+        nonneg: frozenset[int],
+    ):
+        n = len(variables)
+        for coeffs, _ in equalities:
             if len(coeffs) != n:
                 raise ValueError("equality row arity does not match variables")
-        if any(not 0 <= i < n for i in self.nonneg):
+        if any(not 0 <= i < n for i in nonneg):
             raise ValueError("nonneg index out of range")
+        set_field(self, "variables", variables)
+        set_field(self, "equalities", equalities)
+        set_field(self, "nonneg", nonneg)
 
     def check_solution(self, x) -> bool:
         return all(
@@ -50,44 +56,60 @@ class LinSystem:
         ) and all(x[i] >= 0 for i in self.nonneg)
 
 
-@dataclass(frozen=True)
-class Finite:
-    solutions: tuple[tuple[int, ...], ...]
+class Finite(Record):
+    __slots__ = ("solutions",)
+
+    def __init__(self, solutions: tuple[tuple[int, ...], ...]):
+        set_field(self, "solutions", solutions)
 
 
-@dataclass(frozen=True)
-class Infinite:
-    ray: tuple[int, ...]
+class Infinite(Record):
+    __slots__ = ("ray",)
+
+    def __init__(self, ray: tuple[int, ...]):
+        set_field(self, "ray", ray)
 
 
-@dataclass(frozen=True)
-class Aborted:
-    nodes: int
+class Aborted(Record):
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: int):
+        set_field(self, "nodes", nodes)
 
 
-@dataclass(frozen=True)
-class Optimal:
-    value: Fraction
-    point: tuple[Fraction, ...]
+class Optimal(Record):
+    __slots__ = ("value", "point")
+
+    def __init__(self, value: Fraction, point: tuple[Fraction, ...]):
+        set_field(self, "value", value)
+        set_field(self, "point", point)
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    ray: tuple[Fraction, ...]
+class Unbounded(Record):
+    __slots__ = ("ray",)
+
+    def __init__(self, ray: tuple[Fraction, ...]):
+        set_field(self, "ray", ray)
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    pass
+class Infeasible(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Parametrization:
+class Parametrization(Record):
     """x = origin + Σ t_j · basis[j], t integer; inequalities over t."""
 
-    origin: tuple[int, ...]
-    basis: tuple[tuple[int, ...], ...]
-    inequalities: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ("origin", "basis", "inequalities")
+
+    def __init__(
+        self,
+        origin: tuple[int, ...],
+        basis: tuple[tuple[int, ...], ...],
+        inequalities: tuple[tuple[tuple[int, ...], int], ...],
+    ):
+        set_field(self, "origin", origin)
+        set_field(self, "basis", basis)
+        set_field(self, "inequalities", inequalities)
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -22,7 +22,6 @@ method is inconclusive, not that a counterexample exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
@@ -41,6 +40,7 @@ from .constraints import (
     usable_tables,
 )
 from .intsolve import DEFAULT_MAX_NODES, Aborted, Finite, Infinite, solve_all
+from .records import Record, set_field
 from .wagner import wagner_test
 
 REASON_NONTRIVIAL = "nontrivial solutions"
@@ -57,21 +57,29 @@ def _check_order(k: int) -> None:
         raise DriverError("orders start at 2")
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    shortcuts: bool = True
-    use_brauer: bool = True
-    p_constant: bool = False
-    max_nodes: int = DEFAULT_MAX_NODES
+class SolverOptions(Record):
+    __slots__ = ("shortcuts", "use_brauer", "p_constant", "max_nodes")
 
-    def __post_init__(self):
-        if self.max_nodes < 0:
+    def __init__(
+        self,
+        shortcuts: bool = True,
+        use_brauer: bool = True,
+        p_constant: bool = False,
+        max_nodes: int = DEFAULT_MAX_NODES,
+    ):
+        if max_nodes < 0:
             raise DriverError("the node budget must be non-negative")
+        set_field(self, "shortcuts", shortcuts)
+        set_field(self, "use_brauer", use_brauer)
+        set_field(self, "p_constant", p_constant)
+        set_field(self, "max_nodes", max_nodes)
 
 
-@dataclass(frozen=True)
-class ShortcutProved:
-    reason: str
+class ShortcutProved(Record):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        set_field(self, "reason", reason)
 
 
 class SolutionStore:
@@ -102,12 +110,20 @@ class SolutionStore:
         )
 
 
-@dataclass(frozen=True)
-class Verdict:
-    proved: bool
-    shortcut: str | None
-    store: SolutionStore
-    obstructions: tuple[tuple[int, str], ...] = ()
+class Verdict(Record):
+    __slots__ = ("proved", "shortcut", "store", "obstructions")
+
+    def __init__(
+        self,
+        proved: bool,
+        shortcut: str | None,
+        store: SolutionStore,
+        obstructions: tuple[tuple[int, str], ...] = (),
+    ):
+        set_field(self, "proved", proved)
+        set_field(self, "shortcut", shortcut)
+        set_field(self, "store", store)
+        set_field(self, "obstructions", obstructions)
 
 
 def canonical_key(tup: PATuple):

@@ -12,7 +12,7 @@ from helpzc.chartables import (
     load_bundle,
     resolve_bundle_path,
 )
-from helpzc.cyclotomics import rational
+from helpzc.cyclotomics import Cyc, cyc_to_json, rational, root_of_unity
 
 BUNDLED = ["s3.json", "s4.json", "a5.json", "sl23.json", "m11.json"]
 
@@ -50,6 +50,13 @@ def test_cyclic_small():
     assert c6.power_maps[2][g] == c6.index_of("g2")
     assert c6.power_maps[3][g] == c6.index_of("g3")
     assert cyclic_table(6).is_solvable and cyclic_table(6).is_nilpotent
+
+    # entrywise against an independently built root of unity
+    for n in range(1, 37):
+        chars = cyclic_table(n).ordinary.characters
+        for j in range(n):
+            for a in range(n):
+                assert chars[j][a] == root_of_unity(n, j * a)
 
 
 @pytest.mark.parametrize("n", range(1, 25))
@@ -206,6 +213,59 @@ def test_reject_corrupted_character_value():
     def mutate(d):
         d["ordinary"]["characters"][1][1] = 3  # breaks orthogonality
     corrupt(mutate)
+
+
+@pytest.mark.parametrize(
+    "row, cls, conductor, change, pair",
+    [
+        (5, 8, 11, Cyc.conjugate, (0, 5)),  # b11 at 11a -> its conjugate
+        (2, 6, 8, Cyc.__neg__, (0, 2)),  # i*sqrt(2) at 8a negated
+    ],
+    ids=["b11-conjugated", "sqrt-minus-2-negated"],
+)
+def test_reject_corrupted_irrational_value(row, cls, conductor, change, pair):
+    value = load_named("m11").ordinary.characters[row][cls]
+    assert value.conductor == conductor
+    data = m11_raw()
+    data["ordinary"]["characters"][row][cls] = cyc_to_json(change(value))
+    i, j = pair
+    with pytest.raises(
+        BundleError, match=f"row orthogonality fails for characters {i} and {j}$"
+    ):
+        load_bundle(data)
+
+
+def test_reject_row_of_wrong_norm():
+    # twice a b11 row stays orthogonal to every other row; only its own
+    # inner product, 4 instead of 1, shows the fault
+    row = load_named("m11").ordinary.characters[5]
+    data = m11_raw()
+    data["ordinary"]["characters"][5] = [cyc_to_json(v * 2) for v in row]
+    with pytest.raises(
+        BundleError, match="row orthogonality fails for characters 5 and 5$"
+    ):
+        load_bundle(data)
+
+
+def m11_with_extra(rows):
+    data = m11_raw()
+    data["ordinary"]["extra_characters"] = [[cyc_to_json(v) for v in r] for r in rows]
+    return data
+
+
+def test_extra_rows_must_be_characters():
+    chi = load_named("m11").ordinary.characters
+    squares = [[a * a for a in chi[j]] for j in (1, 2)]
+    loaded = load_bundle(m11_with_extra(squares)).ordinary.extra_characters
+    assert [list(r) for r in loaded] == squares
+    difference = [a - b for a, b in zip(chi[4], chi[1])]  # degree 11 - 10 = 1
+    half = [(a + b) / 2 for a, b in zip(chi[1], chi[2])]  # degree 10
+    for row, m in ((difference, "-1"), (half, "1/2")):
+        with pytest.raises(
+            BundleError,
+            match=f"extra row 1 is not a character: its multiplicity of character 1 is {m}$",
+        ):
+            load_bundle(m11_with_extra([squares[0], row]))
 
 
 def test_reject_bad_class_sizes():
