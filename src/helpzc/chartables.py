@@ -4,8 +4,9 @@ A bundle holds one ordinary character table and optionally Brauer (p-modular)
 tables for some primes.  All values are exact cyclotomic numbers.  Loading
 validates the table hard: class sizes must sum to the group order, power maps
 must exist for every prime dividing the exponent and respect element orders,
-the ordinary rows must satisfy exact row orthogonality, and every extra row
-must be a character of the group.  A table that fails any check is rejected
+every value must be an algebraic integer, the ordinary rows must satisfy
+exact row orthogonality, and every extra row must be a character of the
+group, which needs a complete table.  A table that fails any check is rejected
 outright, since every downstream constraint is only as trustworthy as the
 table it came from.
 """
@@ -210,6 +211,7 @@ def _check_ordinary(table: CharacterTable) -> None:
             if len(row) != len(table.classes):
                 raise BundleError(f"{g}: character row has wrong arity")
             table.degree(row)
+    _check_integral(g, table, table.characters, "character")
 
     # exact row orthogonality over the ordinary irreducibles
     chars = [_row_terms(row) for row in table.characters]
@@ -222,8 +224,14 @@ def _check_ordinary(table: CharacterTable) -> None:
 
     # an extra row must be a character: a sum of irreducibles, each with a
     # non-negative integer multiplicity <psi, chi_i>; a class function that
-    # is not could add inequalities that a genuine unit need not satisfy
-    complete = len(table.characters) == len(table.classes)
+    # is not could add inequalities that a genuine unit need not satisfy.
+    # The multiplicities decide that only when every irreducible is listed,
+    # and a row that passes is a sum of algebraic integers, so integral too.
+    if table.extra_characters and len(table.characters) != len(table.classes):
+        raise BundleError(
+            f"{g}: extra rows need a complete table, but it lists"
+            f" {len(table.characters)} irreducibles for {len(table.classes)} classes"
+        )
     for r, psi in enumerate(table.extra_characters):
         terms = _row_terms(psi)
         mults = []
@@ -238,7 +246,7 @@ def _check_ordinary(table: CharacterTable) -> None:
             mults.append(int(q))
         # with as many irreducibles as classes the rows span all class
         # functions, so psi must be exactly the sum they determine
-        if complete and any(
+        if any(
             v != sum(m * chi[x] for m, chi in zip(mults, table.characters) if m)
             for x, v in enumerate(psi)
         ):
@@ -246,6 +254,19 @@ def _check_ordinary(table: CharacterTable) -> None:
                 f"{g}: extra row {r} is not a character: it is not the sum of"
                 " irreducibles its multiplicities give"
             )
+
+
+def _check_integral(g: str, table: CharacterTable, rows, what: str) -> None:
+    """Every value must be an algebraic integer, as a sum of roots of unity
+    is.  Z[zeta_n] has the power basis as an integral basis, so that holds
+    exactly when every canonical coefficient is an integer."""
+    for r, row in enumerate(rows):
+        for cl, v in zip(table.classes, row):
+            if not v.is_integral():
+                raise BundleError(
+                    f"{g}: {what} {r} at class {cl.name} is not an algebraic"
+                    f" integer: {v}"
+                )
 
 
 def _row_terms(row):
@@ -299,6 +320,7 @@ def _check_brauer(table: CharacterTable, ordinary: CharacterTable) -> None:
         if len(row) != len(table.classes):
             raise BundleError(f"{g}: character row has wrong arity")
         table.degree(row)
+    _check_integral(g, table, table.characters, "character")
 
 
 # -- construction -------------------------------------------------------------

@@ -59,9 +59,10 @@ Assembly is integer-only; two identities make that exact.
    shrinks the group of twists.
 
 Each character table gets one integer block of C_m per unit order m, built
-from the stored exponents on first use and kept on the table; a table set's
-coefficients are its tables' blocks joined.  Cyclotomic (Cyc) arithmetic
-only loads and validates the character tables.
+from the stored exponents on first use, with each distinct value traced
+once, and kept on the table; a table set's coefficients are its tables'
+blocks joined.  Cyclotomic (Cyc) arithmetic only loads and validates the
+character tables.
 """
 
 from __future__ import annotations
@@ -274,16 +275,23 @@ def trace_block(table: CharacterTable, ordinary: CharacterTable, m: int):
     of char_rows((table,)), l < m and x the i-th class of `ordinary` of
     order dividing m.
 
-    Built on first use and kept on the table, so each row is traced once
-    per m whichever table sets it joins; `ordinary` must be the ordinary
-    table `table` belongs to.
+    Built on first use and kept on the table, so each distinct value is
+    traced once per m, whichever cells hold it and whichever table sets the
+    table joins; `ordinary` must be the ordinary table `table` belongs to.
     """
     block = table.trace_blocks.get(m)
     if block is None:
         support = ordinary.classes_of_order_dividing(m)
+        traced: dict[Cyc, tuple[int, ...]] = {}
         rows = []
         for row in char_rows((table,), len(ordinary.classes)):
-            columns = [_integer_traces(row.value_at(x), m, row.label) for x in support]
+            columns = []
+            for x in support:
+                value = row.value_at(x)
+                traces = traced.get(value)
+                if traces is None:
+                    traces = traced[value] = _integer_traces(value, m, row.label)
+                columns.append(traces)
             rows.append(tuple(zip(*columns)) if columns else ((),) * m)
         block = table.trace_blocks[m] = tuple(rows)
     return block
@@ -349,8 +357,9 @@ def _coefficients(ordinary: CharacterTable, tables, m: int) -> list:
 def _constant_terms(ordinary: CharacterTable, tables, k: int, levels, rows):
     """a(psi, l) for each (r, psi) in `rows` (r indexing char_rows(tables))
     and l < k: deg psi plus one dot product per proper power, `levels`
-    holding eps(u^d) for each order k/d > 1 (identity 1 of the module
-    docstring)."""
+    holding eps(u^d) for each order e = k/d > 1 (identity 1 of the module
+    docstring).  The dot product depends on l only mod e, so each level's
+    e sums are taken once and repeated k/e times."""
     parts = []
     for pa in levels:
         support = ordinary.classes_of_order_dividing(pa.order)
@@ -362,18 +371,14 @@ def _constant_terms(ordinary: CharacterTable, tables, k: int, levels, rows):
                 " of another order"
             ) from None
         parts.append((pa.order, _coefficients(ordinary, tables, pa.order), entries))
-    return [
-        tuple(
-            row.degree
-            + sum(
-                eps * values[r][ell % e][i]
-                for e, values, entries in parts
-                for i, eps in entries
-            )
-            for ell in range(k)
-        )
-        for r, row in rows
-    ]
+    out = []
+    for r, row in rows:
+        terms = [row.degree] * k
+        for e, values, entries in parts:
+            level = [sum(eps * c[i] for i, eps in entries) for c in values[r]]
+            terms = [a + b for a, b in zip(terms, level * (k // e))]
+        out.append(tuple(terms))
+    return out
 
 
 # -- system assembly -----------------------------------------------------------

@@ -249,6 +249,12 @@ class Cyc:
     def is_rational(self) -> bool:
         return self.n == 1
 
+    def is_integral(self) -> bool:
+        """True iff the value is an algebraic integer: Z[zeta_n] is the ring
+        of integers of Q(zeta_n), with the power basis as an integral basis,
+        so exactly when every canonical coefficient is an integer."""
+        return all(c.denominator == 1 for c in self._c.values())
+
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction if it is rational, else None."""
         if self.n != 1:
@@ -362,23 +368,33 @@ class Cyc:
         sums = ramanujan_sums(m)
         return sum((c * sums[e * step] for e, c in self._c.items()), Fraction(0))
 
-    def twisted_traces(self, m: int) -> tuple[Fraction, ...]:
+    def twisted_traces(self, m: int) -> tuple:
         """Tr_{Q(zeta_m)/Q}(self * zeta_m^-l) for l = 0 .. m-1; the value
         must lie in Q(zeta_m).
 
         With self = sum_a c_a zeta_n^a, each trace is
-        sum_a c_a * Tr(zeta_m^(a*m/n - l)): a dot product with the Ramanujan
-        sums, read off the stored exponents with no field multiplication.
+        sum_a c_a * Tr(zeta_m^(j_a - l)), j_a = a*m/n: per term, c_a times
+        the Ramanujan sums read backwards from j_a, with no field
+        multiplication.  The traces are ints when every c_a is an integer,
+        else Fractions.
         """
         step = self._step_into(m)
         sums = ramanujan_sums(m)
         den = lcm(*(c.denominator for c in self._c.values()))
-        terms = [(e * step, int(c * den)) for e, c in self._c.items()]
-        # j - ell lies in (-m, m), and a negative index wraps to j - ell + m
-        return tuple(
-            Fraction(sum(c * sums[j - ell] for j, c in terms), den)
-            for ell in range(m)
-        )
+        terms = []
+        for e, c in self._c.items():
+            j = e * step
+            # sums[j - ell] for ell = 0 .. m-1, the index wrapping below 0
+            turned = sums[j::-1] + sums[:j:-1]
+            c = c.numerator * (den // c.denominator)
+            terms.append(turned if c == 1 else tuple(c * s for s in turned))
+        if len(terms) == 1:
+            out = terms[0]
+        else:
+            out = tuple(map(sum, zip(*terms))) if terms else (0,) * m
+        if den == 1:
+            return out
+        return tuple(Fraction(t, den) for t in out)
 
     def _step_into(self, m: int) -> int:
         # zeta_n = zeta_m^(m/n) once the conductor n divides m

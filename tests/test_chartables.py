@@ -268,6 +268,54 @@ def test_extra_rows_must_be_characters():
             load_bundle(m11_with_extra([squares[0], row]))
 
 
+def test_extra_rows_need_a_complete_table():
+    # multiplicities against chi_0 and chi_1 alone are 2 and 0, both
+    # admissible; the -1 on the unlisted chi_2 would go unseen
+    data = bundle_to_json(cyclic_table(3))
+    chi = cyclic_table(3).ordinary.characters
+    data["ordinary"]["characters"] = data["ordinary"]["characters"][:2]
+    assert load_bundle(data).ordinary.characters == chi[:2]
+    data["ordinary"]["extra_characters"] = [
+        [cyc_to_json(2 * a - b) for a, b in zip(chi[0], chi[2])]
+    ]
+    with pytest.raises(
+        BundleError,
+        match="C3: extra rows need a complete table, but it lists 2 irreducibles"
+        " for 3 classes$",
+    ):
+        load_bundle(data)
+
+
+# (2 + zeta_3)/3 has an integer trace Tr(v zeta_m^-l) for every l at m = 3, 6,
+# 9 and 12, so only its coefficients show it is no algebraic integer
+NOT_INTEGRAL = (2 + root_of_unity(3)) / 3
+
+
+def test_reject_brauer_value_that_is_not_an_algebraic_integer():
+    data = m11_raw()
+    mod5 = data["brauer"][0]
+    assert mod5["p"] == 5
+    mod5["characters"][1][mod5["classes"].index("3a")] = cyc_to_json(NOT_INTEGRAL)
+    with pytest.raises(
+        BundleError,
+        match=r"M11 mod 5: character 1 at class 3a is not an algebraic integer:"
+        r" 2/3 \+ 1/3\*z3$",
+    ):
+        load_bundle(data)
+
+
+def test_reject_ordinary_value_that_is_not_an_algebraic_integer():
+    # checked before orthogonality, which this value also breaks
+    data = m11_raw()
+    at = [c["name"] for c in data["ordinary"]["classes"]].index("3a")
+    data["ordinary"]["characters"][1][at] = cyc_to_json(NOT_INTEGRAL)
+    with pytest.raises(
+        BundleError,
+        match="M11: character 1 at class 3a is not an algebraic integer",
+    ):
+        load_bundle(data)
+
+
 def test_reject_bad_class_sizes():
     def mutate(d):
         d["ordinary"]["classes"][1]["size"] = 166

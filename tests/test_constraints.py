@@ -584,7 +584,7 @@ def test_trace_blocks_are_shared_between_table_sets(monkeypatch):
     real = constraints._integer_traces
 
     def counting(value, m, context):
-        traced.append((context, m))
+        traced.append((context, value, m))
         return real(value, m, context)
 
     monkeypatch.setattr(constraints, "_integer_traces", counting)
@@ -592,18 +592,25 @@ def test_trace_blocks_are_shared_between_table_sets(monkeypatch):
     without_mod5 = usable_tables(m11, 10)
     assert [x.prime for x in with_mod5] == [None, 5, 11]
     assert [x.prime for x in without_mod5] == [None, 11]
-    systems = [
-        build_system(m11, 2, PATuple(2, ()), tables)
-        for tables in (with_mod5, without_mod5)
-    ]
-    # one trace per (row, class of order dividing 2): M11 has only 2a
-    ordinary_rows = len(t.characters) + len(t.extra_characters)
-    assert sorted(c for c, m in traced if c.startswith("ord")) == sorted(
-        f"ord{r}" for r in range(ordinary_rows)
-    )
-    assert len(traced) == len(set(traced)) == sum(
-        len(char_rows((x,), len(t.classes))) for x in with_mod5
-    )
+    systems = [build_system(m11, 2, PATuple(2, ()), with_mod5)]
+    first = len(traced)
+    systems.append(build_system(m11, 2, PATuple(2, ()), without_mod5))
+    # one trace per distinct value of each table on the classes of order
+    # dividing 2 (M11 has only 2a), and none for the second table set
+    assert len(traced) == first
+    n = len(t.classes)
+    table_of = {
+        row.label: x.prime for x in with_mod5 for row in char_rows((x,), n)
+    }
+    keys = [(table_of[c], value, m) for c, value, m in traced]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {
+        (x.prime, row.value_at(i), 2)
+        for x in with_mod5
+        for row in char_rows((x,), n)
+        for i in t.classes_of_order_dividing(2)
+    }
+    assert len(keys) < sum(len(char_rows((x,), n)) for x in with_mod5)
     assert set(t.trace_blocks) == {2}
     # the second set's system is the first's without the mod-5 rows
     mu_owners = [

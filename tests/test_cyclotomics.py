@@ -212,9 +212,32 @@ def test_twisted_traces_against_galois_sum_oracle():
         assert len(got) == m
         for ell in range(m):
             assert got[ell] == trace_by_galois_sum(a * root_of_unity(m, -ell), m)
+        if a.is_integral():
+            assert all(type(t) is int for t in got)
+    # integral coefficients give plain ints, a sum of rotated Ramanujan sums
+    for _ in range(40):
+        n = rng.choice([3, 4, 5, 8, 9, 12, 15, 36])
+        a = from_coeffs(n, {e: c.numerator for e, c in random_value(rng, n).items()})
+        m = a.conductor * rng.choice([1, 2, 3])
+        got = a.twisted_traces(m)
+        assert len(got) == m and all(type(t) is int for t in got)
+        for ell in range(m):
+            assert got[ell] == trace_by_galois_sum(a * root_of_unity(m, -ell), m)
     assert rational(0).twisted_traces(3) == (0, 0, 0)
+    assert all(type(t) is int for t in rational(0).twisted_traces(3))
     with pytest.raises(FieldError):
         root_of_unity(5).twisted_traces(3)
+
+
+def test_is_integral_reads_the_canonical_coefficients():
+    z3 = root_of_unity(3)
+    # (1 + sqrt(-3))/2, written with halves over zeta_3^0, zeta_3, zeta_3^2
+    half = Fraction(1, 2)
+    eisenstein = from_coeffs(3, {0: half, 1: half, 2: -half})
+    assert eisenstein.is_integral() and eisenstein == 1 + z3
+    assert (z3 + z3**2).is_integral() and rational(-7).is_integral()
+    assert not ((2 + z3) / 3).is_integral()
+    assert not rational(Fraction(1, 2)).is_integral()
 
 
 def test_trace_of_rational_scales_by_phi():

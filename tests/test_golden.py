@@ -11,10 +11,9 @@ import json
 
 import pytest
 
-from helpzc.chartables import cyclic_table, load_bundle, resolve_bundle_path
+from helpzc.cli import build_parser, resolve_bundle, solver_options
 from helpzc.verify import (
     SolutionStore,
-    SolverOptions,
     check_pq,
     check_zc,
     solve_order_report,
@@ -76,6 +75,17 @@ GOLDEN = {
         "23faaf2c5ba1b497641c1eea5de26c203015b74de72321a6286f941d6cc8cdc8",
     "zc --no-shortcuts cyclic:36":
         "1dd6e429a4b693d19bb5cce628569d29d7c4bcd6637aa79a5501aaeda70c4d4c",
+    # the flag paths: the p-constant relaxation only prunes combinations the
+    # full system also rules out, so its stores equal the default ones, and
+    # it hands the constant terms a row subset and a witness level
+    "zc --p-constant m11":
+        "9c9e9c1cfee3117b9b2801aa6852ce2c5ef030beb0af285babfaaa630ef52fd3",
+    "pq --p-constant m11":
+        "0790b6900e9b5ff24da8b24b0055dd625a16bd2f18e99f5ca32d1b8dfd5a3150",
+    "zc --no-brauer m11":
+        "5228110c5d16d7700e6d9501df84dec9fafdcef549b1dc69ece694cb6b02df99",
+    "zc --no-shortcuts --p-constant cyclic:18":
+        "c8c85502173003ef8883ed914d4c0c86046a2fca91afe9dc167e4ae599117e24",
 }
 
 
@@ -85,19 +95,16 @@ def digest(bundle, store) -> str:
 
 
 def run(command: str) -> str:
-    """Digest of the store one golden command leaves behind."""
-    words = command.split()
-    options = SolverOptions(shortcuts="--no-shortcuts" not in words)
-    name = words[-1]
-    if name.startswith("cyclic:"):
-        bundle = cyclic_table(int(name.split(":")[1]))
-    else:
-        bundle = load_bundle(resolve_bundle_path(name))
+    """Digest of the store one golden command leaves behind, its words
+    parsed into options and a bundle as the CLI parses them."""
+    args = build_parser().parse_args(command.split())
+    options = solver_options(args)
+    bundle = resolve_bundle(args.bundle)
     store = SolutionStore(bundle.group_name)
-    if words[0] == "order":
-        solve_order_report(bundle, int(words[1]), store, options)
+    if args.command == "order":
+        solve_order_report(bundle, args.k, store, options)
     else:
-        checker = check_zc if words[0] == "zc" else check_pq
+        checker = check_zc if args.command == "zc" else check_pq
         checker(bundle, options, store)
     return digest(bundle, store)
 
