@@ -5,8 +5,9 @@ tables for some primes.  All values are exact cyclotomic numbers.  Loading
 validates the table hard: class sizes must sum to the group order, power maps
 must exist for every prime dividing the exponent and respect element orders,
 every value must be an algebraic integer, the ordinary rows must satisfy
-exact row orthogonality, and every extra row must be a character of the
-group, which needs a complete table.  A table that fails any check is rejected
+exact row orthogonality, every extra row must be a character of the
+group, which needs a complete table, and a declared is_nilpotent flag must
+agree with the class sizes.  A table that fails any check is rejected
 outright, since every downstream constraint is only as trustworthy as the
 table it came from.
 """
@@ -400,6 +401,23 @@ def _parse_brauer(group: str, ordinary: CharacterTable, node: dict) -> Character
     )
 
 
+def _sylows_normal(table: CharacterTable) -> bool:
+    """Whether G is nilpotent: for each prime p | |G|, the classes of p-power
+    element order (identity included) must have sizes summing to |G|_p.
+    The p-elements contain every Sylow p-subgroup, so then they are a single
+    Sylow p-subgroup, which is therefore normal; and in a nilpotent group
+    the p-elements are exactly its normal Sylow p-subgroup."""
+    return all(
+        sum(
+            cl.size
+            for cl in table.classes
+            if prime_factors(cl.element_order) in ((), (p,))
+        )
+        == p**e
+        for p, e in factorize(table.group_order)
+    )
+
+
 def load_bundle(source: str | Path | dict) -> TableBundle:
     """Load and validate a table bundle from a JSON file or parsed dict."""
     if isinstance(source, (str, Path)):
@@ -440,6 +458,14 @@ def load_bundle(source: str | Path | dict) -> TableBundle:
     for key in ("is_solvable", "is_nilpotent"):
         if key in flags and not isinstance(flags[key], bool):
             raise BundleError(f"{group}: flag {key} must be boolean")
+    nilpotent = flags.get("is_nilpotent")
+    if nilpotent is not None and nilpotent != _sylows_normal(ordinary):
+        raise BundleError(
+            f"{group}: flag is_nilpotent is {nilpotent}, but the class sizes"
+            f" say {not nilpotent}"
+        )
+    if nilpotent and flags.get("is_solvable") is False:
+        raise BundleError(f"{group}: a nilpotent group cannot be non-solvable")
     psf = flags.get("p_solvable_for", [])
     if not isinstance(psf, list) or not all(
         type(p) is int and is_prime(p) for p in psf

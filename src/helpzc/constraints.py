@@ -13,9 +13,8 @@ integer equality
     sum_x Tr(psi(x) zeta_k^{-l}) * eps_x  -  k * mu_{psi,l}  =  -a(psi, l)
 
 where a collects the d > 1 terms, known once the partial augmentations of
-all proper powers of u are fixed.  This module builds those systems,
-including the variant that aggregates all order-p classes into a single
-variable when only p-constant characters are used.
+all proper powers of u are fixed.  This module builds those systems and
+their relaxation to the p-constant characters (identity 4).
 
 Assembly is integer-only; two identities make that exact.
 
@@ -449,32 +448,32 @@ def build_system(
     ordinary = bundle.ordinary
     if tables is None:
         tables = usable_tables(bundle, k)
-    rows = char_rows(tables, len(ordinary.classes))
-    top = _coefficients(ordinary, tables, k)
+    rows = list(enumerate(char_rows(tables, len(ordinary.classes))))
     levels = [proper.level(e) for e in divisors(k) if 1 < e < k]
-    a_terms = _constant_terms(ordinary, tables, k, levels, enumerate(rows))
+    top = _coefficients(ordinary, tables, k)
+    support = ordinary.classes_of_order_dividing(k)
+    lead = [EpsVar(i, ordinary.classes[i].name) for i in support]
+    return _assemble(ordinary, tables, k, rows, levels, top, lead)
 
+
+def _assemble(ordinary, tables, k, rows, levels, coefficients, lead) -> LinSystem:
+    """The system over `lead` (summing to 1) and one MuVar per distinct
+    (coefficients, constant term) of the rows (psi, l): `rows` holds (r, psi)
+    pairs, r indexing char_rows(tables), `coefficients` each row's per-l
+    tuples over `lead`, and `levels` the proper powers for _constant_terms."""
+    a_terms = _constant_terms(ordinary, tables, k, levels, rows)
     merged: dict[tuple, list] = {}
-    for row, coeffs, a_row in zip(rows, top, a_terms):
+    for (_, row), coeffs, a_row in zip(rows, coefficients, a_terms):
         for ell in range(k):
             merged.setdefault((coeffs[ell], a_row[ell]), []).append((row.label, ell))
 
-    support = ordinary.classes_of_order_dividing(k)
-    eps_vars = [EpsVar(i, ordinary.classes[i].name) for i in support]
-    return _finish_system(eps_vars, None, merged, k)
-
-
-def _finish_system(eps_vars, agg_var, merged, k) -> LinSystem:
-    lead = list(eps_vars) + ([agg_var] if agg_var is not None else [])
     mu_vars = [MuVar(tuple(owners)) for owners in merged.values()]
     variables = tuple(lead) + tuple(mu_vars)
     n = len(variables)
     n_lead = len(lead)
-
     equalities = [(tuple([1] * n_lead + [0] * (n - n_lead)), 1)]
-    for mu_pos, ((coeffs, a), _) in enumerate(merged.items()):
-        row = [0] * n
-        row[:len(coeffs)] = list(coeffs)
+    for mu_pos, (coeffs, a) in enumerate(merged):
+        row = list(coeffs) + [0] * (n - n_lead)
         row[n_lead + mu_pos] = -k
         equalities.append((tuple(row), -a))
     return LinSystem(variables, tuple(equalities), frozenset(range(n_lead, n)))
@@ -495,13 +494,10 @@ def is_p_constant(row: CharRow, table: CharacterTable, p: int) -> bool:
 def build_system_p_constant(
     bundle: TableBundle, k: int, p: int, proper: PATuple, tables=None
 ) -> LinSystem:
-    """HeLP system for order k = p*q (distinct primes) with the order-p
-    eps variables replaced by their sum.
-
-    Only p-constant rows are used, so the order-p coefficients collapse onto
-    one AggVar and psi(u^q) = psi(x_p) by augmentation; the partial
-    augmentations of u^q are never needed, only those of u^p (order q).
-    """
+    """HeLP system for order k = p*q (distinct primes) over the p-constant
+    rows, with the order-p eps variables replaced by one AggVar, their sum
+    (identity 4 of the module docstring).  Only the partial augmentations of
+    u^p (order q) are read, not those of u^q."""
     q, rem = divmod(k, p)
     if rem or not is_prime(p) or not is_prime(q) or q == p:
         raise ConstraintError(f"{k} is not a product of two distinct primes with {p}")
@@ -523,21 +519,15 @@ def build_system_p_constant(
         raise ConstraintError(f"no classes of order {p}")
     witness = agg[0]
 
-    top = _coefficients(ordinary, tables, k)
-    # u^q has order p; constancy gives psi(u^q) = psi(x_p), the character
-    # value of a unit with eps = 1 at the witness class
+    # psi(u^q) = psi(x_p), the value of a unit with eps = 1 at the witness
     levels = (PAVector(p, ((support[witness], 1),)), proper.level(q))
-    a_terms = _constant_terms(ordinary, tables, k, levels, rows)
-
-    merged: dict[tuple, list] = {}
-    for (r, row), a_row in zip(rows, a_terms):
-        for ell in range(k):
-            c = top[r][ell]
-            coeffs = tuple(c[i] for i in keep) + (c[witness],)
-            merged.setdefault((coeffs, a_row[ell]), []).append((row.label, ell))
-
-    eps_vars = [EpsVar(support[i], ordinary.classes[support[i]].name) for i in keep]
-    return _finish_system(eps_vars, AggVar(p), merged, k)
+    top = _coefficients(ordinary, tables, k)
+    coefficients = [
+        [tuple(c[i] for i in keep) + (c[witness],) for c in top[r]] for r, _ in rows
+    ]
+    lead = [EpsVar(support[i], ordinary.classes[support[i]].name) for i in keep]
+    lead.append(AggVar(p))
+    return _assemble(ordinary, tables, k, rows, levels, coefficients, lead)
 
 
 # -- inspection helpers --------------------------------------------------------

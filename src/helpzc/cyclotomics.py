@@ -201,11 +201,10 @@ class Cyc:
 
     __slots__ = ("n", "_c", "_hash")
 
-    def __init__(self, n: int, coeffs: dict[int, Fraction], _canon: bool = False):
-        if not _canon:
-            if n < 1:
-                raise ValueError(f"conductor must be positive, got {n}")
-            n, coeffs = _canonical(n, {int(e): _as_fraction(c) for e, c in coeffs.items()})
+    def __init__(self, n: int, coeffs: dict[int, Fraction]):
+        if n < 1:
+            raise ValueError(f"conductor must be positive, got {n}")
+        n, coeffs = _canonical(n, {int(e): _as_fraction(c) for e, c in coeffs.items()})
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_c", coeffs)
         object.__setattr__(self, "_hash", None)
@@ -245,9 +244,6 @@ class Cyc:
 
     def is_zero(self) -> bool:
         return not self._c
-
-    def is_rational(self) -> bool:
-        return self.n == 1
 
     def is_integral(self) -> bool:
         """True iff the value is an algebraic integer: Z[zeta_n] is the ring

@@ -316,19 +316,23 @@ def _audit_order(bundle, k, store, options):
 # -- verdicts --------------------------------------------------------------------
 
 
-def _run_orders(bundle, orders, store, options, expects_trivial):
+def _check(bundle, orders_for, expected, options, store) -> Verdict:
+    """Solve every order `orders_for` names, each expected to hold exactly
+    the tuples expected(table, k); a theorem's shortcut proves at once."""
+    options = options or SolverOptions()
+    store = store if store is not None else SolutionStore(bundle.group_name)
+    _drop_budget_markers(store)
+    orders = orders_for(bundle, options.shortcuts)
+    if isinstance(orders, ShortcutProved):
+        return Verdict(True, orders.reason, store)
     obstructions = []
     for k in sorted(orders):
         got = solve_order(bundle, k, store, options)
         if got is None:
             obstructions.append((k, store.obstructions[k]))
-            continue
-        expected = (
-            set(trivial_solutions(bundle.ordinary, k)) if expects_trivial else set()
-        )
-        if set(got) != expected:
+        elif set(got) != set(expected(bundle.ordinary, k)):
             obstructions.append((k, REASON_NONTRIVIAL))
-    return tuple(obstructions)
+    return Verdict(not obstructions, None, store, tuple(obstructions))
 
 
 def check_zc(
@@ -336,14 +340,8 @@ def check_zc(
     options: SolverOptions | None = None,
     store: SolutionStore | None = None,
 ) -> Verdict:
-    options = options or SolverOptions()
-    store = store if store is not None else SolutionStore(bundle.group_name)
-    _drop_budget_markers(store)
-    orders = orders_to_check_zc(bundle, options.shortcuts)
-    if isinstance(orders, ShortcutProved):
-        return Verdict(True, orders.reason, store)
-    obstructions = _run_orders(bundle, orders, store, options, expects_trivial=True)
-    return Verdict(not obstructions, None, store, obstructions)
+    """Every order's admissible tuples are those of the group elements."""
+    return _check(bundle, orders_to_check_zc, trivial_solutions, options, store)
 
 
 def check_pq(
@@ -351,14 +349,8 @@ def check_pq(
     options: SolverOptions | None = None,
     store: SolutionStore | None = None,
 ) -> Verdict:
-    options = options or SolverOptions()
-    store = store if store is not None else SolutionStore(bundle.group_name)
-    _drop_budget_markers(store)
-    orders = orders_to_check_pq(bundle, options.shortcuts)
-    if isinstance(orders, ShortcutProved):
-        return Verdict(True, orders.reason, store)
-    obstructions = _run_orders(bundle, orders, store, options, expects_trivial=False)
-    return Verdict(not obstructions, None, store, obstructions)
+    """No missing prime-graph order p*q has an admissible tuple."""
+    return _check(bundle, orders_to_check_pq, lambda table, k: (), options, store)
 
 
 # -- persistence ------------------------------------------------------------------
@@ -469,4 +461,8 @@ def store_from_json(bundle: TableBundle, data: dict) -> SolutionStore:
                         f"stored tuple for order {k} restricts to an order-{m}"
                         " tuple the store does not hold"
                     )
+    # group elements pass every filter, so a store helpzc wrote holds them
+    for k, tuples in store.solutions.items():
+        if not set(trivial_solutions(t, k)) <= set(tuples):
+            raise DriverError(f"stored order {k} lacks a group element's tuple")
     return store

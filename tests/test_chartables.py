@@ -380,6 +380,28 @@ def test_reject_bad_flags():
         corrupt(mutate)
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_reject_nilpotent_flag_the_class_sizes_deny(name):
+    # none of the bundled groups is nilpotent; SL(2,3) fails only at p = 3,
+    # its 2-elements being its normal quaternion subgroup
+    data = json.loads(resolve_bundle_path(name).read_text())
+    data["flags"]["is_nilpotent"] = True
+    with pytest.raises(BundleError, match="is_nilpotent is True, but the class sizes"):
+        load_bundle(data)
+
+
+def test_reject_nilpotent_flag_contradictions():
+    data = bundle_to_json(cyclic_table(12))
+    data["flags"]["is_nilpotent"] = False
+    with pytest.raises(BundleError, match="is_nilpotent is False, but the class sizes"):
+        load_bundle(data)
+    data["flags"].update(is_nilpotent=True, is_solvable=False)
+    with pytest.raises(BundleError, match="nilpotent group cannot be non-solvable"):
+        load_bundle(data)
+    del data["flags"]["is_solvable"]
+    assert load_bundle(data).is_nilpotent is True
+
+
 def test_error_names_the_table():
     data = m11_raw()
     data["brauer"][0]["classes"][4] = "7a"

@@ -599,7 +599,10 @@ def test_store_json_rejects_foreign_proper_levels(bundles):
     with pytest.raises(DriverError, match="order-4 tuple the store does not hold"):
         store_from_json(bundles["m11"], data)
     data["solutions"]["4"].append({"2": {"2a": 1}, "4": {"2a": 2, "4a": -1}})
-    assert len(store_from_json(bundles["m11"], data).solutions[8]) == 1
+    data["solutions"]["8"] += [
+        {"2": {"2a": 1}, "4": {"4a": 1}, "8": {c: 1}} for c in ("8a", "8b")
+    ]
+    assert len(store_from_json(bundles["m11"], data).solutions[8]) == 3
 
 
 def a5_store_json(solutions=None, obstructions=None):
@@ -696,6 +699,12 @@ def a5_order5(pa):
             a5_store_json(obstructions={"10": REASON_NONTRIVIAL}),
             "unknown obstruction 'nontrivial solutions'",
             id="reason-verdict",
+        ),
+        pytest.param(
+            "store",
+            a5_store_json(solutions={"2": []}),
+            "order 2 lacks a group element's tuple",
+            id="no-group-element",
         ),
         pytest.param("tuple", (0, {}), "orders start at 2", id="tuple-order-zero"),
         pytest.param(
