@@ -7,9 +7,11 @@ must exist for every prime dividing the exponent and respect element orders,
 every value must be an algebraic integer, the ordinary rows must satisfy
 exact row orthogonality, every extra row must be a character of the
 group, which needs a complete table, and a declared is_nilpotent flag must
-agree with the class sizes.  A table that fails any check is rejected
-outright, since every downstream constraint is only as trustworthy as the
-table it came from.
+agree with the class sizes.  The is_solvable and p_solvable_for flags are
+derived from a complete table, which a declared value must agree with, and
+may not be declared true for an incomplete one.  A table that fails any
+check is rejected outright, since every downstream constraint is only as
+trustworthy as the table it came from.
 """
 
 from __future__ import annotations
@@ -418,6 +420,33 @@ def _sylows_normal(table: CharacterTable) -> bool:
     )
 
 
+def _solvability(table: CharacterTable) -> tuple[bool, frozenset[int]]:
+    """(is_solvable, p_solvable_for) of G, from a complete ordinary table.
+
+    Every normal subgroup, as a set of classes, is an intersection of
+    kernels of irreducibles, and each cover M < N in the lattice of those
+    intersections is a chief factor N/M, of order |N|/|M|.  G is solvable
+    when every chief factor has prime-power order, and p-solvable when
+    every chief factor is a p-group or a p'-group."""
+    one = table.identity_index
+    normal = {frozenset(range(len(table.classes)))}
+    for chi in table.characters:
+        kernel = frozenset(x for x, v in enumerate(chi) if v == chi[one])
+        normal |= {n & kernel for n in normal}
+    order = {n: sum(table.classes[x].size for x in n) for n in normal}
+    factors = [
+        prime_factors(order[n] // order[m])
+        for n in normal
+        for m in normal
+        if m < n and not any(m < mid < n for mid in normal)
+    ]
+    return all(len(ps) == 1 for ps in factors), frozenset(
+        p
+        for p in prime_factors(table.group_order)
+        if all(ps == (p,) or p not in ps for ps in factors)
+    )
+
+
 def load_bundle(source: str | Path | dict) -> TableBundle:
     """Load and validate a table bundle from a JSON file or parsed dict."""
     if isinstance(source, (str, Path)):
@@ -472,13 +501,34 @@ def load_bundle(source: str | Path | dict) -> TableBundle:
     ):
         raise BundleError(f"{group}: p_solvable_for must be a list of primes")
 
+    solvable, p_solvable = flags.get("is_solvable"), frozenset(psf)
+    if len(ordinary.characters) == len(ordinary.classes):
+        derived = _solvability(ordinary)
+        if solvable is not None and solvable != derived[0]:
+            raise BundleError(
+                f"{group}: flag is_solvable is {solvable}, but the chief"
+                f" factors say {derived[0]}"
+            )
+        if "p_solvable_for" in flags and p_solvable != derived[1]:
+            raise BundleError(
+                f"{group}: p_solvable_for is {sorted(p_solvable)}, but the"
+                f" chief factors give {sorted(derived[1])}"
+            )
+        solvable, p_solvable = derived
+    elif solvable or p_solvable:
+        raise BundleError(
+            f"{group}: is_solvable and p_solvable_for need a complete table,"
+            f" but it lists {len(ordinary.characters)} irreducibles for"
+            f" {len(ordinary.classes)} classes"
+        )
+
     return TableBundle(
         group,
         ordinary,
         tuple(brauer),
-        is_solvable=flags.get("is_solvable"),
-        is_nilpotent=flags.get("is_nilpotent"),
-        p_solvable_for=frozenset(psf),
+        is_solvable=solvable,
+        is_nilpotent=nilpotent,
+        p_solvable_for=p_solvable,
     )
 
 

@@ -14,9 +14,10 @@ integer equality
 
 where a collects the d > 1 terms, known once the partial augmentations of
 all proper powers of u are fixed.  This module builds those systems and
-their relaxation to the p-constant characters (identity 4).
+their relaxation to the p-constant characters (identity 4), each with the
+norm bound of identity 5 when the ordinary table is complete.
 
-Assembly is integer-only; two identities make that exact.
+Assembly is integer-only; identities 1 and 2 make that exact.
 
 1. The constant term is a dot product.  The trace is Q-linear and
    psi(u^d) = sum_x eps_x(u^d) psi(x), so with e = k/d
@@ -57,6 +58,40 @@ Assembly is integer-only; two identities make that exact.
    block at k is invariant; a row that breaks the symmetry therefore only
    shrinks the group of twists.
 
+4. The p-constant relaxation.  Let k = p*q with distinct primes p, q and
+   let psi be constant on the classes of order p, with value psi(x_p).  In
+   psi(u) = sum_x eps_x psi(x) the order-p classes enter only through
+   agg_p = sum_{o(x) = p} eps_x, so the row (psi, l) reads the same over
+   the other eps and agg_p.  And u^q has order p, so its partial
+   augmentations sit on the order-p classes and sum to 1: psi(u^q) =
+   psi(x_p), the constant term of a unit with eps = 1 at the witness x_p.
+   Hence every solution of the full system, its order-p eps summed, solves
+   the system over the p-constant rows, and an infeasible one rules the
+   proper powers out.
+
+5. The norm bound.  Let the ordinary table be complete: as many
+   irreducibles as classes, their row orthogonality checked at load, so
+   their columns are orthogonal too.  For any integer solution of order k
+   and any irreducible chi, the multiplicities mu_l of the rows (chi, l)
+   are the discrete Fourier coefficients of j -> chi(u^j), so
+   chi(u) = sum_x eps_x chi(x) = sum_l mu_l zeta_k^l with mu_l >= 0 and
+   sum_l mu_l = chi(1), and |chi(u)| <= chi(1).  Column orthogonality gives
+   sum_chi |chi(u)|^2 = |G| sum_x eps_x^2 / |x^G|, and sum_chi chi(1)^2 =
+   |G|, hence
+
+       sum_x eps_x^2 / |x^G| <= 1.
+
+   The bound thus removes no integer solution, and it bounds the system,
+   because the eps fix the mu (k mu = C eps + a).  In the relaxation of
+   identity 4, Cauchy-Schwarz gives agg_p^2 <= S_p sum_{o(x) = p}
+   eps_x^2 / |x^G|, S_p the total size of the order-p classes, so every
+   full solution also has sum_{o(x) != p} eps_x^2 / |x^G| + agg_p^2 / S_p
+   <= 1, and the relaxation with this bound is still one.  Each system over
+   a complete table carries its bound scaled by L, the lcm of the sizes
+   (S_p for agg_p) of its lead variables: weights L / |x^G| and radius L.
+   On an abelian group every class has size 1, so eps is a unit vector
+   (Higman's theorem).
+
 Each character table gets one integer block of C_m per unit order m, built
 from the stored exponents on first use, with each distinct value traced
 once, and kept on the table; a table set's coefficients are its tables'
@@ -66,7 +101,7 @@ character tables.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .arith import divisors, is_prime
 from .chartables import CharacterTable, TableBundle
@@ -460,7 +495,9 @@ def _assemble(ordinary, tables, k, rows, levels, coefficients, lead) -> LinSyste
     """The system over `lead` (summing to 1) and one MuVar per distinct
     (coefficients, constant term) of the rows (psi, l): `rows` holds (r, psi)
     pairs, r indexing char_rows(tables), `coefficients` each row's per-l
-    tuples over `lead`, and `levels` the proper powers for _constant_terms."""
+    tuples over `lead`, and `levels` the proper powers for _constant_terms.
+    Over a complete ordinary table it carries the norm bound of identity 5
+    of the module docstring."""
     a_terms = _constant_terms(ordinary, tables, k, levels, rows)
     merged: dict[tuple, list] = {}
     for (_, row), coeffs, a_row in zip(rows, coefficients, a_terms):
@@ -476,7 +513,20 @@ def _assemble(ordinary, tables, k, rows, levels, coefficients, lead) -> LinSyste
         row = list(coeffs) + [0] * (n - n_lead)
         row[n_lead + mu_pos] = -k
         equalities.append((tuple(row), -a))
-    return LinSystem(variables, tuple(equalities), frozenset(range(n_lead, n)))
+
+    norm = None
+    if len(ordinary.characters) == len(ordinary.classes):
+        sizes = [
+            ordinary.classes[v.class_index].size
+            if isinstance(v, EpsVar)
+            else sum(c.size for c in ordinary.classes if c.element_order == v.prime)
+            for v in lead
+        ]
+        scale = lcm(*sizes)
+        norm = (tuple(scale // size for size in sizes) + (0,) * len(mu_vars), scale)
+    return LinSystem(
+        variables, tuple(equalities), frozenset(range(n_lead, n)), norm
+    )
 
 
 def is_p_constant(row: CharRow, table: CharacterTable, p: int) -> bool:

@@ -1,16 +1,24 @@
 """Exact enumeration of integer solutions of linear constraint systems.
 
 A LinSystem is a list of integer equality rows over declared variables, some
-of which are flagged nonnegative.  The pipeline:
+of which are flagged nonnegative, and optionally a norm bound
+sum_i w_i * x_i^2 <= R with integer weights w_i >= 0.  The pipeline:
 
   1. eliminate the equalities over Z (column reduction to a Hermite-style
      form with a unimodular transform), writing every integer solution as
      origin + integer combination of lattice basis vectors;
   2. push the nonnegativity constraints through that parametrization,
      giving an inequality system over the free integer parameters;
-  3. bound each parameter exactly with a fraction-free simplex (Bland's
-     rule on an integer tableau with one common denominator): one phase 1
-     per system, then each bound re-optimized from the feasible basis;
+  3. bound the parameters.  A system with a norm bound (every HeLP system
+     over a complete character table, see the constraints module) is
+     bounded by its ellipsoid Q(t) <= R, which must be positive definite
+     on the lattice: a fraction-free LDL^T of its Gram matrix (Bareiss)
+     gives the box around its centre and, at each search node, the exact
+     interval of the next parameter in LDL order (Fincke and Pohst 1985).
+     A system without one is bounded per parameter by a fraction-free
+     simplex (Bland's rule on an integer tableau with one common
+     denominator): one phase 1 per system, then each bound re-optimized
+     from the feasible basis; only such a system can be Infinite;
   4. enumerate by depth-first fixing of parameters inside those bounds,
      pruning by integer interval propagation over the inequality rows.
 
@@ -21,7 +29,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from operator import mul as _mul
 
 from .records import Record, set_field
 
@@ -29,15 +38,17 @@ DEFAULT_MAX_NODES = 10_000_000
 
 
 class LinSystem(Record):
-    """Integer equalities Σ c·x = rhs plus x_i ≥ 0 for i in nonneg."""
+    """Integer equalities Σ c·x = rhs plus x_i ≥ 0 for i in nonneg, and
+    Σ w_i·x_i² ≤ R when norm = (w, R) is given."""
 
-    __slots__ = ("variables", "equalities", "nonneg")
+    __slots__ = ("variables", "equalities", "nonneg", "norm")
 
     def __init__(
         self,
         variables: tuple,
         equalities: tuple[tuple[tuple[int, ...], int], ...],
         nonneg: frozenset[int],
+        norm: tuple[tuple[int, ...], int] | None = None,
     ):
         n = len(variables)
         for coeffs, _ in equalities:
@@ -45,15 +56,25 @@ class LinSystem(Record):
                 raise ValueError("equality row arity does not match variables")
         if any(not 0 <= i < n for i in nonneg):
             raise ValueError("nonneg index out of range")
+        if norm is not None and (len(norm[0]) != n or any(w < 0 for w in norm[0])):
+            raise ValueError("norm needs one nonnegative weight per variable")
         set_field(self, "variables", variables)
         set_field(self, "equalities", equalities)
         set_field(self, "nonneg", nonneg)
+        set_field(self, "norm", norm)
 
     def check_solution(self, x) -> bool:
-        return all(
-            sum(c * v for c, v in zip(coeffs, x)) == rhs
-            for coeffs, rhs in self.equalities
-        ) and all(x[i] >= 0 for i in self.nonneg)
+        return (
+            all(
+                sum(c * v for c, v in zip(coeffs, x)) == rhs
+                for coeffs, rhs in self.equalities
+            )
+            and all(x[i] >= 0 for i in self.nonneg)
+            and (
+                self.norm is None
+                or sum(w * v * v for w, v in zip(self.norm[0], x)) <= self.norm[1]
+            )
+        )
 
 
 class Finite(Record):
@@ -444,6 +465,70 @@ def lp_bounds(rows, d: int):
     return intervals
 
 
+# -- norm bound ----------------------------------------------------------------
+
+
+def _ellipsoid(par: Parametrization, norm):
+    """The norm bound Σ w_i·x_i² ≤ R over x = origin + Σ t_j·basis[j]:
+    Q(t) = tᵀGt + 2hᵀt + c0 ≤ R, with G positive definite.
+
+    One fraction-free Gauss–Jordan elimination of [G | I | h] (Bareiss)
+    has the leading principal minors D[j + 1] of G as its pivots, takes
+    the forward row U[j] = (D[j + 1], ...) over t_j, ..., t_{d-1} and the
+    constant as row j becomes the pivot row, and ends at
+    [Δ·I | adj G | adj G·h] with Δ = det G.  Then
+
+        Q(t) = Σ_j L_j(t)² / (D[j]·D[j + 1]) + c0 − hᵀ·adj G·h / Δ,
+        L_j(t) = U[j] · (t_j, ..., t_{d-1}, 1),
+
+    and with N = Δ·(R − c0) + hᵀ·adj G·h, Δ times the slack at the centre
+    −adj G·h / Δ, every t_j lies within √(N·(adj G)_jj) / Δ of the centre.
+
+    Returns (intervals, D, U, N), the intervals being that box, or None when
+    the ellipsoid holds no integer point.
+    """
+    d = len(par.basis)
+    weighted = [i for i, w in enumerate(norm[0]) if w]
+    weights = [norm[0][i] for i in weighted]
+    origin = [par.origin[i] for i in weighted]
+    cols = [[b[i] for i in weighted] for b in par.basis]
+    wcols = [list(map(_mul, weights, col)) for col in cols]
+    rows = []
+    for a in range(d):
+        row = [rows[b][a] for b in range(a)]
+        row += [sum(map(_mul, wcols[a], cols[b])) for b in range(a, d)]
+        row += [0] * d + [sum(map(_mul, wcols[a], origin))]
+        row[d + a] = 1
+        rows.append(row)
+    h = [row[-1] for row in rows]
+    c0 = sum(map(_mul, weights, map(_mul, origin, origin)))
+
+    D, U = [1], []
+    for k in range(d):
+        prow = rows[k]
+        p = prow[k]
+        assert p > 0, "the norm must be positive definite on the lattice"
+        U.append(prow[k:d] + prow[-1:])
+        for i in range(d):
+            if i != k:
+                rows[i] = _bareiss_row(rows[i], prow, p, D[-1], k)
+        D.append(p)
+
+    delta = D[-1]
+    adj_h = [row[-1] for row in rows]
+    n = delta * (norm[1] - c0) + sum(map(_mul, h, adj_h))
+    if n < 0:
+        return None
+    intervals = []
+    for j, row in enumerate(rows):
+        s = isqrt(n * row[d + j])
+        lo, hi = _ceil_div(-adj_h[j] - s, delta), (s - adj_h[j]) // delta
+        if lo > hi:
+            return None
+        intervals.append((lo, hi))
+    return intervals, D, U, n
+
+
 # -- redundancy elimination --------------------------------------------------
 
 
@@ -481,44 +566,31 @@ class _Budget(Exception):
 
 
 def _interval_propagate(rows, intervals):
-    """Shrink integer intervals using each row; None on conflict."""
-    d = len(intervals)
+    """Shrink integer intervals using each row; None on conflict.
+
+    `rows` holds (nonzero (j, c) pairs, positive parts, negative parts, r)
+    for each row c·t >= r.  Over the box the row's slack s = max c·t - r
+    must be >= 0, and then t_j keeps only the values within s // |c_j| of
+    the end of its interval at which c_j·t_j is largest."""
+    lo = [a for a, _ in intervals]
+    hi = [b for _, b in intervals]
     for _ in range(40):
         changed = False
-        for coeffs, r in rows:
-            total_max = 0
-            for j in range(d):
-                c = coeffs[j]
-                if c > 0:
-                    total_max += c * intervals[j][1]
-                elif c < 0:
-                    total_max += c * intervals[j][0]
-            if total_max < r:
+        for nonzero, pos, neg, r in rows:
+            s = sum(map(_mul, pos, hi)) + sum(map(_mul, neg, lo)) - r
+            if s < 0:
                 return None
-            for j in range(d):
-                c = coeffs[j]
-                if not c:
-                    continue
-                lo, hi = intervals[j]
-                part = total_max - (c * hi if c > 0 else c * lo)
-                bound = r - part
+            for j, c in nonzero:
                 if c > 0:
-                    nlo = _ceil_div(bound, c)
-                    if nlo > lo:
-                        if nlo > hi:
-                            return None
-                        intervals[j] = (nlo, hi)
+                    if c * (hi[j] - lo[j]) > s:
+                        lo[j] = hi[j] - s // c
                         changed = True
-                else:
-                    nhi = bound // c
-                    if nhi < hi:
-                        if nhi < lo:
-                            return None
-                        intervals[j] = (lo, nhi)
-                        changed = True
+                elif c * (lo[j] - hi[j]) > s:
+                    hi[j] = lo[j] + s // -c
+                    changed = True
         if not changed:
-            return intervals
-    return intervals
+            break
+    return list(zip(lo, hi))
 
 
 def _scale_ray(ray):
@@ -534,8 +606,9 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
 
     Finite(solutions) with a duplicate-free, lexicographically sorted tuple;
     Infinite(ray) when the relaxation is unbounded along an integer lattice
-    direction; Aborted(nodes) when the node budget runs out.  Every returned
-    solution is re-substituted into the original rows before being reported.
+    direction, which needs a system without a norm bound; Aborted(nodes)
+    when the node budget runs out.  Every returned solution is
+    re-substituted into the original system before being reported.
     """
     par = diophantine_eliminate(sys)
     if par is None:
@@ -554,17 +627,33 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
             return Finite((sol,))
         return Finite(())
 
-    intervals = lp_bounds(rows, d)
-    if intervals is None:
-        return Finite(())
-    if isinstance(intervals, Unbounded):
-        ray_t = intervals.ray
-        ray_x = tuple(
-            sum(ray_t[j2] * par.basis[j2][i] for j2 in range(d))
-            for i in range(len(sys.variables))
-        )
-        return Infinite(_scale_ray(ray_x))
+    if sys.norm is None:
+        intervals = lp_bounds(rows, d)
+        if intervals is None:
+            return Finite(())
+        if isinstance(intervals, Unbounded):
+            ray_t = intervals.ray
+            ray_x = tuple(
+                sum(ray_t[j2] * par.basis[j2][i] for j2 in range(d))
+                for i in range(len(sys.variables))
+            )
+            return Infinite(_scale_ray(ray_x))
+        slack = None
+    else:
+        bounded = _ellipsoid(par, sys.norm)
+        if bounded is None:
+            return Finite(())
+        intervals, D, U, slack = bounded
 
+    prepared = [
+        (
+            [(j, c) for j, c in enumerate(coeffs) if c],
+            [max(c, 0) for c in coeffs],
+            [min(c, 0) for c in coeffs],
+            r,
+        )
+        for coeffs, r in rows
+    ]
     solutions = []
     nodes = 0
 
@@ -577,29 +666,46 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
         assert sys.check_solution(x), "enumerated point must satisfy the system"
         solutions.append(x)
 
-    def dfs(fixed, intervals):
+    def dfs(fixed, intervals, slack):
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise _Budget
-        intervals = _interval_propagate(rows, intervals)
+        intervals = _interval_propagate(prepared, intervals)
         if intervals is None:
             return
         free = [j for j in range(d) if fixed[j] is None]
         if not free:
             leaf(fixed)
             return
-        j = min(free, key=lambda j2: (intervals[j2][1] - intervals[j2][0], j2))
-        lo, hi = intervals[j]
+        if slack is None:
+            j = min(free, key=lambda j2: (intervals[j2][1] - intervals[j2][0], j2))
+            lo, hi = intervals[j]
+        else:
+            # the last free parameter, in LDL order: slack is
+            # D[j + 1]·(R − min Q over the free t_0, ..., t_j), so the
+            # bound leaves L_j(t)² ≤ D[j]·slack
+            j = free[-1]
+            u = U[j]
+            p = u[0]
+            c = u[-1] + sum(map(_mul, u[1:-1], fixed[j + 1:]))
+            m = isqrt(D[j] * slack)
+            lo = max(intervals[j][0], _ceil_div(-m - c, p))
+            hi = min(intervals[j][1], (m - c) // p)
         for val in range(lo, hi + 1):
             nfixed = fixed[:]
             nfixed[j] = val
             nintervals = intervals[:]
             nintervals[j] = (val, val)
-            dfs(nfixed, nintervals)
+            nslack = None
+            if slack is not None:
+                lval = p * val + c
+                nslack, rem = divmod(D[j] * slack - lval * lval, p)
+                assert not rem, "the LDL slack must stay integral"
+            dfs(nfixed, nintervals, nslack)
 
     try:
-        dfs([None] * d, intervals)
+        dfs([None] * d, intervals, slack)
     except _Budget:
         return Aborted(nodes - 1)
 

@@ -1,9 +1,10 @@
 import copy
 import json
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from helpzc.arith import prime_factors
 from helpzc.chartables import (
     BundleError,
     bundle_to_json,
@@ -274,6 +275,7 @@ def test_extra_rows_need_a_complete_table():
     data = bundle_to_json(cyclic_table(3))
     chi = cyclic_table(3).ordinary.characters
     data["ordinary"]["characters"] = data["ordinary"]["characters"][:2]
+    del data["flags"]  # an incomplete table cannot vouch for solvability
     assert load_bundle(data).ordinary.characters == chi[:2]
     data["ordinary"]["extra_characters"] = [
         [cyc_to_json(2 * a - b) for a, b in zip(chi[0], chi[2])]
@@ -400,6 +402,100 @@ def test_reject_nilpotent_flag_contradictions():
         load_bundle(data)
     del data["flags"]["is_solvable"]
     assert load_bundle(data).is_nilpotent is True
+
+
+def direct_product_json(a, n):
+    """The bundle of A x C_n, without flags, from A's bundle: classes,
+    power maps and characters are the products of those of A and C_n."""
+    t = a.ordinary
+    pairs = [(i, j) for i in range(len(t.classes)) for j in range(n)]
+    at = {pair: k for k, pair in enumerate(pairs)}
+    order = t.group_order * n
+
+    def power(i, p):
+        # x^p = x^(p mod o(x)), which needs only the power maps of A
+        return t.class_of_power(i, p % t.classes[i].element_order)
+
+    return {
+        "group": f"{t.group_name}xC{n}",
+        "order": order,
+        "ordinary": {
+            "classes": [
+                {
+                    "name": f"{t.classes[i].name}_g{j}",
+                    "order": lcm(t.classes[i].element_order, n // gcd(n, j)),
+                    "size": t.classes[i].size,
+                }
+                for i, j in pairs
+            ],
+            "power_maps": {
+                str(p): [at[power(i, p), j * p % n] for i, j in pairs]
+                for p in prime_factors(order)
+            },
+            "characters": [
+                [cyc_to_json(chi[i] * root_of_unity(n, k * j)) for i, j in pairs]
+                for chi in t.characters
+                for k in range(n)
+            ],
+        },
+    }
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_solvability_flags_are_derived_from_the_chief_factors(name):
+    # A5 and M11 are simple; S3 has chief factors of orders 3 and 2, S4 and
+    # SL(2,3) of orders 4, 3 and 2
+    data = json.loads(resolve_bundle_path(name).read_text())
+    declared = load_bundle(data)
+    del data["flags"]
+    derived = load_bundle(data)
+    solvable = name not in ("a5.json", "m11.json")
+    assert derived.is_solvable is declared.is_solvable is solvable
+    want = frozenset({2, 3}) if solvable else frozenset()
+    assert derived.p_solvable_for == declared.p_solvable_for == want
+
+
+def test_p_solvable_for_a_non_solvable_group():
+    # A5 x C7: its chief factors are A5 and C7, so it is 7-solvable only
+    bundle = load_bundle(direct_product_json(load_named("a5.json"), 7))
+    assert bundle.is_solvable is False
+    assert bundle.p_solvable_for == frozenset({7})
+    # S3 x C5 is solvable, hence p-solvable for every prime
+    bundle = load_bundle(direct_product_json(load_named("s3.json"), 5))
+    assert bundle.is_solvable is True
+    assert bundle.p_solvable_for == frozenset({2, 3, 5})
+
+
+def test_reject_solvability_flags_the_chief_factors_deny():
+    data = m11_raw()
+    data["flags"]["is_solvable"] = True
+    with pytest.raises(BundleError, match="is_solvable is True, but the chief factors"):
+        load_bundle(data)
+    data = json.loads(resolve_bundle_path("s4.json").read_text())
+    data["flags"]["is_solvable"] = False
+    with pytest.raises(BundleError, match="is_solvable is False, but the chief factors"):
+        load_bundle(data)
+    data["flags"].update(is_solvable=True, p_solvable_for=[2])
+    with pytest.raises(BundleError, match=r"p_solvable_for is \[2\], but the chief"):
+        load_bundle(data)
+    data["flags"]["p_solvable_for"] = []
+    with pytest.raises(BundleError, match="p_solvable_for is"):
+        load_bundle(data)
+
+
+def test_incomplete_table_may_not_declare_solvability():
+    data = bundle_to_json(cyclic_table(6))
+    data["ordinary"]["characters"] = data["ordinary"]["characters"][:2]
+    for flags in ({"is_solvable": True}, {"p_solvable_for": [3]}):
+        data["flags"] = flags
+        with pytest.raises(BundleError, match="need a complete table"):
+            load_bundle(data)
+    data["flags"] = {"is_solvable": False}
+    bundle = load_bundle(data)
+    assert bundle.is_solvable is False and bundle.p_solvable_for == frozenset()
+    del data["flags"]
+    bundle = load_bundle(data)
+    assert bundle.is_solvable is None and bundle.p_solvable_for == frozenset()
 
 
 def test_error_names_the_table():

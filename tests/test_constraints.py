@@ -45,7 +45,7 @@ from helpzc.constraints import (
     usable_tables,
 )
 from helpzc.cyclotomics import Cyc, cyc_to_json, rational, root_of_unity
-from helpzc.intsolve import Finite, Infinite, solve_all
+from helpzc.intsolve import Finite, Infinite, LinSystem, solve_all
 from helpzc.verify import SolverOptions, check_zc, trivial_solutions
 
 
@@ -443,10 +443,11 @@ def test_p_constant_system_a5_order_fifteen():
 
 
 def test_p_constant_relaxation_preserves_feasibility():
-    # Groups with genuine order-6 units: the aggregated system may keep too
-    # few rows to be bounded, but it must never come back infeasible.  Both
-    # these cases are Infinite: the surviving p-constant rows cannot separate
-    # the order-6 classes (or, for C6, g1 from g3).
+    # Groups with genuine order-6 units: the aggregated system must never
+    # come back infeasible.  The surviving p-constant rows cannot separate
+    # the order-6 classes (or, for C6, g1 from g3), so without its norm
+    # bound the relaxation is Infinite; with it (identity 5 of the
+    # constraints module) it is finite and keeps each genuine unit.
     cases = [
         (cyclic_table(6), 3, {3: 1}),
         (bundle("sl23"), 3, None),
@@ -458,6 +459,19 @@ def test_p_constant_relaxation_preserves_feasibility():
         proper = PATuple(6, ((2, pa_vector(t, 2, level2)),))
         sys = build_system_p_constant(b, 6, p, proper)
         result = solve_all(sys)
+        assert isinstance(result, Finite)
+        found = [
+            {x for x, v in eps_projection(sys, sol).items() if v}
+            for sol in result.solutions
+        ]
+        genuine = [
+            x
+            for x in t.classes_of_order_dividing(6)
+            if t.classes[x].element_order == 6 and t.class_of_power(x, 3) in level2
+        ]
+        assert genuine and all({x} in found for x in genuine)
+
+        result = solve_all(LinSystem(sys.variables, sys.equalities, sys.nonneg))
         assert isinstance(result, Infinite)
         for coeffs, _ in sys.equalities:
             assert sum(c * r for c, r in zip(coeffs, result.ray)) == 0

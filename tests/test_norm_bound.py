@@ -1,0 +1,199 @@
+"""The norm bound of complete tables (identity 5 of the constraints module)
+and its exact enumeration, against the LP-bounded search as oracle."""
+
+import random
+from math import isqrt
+
+import pytest
+
+from helpers import box_solutions, random_system
+from helpzc import intsolve, verify
+from helpzc.arith import prime_factors
+from helpzc.chartables import cyclic_table, load_bundle, resolve_bundle_path
+from helpzc.constraints import (
+    AggVar,
+    ConstraintError,
+    EpsVar,
+    build_system,
+    build_system_p_constant,
+    eps_projection,
+    mu_values,
+)
+from helpzc.intsolve import Finite, Infinite, LinSystem, solve_all
+from helpzc.verify import SolverOptions, check_pq, check_zc
+
+BUNDLES = ["s3", "s4", "a5", "sl23", "m11"]
+
+
+def bundle_of(name):
+    if name.startswith("cyclic:"):
+        return cyclic_table(int(name.split(":")[1]))
+    return load_bundle(resolve_bundle_path(name))
+
+
+def built_systems(monkeypatch, bundle, checker, options):
+    """Every system, full or p-constant, that the checker builds."""
+    systems = []
+    for name in ("build_system", "build_system_p_constant"):
+        real = getattr(verify, name)
+
+        def recording(*args, real=real):
+            system = real(*args)
+            systems.append(system)
+            return system
+
+        monkeypatch.setattr(verify, name, recording)
+    checker(bundle, options)
+    monkeypatch.undo()
+    return systems
+
+
+def without_norm(system):
+    return LinSystem(system.variables, system.equalities, system.nonneg)
+
+
+# SL(2,3) has elements of order 6, so its pq builds no system
+CASES = [(name, "zc") for name in BUNDLES]
+CASES += [(name, "pq") for name in BUNDLES if name != "sl23"]
+CASES += [(f"cyclic:{n}", "zc") for n in range(2, 19)]
+
+
+@pytest.mark.parametrize("p_constant", [False, True], ids=["full", "p-constant"])
+@pytest.mark.parametrize("name, checker", CASES)
+def test_norm_search_matches_the_lp_search(monkeypatch, name, checker, p_constant):
+    # the bound removes no solution of a full system, and from a
+    # relaxation exactly the solutions outside it
+    bundle = bundle_of(name)
+    options = SolverOptions(shortcuts=False, p_constant=p_constant)
+    check = check_zc if checker == "zc" else check_pq
+    systems = built_systems(monkeypatch, bundle, check, options)
+    assert systems
+    for system in systems:
+        assert system.norm is not None
+        got = solve_all(system)
+        assert isinstance(got, Finite)
+        want = solve_all(without_norm(system))
+        if any(isinstance(v, AggVar) for v in system.variables):
+            if isinstance(want, Finite):
+                kept = tuple(x for x in want.solutions if system.check_solution(x))
+                assert got.solutions == kept
+            else:
+                assert isinstance(want, Infinite)
+            continue
+        assert got == want
+        if name.startswith("cyclic:"):
+            # Higman: on an abelian group eps is a unit vector
+            lead = [i for i, v in enumerate(system.variables) if isinstance(v, EpsVar)]
+            for x in got.solutions:
+                assert sorted(x[i] for i in lead) == [0] * (len(lead) - 1) + [1]
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+# the groups with a full solution of order p*q under zc --no-shortcuts
+@pytest.mark.parametrize("name", ["sl23", "m11", "cyclic:6", "cyclic:10", "cyclic:15"])
+def test_p_constant_relaxation_keeps_every_full_solution(monkeypatch, name):
+    # identities 4 and 5: each full solution of order p*q, its order-p eps
+    # summed, satisfies the relaxation's rows and its Cauchy-Schwarz norm
+    bundle = bundle_of(name)
+    calls = count_calls(monkeypatch, verify, "build_system")
+    check_zc(bundle, SolverOptions(shortcuts=False))
+    checked = 0
+    for b, k, proper, tables in calls:
+        full = build_system(b, k, proper, tables)
+        for p in prime_factors(k):
+            try:
+                relaxed = build_system_p_constant(b, k, p, proper, tables)
+            except ConstraintError:
+                continue
+            for x in solve_all(full).solutions:
+                eps = eps_projection(full, x)
+                mus = mu_values(full, x)
+                point = [
+                    sum(
+                        v
+                        for c, v in eps.items()
+                        if b.ordinary.classes[c].element_order == p
+                    )
+                    if isinstance(var, AggVar)
+                    else eps[var.class_index]
+                    if isinstance(var, EpsVar)
+                    else mus[var.owners[0]]
+                    for var in relaxed.variables
+                ]
+                assert relaxed.check_solution(point)
+                checked += 1
+    assert checked
+
+
+def test_norm_search_matches_box_on_random_systems(monkeypatch):
+    # every division of the Gauss-Jordan elimination must be exact
+    real = intsolve._bareiss_row
+
+    def exact(row, prow, p, D, e):
+        f = row[e]
+        assert all((v * p - f * w) % D == 0 for v, w in zip(row, prow))
+        return real(row, prow, p, D, e)
+
+    monkeypatch.setattr(intsolve, "_bareiss_row", exact)
+    rng = random.Random(41)
+    found = cut = 0
+    for _ in range(1000):
+        s = random_system(rng, max_vars=4, cmax=5)
+        weights = tuple(rng.randint(1, 6) for _ in s.variables)
+        radius = rng.randint(0, 12)
+        bounded = LinSystem(s.variables, s.equalities, s.nonneg, (weights, radius))
+        got = solve_all(bounded)
+        # w_i·x_i² <= R puts every coordinate within sqrt(R / min w)
+        assert got == Finite(box_solutions(bounded, isqrt(radius // min(weights))))
+        want = solve_all(s)
+        if isinstance(want, Finite):
+            kept = tuple(x for x in want.solutions if bounded.check_solution(x))
+            assert got.solutions == kept
+            cut += len(kept) < len(want.solutions)
+        found += bool(got.solutions)
+    assert found >= 120 and cut >= 30, (found, cut)
+
+
+def test_norm_search_is_exact_far_from_the_origin():
+    # x = K·y with |x| <= 3K - 1: y in [-2, 2], on a lattice whose
+    # coordinates overflow a float's 53-bit mantissa
+    k = 10**25 + 1
+    for radius, count in ((9 * k * k - 1, 5), (9 * k * k, 7)):
+        s = LinSystem(("x", "y"), (((1, -k), 0),), frozenset(), ((1, 0), radius))
+        ys = [y for _, y in solve_all(s).solutions]
+        assert ys == list(range(-(count // 2), count // 2 + 1))
+
+
+def test_norm_must_bound_the_lattice():
+    # y has weight 0 and is free: no ellipsoid, and no silent fallback
+    s = LinSystem(("x", "y"), (((1, 0), 0),), frozenset(), ((1, 0), 4))
+    with pytest.raises(AssertionError, match="positive definite"):
+        solve_all(s)
+
+
+@pytest.mark.parametrize(
+    "bundle, checker, options",
+    [
+        ("m11", check_zc, SolverOptions()),
+        ("m11", check_pq, SolverOptions(p_constant=True)),
+        ("cyclic:18", check_zc, SolverOptions(shortcuts=False)),
+    ],
+    ids=["zc m11", "pq --p-constant m11", "zc --no-shortcuts cyclic:18"],
+)
+def test_complete_tables_never_reach_the_lp(monkeypatch, bundle, checker, options):
+    bundle = bundle_of(bundle)
+    lps = count_calls(monkeypatch, intsolve, "simplex_opt")
+    solves = count_calls(monkeypatch, verify, "solve_all")
+    assert not checker(bundle, options).store.obstructions
+    assert solves and not lps

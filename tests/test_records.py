@@ -60,7 +60,7 @@ def fields_of(cls):
         EpsVar: (3, "4a"),
         AggVar: (5,),
         MuVar: ((("ord1", 0), ("ord2", 3)),),
-        LinSystem: (("x", "y"), (((1, 1), 1),), frozenset({0, 1})),
+        LinSystem: (("x", "y"), (((1, 1), 1),), frozenset({0, 1}), ((1, 1), 1)),
         Finite: (((1, 0), (0, 1)),),
         Infinite: ((1, -1),),
         Aborted: (7,),
@@ -179,9 +179,14 @@ def test_defaults_and_keywords():
         (lambda: PAVector(2, ((1, 2),)), ConstraintError),  # sums to 2
         (lambda: PATuple(6, ((4, PAVector(4, ((1, 1),))),)), ConstraintError),
         (lambda: LinSystem(("x", "y"), (((1,), 0),), frozenset()), ValueError),
+        (lambda: LinSystem(("x", "y"), (), frozenset(), ((1,), 1)), ValueError),
+        (lambda: LinSystem(("x", "y"), (), frozenset(), ((1, -1), 1)), ValueError),
         (lambda: SolverOptions(max_nodes=-1), DriverError),
     ],
-    ids=["pa-vector-sum", "pa-tuple-level", "lin-system-arity", "negative-budget"],
+    ids=[
+        "pa-vector-sum", "pa-tuple-level", "lin-system-arity",
+        "lin-system-norm-arity", "lin-system-negative-weight", "negative-budget",
+    ],
 )
 def test_constructors_still_validate(build, error):
     with pytest.raises(error):

@@ -3,7 +3,7 @@
 import pytest
 
 from helpers import asymmetric_row, cyclic_with_row, full_solve_candidates
-from helpzc import verify
+from helpzc import intsolve, verify
 from helpzc.arith import divisors
 from helpzc.chartables import (
     CharacterTable,
@@ -343,16 +343,26 @@ def test_pq_and_audit_retry_budget_markers(bundles):
     assert REASON_BUDGET not in store.obstructions.values()
 
 
-def test_infinite_obstruction_propagates():
+def test_infinite_obstruction_propagates(monkeypatch):
     # with only two of the six characters the order-3 system is
-    # underdetermined, and orders above 3 inherit the obstruction
+    # underdetermined, and orders above 3 inherit the obstruction; an
+    # incomplete table carries no norm bound, so the LP bounds its systems
     t = cyclic_table(6).ordinary
     weak = CharacterTable(
         "C6", 6, t.classes, t.power_maps, (t.characters[0], t.characters[3])
     )
+    lps = []
+    real = intsolve.simplex_opt
+
+    def counting(*args, **kwargs):
+        lps.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(intsolve, "simplex_opt", counting)
     v = check_zc(TableBundle("C6", weak))
     assert not v.proved
     assert v.obstructions == ((3, REASON_INFINITE), (6, REASON_INFINITE))
+    assert lps
 
 
 def test_determinism(bundles, m11_pq):
