@@ -317,12 +317,18 @@ def _check_brauer(table: CharacterTable, ordinary: CharacterTable) -> None:
         raise BundleError(
             f"{g}: classes must be exactly the {p}-regular ordinary classes"
         )
-    if not table.characters:
-        raise BundleError(f"{g}: table has no characters")
+    # Brauer: as many irreducible Brauer characters as p-regular classes
+    if len(table.characters) != len(table.classes):
+        raise BundleError(
+            f"{g}: {len(table.characters)} rows for {len(table.classes)}"
+            f" {p}-regular classes, which need one irreducible each"
+        )
     for row in table.characters:
         if len(row) != len(table.classes):
             raise BundleError(f"{g}: character row has wrong arity")
         table.degree(row)
+    if len(set(table.characters)) != len(table.characters):
+        raise BundleError(f"{g}: a character row is repeated")
     _check_integral(g, table, table.characters, "character")
 
 

@@ -7,15 +7,19 @@ D(u) is
     mu_l(u, psi) = (1/k) * sum_{d | k} Tr_{Q(zeta_{k/d})/Q}( psi(u^d) * zeta_{k/d}^{-l} )
 
 and must be a nonnegative integer.  Writing psi(u) = sum_x eps_x(u) psi(x)
-over the classes x of order dividing k turns each (psi, l) pair into one
-integer equality
+over the classes x of order dividing k turns each (psi, l) pair into the
+congruence row
 
-    sum_x Tr(psi(x) zeta_k^{-l}) * eps_x  -  k * mu_{psi,l}  =  -a(psi, l)
+    sum_x C[psi][l][x] * eps_x + a(psi, l)  ≡  0 (mod k),  and  >= 0,
 
-where a collects the d > 1 terms, known once the partial augmentations of
-all proper powers of u are fixed.  This module builds those systems and
-their relaxation to the p-constant characters (identity 4), each with the
-norm bound of identity 5 when the ordinary table is complete.
+with C[psi][l][x] = Tr(psi(x) zeta_k^{-l}) and a collecting the d > 1
+terms, known once the partial augmentations of all proper powers of u are
+fixed: mu_{psi,l} is the quotient, so the eps alone are the unknowns.  The
+coefficients C depend only on k and the tables, so every combination of
+proper powers shares one lattice (see the intsolve module).  This module
+builds those systems, one row per distinct coefficient tuple, and their
+relaxation to the p-constant characters (identity 4), each with the norm
+bound of identity 5 when the ordinary table is complete.
 
 Assembly is integer-only; identities 1 and 2 make that exact.
 
@@ -49,7 +53,8 @@ Assembly is integer-only; identities 1 and 2 make that exact.
    (psi, l) of the system of the twisted proper levels, eps' and constant
    terms alike, gives the row (psi, l j^-1) of the original system.  So the
    twisted system is the original with its eps variables permuted by pi_j
-   and its mu_{psi,l} renamed mu_{psi,l j^-1}: twisting is a bijection
+   and its multiplicity mu_{psi,l} renamed mu_{psi,l j^-1}, its congruence
+   rows merely reordered: twisting is a bijection
    between the two solution sets, and feasibility, unboundedness and the
    p-constant relaxation (which permutes order-p classes among themselves
    and reads its witness only through p-constant rows) are shared.
@@ -82,13 +87,14 @@ Assembly is integer-only; identities 1 and 2 make that exact.
        sum_x eps_x^2 / |x^G| <= 1.
 
    The bound thus removes no integer solution, and it bounds the system,
-   because the eps fix the mu (k mu = C eps + a).  In the relaxation of
-   identity 4, Cauchy-Schwarz gives agg_p^2 <= S_p sum_{o(x) = p}
-   eps_x^2 / |x^G|, S_p the total size of the order-p classes, so every
-   full solution also has sum_{o(x) != p} eps_x^2 / |x^G| + agg_p^2 / S_p
-   <= 1, and the relaxation with this bound is still one.  Each system over
-   a complete table carries its bound scaled by L, the lcm of the sizes
-   (S_p for agg_p) of its lead variables: weights L / |x^G| and radius L.
+   whose only unknowns are the eps: the eps fix the mu (k mu = C eps + a).
+   In the relaxation of identity 4, Cauchy-Schwarz gives agg_p^2 <= S_p
+   sum_{o(x) = p} eps_x^2 / |x^G|, S_p the total size of the order-p
+   classes, so every full solution also has sum_{o(x) != p} eps_x^2 / |x^G|
+   + agg_p^2 / S_p <= 1, and the relaxation with this bound is still one.
+   Each system over a complete table carries its bound scaled by L, the lcm
+   of the sizes (S_p for agg_p) of its lead variables: weights L / |x^G|
+   and radius L.
    On an abelian group every class has size 1, so eps is a unit vector
    (Higman's theorem).
 
@@ -442,17 +448,18 @@ class AggVar(Record):
 
 
 class MuVar(Record):
-    """One eigenvalue-multiplicity variable; rows made identical by Galois
-    symmetry share a variable, `owners` lists every (row label, l) it stands
-    for."""
+    """The multiplicities of one congruence row C·x + a: `owners` lists each
+    ((row label, l), j) whose row (psi, l) has the coefficients C and the
+    constant term a(psi, l) = a + j·k, so its multiplicity is that of the
+    row plus j."""
 
     __slots__ = ("owners",)
 
-    def __init__(self, owners: tuple[tuple[str, int], ...]):
+    def __init__(self, owners: tuple[tuple[tuple[str, int], int], ...]):
         set_field(self, "owners", owners)
 
     def __str__(self):
-        label, ell = self.owners[0]
+        label, ell = self.owners[0][0]
         extra = f"+{len(self.owners) - 1}" if len(self.owners) > 1 else ""
         return f"mu:{label}:{ell}{extra}"
 
@@ -476,8 +483,8 @@ def build_system(
     bundle: TableBundle, k: int, proper: PATuple, tables=None
 ) -> LinSystem:
     """HeLP system for units of order k, given partial augmentations of all
-    proper powers.  Variables: one EpsVar per class of order dividing k,
-    then one MuVar per distinct constraint row; duplicates merged."""
+    proper powers: one EpsVar per class of order dividing k, and one
+    congruence row per distinct coefficient tuple."""
     if k < 2:
         raise ConstraintError("unit order must be at least 2")
     ordinary = bundle.ordinary
@@ -492,27 +499,30 @@ def build_system(
 
 
 def _assemble(ordinary, tables, k, rows, levels, coefficients, lead) -> LinSystem:
-    """The system over `lead` (summing to 1) and one MuVar per distinct
-    (coefficients, constant term) of the rows (psi, l): `rows` holds (r, psi)
-    pairs, r indexing char_rows(tables), `coefficients` each row's per-l
-    tuples over `lead`, and `levels` the proper powers for _constant_terms.
-    Over a complete ordinary table it carries the norm bound of identity 5
-    of the module docstring."""
+    """The system over `lead` (summing to 1) with the congruence rows
+    C·x + a ≡ 0 (mod k), C·x + a >= 0 of the rows (psi, l): `rows` holds
+    (r, psi) pairs, r indexing char_rows(tables), `coefficients` each row's
+    per-l tuples over `lead`, and `levels` the proper powers for
+    _constant_terms.  Rows with equal C are one row, of the least a: their
+    constants must agree mod k, and if two do not, the system is their
+    difference 0·x + (a' - a) ≡ 0, which nothing solves.  Over a complete
+    ordinary table it carries the norm bound of identity 5 of the module
+    docstring."""
     a_terms = _constant_terms(ordinary, tables, k, levels, rows)
     merged: dict[tuple, list] = {}
     for (_, row), coeffs, a_row in zip(rows, coefficients, a_terms):
         for ell in range(k):
-            merged.setdefault((coeffs[ell], a_row[ell]), []).append((row.label, ell))
+            merged.setdefault(coeffs[ell], []).append(((row.label, ell), a_row[ell]))
 
-    mu_vars = [MuVar(tuple(owners)) for owners in merged.values()]
-    variables = tuple(lead) + tuple(mu_vars)
-    n = len(variables)
-    n_lead = len(lead)
-    equalities = [(tuple([1] * n_lead + [0] * (n - n_lead)), 1)]
-    for mu_pos, (coeffs, a) in enumerate(merged):
-        row = list(coeffs) + [0] * (n - n_lead)
-        row[n_lead + mu_pos] = -k
-        equalities.append((tuple(row), -a))
+    congruences = []
+    for coeffs, owners in merged.items():
+        a = min(b for _, b in owners)
+        mu = MuVar(tuple([(key, (b - a) // k) for key, b in owners]))
+        clash = next((b for _, b in owners if (b - a) % k), None)
+        if clash is not None:
+            congruences = [((0,) * len(lead), clash - a, mu)]
+            break
+        congruences.append((coeffs, a, mu))
 
     norm = None
     if len(ordinary.characters) == len(ordinary.classes):
@@ -523,10 +533,9 @@ def _assemble(ordinary, tables, k, rows, levels, coefficients, lead) -> LinSyste
             for v in lead
         ]
         scale = lcm(*sizes)
-        norm = (tuple(scale // size for size in sizes) + (0,) * len(mu_vars), scale)
-    return LinSystem(
-        variables, tuple(equalities), frozenset(range(n_lead, n)), norm
-    )
+        norm = (tuple(scale // size for size in sizes), scale)
+    equality = ((1,) * len(lead), 1)
+    return LinSystem(tuple(lead), (equality,), frozenset(), norm, k, tuple(congruences))
 
 
 def is_p_constant(row: CharRow, table: CharacterTable, p: int) -> bool:
@@ -593,12 +602,24 @@ def eps_projection(sys: LinSystem, solution) -> dict[int, int]:
 
 
 def mu_values(sys: LinSystem, solution) -> dict[tuple[str, int], int]:
-    """(row label, l) -> multiplicity, expanding shared variables."""
+    """(row label, l) -> multiplicity, recomputed from the solution's eps:
+    each congruence row's (C·eps + a) / k must be a nonnegative integer,
+    so anything else means a bug, and each of its owners adds its j."""
+    rows = sys.congruences
+    values = [a for _, a, _ in rows]
+    for i, v in enumerate(solution):
+        if v:
+            values = [value + row[0][i] * v for value, row in zip(values, rows)]
     out = {}
-    for var, val in zip(sys.variables, solution):
-        if isinstance(var, MuVar):
-            for owner in var.owners:
-                out[owner] = val
+    for value, (_, _, mu) in zip(values, rows):
+        count, rem = divmod(value, sys.modulus)
+        if rem or count < 0:
+            raise AssertionError(
+                f"multiplicity {value} / {sys.modulus} of {mu} is no"
+                " nonnegative integer"
+            )
+        for key, j in mu.owners:
+            out[key] = count + j
     return out
 
 
@@ -611,8 +632,9 @@ def mu_sums(sys: LinSystem, solution) -> dict[str, int]:
 
 
 def assert_mu_sums(sys: LinSystem, solution, rows) -> None:
-    """The multiplicities of each row must sum to its degree; the identity
-    is linearly implied by the system, so a violation means a bug."""
+    """The multiplicities of each row must be nonnegative integers summing
+    to its degree; both are implied by the system, so a violation means a
+    bug."""
     sums = mu_sums(sys, solution)
     for row in rows:
         if row.label in sums and sums[row.label] != row.degree:

@@ -1,14 +1,21 @@
 """Exact enumeration of integer solutions of linear constraint systems.
 
-A LinSystem is a list of integer equality rows over declared variables, some
-of which are flagged nonnegative, and optionally a norm bound
+A LinSystem holds integer equality rows over declared variables, some of
+which are flagged nonnegative, congruence rows c·x + a ≡ 0 (mod k) that
+also require c·x + a >= 0, and optionally a norm bound
 sum_i w_i * x_i^2 <= R with integer weights w_i >= 0.  The pipeline:
 
-  1. eliminate the equalities over Z (column reduction to a Hermite-style
-     form with a unimodular transform), writing every integer solution as
-     origin + integer combination of lattice basis vectors;
-  2. push the nonnegativity constraints through that parametrization,
-     giving an inequality system over the free integer parameters;
+  1. eliminate the equalities and congruences over Z: a column reduction
+     to a Hermite-style form with a unimodular transform, each congruence
+     row taking a private slack column -k that is never stored, writes
+     every integer solution as origin + integer combination of lattice
+     basis vectors.  The reduction reads only the coefficients, so it is
+     made, with the inequality rows over the parameters and the norm's
+     Gram matrix, once per coefficient matrix (once per unit order for the
+     HeLP systems); each system adds its origin and right sides;
+  2. push the nonnegativity constraints and each congruence row's
+     c·x + a >= 0 through that parametrization, giving an inequality
+     system over the free integer parameters;
   3. bound the parameters.  A system with a norm bound (every HeLP system
      over a complete character table, see the constraints module) is
      bounded by its ellipsoid Q(t) <= R, which must be positive definite
@@ -38,38 +45,40 @@ DEFAULT_MAX_NODES = 10_000_000
 
 
 class LinSystem(Record):
-    """Integer equalities Σ c·x = rhs plus x_i ≥ 0 for i in nonneg, and
-    Σ w_i·x_i² ≤ R when norm = (w, R) is given."""
+    """Integer equalities Σ c·x = rhs, x_i ≥ 0 for i in nonneg, and for each
+    congruence row (c, a, name) both c·x + a ≡ 0 (mod modulus) and
+    c·x + a ≥ 0; plus Σ w_i·x_i² ≤ R when norm = (w, R) is given.  `name`
+    stands for the integer (c·x + a) / modulus and, like the variables,
+    means nothing to the solver.  A generic system has no congruences.
+    """
 
-    __slots__ = ("variables", "equalities", "nonneg", "norm")
+    __slots__ = ("variables", "equalities", "nonneg", "norm", "modulus", "congruences")
 
     def __init__(
-        self,
-        variables: tuple,
-        equalities: tuple[tuple[tuple[int, ...], int], ...],
-        nonneg: frozenset[int],
-        norm: tuple[tuple[int, ...], int] | None = None,
+        self, variables, equalities, nonneg, norm=None, modulus=1, congruences=()
     ):
         n = len(variables)
-        for coeffs, _ in equalities:
-            if len(coeffs) != n:
-                raise ValueError("equality row arity does not match variables")
+        if any(len(row[0]) != n for row in (*equalities, *congruences)):
+            raise ValueError("row arity does not match variables")
         if any(not 0 <= i < n for i in nonneg):
             raise ValueError("nonneg index out of range")
         if norm is not None and (len(norm[0]) != n or any(w < 0 for w in norm[0])):
             raise ValueError("norm needs one nonnegative weight per variable")
+        if modulus < 1:
+            raise ValueError("the modulus must be positive")
         set_field(self, "variables", variables)
         set_field(self, "equalities", equalities)
         set_field(self, "nonneg", nonneg)
         set_field(self, "norm", norm)
+        set_field(self, "modulus", modulus)
+        set_field(self, "congruences", congruences)
 
     def check_solution(self, x) -> bool:
+        mu = [sum(map(_mul, c, x)) + a for c, a, _ in self.congruences]
         return (
-            all(
-                sum(c * v for c, v in zip(coeffs, x)) == rhs
-                for coeffs, rhs in self.equalities
-            )
+            all(sum(map(_mul, c, x)) == rhs for c, rhs in self.equalities)
             and all(x[i] >= 0 for i in self.nonneg)
+            and all(v >= 0 and v % self.modulus == 0 for v in mu)
             and (
                 self.norm is None
                 or sum(w * v * v for w, v in zip(self.norm[0], x)) <= self.norm[1]
@@ -118,19 +127,20 @@ class Infeasible(Record):
 
 
 class Parametrization(Record):
-    """x = origin + Σ t_j · basis[j], t integer; inequalities over t."""
+    """x = origin + Σ t_j · basis[j], t integer; inequalities over t.  The
+    basis lives in `lattice`, the reduction this system shares with every
+    system of the same coefficients."""
 
-    __slots__ = ("origin", "basis", "inequalities")
+    __slots__ = ("origin", "inequalities", "lattice")
 
-    def __init__(
-        self,
-        origin: tuple[int, ...],
-        basis: tuple[tuple[int, ...], ...],
-        inequalities: tuple[tuple[tuple[int, ...], int], ...],
-    ):
+    def __init__(self, origin, inequalities, lattice):
         set_field(self, "origin", origin)
-        set_field(self, "basis", basis)
         set_field(self, "inequalities", inequalities)
+        set_field(self, "lattice", lattice)
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        return self.lattice.basis
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -141,95 +151,142 @@ def _ceil_div(a: int, b: int) -> int:
 # -- integer elimination ---------------------------------------------------
 
 
-def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
-    """Parametrize all integer solutions of the equality rows.
+class _Lattice:
+    """One coefficient matrix reduced, shared by every system that has it:
+    per row the earlier pivot columns it meets, their entries and its own
+    pivot column and value (`steps`); the pivot columns' transforms; the
+    basis; the rows over x that become inequalities (`sources`: x_i ≥ 0,
+    then each c·x + a ≥ 0), their rows over t merged by coefficients, each
+    with its sources and divisors; and the norm's `_gram`."""
 
-    Returns None when the equalities have no integer solution.  Nonnegativity
-    turns into the returned inequality rows (coeffs·t >= rhs), normalized by
-    integer rounding, which is exact because the parameters are integers.
-    """
-    n = len(sys.variables)
-    m = len(sys.equalities)
-    acols = [[sys.equalities[r][0][j] for r in range(m)] for j in range(n)]
-    ucols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    rhs = [r for _, r in sys.equalities]
+    __slots__ = ("steps", "pivots", "basis", "sources", "rows", "gram")
 
-    def negate(j):
-        acols[j] = [-v for v in acols[j]]
-        ucols[j] = [-v for v in ucols[j]]
 
-    def axpy(j, j0, q):
-        # column_j -= q * column_j0
-        aj, a0 = acols[j], acols[j0]
-        for i in range(m):
-            if a0[i]:
-                aj[i] -= q * a0[i]
-        uj, u0 = ucols[j], ucols[j0]
-        for i in range(n):
-            if u0[i]:
-                uj[i] -= q * u0[i]
+# Reduced coefficient matrices, keyed by everything the reduction reads,
+# oldest first.  The systems of one unit order differ only in their right
+# sides, so they share an entry, as consecutive LPs share `_warm`'s tableau;
+# a few are kept since the p-constant relaxations interleave with the full
+# systems.
+_lattices: dict = {}
+_LATTICES_KEPT = 4
+
+
+def _reduce(modulus, n, equalities, congruences, nonneg, weights) -> _Lattice:
+    """Column-reduce the equality rows, then the congruence rows, keeping
+    the unimodular transform over the n variables only."""
+    rows = equalities + congruences
+    m = len(rows)
+    acols = [[row[j] for row in rows] for j in range(n)]
+    ucols = [[int(i == j) for i in range(n)] for j in range(n)]
+
+    def pivot(live, r):
+        # the column of least |entry| in row r, made positive
+        j0 = min(live, key=lambda j: (abs(acols[j][r]), j))
+        if acols[j0][r] < 0:
+            acols[j0] = [-v for v in acols[j0]]
+            ucols[j0] = [-v for v in ucols[j0]]
+        return j0
 
     avail = list(range(n))
-    pivots: list[tuple[int, int]] = []
+    lat = _Lattice()
+    lat.steps, solved = [], []
     for r in range(m):
-        while True:
-            live = [j for j in avail if acols[j][r] != 0]
-            if len(live) <= 1:
-                break
-            j0 = min(live, key=lambda j: (abs(acols[j][r]), j))
-            if acols[j0][r] < 0:
-                negate(j0)
+        if r >= len(equalities):
+            # the row's private slack column: -modulus on this row, zero
+            # on every earlier one and over the variables
+            avail.append(len(acols))
+            acols.append([0] * r + [-modulus] + [0] * (m - r - 1))
+            ucols.append([0] * n)
+        live = [j for j in avail if acols[j][r]]
+        while len(live) > 1:
+            j0 = pivot(live, r)
             p = acols[j0][r]
+            # column_j -= q * column_j0, over the pivot column's nonzeros
+            a0 = [(i, v) for i, v in enumerate(acols[j0]) if v]
+            u0 = [(i, v) for i, v in enumerate(ucols[j0]) if v]
             for j in live:
-                if j != j0:
-                    q = acols[j][r] // p
-                    if q:
-                        axpy(j, j0, q)
+                q = acols[j][r] // p
+                if q and j != j0:
+                    aj, uj = acols[j], ucols[j]
+                    for i, v in a0:
+                        aj[i] -= q * v
+                    for i, v in u0:
+                        uj[i] -= q * v
+            live = [j for j in live if acols[j][r]]
+        # forward substitution reads the earlier pivot columns, now final
+        cols = tuple([j for j in solved if acols[j][r]])
+        entries = tuple([acols[j][r] for j in cols])
+        j0 = pivot(live, r) if live else None
+        lat.steps.append((cols, entries, j0, acols[j0][r] if live else 0))
         if live:
-            j0 = live[0]
-            if acols[j0][r] < 0:
-                negate(j0)
-            pivots.append((r, j0))
+            solved.append(j0)
             avail.remove(j0)
+    lat.pivots = [(j, tuple(ucols[j])) for j in solved]
+    lat.basis = basis = tuple(tuple(ucols[j]) for j in avail)
 
-    # forward substitution down the reduced rows
-    y = [0] * n
-    piv_col = dict(pivots)
-    solved: list[int] = []
-    for r in range(m):
-        acc = rhs[r] - sum(acols[j][r] * y[j] for j in solved if acols[j][r])
-        j0 = piv_col.get(r)
+    # the sources of inequality rows over x: x_i >= 0, then c·x + a >= 0
+    lat.sources = [tuple(int(i == j) for j in range(n)) for i in sorted(nonneg)]
+    lat.sources += congruences
+    merged: dict[tuple[int, ...], list] = {}
+    for s, c in enumerate(lat.sources):
+        coeffs = tuple([sum(map(_mul, c, b)) for b in basis])
+        g = gcd(*coeffs)
+        if g > 1:
+            coeffs = tuple([v // g for v in coeffs])
+        merged.setdefault(coeffs, []).append((s, max(g, 1)))
+    lat.rows = sorted(merged.items())
+    lat.gram = None if weights is None or not basis else _gram(basis, weights)
+    return lat
+
+
+def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
+    """Parametrize all integer solutions of the equality and congruence rows
+    from their shared reduction: the right sides fix only the origin, by
+    forward substitution.  Nonnegativity and each c·x + a >= 0 become the
+    returned rows coeffs·t >= rhs, normalized by integer rounding (exact,
+    since t is integral) and merged by coefficients.  None when there is no
+    integer solution or a row without coefficients fails.
+    """
+    k = sys.modulus
+    for coeffs, a, _ in sys.congruences:
+        # a row without coefficients is a condition on its constant alone
+        if (a < 0 or a % k) and not any(coeffs):
+            return None
+    weights = None if sys.norm is None else sys.norm[0]
+    equalities = tuple([c for c, _ in sys.equalities])
+    congruences = tuple([c for c, _, _ in sys.congruences])
+    key = (k, len(sys.variables), equalities, congruences, sys.nonneg, weights)
+    lat = _lattices.get(key)
+    if lat is None:
+        if len(_lattices) >= _LATTICES_KEPT:
+            del _lattices[next(iter(_lattices))]
+        lat = _lattices[key] = _reduce(*key)
+    rhs = [r for _, r in sys.equalities] + [-a for _, a, _ in sys.congruences]
+    y = {}
+    for (cols, entries, j0, p), acc in zip(lat.steps, rhs):
+        acc -= sum(map(_mul, entries, [y[j] for j in cols]))
         if j0 is None:
-            if acc != 0:
+            if acc:
                 return None
         else:
-            p = acols[j0][r]
-            if acc % p:
+            y[j0], rem = divmod(acc, p)
+            if rem:
                 return None
-            y[j0] = acc // p
-            solved.append(j0)
+    origin = [0] * len(sys.variables)
+    for j, u in lat.pivots:
+        if y[j]:
+            origin = [o + y[j] * v for o, v in zip(origin, u)]
 
-    origin = tuple(
-        sum(ucols[j][i] * y[j] for j in solved if y[j]) for i in range(n)
-    )
-    basis = tuple(tuple(ucols[j]) for j in avail)
-
-    by_coeffs: dict[tuple[int, ...], int] = {}
-    for i in sorted(sys.nonneg):
-        coeffs = tuple(col[i] for col in basis)
-        bound = -origin[i]
-        g = 0
-        for c in coeffs:
-            g = gcd(g, c)
-        if g > 1:
-            coeffs = tuple(c // g for c in coeffs)
-            bound = _ceil_div(bound, g)
-        if any(coeffs) or bound > 0:
-            prev = by_coeffs.get(coeffs)
-            if prev is None or bound > prev:
-                by_coeffs[coeffs] = bound
-    inequalities = tuple(sorted(by_coeffs.items()))
-    return Parametrization(origin, basis, inequalities)
+    consts = [0] * len(sys.nonneg) + [a for _, a, _ in sys.congruences]
+    values = [sum(map(_mul, c, origin)) + a for c, a in zip(lat.sources, consts)]
+    inequalities = []
+    for coeffs, members in lat.rows:
+        bound = max([_ceil_div(-values[s], g) for s, g in members])
+        if any(coeffs):
+            inequalities.append((coeffs, bound))
+        elif bound > 0:
+            return None
+    return Parametrization(tuple(origin), tuple(inequalities), lat)
 
 
 # -- exact simplex ---------------------------------------------------------
@@ -468,65 +525,71 @@ def lp_bounds(rows, d: int):
 # -- norm bound ----------------------------------------------------------------
 
 
-def _ellipsoid(par: Parametrization, norm):
-    """The norm bound Σ w_i·x_i² ≤ R over x = origin + Σ t_j·basis[j]:
-    Q(t) = tᵀGt + 2hᵀt + c0 ≤ R, with G positive definite.
-
-    One fraction-free Gauss–Jordan elimination of [G | I | h] (Bareiss)
-    has the leading principal minors D[j + 1] of G as its pivots, takes
-    the forward row U[j] = (D[j + 1], ...) over t_j, ..., t_{d-1} and the
-    constant as row j becomes the pivot row, and ends at
-    [Δ·I | adj G | adj G·h] with Δ = det G.  Then
-
-        Q(t) = Σ_j L_j(t)² / (D[j]·D[j + 1]) + c0 − hᵀ·adj G·h / Δ,
-        L_j(t) = U[j] · (t_j, ..., t_{d-1}, 1),
-
-    and with N = Δ·(R − c0) + hᵀ·adj G·h, Δ times the slack at the centre
-    −adj G·h / Δ, every t_j lies within √(N·(adj G)_jj) / Δ of the centre.
-
-    Returns (intervals, D, U, N), the intervals being that box, or None when
-    the ellipsoid holds no integer point.
-    """
-    d = len(par.basis)
-    weighted = [i for i, w in enumerate(norm[0]) if w]
-    weights = [norm[0][i] for i in weighted]
-    origin = [par.origin[i] for i in weighted]
-    cols = [[b[i] for i in weighted] for b in par.basis]
+def _gram(basis, weights):
+    """G of the norm Σ w_i·x_i² = tᵀGt + 2hᵀt + c0 over x = origin + Σ t_j·b_j,
+    G positive definite (h and c0 move with the origin: `_ellipsoid`).  A
+    fraction-free Gauss–Jordan elimination of [G | I] (Bareiss) has the
+    leading principal minors D[j + 1] of G as pivots, takes the forward row
+    U[j] = (D[j + 1], ...) over t_j, ..., t_{d-1} and the identity part V[j]
+    as row j becomes the pivot row, and ends at [Δ·I | adj G], Δ = det G.
+    On [G | I | h] it would carry V[j]·h beside U[j] and end at adj G·h, so
+    it serves every origin.  Returns (weighted indices, weights, weighted
+    basis columns, D, U, V, adj G)."""
+    d = len(basis)
+    weighted = [i for i, w in enumerate(weights) if w]
+    weights = [weights[i] for i in weighted]
+    cols = [[b[i] for i in weighted] for b in basis]
     wcols = [list(map(_mul, weights, col)) for col in cols]
     rows = []
     for a in range(d):
         row = [rows[b][a] for b in range(a)]
         row += [sum(map(_mul, wcols[a], cols[b])) for b in range(a, d)]
-        row += [0] * d + [sum(map(_mul, wcols[a], origin))]
+        row += [0] * d
         row[d + a] = 1
         rows.append(row)
-    h = [row[-1] for row in rows]
-    c0 = sum(map(_mul, weights, map(_mul, origin, origin)))
 
-    D, U = [1], []
+    D, U, V = [1], [], []
     for k in range(d):
         prow = rows[k]
         p = prow[k]
         assert p > 0, "the norm must be positive definite on the lattice"
-        U.append(prow[k:d] + prow[-1:])
+        U.append(prow[k:d])
+        V.append(prow[d:])
         for i in range(d):
             if i != k:
                 rows[i] = _bareiss_row(rows[i], prow, p, D[-1], k)
         D.append(p)
+    return weighted, weights, wcols, D, U, V, [row[d:] for row in rows]
 
+
+def _ellipsoid(par: Parametrization, radius: int):
+    """The norm bound at this system's origin: with h and c0 of `_gram`,
+
+        Q(t) = Σ_j L_j(t)² / (D[j]·D[j + 1]) + c0 − hᵀ·adj G·h / Δ,
+        L_j(t) = U[j] · (t_j, ..., t_{d-1}) + V[j]·h,
+
+    and with N = Δ·(R − c0) + hᵀ·adj G·h, Δ times the slack at the centre
+    −adj G·h / Δ, every t_j lies within √(N·(adj G)_jj) / Δ of the centre.
+    Returns (that box, (V[j]·h)_j, N), or None when the ellipsoid holds no
+    integer point.
+    """
+    weighted, weights, wcols, D, _, V, adj = par.lattice.gram
+    origin = [par.origin[i] for i in weighted]
+    h = [sum(map(_mul, wcol, origin)) for wcol in wcols]
+    c0 = sum(map(_mul, weights, map(_mul, origin, origin)))
+    adj_h = [sum(map(_mul, row, h)) for row in adj]
     delta = D[-1]
-    adj_h = [row[-1] for row in rows]
-    n = delta * (norm[1] - c0) + sum(map(_mul, h, adj_h))
+    n = delta * (radius - c0) + sum(map(_mul, h, adj_h))
     if n < 0:
         return None
     intervals = []
-    for j, row in enumerate(rows):
-        s = isqrt(n * row[d + j])
+    for j, row in enumerate(adj):
+        s = isqrt(n * row[j])
         lo, hi = _ceil_div(-adj_h[j] - s, delta), (s - adj_h[j]) // delta
         if lo > hi:
             return None
         intervals.append((lo, hi))
-    return intervals, D, U, n
+    return intervals, [sum(map(_mul, v, h)) for v in V], n
 
 
 # -- redundancy elimination --------------------------------------------------
@@ -613,14 +676,10 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
     par = diophantine_eliminate(sys)
     if par is None:
         return Finite(())
-    d = len(par.basis)
-    rows = list(par.inequalities)
-
-    for coeffs, r in rows:
-        if not any(coeffs) and r > 0:
-            return Finite(())
-    rows = [row for row in rows if any(row[0])]
-
+    lat = par.lattice
+    basis = lat.basis
+    d = len(basis)
+    rows = par.inequalities
     if d == 0:
         sol = par.origin
         if sys.check_solution(sol):
@@ -634,16 +693,17 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
         if isinstance(intervals, Unbounded):
             ray_t = intervals.ray
             ray_x = tuple(
-                sum(ray_t[j2] * par.basis[j2][i] for j2 in range(d))
+                sum(ray_t[j2] * basis[j2][i] for j2 in range(d))
                 for i in range(len(sys.variables))
             )
             return Infinite(_scale_ray(ray_x))
         slack = None
     else:
-        bounded = _ellipsoid(par, sys.norm)
+        bounded = _ellipsoid(par, sys.norm[1])
         if bounded is None:
             return Finite(())
-        intervals, D, U, slack = bounded
+        intervals, consts, slack = bounded
+        _, _, _, D, U, _, _ = lat.gram
 
     prepared = [
         (
@@ -660,7 +720,7 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
     def leaf(t):
         # propagation has checked every row on the point intervals of t
         x = tuple(
-            par.origin[i] + sum(t[j] * par.basis[j][i] for j in range(d))
+            par.origin[i] + sum(t[j] * basis[j][i] for j in range(d))
             for i in range(len(sys.variables))
         )
         assert sys.check_solution(x), "enumerated point must satisfy the system"
@@ -688,7 +748,7 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
             j = free[-1]
             u = U[j]
             p = u[0]
-            c = u[-1] + sum(map(_mul, u[1:-1], fixed[j + 1:]))
+            c = consts[j] + sum(map(_mul, u[1:], fixed[j + 1:]))
             m = isqrt(D[j] * slack)
             lo = max(intervals[j][0], _ceil_div(-m - c, p))
             hi = min(intervals[j][1], (m - c) // p)

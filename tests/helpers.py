@@ -3,8 +3,15 @@
 from fractions import Fraction
 from itertools import combinations, product
 
+from helpzc import verify
 from helpzc.arith import divisors, is_prime, prime_factors
-from helpzc.chartables import CharacterTable, TableBundle, cyclic_table
+from helpzc.chartables import (
+    CharacterTable,
+    TableBundle,
+    cyclic_table,
+    load_bundle,
+    resolve_bundle_path,
+)
 from helpzc.constraints import build_system, eps_projection, pa_vector, usable_tables
 from helpzc.cyclotomics import rational, root_of_unity
 from helpzc.intsolve import Finite, Infeasible, LinSystem, Optimal, Unbounded, solve_all
@@ -84,6 +91,30 @@ def brute_force_pa_solutions(bundle, k, proper_levels, bound, tables=None):
         if good:
             solutions.append(assignment)
     return solutions
+
+
+def bundle_of(name):
+    if name.startswith("cyclic:"):
+        return cyclic_table(int(name.split(":")[1]))
+    return load_bundle(resolve_bundle_path(name))
+
+
+def built_systems(monkeypatch, bundle, checker, options):
+    """Every system, full or p-constant, that checker(bundle, options)
+    builds; undoes every monkeypatch when done."""
+    systems = []
+    for name in ("build_system", "build_system_p_constant"):
+        real = getattr(verify, name)
+
+        def recording(*args, real=real):
+            system = real(*args)
+            systems.append(system)
+            return system
+
+        monkeypatch.setattr(verify, name, recording)
+    checker(bundle, options)
+    monkeypatch.undo()
+    return systems
 
 
 def full_solve_candidates(bundle, k, store, options):

@@ -1,15 +1,20 @@
 """The names the benchmark harness in bench/ reaches into must exist.
 
-`bench/tracer.py` wraps the functions listed in its WRAPPED table and
-`bench/child.py` drives a command through attributes of `helpzc.cli`; a
-renamed or deleted name would only surface as a failing `--trace 1` run.
-The harness files are read here, never edited.
+`bench/tracer.py` wraps the functions listed in its WRAPPED table, and its
+count hooks read attributes of what they return; `bench/child.py` drives a
+command through attributes of `helpzc.cli`.  A renamed or deleted name
+would only surface as a failing `--trace 1` run.  The harness files are
+read here, never edited.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+from helpzc.chartables import cyclic_table
+from helpzc.verify import SolverOptions, check_zc
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,3 +48,33 @@ def test_cli_names_used_by_child_exist():
     assert "solve_order_report" in used
     cli = importlib.import_module("helpzc.cli")
     assert sorted(name for name in used if not hasattr(cli, name)) == []
+
+
+def test_count_hooks_read_real_results(monkeypatch):
+    # the tracer's own wrappers and hooks, installed as Tracer.install
+    # does but undone after the test, around a real zc cyclic:6 run
+    tracer = load_tracer()
+    trace = tracer.Tracer()
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "helpzc"]
+    for name, module, attr, hook in tracer.WRAPPED:
+        original = getattr(sys.modules[module], attr)
+        wrapper = trace._wrap(name, original, hook)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    check_zc(cyclic_table(6), SolverOptions(shortcuts=False))
+    counts = trace.counts
+    # LinSystem.variables and .equalities, the elimination's .basis and
+    # .inequalities, and Finite.solutions
+    for name in (
+        "constraints.systems",
+        "constraints.vars",
+        "constraints.eq_rows",
+        "intsolve.lattice_dim",
+        "intsolve.ineq_rows",
+        "intsolve.finite",
+        "intsolve.solutions",
+    ):
+        assert counts[name] > 0, name
+    assert counts["intsolve.finite"] == counts["constraints.systems"]

@@ -346,6 +346,24 @@ def test_reject_wrong_brauer_classes():
     corrupt(mutate2)
 
 
+def test_reject_brauer_table_without_one_row_per_regular_class():
+    # M11 mod 5 has 9 irreducible Brauer characters on its 9 5-regular
+    # classes; a dropped row leaves 8, and a repeated one is no irreducible
+    dropped = m11_raw()
+    mod5 = dropped["brauer"][0]
+    assert mod5["p"] == 5 and len(mod5["characters"]) == len(mod5["classes"]) == 9
+    del mod5["characters"][3]
+    with pytest.raises(
+        BundleError, match="M11 mod 5: 8 rows for 9 5-regular classes"
+    ):
+        load_bundle(dropped)
+    repeated = m11_raw()
+    rows = repeated["brauer"][0]["characters"]
+    rows[3] = rows[2]
+    with pytest.raises(BundleError, match="M11 mod 5: a character row is repeated"):
+        load_bundle(repeated)
+
+
 def test_reject_duplicate_brauer_prime():
     def mutate(d):
         d["brauer"].append(d["brauer"][0])

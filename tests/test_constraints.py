@@ -28,7 +28,6 @@ from helpzc.constraints import (
     CharRow,
     ConstraintError,
     EpsVar,
-    MuVar,
     PATuple,
     PAVector,
     assert_mu_sums,
@@ -64,13 +63,12 @@ def solutions_on_support(sys, result):
 
 
 def constant_terms(sys):
-    """(row label, l) -> a(psi, l), read off the right-hand sides of an
-    assembled system (each is -a)."""
-    mu_vars = [v for v in sys.variables if isinstance(v, MuVar)]
+    """(row label, l) -> a(psi, l), as each congruence row's multiplicity
+    records it."""
     return {
-        owner: -const
-        for var, (_, const) in zip(mu_vars, sys.equalities[1:])
-        for owner in var.owners
+        key: a + j * sys.modulus
+        for _, a, mu in sys.congruences
+        for key, j in mu.owners
     }
 
 
@@ -290,17 +288,59 @@ def test_empty_support_is_infeasible():
 
 def test_variable_layout_and_merging():
     sys = build_system(cyclic_table(2), 2, PATuple(2, ()))
-    kinds = [type(v) for v in sys.variables]
-    assert kinds == [EpsVar, MuVar, MuVar]
-    owners = [v.owners for v in sys.variables if isinstance(v, MuVar)]
+    assert [type(v) for v in sys.variables] == [EpsVar]
+    assert sys.equalities == (((1,), 1),)
+    assert sys.nonneg == frozenset() and sys.modulus == 2
+    owners = [mu.owners for _, _, mu in sys.congruences]
     # trivial and sign character rows coincide pairwise
+    assert [coeffs for coeffs, _, _ in sys.congruences] == [(1,), (-1,)]
     assert all(len(o) == 2 for o in owners)
-    assert {pair for o in owners for pair in o} == {
+    assert {key for o in owners for key, _ in o} == {
         ("ord0", 0), ("ord0", 1), ("ord1", 0), ("ord1", 1)
     }
-    assert sys.nonneg == {1, 2}
     assert str(sys.variables[0]) == "eps:g1"
-    assert str(sys.variables[1]).startswith("mu:ord0:")
+    assert str(sys.congruences[0][2]).startswith("mu:ord0:")
+
+
+def trivial_plus(n, extra):
+    """C_n with one more ordinary row, the trivial character's values but
+    degree 1 + extra: the trivial row's coefficients, and its constant
+    terms plus extra."""
+    return cyclic_with_row(n, (rational(1 + extra),) + (rational(1),) * (n - 1), False)
+
+
+def test_equal_rows_with_incongruent_constants_are_infeasible():
+    # a = a(1, l) + 1: the same C, constants apart by 1 mod 4
+    b = trivial_plus(4, 1)
+    sys = build_system(b, 4, trivial_proper(b.ordinary, 4, 1))
+    assert [(coeffs, a) for coeffs, a, _ in sys.congruences] == [((0, 0, 0), 1)]
+    assert solve_all(sys) == Finite(())
+
+
+def test_equal_rows_with_congruent_constants_keep_the_tighter():
+    # trivial + regular character: a = a(1, l) + 4, so each row keeps the
+    # trivial character's constant and the solutions stay those of C4
+    plain = cyclic_table(4)
+    b = trivial_plus(4, 4)
+    proper = trivial_proper(b.ordinary, 4, 1)
+    sys, ref = build_system(b, 4, proper), build_system(plain, 4, proper)
+    assert [row[:2] for row in sys.congruences] == [row[:2] for row in ref.congruences]
+    a = constant_terms(sys)
+    for ell in range(4):
+        assert a[("ordx0", ell)] == a[("ord0", ell)] + 4
+    result = solve_all(sys)
+    assert result == solve_all(ref) and result.solutions
+    for sol in result.solutions:
+        mu = mu_values(sys, sol)
+        assert all(mu[("ordx0", ell)] == mu[("ord0", ell)] + 1 for ell in range(4))
+
+
+def test_mu_values_reject_a_non_solution():
+    b = cyclic_table(4)
+    sys = build_system(b, 4, trivial_proper(b.ordinary, 4, 1))
+    assert solve_all(sys).solutions
+    with pytest.raises(AssertionError, match="no nonnegative integer"):
+        mu_values(sys, (2, -1, 0))
 
 
 def test_integer_coefficients():
@@ -471,7 +511,12 @@ def test_p_constant_relaxation_preserves_feasibility():
         ]
         assert genuine and all({x} in found for x in genuine)
 
-        result = solve_all(LinSystem(sys.variables, sys.equalities, sys.nonneg))
+        result = solve_all(
+            LinSystem(
+                sys.variables, sys.equalities, sys.nonneg, None,
+                sys.modulus, sys.congruences,
+            )
+        )
         assert isinstance(result, Infinite)
         for coeffs, _ in sys.equalities:
             assert sum(c * r for c, r in zip(coeffs, result.ray)) == 0
@@ -628,7 +673,7 @@ def test_trace_blocks_are_shared_between_table_sets(monkeypatch):
     assert set(t.trace_blocks) == {2}
     # the second set's system is the first's without the mod-5 rows
     mu_owners = [
-        {o for v in s.variables if isinstance(v, MuVar) for o in v.owners}
+        {key for _, _, mu in s.congruences for key, _ in mu.owners}
         for s in systems
     ]
     assert mu_owners[1] == {o for o in mu_owners[0] if not o[0].startswith("mod5")}

@@ -6,10 +6,9 @@ from math import isqrt
 
 import pytest
 
-from helpers import box_solutions, random_system
+from helpers import box_solutions, built_systems, bundle_of, random_system
 from helpzc import intsolve, verify
 from helpzc.arith import prime_factors
-from helpzc.chartables import cyclic_table, load_bundle, resolve_bundle_path
 from helpzc.constraints import (
     AggVar,
     ConstraintError,
@@ -17,7 +16,6 @@ from helpzc.constraints import (
     build_system,
     build_system_p_constant,
     eps_projection,
-    mu_values,
 )
 from helpzc.intsolve import Finite, Infinite, LinSystem, solve_all
 from helpzc.verify import SolverOptions, check_pq, check_zc
@@ -25,31 +23,11 @@ from helpzc.verify import SolverOptions, check_pq, check_zc
 BUNDLES = ["s3", "s4", "a5", "sl23", "m11"]
 
 
-def bundle_of(name):
-    if name.startswith("cyclic:"):
-        return cyclic_table(int(name.split(":")[1]))
-    return load_bundle(resolve_bundle_path(name))
-
-
-def built_systems(monkeypatch, bundle, checker, options):
-    """Every system, full or p-constant, that the checker builds."""
-    systems = []
-    for name in ("build_system", "build_system_p_constant"):
-        real = getattr(verify, name)
-
-        def recording(*args, real=real):
-            system = real(*args)
-            systems.append(system)
-            return system
-
-        monkeypatch.setattr(verify, name, recording)
-    checker(bundle, options)
-    monkeypatch.undo()
-    return systems
-
-
 def without_norm(system):
-    return LinSystem(system.variables, system.equalities, system.nonneg)
+    return LinSystem(
+        system.variables, system.equalities, system.nonneg, None,
+        system.modulus, system.congruences,
+    )
 
 
 # SL(2,3) has elements of order 6, so its pq builds no system
@@ -118,7 +96,6 @@ def test_p_constant_relaxation_keeps_every_full_solution(monkeypatch, name):
                 continue
             for x in solve_all(full).solutions:
                 eps = eps_projection(full, x)
-                mus = mu_values(full, x)
                 point = [
                     sum(
                         v
@@ -127,8 +104,6 @@ def test_p_constant_relaxation_keeps_every_full_solution(monkeypatch, name):
                     )
                     if isinstance(var, AggVar)
                     else eps[var.class_index]
-                    if isinstance(var, EpsVar)
-                    else mus[var.owners[0]]
                     for var in relaxed.variables
                 ]
                 assert relaxed.check_solution(point)

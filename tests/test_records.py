@@ -59,15 +59,22 @@ def fields_of(cls):
         CharRow: ("ord1", 1, (rational(1), root_of_unity(4))),
         EpsVar: (3, "4a"),
         AggVar: (5,),
-        MuVar: ((("ord1", 0), ("ord2", 3)),),
-        LinSystem: (("x", "y"), (((1, 1), 1),), frozenset({0, 1}), ((1, 1), 1)),
+        MuVar: (((("ord1", 0), 0), (("ord2", 3), 1)),),
+        LinSystem: (
+            ("x", "y"),
+            (((1, 1), 1),),
+            frozenset({0, 1}),
+            ((1, 1), 1),
+            3,
+            (((1, 2), 1, "mu"),),
+        ),
         Finite: (((1, 0), (0, 1)),),
         Infinite: ((1, -1),),
         Aborted: (7,),
         Optimal: (Fraction(1, 2), (Fraction(1, 2), Fraction(0))),
         Unbounded: ((Fraction(1), Fraction(-2)),),
         Infeasible: (),
-        Parametrization: ((1, 0), ((1, -1),), (((1,), 0), ((-1,), -1))),
+        Parametrization: ((1, 0), (((1,), 0), ((-1,), -1)), "lattice"),
         SolverOptions: (False, True, True, 5),
         ShortcutProved: ("nilpotent",),
         Verdict: (True, None, SolutionStore("C4"), ((8, "node budget"),)),
@@ -181,11 +188,17 @@ def test_defaults_and_keywords():
         (lambda: LinSystem(("x", "y"), (((1,), 0),), frozenset()), ValueError),
         (lambda: LinSystem(("x", "y"), (), frozenset(), ((1,), 1)), ValueError),
         (lambda: LinSystem(("x", "y"), (), frozenset(), ((1, -1), 1)), ValueError),
+        (
+            lambda: LinSystem(("x",), (), frozenset(), None, 2, (((1, 1), 0, "mu"),)),
+            ValueError,
+        ),
+        (lambda: LinSystem(("x",), (), frozenset(), None, 0), ValueError),
         (lambda: SolverOptions(max_nodes=-1), DriverError),
     ],
     ids=[
         "pa-vector-sum", "pa-tuple-level", "lin-system-arity",
-        "lin-system-norm-arity", "lin-system-negative-weight", "negative-budget",
+        "lin-system-norm-arity", "lin-system-negative-weight",
+        "lin-system-congruence-arity", "lin-system-modulus", "negative-budget",
     ],
 )
 def test_constructors_still_validate(build, error):
