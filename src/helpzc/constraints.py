@@ -7,19 +7,15 @@ D(u) is
     mu_l(u, psi) = (1/k) * sum_{d | k} Tr_{Q(zeta_{k/d})/Q}( psi(u^d) * zeta_{k/d}^{-l} )
 
 and must be a nonnegative integer.  Writing psi(u) = sum_x eps_x(u) psi(x)
-over the classes x of order dividing k turns each (psi, l) pair into the
-congruence row
+over the classes x of order dividing k turns each (psi, l) into a congruence
 
-    sum_x C[psi][l][x] * eps_x + a(psi, l)  ≡  0 (mod k),  and  >= 0,
+    sum_x Tr(psi(x) zeta_k^{-l}) * eps_x + a(psi, l)  ≡  0 (mod k),  >= 0,
 
-with C[psi][l][x] = Tr(psi(x) zeta_k^{-l}) and a collecting the d > 1
-terms, known once the partial augmentations of all proper powers of u are
-fixed: mu_{psi,l} is the quotient, so the eps alone are the unknowns.  The
-coefficients C depend only on k and the tables, so every combination of
-proper powers shares one lattice (see the intsolve module).  This module
-builds those systems, one row per distinct coefficient tuple, and their
-relaxation to the p-constant characters (identity 4), each with the norm
-bound of identity 5 when the ordinary table is complete.
+where a collects the d > 1 terms, known once the partial augmentations of
+all proper powers of u are fixed, and mu_{psi,l} is the quotient by k.
+This module builds those systems and their relaxation to the p-constant
+characters (identity 4), each with the norm bound of identity 5 when the
+ordinary table is complete.
 
 Assembly is integer-only; identities 1 and 2 make that exact.
 
@@ -53,8 +49,7 @@ Assembly is integer-only; identities 1 and 2 make that exact.
    (psi, l) of the system of the twisted proper levels, eps' and constant
    terms alike, gives the row (psi, l j^-1) of the original system.  So the
    twisted system is the original with its eps variables permuted by pi_j
-   and its multiplicity mu_{psi,l} renamed mu_{psi,l j^-1}, its congruence
-   rows merely reordered: twisting is a bijection
+   and its rows (psi, l) renamed (psi, l j^-1): twisting is a bijection
    between the two solution sets, and feasibility, unboundedness and the
    p-constant relaxation (which permutes order-p classes among themselves
    and reads its witness only through p-constant rows) are shared.
@@ -87,14 +82,13 @@ Assembly is integer-only; identities 1 and 2 make that exact.
        sum_x eps_x^2 / |x^G| <= 1.
 
    The bound thus removes no integer solution, and it bounds the system,
-   whose only unknowns are the eps: the eps fix the mu (k mu = C eps + a).
-   In the relaxation of identity 4, Cauchy-Schwarz gives agg_p^2 <= S_p
-   sum_{o(x) = p} eps_x^2 / |x^G|, S_p the total size of the order-p
-   classes, so every full solution also has sum_{o(x) != p} eps_x^2 / |x^G|
-   + agg_p^2 / S_p <= 1, and the relaxation with this bound is still one.
-   Each system over a complete table carries its bound scaled by L, the lcm
-   of the sizes (S_p for agg_p) of its lead variables: weights L / |x^G|
-   and radius L.
+   whose only unknowns are the eps (k mu = C eps + a).  In the relaxation of
+   identity 4, Cauchy-Schwarz gives agg_p^2 <= S_p sum_{o(x) = p}
+   eps_x^2 / |x^G|, S_p the total size of the order-p classes, so every
+   full solution also has sum_{o(x) != p} eps_x^2 / |x^G| + agg_p^2 / S_p
+   <= 1, and the relaxation with this bound is still one.  Each system over
+   a complete table carries its bound scaled by L, the lcm of the sizes
+   (S_p for agg_p) of its lead variables: weights L / |x^G| and radius L.
    On an abelian group every class has size 1, so eps is a unit vector
    (Higman's theorem).
 
@@ -449,9 +443,8 @@ class AggVar(Record):
 
 class MuVar(Record):
     """The multiplicities of one congruence row C·x + a: `owners` lists each
-    ((row label, l), j) whose row (psi, l) has the coefficients C and the
-    constant term a(psi, l) = a + j·k, so its multiplicity is that of the
-    row plus j."""
+    ((row label, l), j) whose row has coefficients C and constant term
+    a + j·k, and so the multiplicity of the row plus j."""
 
     __slots__ = ("owners",)
 
@@ -503,11 +496,10 @@ def _assemble(ordinary, tables, k, rows, levels, coefficients, lead) -> LinSyste
     C·x + a ≡ 0 (mod k), C·x + a >= 0 of the rows (psi, l): `rows` holds
     (r, psi) pairs, r indexing char_rows(tables), `coefficients` each row's
     per-l tuples over `lead`, and `levels` the proper powers for
-    _constant_terms.  Rows with equal C are one row, of the least a: their
-    constants must agree mod k, and if two do not, the system is their
-    difference 0·x + (a' - a) ≡ 0, which nothing solves.  Over a complete
-    ordinary table it carries the norm bound of identity 5 of the module
-    docstring."""
+    _constant_terms.  Rows with equal C are one row, of the least a; if two
+    of their constants differ mod k, the system is 0·x + 1 ≡ 0.  Over a
+    complete ordinary table it carries the norm bound of identity 5 of the
+    module docstring."""
     a_terms = _constant_terms(ordinary, tables, k, levels, rows)
     merged: dict[tuple, list] = {}
     for (_, row), coeffs, a_row in zip(rows, coefficients, a_terms):
@@ -517,11 +509,10 @@ def _assemble(ordinary, tables, k, rows, levels, coefficients, lead) -> LinSyste
     congruences = []
     for coeffs, owners in merged.items():
         a = min(b for _, b in owners)
-        mu = MuVar(tuple([(key, (b - a) // k) for key, b in owners]))
-        clash = next((b for _, b in owners if (b - a) % k), None)
-        if clash is not None:
-            congruences = [((0,) * len(lead), clash - a, mu)]
+        if any((b - a) % k for _, b in owners):
+            congruences = [((0,) * len(lead), 1, None)]
             break
+        mu = MuVar(tuple([(key, (b - a) // k) for key, b in owners]))
         congruences.append((coeffs, a, mu))
 
     norm = None
@@ -605,19 +596,14 @@ def mu_values(sys: LinSystem, solution) -> dict[tuple[str, int], int]:
     """(row label, l) -> multiplicity, recomputed from the solution's eps:
     each congruence row's (C·eps + a) / k must be a nonnegative integer,
     so anything else means a bug, and each of its owners adds its j."""
-    rows = sys.congruences
-    values = [a for _, a, _ in rows]
-    for i, v in enumerate(solution):
-        if v:
-            values = [value + row[0][i] * v for value, row in zip(values, rows)]
     out = {}
-    for value, (_, _, mu) in zip(values, rows):
-        count, rem = divmod(value, sys.modulus)
+    nonzero = [(i, v) for i, v in enumerate(solution) if v]
+    for coeffs, a, mu in sys.congruences:
+        for i, v in nonzero:
+            a += coeffs[i] * v
+        count, rem = divmod(a, sys.modulus)
         if rem or count < 0:
-            raise AssertionError(
-                f"multiplicity {value} / {sys.modulus} of {mu} is no"
-                " nonnegative integer"
-            )
+            raise AssertionError(f"{mu}: {a} / {sys.modulus} is no nonnegative integer")
         for key, j in mu.owners:
             out[key] = count + j
     return out

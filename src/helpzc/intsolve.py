@@ -5,17 +5,15 @@ which are flagged nonnegative, congruence rows c·x + a ≡ 0 (mod k) that
 also require c·x + a >= 0, and optionally a norm bound
 sum_i w_i * x_i^2 <= R with integer weights w_i >= 0.  The pipeline:
 
-  1. eliminate the equalities and congruences over Z: a column reduction
+  1. eliminate the equalities and congruences over Z (a column reduction
      to a Hermite-style form with a unimodular transform, each congruence
-     row taking a private slack column -k that is never stored, writes
-     every integer solution as origin + integer combination of lattice
-     basis vectors.  The reduction reads only the coefficients, so it is
-     made, with the inequality rows over the parameters and the norm's
-     Gram matrix, once per coefficient matrix (once per unit order for the
-     HeLP systems); each system adds its origin and right sides;
-  2. push the nonnegativity constraints and each congruence row's
-     c·x + a >= 0 through that parametrization, giving an inequality
-     system over the free integer parameters;
+     taking a private slack column -k), writing every integer solution as
+     origin + integer combination of lattice basis vectors.  The reduction
+     reads only the coefficients, so it is made once per coefficient matrix
+     and shared; each system adds only its origin and right sides;
+  2. push the nonnegativity constraints and each c·x + a >= 0 through that
+     parametrization, giving an inequality system over the free integer
+     parameters;
   3. bound the parameters.  A system with a norm bound (every HeLP system
      over a complete character table, see the constraints module) is
      bounded by its ellipsoid Q(t) <= R, which must be positive definite
@@ -45,12 +43,10 @@ DEFAULT_MAX_NODES = 10_000_000
 
 
 class LinSystem(Record):
-    """Integer equalities Σ c·x = rhs, x_i ≥ 0 for i in nonneg, and for each
-    congruence row (c, a, name) both c·x + a ≡ 0 (mod modulus) and
-    c·x + a ≥ 0; plus Σ w_i·x_i² ≤ R when norm = (w, R) is given.  `name`
-    stands for the integer (c·x + a) / modulus and, like the variables,
-    means nothing to the solver.  A generic system has no congruences.
-    """
+    """Integer equalities Σ c·x = rhs, x_i ≥ 0 for i in nonneg, for each
+    congruence row (c, a, name) c·x + a ≡ 0 (mod modulus) and c·x + a ≥ 0,
+    and Σ w_i·x_i² ≤ R when norm = (w, R) is given.  `name`, like the
+    variables, means nothing to the solver."""
 
     __slots__ = ("variables", "equalities", "nonneg", "norm", "modulus", "congruences")
 
@@ -128,19 +124,16 @@ class Infeasible(Record):
 
 class Parametrization(Record):
     """x = origin + Σ t_j · basis[j], t integer; inequalities over t.  The
-    basis lives in `lattice`, the reduction this system shares with every
-    system of the same coefficients."""
+    basis is that of `lattice`, the reduction shared by every system with
+    the same coefficients."""
 
-    __slots__ = ("origin", "inequalities", "lattice")
+    __slots__ = ("origin", "basis", "inequalities", "lattice")
 
-    def __init__(self, origin, inequalities, lattice):
+    def __init__(self, origin, basis, inequalities, lattice):
         set_field(self, "origin", origin)
+        set_field(self, "basis", basis)
         set_field(self, "inequalities", inequalities)
         set_field(self, "lattice", lattice)
-
-    @property
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        return self.lattice.basis
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -152,23 +145,20 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class _Lattice:
-    """One coefficient matrix reduced, shared by every system that has it:
-    per row the earlier pivot columns it meets, their entries and its own
-    pivot column and value (`steps`); the pivot columns' transforms; the
-    basis; the rows over x that become inequalities (`sources`: x_i ≥ 0,
-    then each c·x + a ≥ 0), their rows over t merged by coefficients, each
-    with its sources and divisors; and the norm's `_gram`."""
+    """One coefficient matrix reduced: per row the earlier pivot columns it
+    meets and their entries, then its own pivot column, value and transform
+    (`steps`); the basis; the rows over x that become inequalities
+    (`sources`: x_i ≥ 0, then each c·x + a ≥ 0) and their rows over t,
+    merged by coefficients with their sources and divisors; `_gram`."""
 
-    __slots__ = ("steps", "pivots", "basis", "sources", "rows", "gram")
+    __slots__ = ("steps", "basis", "sources", "rows", "gram")
 
 
-# Reduced coefficient matrices, keyed by everything the reduction reads,
-# oldest first.  The systems of one unit order differ only in their right
-# sides, so they share an entry, as consecutive LPs share `_warm`'s tableau;
-# a few are kept since the p-constant relaxations interleave with the full
-# systems.
-_lattices: dict = {}
-_LATTICES_KEPT = 4
+# The coefficient matrix reduced last, as (key, _Lattice), the key being
+# everything the reduction reads.  The systems of one unit order differ only
+# in their right sides and are solved one after another, so they share it,
+# as consecutive LPs share `_warm`'s tableau.
+_lattice = (None, None)
 
 
 def _reduce(modulus, n, equalities, congruences, nonneg, weights) -> _Lattice:
@@ -216,12 +206,14 @@ def _reduce(modulus, n, equalities, congruences, nonneg, weights) -> _Lattice:
         # forward substitution reads the earlier pivot columns, now final
         cols = tuple([j for j in solved if acols[j][r]])
         entries = tuple([acols[j][r] for j in cols])
-        j0 = pivot(live, r) if live else None
-        lat.steps.append((cols, entries, j0, acols[j0][r] if live else 0))
-        if live:
-            solved.append(j0)
-            avail.remove(j0)
-    lat.pivots = [(j, tuple(ucols[j])) for j in solved]
+        if not live:
+            lat.steps.append((cols, entries, None, 0, None))
+            continue
+        j0 = pivot(live, r)
+        # leaving avail, the pivot column is final
+        lat.steps.append((cols, entries, j0, acols[j0][r], tuple(ucols[j0])))
+        solved.append(j0)
+        avail.remove(j0)
     lat.basis = basis = tuple(tuple(ucols[j]) for j in avail)
 
     # the sources of inequality rows over x: x_i >= 0, then c·x + a >= 0
@@ -245,37 +237,33 @@ def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
     forward substitution.  Nonnegativity and each c·x + a >= 0 become the
     returned rows coeffs·t >= rhs, normalized by integer rounding (exact,
     since t is integral) and merged by coefficients.  None when there is no
-    integer solution or a row without coefficients fails.
-    """
+    integer solution or a row without coefficients fails."""
+    global _lattice
     k = sys.modulus
-    for coeffs, a, _ in sys.congruences:
-        # a row without coefficients is a condition on its constant alone
-        if (a < 0 or a % k) and not any(coeffs):
-            return None
+    # a row without coefficients is a condition on its constant alone,
+    # checked before the cache so that the system keeps its order's lattice
+    if any((a < 0 or a % k) and not any(c) for c, a, _ in sys.congruences):
+        return None
     weights = None if sys.norm is None else sys.norm[0]
     equalities = tuple([c for c, _ in sys.equalities])
     congruences = tuple([c for c, _, _ in sys.congruences])
     key = (k, len(sys.variables), equalities, congruences, sys.nonneg, weights)
-    lat = _lattices.get(key)
-    if lat is None:
-        if len(_lattices) >= _LATTICES_KEPT:
-            del _lattices[next(iter(_lattices))]
-        lat = _lattices[key] = _reduce(*key)
+    if _lattice[0] != key:
+        _lattice = (key, _reduce(*key))
+    lat = _lattice[1]
     rhs = [r for _, r in sys.equalities] + [-a for _, a, _ in sys.congruences]
-    y = {}
-    for (cols, entries, j0, p), acc in zip(lat.steps, rhs):
+    y, origin = {}, [0] * len(sys.variables)
+    for (cols, entries, j0, p, u), acc in zip(lat.steps, rhs):
         acc -= sum(map(_mul, entries, [y[j] for j in cols]))
         if j0 is None:
             if acc:
                 return None
-        else:
-            y[j0], rem = divmod(acc, p)
-            if rem:
-                return None
-    origin = [0] * len(sys.variables)
-    for j, u in lat.pivots:
-        if y[j]:
-            origin = [o + y[j] * v for o, v in zip(origin, u)]
+            continue
+        y[j0], rem = divmod(acc, p)
+        if rem:
+            return None
+        if y[j0]:
+            origin = [o + y[j0] * v for o, v in zip(origin, u)]
 
     consts = [0] * len(sys.nonneg) + [a for _, a, _ in sys.congruences]
     values = [sum(map(_mul, c, origin)) + a for c, a in zip(lat.sources, consts)]
@@ -286,7 +274,7 @@ def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
             inequalities.append((coeffs, bound))
         elif bound > 0:
             return None
-    return Parametrization(tuple(origin), tuple(inequalities), lat)
+    return Parametrization(tuple(origin), lat.basis, tuple(inequalities), lat)
 
 
 # -- exact simplex ---------------------------------------------------------
@@ -571,8 +559,7 @@ def _ellipsoid(par: Parametrization, radius: int):
     and with N = Δ·(R − c0) + hᵀ·adj G·h, Δ times the slack at the centre
     −adj G·h / Δ, every t_j lies within √(N·(adj G)_jj) / Δ of the centre.
     Returns (that box, (V[j]·h)_j, N), or None when the ellipsoid holds no
-    integer point.
-    """
+    integer point."""
     weighted, weights, wcols, D, _, V, adj = par.lattice.gram
     origin = [par.origin[i] for i in weighted]
     h = [sum(map(_mul, wcol, origin)) for wcol in wcols]
@@ -676,8 +663,7 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
     par = diophantine_eliminate(sys)
     if par is None:
         return Finite(())
-    lat = par.lattice
-    basis = lat.basis
+    basis = par.basis
     d = len(basis)
     rows = par.inequalities
     if d == 0:
@@ -703,7 +689,7 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
         if bounded is None:
             return Finite(())
         intervals, consts, slack = bounded
-        _, _, _, D, U, _, _ = lat.gram
+        _, _, _, D, U, _, _ = par.lattice.gram
 
     prepared = [
         (

@@ -74,7 +74,7 @@ def fields_of(cls):
         Optimal: (Fraction(1, 2), (Fraction(1, 2), Fraction(0))),
         Unbounded: ((Fraction(1), Fraction(-2)),),
         Infeasible: (),
-        Parametrization: ((1, 0), (((1,), 0), ((-1,), -1)), "lattice"),
+        Parametrization: ((1, 0), ((1, -1),), (((1,), 0), ((-1,), -1)), "lattice"),
         SolverOptions: (False, True, True, 5),
         ShortcutProved: ("nilpotent",),
         Verdict: (True, None, SolutionStore("C4"), ((8, "node budget"),)),

@@ -93,13 +93,11 @@ def test_shared_lattice_matches_fresh_reduction_and_oracles(
     # in order, so that each system after the first of its order reuses
     # that one's lattice
     results = [solve_all(system) for system in systems]
-    fresh = {}
-    monkeypatch.setattr(intsolve, "_lattices", fresh)
     for system, shared in zip(systems, results):
         n = len(system.variables)
         assert system.nonneg == frozenset() and system.norm is not None
         assert all(len(row[0]) == n for row in system.congruences)
-        fresh.clear()
+        monkeypatch.setattr(intsolve, "_lattice", (None, None))
         assert solve_all(system) == shared
         assert isinstance(shared, Finite)
         assert lead_part(solve_all(written_out(system)), n) == shared.solutions
@@ -116,7 +114,7 @@ def test_shared_lattice_matches_fresh_reduction_and_oracles(
 
 def test_zc_m11_reduces_each_order_once(monkeypatch):
     m11 = bundle_of("m11")
-    monkeypatch.setattr(intsolve, "_lattices", {})
+    monkeypatch.setattr(intsolve, "_lattice", (None, None))
     reductions, solves = [], []
     real_reduce, real_solve = intsolve._reduce, verify.solve_all
 
