@@ -5,13 +5,14 @@ tables for some primes.  All values are exact cyclotomic numbers.  Loading
 validates the table hard: class sizes must sum to the group order, power maps
 must exist for every prime dividing the exponent and respect element orders,
 every value must be an algebraic integer, the ordinary rows must satisfy
-exact row orthogonality, every extra row must be a character of the
-group, which needs a complete table, and a declared is_nilpotent flag must
-agree with the class sizes.  The is_solvable and p_solvable_for flags are
-derived from a complete table, which a declared value must agree with, and
-may not be declared true for an incomplete one.  A table that fails any
-check is rejected outright, since every downstream constraint is only as
-trustworthy as the table it came from.
+exact row orthogonality, and every extra row must be a character of the
+group, which needs a complete table.  Every integer in the file must be a
+JSON integer.  The is_nilpotent flag is derived from the class sizes, and
+the is_solvable and p_solvable_for flags from a complete table; a declared
+value must agree, and the latter two may not be declared true for an
+incomplete table.  A table that fails any check is rejected outright, since
+every downstream constraint is only as trustworthy as the table it came
+from.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ class ClassInfo(Record):
 class CharacterTable:
     """One character table: ordinary (prime=None) or p-modular (prime=p).
 
-    For Brauer tables, classes are the p-regular subset of the ordinary
-    classes (same names); `ordinary_index[i]` locates class i in the ordinary
-    table.
+    Every row is indexed by the ordinary classes.  A Brauer table shares
+    the ordinary table's `classes` and `power_maps`, and each of its rows
+    holds None at every p-singular class.
     """
 
     def __init__(
@@ -53,10 +54,9 @@ class CharacterTable:
         group_order: int,
         classes: tuple[ClassInfo, ...],
         power_maps: dict[int, tuple[int, ...]],
-        characters: tuple[tuple[Cyc, ...], ...],
+        characters: tuple[tuple[Cyc | None, ...], ...],
         extra_characters: tuple[tuple[Cyc, ...], ...] = (),
         prime: int | None = None,
-        ordinary_index: tuple[int, ...] | None = None,
     ):
         self.group_name = group_name
         self.group_order = group_order
@@ -65,7 +65,6 @@ class CharacterTable:
         self.characters = characters
         self.extra_characters = extra_characters
         self.prime = prime
-        self.ordinary_index = ordinary_index
         self._by_name = {cl.name: i for i, cl in enumerate(classes)}
         self._identity = next(
             (i for i, cl in enumerate(classes) if cl.element_order == 1), None
@@ -73,8 +72,8 @@ class CharacterTable:
         # unit order m -> the integer trace block of these rows (see
         # constraints.trace_block), built on first use
         self.trace_blocks: dict = {}
-        # number of ordinary classes -> these rows as constraints.CharRows
-        self.char_rows: dict = {}
+        # these rows as constraints.CharRows, built on first use
+        self.char_rows = None
 
     @property
     def is_brauer(self) -> bool:
@@ -265,7 +264,7 @@ def _check_integral(g: str, table: CharacterTable, rows, what: str) -> None:
     exactly when every canonical coefficient is an integer."""
     for r, row in enumerate(rows):
         for cl, v in zip(table.classes, row):
-            if not v.is_integral():
+            if v is not None and not v.is_integral():
                 raise BundleError(
                     f"{g}: {what} {r} at class {cl.name} is not an algebraic"
                     f" integer: {v}"
@@ -302,30 +301,17 @@ def _inner_product(table: CharacterTable, a, b) -> Cyc:
     return Cyc(n, acc) / (table.group_order * da * db)
 
 
-def _check_brauer(table: CharacterTable, ordinary: CharacterTable) -> None:
+def _check_brauer(table: CharacterTable) -> None:
     g = f"{table.group_name} mod {table.prime}"
     p = table.prime
-    if not is_prime(p):
-        raise BundleError(f"{g}: {p} is not a prime")
-    if ordinary.group_order % p:
-        raise BundleError(f"{g}: {p} does not divide the group order")
-    regular = {cl.name for cl in ordinary.classes if cl.element_order % p != 0}
-    listed = [cl.name for cl in table.classes]
-    if len(set(listed)) != len(listed):
-        raise BundleError(f"{g}: duplicate class names")
-    if set(listed) != regular:
-        raise BundleError(
-            f"{g}: classes must be exactly the {p}-regular ordinary classes"
-        )
     # Brauer: as many irreducible Brauer characters as p-regular classes
-    if len(table.characters) != len(table.classes):
+    regular = sum(cl.element_order % p != 0 for cl in table.classes)
+    if len(table.characters) != regular:
         raise BundleError(
-            f"{g}: {len(table.characters)} rows for {len(table.classes)}"
+            f"{g}: {len(table.characters)} rows for {regular}"
             f" {p}-regular classes, which need one irreducible each"
         )
     for row in table.characters:
-        if len(row) != len(table.classes):
-            raise BundleError(f"{g}: character row has wrong arity")
         table.degree(row)
     if len(set(table.characters)) != len(table.characters):
         raise BundleError(f"{g}: a character row is repeated")
@@ -334,78 +320,95 @@ def _check_brauer(table: CharacterTable, ordinary: CharacterTable) -> None:
 
 # -- construction -------------------------------------------------------------
 
+def _typed(where: str, what: str, value, kind):
+    """`value`, which must be of type `kind`; an int must be a JSON integer,
+    neither a float nor a boolean."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise BundleError(f"{where}: {what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _field(where: str, node: dict, key: str, kind, default=None):
+    """node[key], of type `kind`; `default` when absent, if given."""
+    value = node.get(key, default)
+    if value is None:
+        raise BundleError(f"{where}: missing field {key!r}")
+    return _typed(where, key, value, kind)
+
+
+def _decode_rows(where: str, node: dict, key: str, positions, width: int, default=None):
+    """The rows listed under `key` as tuples over `width` classes: a row's
+    j-th value goes to class positions[j], and every other class gets None."""
+    out = []
+    for row in _field(where, node, key, list, default):
+        if not isinstance(row, list) or len(row) != len(positions):
+            raise BundleError(f"{where}: character row has wrong arity")
+        values = [None] * width
+        try:
+            for x, v in zip(positions, row):
+                values[x] = cyc_from_json(v)
+        except ValueError as exc:
+            raise BundleError(f"{where}: bad value in {key}: {exc}") from None
+        out.append(tuple(values))
+    return tuple(out)
+
+
 def _parse_ordinary(group: str, order: int, node: dict) -> CharacterTable:
-    try:
-        raw_classes = node["classes"]
-        raw_pm = node["power_maps"]
-        raw_chars = node["characters"]
-    except (TypeError, KeyError) as exc:
-        raise BundleError(f"{group}: ordinary table missing field {exc}") from None
     classes = []
-    for rc in raw_classes:
+    for rc in _field(group, node, "classes", list):
         try:
-            classes.append(ClassInfo(str(rc["name"]), int(rc["order"]), int(rc["size"])))
-        except (TypeError, KeyError) as exc:
+            name = str(rc["name"])
+        except (TypeError, KeyError):
             raise BundleError(f"{group}: malformed class entry {rc!r}") from None
+        where = f"{group} class {name}"
+        classes.append(
+            ClassInfo(name, _field(where, rc, "order", int), _field(where, rc, "size", int))
+        )
     power_maps = {}
-    for key, pm in raw_pm.items():
-        try:
-            power_maps[int(key)] = tuple(int(i) for i in pm)
-        except (TypeError, ValueError):
-            raise BundleError(f"{group}: malformed power map for {key!r}") from None
-    def decode_rows(rows, what):
-        out = []
-        for row in rows:
-            try:
-                out.append(tuple(cyc_from_json(v) for v in row))
-            except ValueError as exc:
-                raise BundleError(f"{group}: bad value in {what}: {exc}") from None
-        return tuple(out)
-    characters = decode_rows(raw_chars, "characters")
-    extra = decode_rows(node.get("extra_characters", []), "extra_characters")
+    for key, pm in _field(group, node, "power_maps", dict).items():
+        if (
+            not str(key).isdigit()
+            or not isinstance(pm, list)
+            or any(type(i) is not int for i in pm)
+        ):
+            raise BundleError(f"{group}: malformed power map for {key!r}")
+        power_maps[int(key)] = tuple(pm)
+    every, n = range(len(classes)), len(classes)
     return CharacterTable(
-        group, order, tuple(classes), power_maps, characters, extra_characters=extra
+        group,
+        order,
+        tuple(classes),
+        power_maps,
+        _decode_rows(group, node, "characters", every, n),
+        extra_characters=_decode_rows(group, node, "extra_characters", every, n, []),
     )
 
 
-def _parse_brauer(group: str, ordinary: CharacterTable, node: dict) -> CharacterTable:
-    try:
-        p = int(node["p"])
-        raw_classes = node["classes"]
-        raw_chars = node["characters"]
-    except (TypeError, KeyError) as exc:
-        raise BundleError(f"{group}: Brauer table missing field {exc}") from None
-    indices = []
-    for name in raw_classes:
-        if name not in ordinary._by_name:
-            raise BundleError(
-                f"{group} mod {p}: unresolved class reference {name!r}"
-            )
-        indices.append(ordinary.index_of(name))
-    classes = tuple(ordinary.classes[i] for i in indices)
-    sub_pos = {oi: i for i, oi in enumerate(indices)}
-    power_maps = {}
-    if classes:
-        exp = lcm(*(cl.element_order for cl in classes))
-        for q in prime_factors(exp):
-            opm = ordinary.power_maps.get(q)
-            if opm is None:
-                raise BundleError(f"{group}: power map for prime {q} is missing")
-            power_maps[q] = tuple(sub_pos[opm[oi]] for oi in indices)
-    characters = []
-    for row in raw_chars:
-        try:
-            characters.append(tuple(cyc_from_json(v) for v in row))
-        except ValueError as exc:
-            raise BundleError(f"{group} mod {p}: bad character value: {exc}") from None
+def _parse_brauer(group: str, ordinary: CharacterTable, node) -> CharacterTable:
+    _typed(group, "Brauer table", node, dict)
+    p = _field(f"{group} Brauer table", node, "p", int)
+    g = f"{group} mod {p}"
+    if not is_prime(p):
+        raise BundleError(f"{g}: {p} is not a prime")
+    if ordinary.group_order % p:
+        raise BundleError(f"{g}: {p} does not divide the group order")
+    positions = []
+    for name in _field(g, node, "classes", list):
+        if _typed(g, "class name", name, str) not in ordinary._by_name:
+            raise BundleError(f"{g}: unresolved class reference {name!r}")
+        positions.append(ordinary._by_name[name])
+    regular = [x for x, cl in enumerate(ordinary.classes) if cl.element_order % p]
+    if sorted(positions) != regular:
+        raise BundleError(
+            f"{g}: classes must be exactly the {p}-regular ordinary classes, each once"
+        )
     return CharacterTable(
         group,
         ordinary.group_order,
-        classes,
-        power_maps,
-        tuple(characters),
+        ordinary.classes,
+        ordinary.power_maps,
+        _decode_rows(g, node, "characters", positions, len(ordinary.classes)),
         prime=p,
-        ordinary_index=tuple(indices),
     )
 
 
@@ -469,35 +472,31 @@ def load_bundle(source: str | Path | dict) -> TableBundle:
         raise BundleError("bundle must be a JSON object")
     try:
         group = str(data["group"])
-        order = int(data["order"])
-        ordinary_node = data["ordinary"]
-    except (TypeError, KeyError, ValueError) as exc:
+    except KeyError as exc:
         raise BundleError(f"bundle missing or malformed field: {exc}") from None
-
-    ordinary = _parse_ordinary(group, order, ordinary_node)
+    order = _field(group, data, "order", int)
+    ordinary = _parse_ordinary(group, order, _field(group, data, "ordinary", dict))
     _check_ordinary(ordinary)
 
     brauer = []
     seen = set()
-    for node in data.get("brauer", []):
+    for node in _field(group, data, "brauer", list, []):
         t = _parse_brauer(group, ordinary, node)
         if t.prime in seen:
             raise BundleError(f"{group}: duplicate Brauer table for p={t.prime}")
         seen.add(t.prime)
-        _check_brauer(t, ordinary)
+        _check_brauer(t)
         brauer.append(t)
 
-    flags = data.get("flags", {})
-    if not isinstance(flags, dict):
-        raise BundleError(f"{group}: flags must be an object")
+    flags = _field(group, data, "flags", dict, {})
     for key in ("is_solvable", "is_nilpotent"):
         if key in flags and not isinstance(flags[key], bool):
             raise BundleError(f"{group}: flag {key} must be boolean")
-    nilpotent = flags.get("is_nilpotent")
-    if nilpotent is not None and nilpotent != _sylows_normal(ordinary):
+    nilpotent = _sylows_normal(ordinary)
+    if flags.get("is_nilpotent", nilpotent) != nilpotent:
         raise BundleError(
-            f"{group}: flag is_nilpotent is {nilpotent}, but the class sizes"
-            f" say {not nilpotent}"
+            f"{group}: flag is_nilpotent is {not nilpotent}, but the class sizes"
+            f" say {nilpotent}"
         )
     if nilpotent and flags.get("is_solvable") is False:
         raise BundleError(f"{group}: a nilpotent group cannot be non-solvable")
@@ -606,8 +605,10 @@ def bundle_to_json(bundle: TableBundle) -> dict:
         node["brauer"] = [
             {
                 "p": t.prime,
-                "classes": [cl.name for cl in t.classes],
-                "characters": [[cyc_to_json(v) for v in row] for row in t.characters],
+                "classes": [cl.name for cl in t.classes if cl.element_order % t.prime],
+                "characters": [
+                    [cyc_to_json(v) for v in row if v is not None] for row in t.characters
+                ],
             }
             for t in bundle.brauer
         ]

@@ -118,7 +118,8 @@ def cmd_check(args, label, checker) -> int:
     verdict = checker(bundle, solver_options(args), store)
     print_verdict(label, verdict)
     save_store(bundle, verdict.store, args.store)
-    write_json(args.json_out, verdict_json(label.lower(), bundle, verdict))
+    if args.json_out:
+        write_json(args.json_out, verdict_json(label.lower(), bundle, verdict))
     return EXIT_OK if verdict.proved else EXIT_UNKNOWN
 
 

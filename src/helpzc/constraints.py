@@ -255,36 +255,28 @@ class CharRow(Record):
 
 
 def char_rows(tables, n_ordinary_classes: int) -> tuple[CharRow, ...]:
-    """Flatten the usable tables into CharRows over ordinary class indices.
+    """Flatten the usable tables into CharRows over the ordinary classes.
 
+    Every table, Brauer tables included, stores its rows over the
+    n_ordinary_classes ordinary classes, so a CharRow holds the row itself.
     Each table's rows are built once and kept on the table; a table set
     joins them in order.
     """
     out = []
     for t in tables:
-        rows = t.char_rows.get(n_ordinary_classes)
-        if rows is None:
-            rows = t.char_rows[n_ordinary_classes] = _table_rows(
-                t, n_ordinary_classes
-            )
-        out.extend(rows)
+        if t.char_rows is None:
+            t.char_rows = _table_rows(t)
+        out.extend(t.char_rows)
     return tuple(out)
 
 
-def _table_rows(t: CharacterTable, n_ordinary_classes: int):
+def _table_rows(t: CharacterTable):
     prefix = f"mod{t.prime}" if t.is_brauer else "ord"
-    out = []
-    for tag, rows in (("", t.characters), ("x", t.extra_characters)):
-        for ri, row in enumerate(rows):
-            if t.is_brauer:
-                values = [None] * n_ordinary_classes
-                for sub_i, ord_i in enumerate(t.ordinary_index):
-                    values[ord_i] = row[sub_i]
-                values = tuple(values)
-            else:
-                values = tuple(row)
-            out.append(CharRow(f"{prefix}{tag}{ri}", t.degree(row), values))
-    return tuple(out)
+    return tuple(
+        CharRow(f"{prefix}{tag}{ri}", t.degree(row), row)
+        for tag, rows in (("", t.characters), ("x", t.extra_characters))
+        for ri, row in enumerate(rows)
+    )
 
 
 # -- integer trace blocks -------------------------------------------------------
@@ -441,22 +433,6 @@ class AggVar(Record):
         return f"agg:{self.prime}"
 
 
-class MuVar(Record):
-    """The multiplicities of one congruence row C·x + a: `owners` lists each
-    ((row label, l), j) whose row has coefficients C and constant term
-    a + j·k, and so the multiplicity of the row plus j."""
-
-    __slots__ = ("owners",)
-
-    def __init__(self, owners: tuple[tuple[tuple[str, int], int], ...]):
-        set_field(self, "owners", owners)
-
-    def __str__(self):
-        label, ell = self.owners[0][0]
-        extra = f"+{len(self.owners) - 1}" if len(self.owners) > 1 else ""
-        return f"mu:{label}:{ell}{extra}"
-
-
 def usable_tables(bundle: TableBundle, k: int, options=None):
     """Ordinary table plus Brauer(p) for p not dividing k; Brauer tables of
     primes the group is p-solvable for add nothing and are skipped.
@@ -496,10 +472,11 @@ def _assemble(ordinary, tables, k, rows, levels, coefficients, lead) -> LinSyste
     C·x + a ≡ 0 (mod k), C·x + a >= 0 of the rows (psi, l): `rows` holds
     (r, psi) pairs, r indexing char_rows(tables), `coefficients` each row's
     per-l tuples over `lead`, and `levels` the proper powers for
-    _constant_terms.  Rows with equal C are one row, of the least a; if two
-    of their constants differ mod k, the system is 0·x + 1 ≡ 0.  Over a
-    complete ordinary table it carries the norm bound of identity 5 of the
-    module docstring."""
+    _constant_terms.  Rows with equal C are one congruence row
+    (C, a, owners), a the least of their constants and `owners` each one's
+    ((label, l), a(psi, l)); if two of their constants differ mod k, the
+    system is the clash row (0, 1, None).  Over a complete ordinary table
+    it carries the norm bound of identity 5 of the module docstring."""
     a_terms = _constant_terms(ordinary, tables, k, levels, rows)
     merged: dict[tuple, list] = {}
     for (_, row), coeffs, a_row in zip(rows, coefficients, a_terms):
@@ -512,8 +489,7 @@ def _assemble(ordinary, tables, k, rows, levels, coefficients, lead) -> LinSyste
         if any((b - a) % k for _, b in owners):
             congruences = [((0,) * len(lead), 1, None)]
             break
-        mu = MuVar(tuple([(key, (b - a) // k) for key, b in owners]))
-        congruences.append((coeffs, a, mu))
+        congruences.append((coeffs, a, tuple(owners)))
 
     norm = None
     if len(ordinary.characters) == len(ordinary.classes):
@@ -594,18 +570,20 @@ def eps_projection(sys: LinSystem, solution) -> dict[int, int]:
 
 def mu_values(sys: LinSystem, solution) -> dict[tuple[str, int], int]:
     """(row label, l) -> multiplicity, recomputed from the solution's eps:
-    each congruence row's (C·eps + a) / k must be a nonnegative integer,
-    so anything else means a bug, and each of its owners adds its j."""
+    (C·eps + a(psi, l)) / k for each owner of each congruence row, which
+    must be a nonnegative integer, so anything else means a bug."""
     out = {}
+    k = sys.modulus
     nonzero = [(i, v) for i, v in enumerate(solution) if v]
-    for coeffs, a, mu in sys.congruences:
-        for i, v in nonzero:
-            a += coeffs[i] * v
-        count, rem = divmod(a, sys.modulus)
-        if rem or count < 0:
-            raise AssertionError(f"{mu}: {a} / {sys.modulus} is no nonnegative integer")
-        for key, j in mu.owners:
-            out[key] = count + j
+    for coeffs, _, owners in sys.congruences:
+        if owners is None:
+            raise AssertionError("a system with clashing constants has no solution")
+        dot = sum([coeffs[i] * v for i, v in nonzero])
+        for key, a in owners:
+            count, rem = divmod(dot + a, k)
+            if rem or count < 0:
+                raise AssertionError(f"{key}: {dot + a} / {k} is no nonnegative integer")
+            out[key] = count
     return out
 
 

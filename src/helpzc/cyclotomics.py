@@ -497,27 +497,37 @@ def cyc_to_json(a: Cyc):
     return {"n": a.n, "coeffs": [[e, _rat_to_json(c)] for e, c in sorted(a._c.items())]}
 
 
+def _json_rational(value) -> Fraction:
+    """A rational from JSON: an integer (not a boolean) or a "num/den" string."""
+    if type(value) is int or isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"not an exact rational: {value!r}")
+
+
 def cyc_from_json(obj) -> Cyc:
     """Decode the encoding produced by cyc_to_json (input need not be canonical)."""
-    if isinstance(obj, bool):
-        raise ValueError(f"not a cyclotomic value encoding: {obj!r}")
-    if isinstance(obj, (int, str)):
-        return rational(obj)
+    if type(obj) is int or isinstance(obj, str):
+        return rational(_json_rational(obj))
     if isinstance(obj, dict):
         try:
             n = obj["n"]
             pairs = obj["coeffs"]
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise ValueError(f"malformed cyclotomic value encoding: {obj!r}") from exc
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"bad conductor in encoding: {n!r}")
+        if not isinstance(pairs, list):
+            raise ValueError(f"coefficients must be a list: {pairs!r}")
         coeffs: dict[int, Fraction] = {}
         for pair in pairs:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"bad coefficient entry: {pair!r}")
             e, c = pair
-            if not isinstance(e, int) or not 0 <= e < n:
+            if type(e) is not int or not 0 <= e < n:
                 raise ValueError(f"exponent {e!r} out of range for conductor {n}")
-            coeffs[e] = coeffs.get(e, Fraction(0)) + _as_fraction(c)
+            coeffs[e] = coeffs.get(e, Fraction(0)) + _json_rational(c)
         return Cyc(n, coeffs)
     raise ValueError(f"not a cyclotomic value encoding: {obj!r}")

@@ -1,5 +1,6 @@
 """Shared test utilities: random system generation and brute-force oracles."""
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,6 +9,7 @@ from helpzc.arith import divisors, is_prime, prime_factors
 from helpzc.chartables import (
     CharacterTable,
     TableBundle,
+    bundle_to_json,
     cyclic_table,
     load_bundle,
     resolve_bundle_path,
@@ -35,16 +37,10 @@ def brute_force_pa_solutions(bundle, k, proper_levels, bound, tables=None):
     ordinary = bundle.ordinary
     if tables is None:
         tables = (ordinary,) + tuple(t for t in bundle.brauer if k % t.prime)
-    rows = []
-    for t in tables:
-        for row in tuple(t.characters) + tuple(t.extra_characters):
-            values = [None] * len(ordinary.classes)
-            if t.is_brauer:
-                for sub_i, ord_i in enumerate(t.ordinary_index):
-                    values[ord_i] = row[sub_i]
-            else:
-                values = list(row)
-            rows.append((t.degree(row), values))
+    # every row, Brauer rows included, is indexed by the ordinary classes
+    rows = [
+        (t.degree(row), row) for t in tables for row in t.characters + t.extra_characters
+    ]
     support = ordinary.classes_of_order_dividing(k)
 
     def level_value(values, items):
@@ -157,7 +153,7 @@ def cyclic_with_row(n, row, brauer):
     p = next(p for p in range(2, 2 * n + 3) if is_prime(p) and n % p)
     fake = CharacterTable(
         t.group_name, n, t.classes, t.power_maps, t.characters + (row,),
-        prime=p, ordinary_index=tuple(range(n)),
+        prime=p,
     )
     return TableBundle(t.group_name, t, (fake,))
 
@@ -380,3 +376,58 @@ def reference_simplex(inequalities, objective, maximize: bool = True):
         total = sum(Fraction(c) * p for c, p in zip(coeffs, point))
         assert total >= Fraction(r), "optimal point must satisfy all rows"
     return Optimal(value if maximize else -value, point)
+
+
+# Malformed bundles, each as (id, base bundle, path into its JSON, the value
+# put there, the start of the error it must give).  Each one either crashed
+# the loader or loaded with a value that is not the file's: a float size or
+# order cut to an integer, a boolean read as 0 or 1.
+M11_CYC = ("ordinary", "characters", 2, 6, "coeffs", 0)  # zeta_8 + zeta_8^3
+BUNDLE_CORRUPTIONS = [
+    ("zero-denominator", "m11", ("ordinary", "characters", 1, 1), "1/0",
+     "M11: bad value in characters: not an exact rational: '1/0'"),
+    ("brauer-not-list", "m11", ("brauer",), 7,
+     "M11: brauer must be of type list"),
+    ("power-maps-list", "m11", ("ordinary", "power_maps"), [[0]],
+     "M11: power_maps must be of type dict"),
+    ("characters-not-list", "m11", ("ordinary", "characters"), 7,
+     "M11: characters must be of type list"),
+    ("extra-characters-not-list", "m11", ("ordinary", "extra_characters"), 7,
+     "M11: extra_characters must be of type list"),
+    ("brauer-classes-not-list", "m11", ("brauer", 0, "classes"), 7,
+     "M11 mod 5: classes must be of type list"),
+    ("brauer-characters-not-list", "m11", ("brauer", 0, "characters"), 7,
+     "M11 mod 5: characters must be of type list"),
+    ("brauer-class-not-string", "m11", ("brauer", 0, "classes", 0), ["1a"],
+     "M11 mod 5: class name must be of type str"),
+    ("brauer-prime-string", "m11", ("brauer", 0, "p"), "5",
+     "M11 Brauer table: p must be of type int"),
+    ("class-size-float", "s3", ("ordinary", "classes", 1, "size"), 3.9,
+     "S3 class 2a: size must be of type int"),
+    ("class-order-float", "s3", ("ordinary", "classes", 1, "order"), 2.0,
+     "S3 class 2a: order must be of type int"),
+    ("group-order-bool", "C1", ("order",), True,
+     "C1: order must be of type int"),
+    ("power-map-entry-bool", "s3", ("ordinary", "power_maps", "2", 0), False,
+     "S3: malformed power map for '2'"),
+    ("exponent-bool", "m11", M11_CYC + (0,), True,
+     "M11: bad value in characters: exponent True out of range"),
+    ("coefficient-bool", "m11", M11_CYC + (1,), True,
+     "M11: bad value in characters: not an exact rational: True"),
+    ("coefficient-float", "m11", M11_CYC + (1,), 1.0,
+     "M11: bad value in characters: not an exact rational: 1.0"),
+]
+
+
+def corrupted_bundle(base, path, value):
+    """The JSON of bundle `base` (a bundled name, or C1) with `value` put
+    at `path`."""
+    if base == "C1":
+        data = bundle_to_json(cyclic_table(1))
+    else:
+        data = json.loads(resolve_bundle_path(base).read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data

@@ -4,6 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
+from helpers import BUNDLE_CORRUPTIONS, corrupted_bundle
 from helpzc.arith import prime_factors
 from helpzc.chartables import (
     BundleError,
@@ -13,7 +14,7 @@ from helpzc.chartables import (
     load_bundle,
     resolve_bundle_path,
 )
-from helpzc.cyclotomics import Cyc, cyc_to_json, rational, root_of_unity
+from helpzc.cyclotomics import Cyc, cyc_from_json, cyc_to_json, rational, root_of_unity
 
 BUNDLED = ["s3.json", "s4.json", "a5.json", "sl23.json", "m11.json"]
 
@@ -95,6 +96,17 @@ def test_flags(bundles):
     assert bundles["m11.json"].p_solvable_for == frozenset()
 
 
+def test_nilpotency_is_derived_when_not_declared(bundles):
+    for bundle in bundles.values():
+        data = bundle_to_json(bundle)
+        del data["flags"]["is_nilpotent"]
+        assert load_bundle(data).is_nilpotent is bundle.is_nilpotent is False
+    data = bundle_to_json(cyclic_table(8))
+    del data["flags"]
+    c8 = load_bundle(data)
+    assert c8.is_nilpotent is True and c8.is_solvable is True
+
+
 def test_order_facts(bundles):
     a5 = bundles["a5.json"].ordinary
     assert a5.element_orders() == (1, 2, 3, 5)
@@ -166,7 +178,9 @@ def test_power_maps_match_galois_action(bundles):
                 if gcd(p, cl.element_order) != 1:
                     continue
                 for row in t.characters + t.extra_characters:
-                    assert row[pm[c]] == row[c].galois(p)
+                    # a Brauer row has no value at a p-singular class
+                    if row[c] is not None:
+                        assert row[pm[c]] == row[c].galois(p)
 
 
 def test_brauer_structure(bundles):
@@ -176,20 +190,30 @@ def test_brauer_structure(bundles):
     assert t5 is not None and t5.is_brauer and t5.prime == 5
     assert m11.brauer_for(7) is None
 
-    regular = tuple(
-        i
-        for i, cl in enumerate(m11.ordinary.classes)
-        if cl.element_order % 5 != 0
-    )
-    assert t5.ordinary_index == regular
-    assert [cl.name for cl in t5.classes] == [
-        m11.ordinary.classes[i].name for i in regular
-    ]
-
-    # induced power maps stay on the p-regular classes
+    # a Brauer table shares the ordinary classes and power maps
+    for t in m11.brauer:
+        assert t.classes is m11.ordinary.classes
+        assert t.power_maps is m11.ordinary.power_maps
     t11 = m11.brauer_for(11)
     a8 = t11.index_of("8a")
     assert t11.class_of_power(a8, 2) == t11.index_of("4a")
+
+
+def test_brauer_rows_live_over_the_ordinary_classes(bundles):
+    # each row is None exactly at the p-singular classes and, at every
+    # class the node names, the value the file gives there
+    m11 = bundles["m11.json"]
+    nodes = m11_raw()["brauer"]
+    assert [node["p"] for node in nodes] == list(m11.brauer_primes)
+    for t, node in zip(m11.brauer, nodes):
+        assert len(t.characters) == len(node["characters"])
+        for row, raw in zip(t.characters, node["characters"]):
+            assert len(row) == len(m11.ordinary.classes)
+            singular = [cl.element_order % t.prime == 0 for cl in t.classes]
+            assert [v is None for v in row] == singular
+            for name, value in zip(node["classes"], raw):
+                assert row[t.index_of(name)] == cyc_from_json(value)
+    assert bundle_to_json(m11)["brauer"] == nodes
 
 
 def test_degree(bundles):
@@ -344,6 +368,10 @@ def test_reject_wrong_brauer_classes():
     def mutate2(d):
         d["brauer"][0]["classes"][4] = "7a"  # unresolved name
     corrupt(mutate2)
+
+    def mutate3(d):
+        d["brauer"][0]["classes"].append("1a")  # listed twice
+    corrupt(mutate3)
 
 
 def test_reject_brauer_table_without_one_row_per_regular_class():
@@ -508,12 +536,30 @@ def test_incomplete_table_may_not_declare_solvability():
         data["flags"] = flags
         with pytest.raises(BundleError, match="need a complete table"):
             load_bundle(data)
+    # the class sizes show C6 nilpotent, so it cannot be declared non-solvable
     data["flags"] = {"is_solvable": False}
-    bundle = load_bundle(data)
-    assert bundle.is_solvable is False and bundle.p_solvable_for == frozenset()
+    with pytest.raises(BundleError, match="nilpotent group cannot be non-solvable"):
+        load_bundle(data)
     del data["flags"]
     bundle = load_bundle(data)
     assert bundle.is_solvable is None and bundle.p_solvable_for == frozenset()
+    assert bundle.is_nilpotent is True
+    # S3 is not nilpotent, and only a complete table shows it solvable
+    data = bundle_to_json(load_named("s3"))
+    data["ordinary"]["characters"] = data["ordinary"]["characters"][:2]
+    data["flags"] = {"is_solvable": False}
+    bundle = load_bundle(data)
+    assert bundle.is_solvable is False and bundle.p_solvable_for == frozenset()
+
+
+@pytest.mark.parametrize(
+    "base, path, value, message",
+    [pytest.param(*case[1:], id=case[0]) for case in BUNDLE_CORRUPTIONS],
+)
+def test_malformed_bundle_is_a_bundle_error(base, path, value, message):
+    with pytest.raises(BundleError) as error:
+        load_bundle(corrupted_bundle(base, path, value))
+    assert str(error.value).startswith(message)
 
 
 def test_error_names_the_table():

@@ -1,9 +1,16 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from helpers import BUNDLE_CORRUPTIONS, corrupted_bundle
+from helpzc import cli
+from helpzc.chartables import bundle_to_json, cyclic_table
 from helpzc.cli import build_parser, main, solver_options
 from helpzc.intsolve import DEFAULT_MAX_NODES
 
@@ -191,6 +198,17 @@ def test_nilpotent_shortcut_line(capsys):
     assert out.strip() == "ZC: Proved (nilpotent shortcut)"
 
 
+def test_undeclared_nilpotency_takes_the_shortcut(capsys, tmp_path):
+    data = bundle_to_json(cyclic_table(8))
+    del data["flags"]
+    bundle = tmp_path / "c8.json"
+    bundle.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "info", str(bundle))
+    assert code == 0 and "properties: nilpotent, solvable" in out.splitlines()
+    code, out, _ = run(capsys, "zc", str(bundle))
+    assert code == 0 and out.strip() == "ZC: Proved (nilpotent shortcut)"
+
+
 def test_node_budget_flag(capsys):
     code, out, _ = run(
         capsys, "zc", "cyclic:12", "--no-shortcuts", "--max-nodes", "1"
@@ -244,6 +262,42 @@ def test_json_out_verdict(capsys, tmp_path):
     assert data["command"] == "pq"
     assert data["verdict"] == "Proved"
     assert data["store"]["solutions"]["10"] == []
+
+
+def test_verdict_json_is_built_only_when_written(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = cli.verdict_json
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "verdict_json", counting)
+    assert run(capsys, "zc", "a5")[0] == 0
+    assert calls == []
+    out_path = tmp_path / "verdict.json"
+    assert run(capsys, "zc", "a5", "--json-out", str(out_path))[0] == 0
+    assert calls == ["zc"]
+    assert json.loads(out_path.read_text())["verdict"] == "Proved"
+
+
+@pytest.mark.parametrize(
+    "base, path, value",
+    [pytest.param(*case[1:4], id=case[0]) for case in BUNDLE_CORRUPTIONS],
+)
+def test_info_on_a_malformed_bundle_prints_one_error_line(tmp_path, base, path, value):
+    bundle = tmp_path / "bad.json"
+    bundle.write_text(json.dumps(corrupted_bundle(base, path, value)))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-m", "helpzc.cli", "info", str(bundle)],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {base.upper()}")
 
 
 def test_missing_bundle(capsys):

@@ -63,13 +63,9 @@ def solutions_on_support(sys, result):
 
 
 def constant_terms(sys):
-    """(row label, l) -> a(psi, l), as each congruence row's multiplicity
-    records it."""
-    return {
-        key: a + j * sys.modulus
-        for _, a, mu in sys.congruences
-        for key, j in mu.owners
-    }
+    """(row label, l) -> a(psi, l), as each congruence row's owners record
+    it."""
+    return {key: a for _, _, owners in sys.congruences for key, a in owners}
 
 
 def trivial_proper(table, k, chosen):
@@ -291,15 +287,17 @@ def test_variable_layout_and_merging():
     assert [type(v) for v in sys.variables] == [EpsVar]
     assert sys.equalities == (((1,), 1),)
     assert sys.nonneg == frozenset() and sys.modulus == 2
-    owners = [mu.owners for _, _, mu in sys.congruences]
+    owners = [o for _, _, o in sys.congruences]
     # trivial and sign character rows coincide pairwise
     assert [coeffs for coeffs, _, _ in sys.congruences] == [(1,), (-1,)]
     assert all(len(o) == 2 for o in owners)
     assert {key for o in owners for key, _ in o} == {
         ("ord0", 0), ("ord0", 1), ("ord1", 0), ("ord1", 1)
     }
+    # each row keeps the least constant of its owners
+    assert all(a == min(b for _, b in o) for _, a, o in sys.congruences)
     assert str(sys.variables[0]) == "eps:g1"
-    assert str(sys.congruences[0][2]).startswith("mu:ord0:")
+    assert sys.congruences[0][2][0][0][0] == "ord0"
 
 
 def trivial_plus(n, extra):
@@ -313,8 +311,10 @@ def test_equal_rows_with_incongruent_constants_are_infeasible():
     # a = a(1, l) + 1: the same C, constants apart by 1 mod 4
     b = trivial_plus(4, 1)
     sys = build_system(b, 4, trivial_proper(b.ordinary, 4, 1))
-    assert [(coeffs, a) for coeffs, a, _ in sys.congruences] == [((0, 0, 0), 1)]
+    assert sys.congruences == (((0, 0, 0), 1, None),)
     assert solve_all(sys) == Finite(())
+    with pytest.raises(AssertionError, match="clashing constants"):
+        mu_values(sys, (1, 0, 0))
 
 
 def test_equal_rows_with_congruent_constants_keep_the_tighter():
@@ -339,7 +339,8 @@ def test_mu_values_reject_a_non_solution():
     b = cyclic_table(4)
     sys = build_system(b, 4, trivial_proper(b.ordinary, 4, 1))
     assert solve_all(sys).solutions
-    with pytest.raises(AssertionError, match="no nonnegative integer"):
+    # the message names the (row, l) whose multiplicity fails
+    with pytest.raises(AssertionError, match=r"^\('ord\d', \d\): .* no nonnegative integer"):
         mu_values(sys, (2, -1, 0))
 
 
@@ -673,7 +674,7 @@ def test_trace_blocks_are_shared_between_table_sets(monkeypatch):
     assert set(t.trace_blocks) == {2}
     # the second set's system is the first's without the mod-5 rows
     mu_owners = [
-        {key for _, _, mu in s.congruences for key, _ in mu.owners}
+        {key for _, _, owners in s.congruences for key, _ in owners}
         for s in systems
     ]
     assert mu_owners[1] == {o for o in mu_owners[0] if not o[0].startswith("mod5")}
@@ -685,9 +686,9 @@ def test_char_rows_are_built_once_per_table(monkeypatch):
     built = []
     real = constraints._table_rows
 
-    def counting(table, width):
+    def counting(table):
         built.append(table.prime)
-        return real(table, width)
+        return real(table)
 
     monkeypatch.setattr(constraints, "_table_rows", counting)
     with_mod5 = usable_tables(m11, 2)

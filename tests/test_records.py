@@ -23,7 +23,6 @@ from helpzc.constraints import (
     CharRow,
     ConstraintError,
     EpsVar,
-    MuVar,
     PATuple,
     PAVector,
 )
@@ -59,14 +58,13 @@ def fields_of(cls):
         CharRow: ("ord1", 1, (rational(1), root_of_unity(4))),
         EpsVar: (3, "4a"),
         AggVar: (5,),
-        MuVar: (((("ord1", 0), 0), (("ord2", 3), 1)),),
         LinSystem: (
             ("x", "y"),
             (((1, 1), 1),),
             frozenset({0, 1}),
             ((1, 1), 1),
             3,
-            (((1, 2), 1, "mu"),),
+            (((1, 2), 1, ((("ord1", 0), 1),)),),
         ),
         Finite: (((1, 0), (0, 1)),),
         Infinite: ((1, -1),),
@@ -88,7 +86,6 @@ RECORDS = [
     CharRow,
     EpsVar,
     AggVar,
-    MuVar,
     LinSystem,
     Finite,
     Infinite,

@@ -106,8 +106,7 @@ def test_usable_tables_fong_swan_skip():
     t = cyclic_table(6).ordinary
     fake = [
         CharacterTable(
-            "C6", 6, t.classes, t.power_maps, t.characters,
-            prime=p, ordinary_index=tuple(range(6)),
+            "C6", 6, t.classes, t.power_maps, t.characters, prime=p
         )
         for p in (5, 7)
     ]
