@@ -72,6 +72,10 @@ class CharacterTable:
         # unit order m -> the integer trace block of these rows (see
         # constraints.trace_block), built on first use
         self.trace_blocks: dict = {}
+        # a proper power's PAVector -> these rows' sums, and on an ordinary
+        # table the order-k templates (constraints._level_sums, _template)
+        self.level_sums: dict = {}
+        self.templates: dict = {}
         # these rows as constraints.CharRows, built on first use
         self.char_rows = None
 

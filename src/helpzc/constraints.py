@@ -95,13 +95,18 @@ Assembly is integer-only; identities 1 and 2 make that exact.
 Each character table gets one integer block of C_m per unit order m, built
 from the stored exponents on first use, with each distinct value traced
 once, and kept on the table; a table set's coefficients are its tables'
-blocks joined.  Cyclotomic (Cyc) arithmetic only loads and validates the
-character tables.
+blocks joined.  What the systems of one order share (the rows merged by
+coefficient tuple, the variables, the norm) is built once per order and
+table set, and each proper power's sums of identity 1 once per table, so a
+system computes only its constant terms.  Cyclotomic (Cyc) arithmetic only
+loads and validates the character tables.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from math import gcd, lcm
+from operator import add
 
 from .arith import divisors, is_prime
 from .chartables import CharacterTable, TableBundle
@@ -254,13 +259,12 @@ class CharRow(Record):
         return v
 
 
-def char_rows(tables, n_ordinary_classes: int) -> tuple[CharRow, ...]:
+def char_rows(tables) -> tuple[CharRow, ...]:
     """Flatten the usable tables into CharRows over the ordinary classes.
 
-    Every table, Brauer tables included, stores its rows over the
-    n_ordinary_classes ordinary classes, so a CharRow holds the row itself.
-    Each table's rows are built once and kept on the table; a table set
-    joins them in order.
+    Every table, Brauer tables included, stores its rows over the ordinary
+    classes, so a CharRow holds the row itself.  Each table's rows are
+    built once and kept on the table; a table set joins them in order.
     """
     out = []
     for t in tables:
@@ -295,22 +299,21 @@ def _integer_traces(value: Cyc, m: int, context: str) -> tuple[int, ...]:
     return tuple(int(t) for t in traces)
 
 
-def trace_block(table: CharacterTable, ordinary: CharacterTable, m: int):
+def trace_block(table: CharacterTable, m: int):
     """The integer coefficients of `table`'s rows at unit order m:
     block[r][l][i] = Tr_{Q(zeta_m)/Q}(psi_r(x) zeta_m^-l) for the r-th row
-    of char_rows((table,)), l < m and x the i-th class of `ordinary` of
-    order dividing m.
+    of char_rows((table,)), l < m and x the i-th class of order dividing m.
 
     Built on first use and kept on the table, so each distinct value is
     traced once per m, whichever cells hold it and whichever table sets the
-    table joins; `ordinary` must be the ordinary table `table` belongs to.
+    table joins.
     """
     block = table.trace_blocks.get(m)
     if block is None:
-        support = ordinary.classes_of_order_dividing(m)
+        support = table.classes_of_order_dividing(m)
         traced: dict[Cyc, tuple[int, ...]] = {}
         rows = []
-        for row in char_rows((table,), len(ordinary.classes)):
+        for row in char_rows((table,)):
             columns = []
             for x in support:
                 value = row.value_at(x)
@@ -334,8 +337,8 @@ def galois_twists(ordinary: CharacterTable, tables, k: int) -> dict:
     is closed under composition.
     """
     support = ordinary.classes_of_order_dividing(k)
-    top = trace_block(ordinary, ordinary, k)
-    others = [trace_block(t, ordinary, k) for t in tables if t is not ordinary]
+    top = trace_block(ordinary, k)
+    others = [trace_block(t, k) for t in tables if t is not ordinary]
     column = {
         tuple(c[i] for row in top for c in row): i for i in range(len(support))
     }
@@ -374,21 +377,14 @@ def galois_twists(ordinary: CharacterTable, tables, k: int) -> dict:
     return group
 
 
-def _coefficients(ordinary: CharacterTable, tables, m: int) -> list:
-    """The order-m blocks of `tables` joined, one entry per row of
-    char_rows(tables)."""
-    return [row for t in tables for row in trace_block(t, ordinary, m)]
-
-
-def _constant_terms(ordinary: CharacterTable, tables, k: int, levels, rows):
-    """a(psi, l) for each (r, psi) in `rows` (r indexing char_rows(tables))
-    and l < k: deg psi plus one dot product per proper power, `levels`
-    holding eps(u^d) for each order e = k/d > 1 (identity 1 of the module
-    docstring).  The dot product depends on l only mod e, so each level's
-    e sums are taken once and repeated k/e times."""
-    parts = []
-    for pa in levels:
-        support = ordinary.classes_of_order_dividing(pa.order)
+def _level_sums(table: CharacterTable, pa: PAVector):
+    """The share of the proper power with partial augmentations `pa`, of
+    order e, in the constant terms of `table`'s rows: for each row psi, the
+    e sums sum_x eps_x C_e[psi][l][x], l < e (identity 1 of the module
+    docstring).  Built on first use and kept on the table."""
+    sums = table.level_sums.get(pa)
+    if sums is None:
+        support = table.classes_of_order_dividing(pa.order)
         try:
             entries = [(support.index(x), eps) for x, eps in pa.entries]
         except ValueError:
@@ -396,15 +392,11 @@ def _constant_terms(ordinary: CharacterTable, tables, k: int, levels, rows):
                 f"partial augmentations of order {pa.order} sit on a class"
                 " of another order"
             ) from None
-        parts.append((pa.order, _coefficients(ordinary, tables, pa.order), entries))
-    out = []
-    for r, row in rows:
-        terms = [row.degree] * k
-        for e, values, entries in parts:
-            level = [sum(eps * c[i] for i, eps in entries) for c in values[r]]
-            terms = [a + b for a, b in zip(terms, level * (k // e))]
-        out.append(tuple(terms))
-    return out
+        sums = table.level_sums[pa] = tuple(
+            tuple([sum([eps * c[i] for i, eps in entries]) for c in row])
+            for row in trace_block(table, pa.order)
+        )
+    return sums
 
 
 # -- system assembly -----------------------------------------------------------
@@ -456,41 +448,46 @@ def build_system(
     congruence row per distinct coefficient tuple."""
     if k < 2:
         raise ConstraintError("unit order must be at least 2")
-    ordinary = bundle.ordinary
     if tables is None:
         tables = usable_tables(bundle, k)
-    rows = list(enumerate(char_rows(tables, len(ordinary.classes))))
     levels = [proper.level(e) for e in divisors(k) if 1 < e < k]
-    top = _coefficients(ordinary, tables, k)
+    return _assemble(bundle.ordinary, tables, k, None, levels)
+
+
+def _template(ordinary, tables, k, p):
+    """What the order-k systems over `tables` share, kept on the ordinary
+    table; p is None for the full system, else the summed prime of identity
+    4.  The rows (psi, l) are merged by coefficient tuple C in first-seen
+    order: the distinct C, the bounds of each one's run in `at`, and per row
+    its index r*k + l into the flat constants (r indexing char_rows(tables)),
+    label and l.  Then the degrees, laid out like the constants, the lead
+    variables, Σ x = 1 and the norm bound of identity 5 if the ordinary
+    table is complete.  A few flat tuples, not one per row, keep the
+    garbage collector's work small."""
+    key = (k, tuple(tables), p)
+    template = ordinary.templates.get(key)
+    if template is not None:
+        return template
+    rows = char_rows(tables)
     support = ordinary.classes_of_order_dividing(k)
-    lead = [EpsVar(i, ordinary.classes[i].name) for i in support]
-    return _assemble(ordinary, tables, k, rows, levels, top, lead)
-
-
-def _assemble(ordinary, tables, k, rows, levels, coefficients, lead) -> LinSystem:
-    """The system over `lead` (summing to 1) with the congruence rows
-    C·x + a ≡ 0 (mod k), C·x + a >= 0 of the rows (psi, l): `rows` holds
-    (r, psi) pairs, r indexing char_rows(tables), `coefficients` each row's
-    per-l tuples over `lead`, and `levels` the proper powers for
-    _constant_terms.  Rows with equal C are one congruence row
-    (C, a, owners), a the least of their constants and `owners` each one's
-    ((label, l), a(psi, l)); if two of their constants differ mod k, the
-    system is the clash row (0, 1, None).  Over a complete ordinary table
-    it carries the norm bound of identity 5 of the module docstring."""
-    a_terms = _constant_terms(ordinary, tables, k, levels, rows)
+    used, columns = range(len(rows)), list(range(len(support)))
+    if p is not None:
+        used = [r for r in used if is_p_constant(rows[r], ordinary, p)]
+        if not used:
+            raise ConstraintError("no p-constant rows")
+        agg = [i for i in columns if ordinary.classes[support[i]].element_order == p]
+        columns = [i for i in columns if i not in agg] + agg[:1]
+    top = [row for t in tables for row in trace_block(t, k)]
     merged: dict[tuple, list] = {}
-    for (_, row), coeffs, a_row in zip(rows, coefficients, a_terms):
-        for ell in range(k):
-            merged.setdefault(coeffs[ell], []).append(((row.label, ell), a_row[ell]))
-
-    congruences = []
-    for coeffs, owners in merged.items():
-        a = min(b for _, b in owners)
-        if any((b - a) % k for _, b in owners):
-            congruences = [((0,) * len(lead), 1, None)]
-            break
-        congruences.append((coeffs, a, tuple(owners)))
-
+    for r in used:
+        for i, c in enumerate(top[r], r * k):
+            if p is not None:
+                c = tuple([c[j] for j in columns])
+            merged.setdefault(c, []).append(i)
+    at = tuple(chain.from_iterable(merged.values()))
+    lead = [EpsVar(support[i], ordinary.classes[support[i]].name) for i in columns]
+    if p is not None:
+        lead[-1] = AggVar(p)
     norm = None
     if len(ordinary.characters) == len(ordinary.classes):
         sizes = [
@@ -501,8 +498,44 @@ def _assemble(ordinary, tables, k, rows, levels, coefficients, lead) -> LinSyste
         ]
         scale = lcm(*sizes)
         norm = (tuple(scale // size for size in sizes), scale)
-    equality = ((1,) * len(lead), 1)
-    return LinSystem(tuple(lead), (equality,), frozenset(), norm, k, tuple(congruences))
+    template = ordinary.templates[key] = (
+        tuple(merged),
+        tuple(accumulate(map(len, merged.values()), initial=0)),
+        at,
+        tuple([rows[i // k].label for i in at]),
+        tuple([i % k for i in at]),
+        [row.degree for row in rows for _ in range(k)],
+        tuple(lead),
+        (((1,) * len(lead), 1),),
+        norm,
+    )
+    return template
+
+
+def _assemble(ordinary, tables, k, p, levels) -> LinSystem:
+    """The system of _template(...) for the proper powers `levels`, with
+    a(psi, l) = deg psi + each level's kept sums (identity 1): per distinct
+    C the row C·x + a ≡ 0 (mod k), C·x + a >= 0, a the least constant of
+    its rows and `owners` each one's ((label, l), a(psi, l)); if two of
+    them differ mod k, the system is the clash row (0, 1, None)."""
+    coefficients, bounds, at, labels, ells, a_terms, lead, equalities, norm = _template(
+        ordinary, tables, k, p
+    )
+    for pa in levels:
+        # each level's sums repeat every e = pa.order
+        sums = [s * (k // pa.order) for t in tables for s in _level_sums(t, pa)]
+        a_terms = list(map(add, a_terms, chain.from_iterable(sums)))
+    constants = list(map(a_terms.__getitem__, at))
+    owners = tuple(zip(zip(labels, ells), constants))
+    congruences = []
+    for coeffs, lo, hi in zip(coefficients, bounds, bounds[1:]):
+        run = constants[lo:hi]
+        a = min(run)
+        if any((b - a) % k for b in run):
+            congruences = [((0,) * len(lead), 1, None)]
+            break
+        congruences.append((coeffs, a, owners[lo:hi]))
+    return LinSystem(lead, equalities, frozenset(), norm, k, tuple(congruences))
 
 
 def is_p_constant(row: CharRow, table: CharacterTable, p: int) -> bool:
@@ -530,30 +563,13 @@ def build_system_p_constant(
     ordinary = bundle.ordinary
     if tables is None:
         tables = usable_tables(bundle, k)
-    rows = [
-        (r, row)
-        for r, row in enumerate(char_rows(tables, len(ordinary.classes)))
-        if is_p_constant(row, ordinary, p)
-    ]
-    if not rows:
-        raise ConstraintError("no p-constant rows")
-
     support = ordinary.classes_of_order_dividing(k)
-    agg = [i for i, x in enumerate(support) if ordinary.classes[x].element_order == p]
-    keep = [i for i, x in enumerate(support) if ordinary.classes[x].element_order != p]
+    agg = [x for x in support if ordinary.classes[x].element_order == p]
     if not agg:
         raise ConstraintError(f"no classes of order {p}")
-    witness = agg[0]
-
     # psi(u^q) = psi(x_p), the value of a unit with eps = 1 at the witness
-    levels = (PAVector(p, ((support[witness], 1),)), proper.level(q))
-    top = _coefficients(ordinary, tables, k)
-    coefficients = [
-        [tuple(c[i] for i in keep) + (c[witness],) for c in top[r]] for r, _ in rows
-    ]
-    lead = [EpsVar(support[i], ordinary.classes[support[i]].name) for i in keep]
-    lead.append(AggVar(p))
-    return _assemble(ordinary, tables, k, rows, levels, coefficients, lead)
+    levels = (PAVector(p, ((agg[0], 1),)), proper.level(q))
+    return _assemble(ordinary, tables, k, p, levels)
 
 
 # -- inspection helpers --------------------------------------------------------

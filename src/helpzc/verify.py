@@ -214,7 +214,7 @@ def _candidates(bundle, k, store, options):
         subs.append(got)
 
     tables = usable_tables(bundle, k, options)
-    rows = char_rows(tables, len(bundle.ordinary.classes))
+    rows = char_rows(tables)
     propers = [
         _merge_levels(k, combo)
         for combo in product(*subs)

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from helpzc import verify
 from helpzc.arith import divisors, is_prime, prime_factors
@@ -14,7 +15,19 @@ from helpzc.chartables import (
     load_bundle,
     resolve_bundle_path,
 )
-from helpzc.constraints import build_system, eps_projection, pa_vector, usable_tables
+from helpzc.constraints import (
+    AggVar,
+    ConstraintError,
+    EpsVar,
+    PAVector,
+    build_system,
+    char_rows,
+    eps_projection,
+    is_p_constant,
+    pa_vector,
+    trace_block,
+    usable_tables,
+)
 from helpzc.cyclotomics import rational, root_of_unity
 from helpzc.intsolve import Finite, Infeasible, LinSystem, Optimal, Unbounded, solve_all
 from helpzc.verify import (
@@ -95,22 +108,116 @@ def bundle_of(name):
     return load_bundle(resolve_bundle_path(name))
 
 
-def built_systems(monkeypatch, bundle, checker, options):
-    """Every system, full or p-constant, that checker(bundle, options)
-    builds; undoes every monkeypatch when done."""
-    systems = []
+def built_calls(monkeypatch, bundle, checker, options):
+    """(builder name, arguments, system) for every system, full or
+    p-constant, that checker(bundle, options) builds; undoes every
+    monkeypatch when done."""
+    calls = []
     for name in ("build_system", "build_system_p_constant"):
         real = getattr(verify, name)
 
-        def recording(*args, real=real):
+        def recording(*args, real=real, name=name):
             system = real(*args)
-            systems.append(system)
+            calls.append((name, args, system))
             return system
 
         monkeypatch.setattr(verify, name, recording)
     checker(bundle, options)
     monkeypatch.undo()
-    return systems
+    return calls
+
+
+def built_systems(monkeypatch, bundle, checker, options):
+    """Every system, full or p-constant, that checker(bundle, options)
+    builds."""
+    return [system for _, _, system in built_calls(monkeypatch, bundle, checker, options)]
+
+
+# -- reference assembly ----------------------------------------------------------
+
+
+def reference_system(bundle, k, proper, tables, p=None):
+    """The HeLP system of one combination of proper powers, assembled from
+    nothing as build_system (p None) and build_system_p_constant assemble
+    it: every constant term summed and every (psi, l) row merged by its
+    coefficient tuple anew, with no template or sum kept between systems.
+    An oracle for the constraints module's per-order templates."""
+    ordinary = bundle.ordinary
+    rows = list(enumerate(char_rows(tables)))
+    support = ordinary.classes_of_order_dividing(k)
+    top = _reference_coefficients(tables, k)
+    if p is None:
+        levels = [proper.level(e) for e in divisors(k) if 1 < e < k]
+        lead = [EpsVar(i, ordinary.classes[i].name) for i in support]
+        return _reference_assemble(ordinary, tables, k, rows, levels, top, lead)
+    rows = [(r, row) for r, row in rows if is_p_constant(row, ordinary, p)]
+    agg = [i for i, x in enumerate(support) if ordinary.classes[x].element_order == p]
+    keep = [i for i, x in enumerate(support) if ordinary.classes[x].element_order != p]
+    witness = agg[0]
+    levels = (PAVector(p, ((support[witness], 1),)), proper.level(k // p))
+    coefficients = [
+        [tuple(c[i] for i in keep) + (c[witness],) for c in top[r]] for r, _ in rows
+    ]
+    lead = [EpsVar(support[i], ordinary.classes[support[i]].name) for i in keep]
+    lead.append(AggVar(p))
+    return _reference_assemble(ordinary, tables, k, rows, levels, coefficients, lead)
+
+
+def _reference_coefficients(tables, m):
+    return [row for t in tables for row in trace_block(t, m)]
+
+
+def _reference_constant_terms(ordinary, tables, k, levels, rows):
+    """a(psi, l) for each (r, psi) in `rows` and l < k: deg psi plus one
+    dot product per proper power."""
+    parts = []
+    for pa in levels:
+        support = ordinary.classes_of_order_dividing(pa.order)
+        try:
+            entries = [(support.index(x), eps) for x, eps in pa.entries]
+        except ValueError:
+            raise ConstraintError(
+                f"partial augmentations of order {pa.order} sit on a class"
+                " of another order"
+            ) from None
+        parts.append((pa.order, _reference_coefficients(tables, pa.order), entries))
+    out = []
+    for r, row in rows:
+        terms = [row.degree] * k
+        for e, values, entries in parts:
+            level = [sum(eps * c[i] for i, eps in entries) for c in values[r]]
+            terms = [a + b for a, b in zip(terms, level * (k // e))]
+        out.append(tuple(terms))
+    return out
+
+
+def _reference_assemble(ordinary, tables, k, rows, levels, coefficients, lead):
+    a_terms = _reference_constant_terms(ordinary, tables, k, levels, rows)
+    merged: dict[tuple, list] = {}
+    for (_, row), coeffs, a_row in zip(rows, coefficients, a_terms):
+        for ell in range(k):
+            merged.setdefault(coeffs[ell], []).append(((row.label, ell), a_row[ell]))
+
+    congruences = []
+    for coeffs, owners in merged.items():
+        a = min(b for _, b in owners)
+        if any((b - a) % k for _, b in owners):
+            congruences = [((0,) * len(lead), 1, None)]
+            break
+        congruences.append((coeffs, a, tuple(owners)))
+
+    norm = None
+    if len(ordinary.characters) == len(ordinary.classes):
+        sizes = [
+            ordinary.classes[v.class_index].size
+            if isinstance(v, EpsVar)
+            else sum(c.size for c in ordinary.classes if c.element_order == v.prime)
+            for v in lead
+        ]
+        scale = lcm(*sizes)
+        norm = (tuple(scale // size for size in sizes), scale)
+    equality = ((1,) * len(lead), 1)
+    return LinSystem(tuple(lead), (equality,), frozenset(), norm, k, tuple(congruences))
 
 
 def full_solve_candidates(bundle, k, store, options):

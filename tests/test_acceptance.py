@@ -219,7 +219,7 @@ def _recheck_mu_sums(bundle, solutions_by_order):
             by_proper.setdefault(tup.proper(), []).append(tup)
         for proper, siblings in by_proper.items():
             tables = usable_tables(bundle, k, options)
-            rows = char_rows(tables, len(bundle.ordinary.classes))
+            rows = char_rows(tables)
             sys = build_system(bundle, k, proper, tables)
             result = solve_all(sys)
             assert isinstance(result, Finite)

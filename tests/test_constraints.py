@@ -123,14 +123,14 @@ def test_pa_tuple_levels():
 
 def test_mu_coefficient_sign_character_c2():
     t = cyclic_table(2).ordinary
-    sign = trace_block(t, t, 2)[1]
+    sign = trace_block(t, 2)[1]
     assert sign[1][0] == 1  # l = 1 at class 1, the first of order dividing 2
     assert sign[0][0] == -1
 
 
 def test_mu_coefficient_trivial_character_c3():
     t = cyclic_table(3).ordinary
-    trivial = trace_block(t, t, 3)[0]
+    trivial = trace_block(t, 3)[0]
     assert trivial[0][0] == 2
     assert trivial[1][0] == -1
 
@@ -138,7 +138,7 @@ def test_mu_coefficient_trivial_character_c3():
 def test_mu_coefficient_galois_sums():
     # linear character j of C6 at class g: Tr(zeta_6^(j-l)), a Ramanujan sum
     t = cyclic_table(6).ordinary
-    block = trace_block(t, t, 6)
+    block = trace_block(t, 6)
     for j in range(6):
         for ell in range(6):
             expect = root_of_unity(6, j - ell).trace_to_rational(6)
@@ -156,13 +156,13 @@ def one_row_table(n, value):
 def test_mu_coefficient_rejects_non_integer():
     bad = one_row_table(3, root_of_unity(3) / 2)
     with pytest.raises(ConstraintError, match="not an algebraic integer"):
-        trace_block(bad, bad, 3)
+        trace_block(bad, 3)
 
 
 def test_mu_coefficient_rejects_value_outside_field():
     bad = one_row_table(2, root_of_unity(5))
     with pytest.raises(ConstraintError):
-        trace_block(bad, bad, 2)
+        trace_block(bad, 2)
 
 
 def test_a_term_examples():
@@ -189,13 +189,13 @@ def test_a_term_missing_level():
 def test_char_rows_brauer_expansion():
     m11 = bundle("m11")
     t11 = m11.brauer_for(11)
-    rows = char_rows((t11,), len(m11.ordinary.classes))
+    rows = char_rows((t11,))
     i11a = m11.ordinary.index_of("11a")
     assert rows[0].values[i11a] is None
     with pytest.raises(ConstraintError, match="no value"):
         rows[0].value_at(i11a)
     with pytest.raises(ConstraintError, match="no value"):
-        trace_block(t11, m11.ordinary, 11)
+        trace_block(t11, 11)
     assert rows[0].degree == 1
 
 
@@ -362,7 +362,7 @@ def test_mu_sums_equal_degree():
     cases.append((a5, 5, PATuple(5, ())))
     for b, k, proper in cases:
         sys = build_system(b, k, proper)
-        rows = char_rows((b.ordinary,), len(b.ordinary.classes))
+        rows = char_rows((b.ordinary,))
         result = solve_all(sys)
         assert isinstance(result, Finite) and result.solutions
         for sol in result.solutions:
@@ -441,12 +441,12 @@ def test_more_rows_never_enlarge_solutions():
 def test_is_p_constant():
     a5 = bundle("a5")
     t = a5.ordinary
-    rows = char_rows((t,), len(t.classes))
+    rows = char_rows((t,))
     assert [is_p_constant(r, t, 5) for r in rows] == [True, False, False, True, True]
     assert all(is_p_constant(r, t, 2) for r in rows)  # single class of order 2
     m11 = bundle("m11")
     t5 = m11.brauer_for(5)
-    brows = char_rows((t5,), len(m11.ordinary.classes))
+    brows = char_rows((t5,))
     assert not any(is_p_constant(r, m11.ordinary, 5) for r in brows)
 
 
@@ -575,8 +575,8 @@ def test_trace_tables_match_cyc():
         for m in sorted(orders):
             support = t.classes_of_order_dividing(m)
             for table in (t,) + tuple(bt for bt in b.brauer if m % bt.prime):
-                rows = char_rows((table,), len(t.classes))
-                block = trace_block(table, t, m)
+                rows = char_rows((table,))
+                block = trace_block(table, m)
                 assert len(block) == len(rows)
                 for row, per_ell in zip(rows, block):
                     seen.add(row.label)
@@ -616,7 +616,7 @@ def test_constant_terms_match_cyc(name):
     checked = 0
     for k, tuples in sorted(store.solutions.items()):
         tables = usable_tables(b, k)
-        rows = char_rows(tables, len(b.ordinary.classes))
+        rows = char_rows(tables)
         for tup in tuples:
             rhs = constant_terms(build_system(b, k, tup.proper(), tables))
             for row in rows:
@@ -658,19 +658,16 @@ def test_trace_blocks_are_shared_between_table_sets(monkeypatch):
     # one trace per distinct value of each table on the classes of order
     # dividing 2 (M11 has only 2a), and none for the second table set
     assert len(traced) == first
-    n = len(t.classes)
-    table_of = {
-        row.label: x.prime for x in with_mod5 for row in char_rows((x,), n)
-    }
+    table_of = {row.label: x.prime for x in with_mod5 for row in char_rows((x,))}
     keys = [(table_of[c], value, m) for c, value, m in traced]
     assert len(keys) == len(set(keys))
     assert set(keys) == {
         (x.prime, row.value_at(i), 2)
         for x in with_mod5
-        for row in char_rows((x,), n)
+        for row in char_rows((x,))
         for i in t.classes_of_order_dividing(2)
     }
-    assert len(keys) < sum(len(char_rows((x,), n)) for x in with_mod5)
+    assert len(keys) < sum(len(char_rows((x,))) for x in with_mod5)
     assert set(t.trace_blocks) == {2}
     # the second set's system is the first's without the mod-5 rows
     mu_owners = [
@@ -682,7 +679,6 @@ def test_trace_blocks_are_shared_between_table_sets(monkeypatch):
 
 def test_char_rows_are_built_once_per_table(monkeypatch):
     m11 = bundle("m11")
-    n = len(m11.ordinary.classes)
     built = []
     real = constraints._table_rows
 
@@ -692,9 +688,9 @@ def test_char_rows_are_built_once_per_table(monkeypatch):
 
     monkeypatch.setattr(constraints, "_table_rows", counting)
     with_mod5 = usable_tables(m11, 2)
-    first = char_rows(with_mod5, n)
+    first = char_rows(with_mod5)
     build_system(m11, 2, PATuple(2, ()), with_mod5)
-    again = char_rows(usable_tables(m11, 10), n)
+    again = char_rows(usable_tables(m11, 10))
     assert sorted(built, key=str) == sorted((None, 5, 11), key=str)
     # the joined rows are the tables' own row objects, in table order
     kept = [r for r in first if not r.label.startswith("mod5")]
@@ -786,7 +782,7 @@ def test_lower_blocks_are_scaled_top_blocks(twist_cases):
             at = [support.index(x) for x in t.classes_of_order_dividing(e)]
             scale = Fraction(euler_phi(e), euler_phi(k))
             for table in usable_tables(b, k):
-                top, low = trace_block(table, t, k), trace_block(table, t, e)
+                top, low = trace_block(table, k), trace_block(table, e)
                 for row_k, row_e in zip(top, low):
                     for ell in range(e):
                         assert list(row_e[ell]) == [

@@ -1,17 +1,18 @@
-"""The congruence form and its lattice shared per order (see the intsolve
-and constraints module docstrings).
+"""The congruence form, its assembly and its lattice shared per order (see
+the intsolve and constraints module docstrings).
 
 A HeLP system holds only its lead variables and one congruence row per
-distinct coefficient tuple; its reduction is made once per coefficient
-matrix and reused.  The oracles here are a fresh reduction per system, the
-system written out as it was assembled before, with one nonnegative
-multiplicity column per row, and that written-out system without its norm,
-bounded by the LP.
+distinct coefficient tuple.  Its assembly is a template kept per order plus
+the constant terms of its combination, and its reduction is made once per
+coefficient matrix and reused.  The oracles here are the system assembled
+from nothing, a fresh reduction per system, the system written out as it
+was assembled before, with one nonnegative multiplicity column per row, and
+that written-out system without its norm, bounded by the LP.
 """
 
 import pytest
 
-from helpers import built_systems, bundle_of
+from helpers import built_calls, built_systems, bundle_of, reference_system
 from helpzc import intsolve, verify
 from helpzc.constraints import AggVar
 from helpzc.intsolve import Finite, Infinite, LinSystem, solve_all
@@ -79,6 +80,22 @@ def written_out(system, bounded=True):
     )
 
 
+@pytest.mark.parametrize("name, command, variant", CASES)
+def test_assembly_matches_the_per_system_reference(monkeypatch, name, command, variant):
+    calls = built_calls(monkeypatch, bundle_of(name), run(name, command), VARIANTS[variant])
+    assert calls
+    for builder, args, system in calls:
+        if builder == "build_system":
+            reference = reference_system(*args)
+        else:
+            bundle, k, p, proper, tables = args
+            reference = reference_system(bundle, k, proper, tables, p)
+        # field by field, so that a failure names the field; tuples compare
+        # the congruences and their owners in order
+        for field in LinSystem.__slots__:
+            assert getattr(system, field) == getattr(reference, field), field
+
+
 def lead_part(result, n):
     return tuple(sorted({x[:n] for x in result.solutions}))
 
@@ -134,3 +151,43 @@ def test_zc_m11_reduces_each_order_once(monkeypatch):
     assert len(solves) == 26 and len(reductions) == 13
     assert sorted(reductions) == sorted(set(solves))
     assert max(solves.count(k) for k in solves) == 10
+
+
+class Recording(dict):
+    """A kept cache that logs (tag, key) for every entry stored in it."""
+
+    def __init__(self, log, tag):
+        super().__init__()
+        self.log, self.tag = log, tag
+
+    def __setitem__(self, key, value):
+        self.log.append((self.tag, key))
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "options, systems, templates",
+    # --p-constant: 18 full systems and 10 relaxations, from 9 full and 6
+    # relaxed templates (order 6 relaxes both of its primes)
+    [(SolverOptions(), 26, 13), (SolverOptions(p_constant=True), 28, 15)],
+    ids=["zc", "zc-p-constant"],
+)
+def test_zc_m11_assembles_each_order_once(monkeypatch, options, systems, templates):
+    m11 = bundle_of("m11")
+    built, summed = [], []
+    m11.ordinary.templates = Recording(built, None)
+    for table in (m11.ordinary, *m11.brauer):
+        table.level_sums = Recording(summed, table.prime)
+    moduli = [s.modulus for s in built_systems(monkeypatch, m11, check_zc, options)]
+    assert len(moduli) == systems
+    # no template and no level's sums are built twice
+    assert len(built) == len(set(built)) == templates
+    assert len(summed) == len(set(summed))
+    if not options.p_constant:
+        # one template per order, up to 10 systems at one order
+        assert sorted(k for _, (k, _, _) in built) == sorted(set(moduli))
+        assert max(moduli.count(k) for k in moduli) == 10
+    # 12 distinct proper levels reach the ordinary table; each Brauer
+    # table skips the orders its prime divides
+    per_table = [sum(tag == t.prime for tag, _ in summed) for t in (m11.ordinary, *m11.brauer)]
+    assert per_table == [12, 11, 10]
