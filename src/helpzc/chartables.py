@@ -1,29 +1,21 @@
-"""Character table data model and the JSON bundle format.
+"""Character table data model.
 
 A bundle holds one ordinary character table and optionally Brauer (p-modular)
-tables for some primes.  All values are exact cyclotomic numbers.  Loading
-validates the table hard: class sizes must sum to the group order, power maps
-must exist for every prime dividing the exponent and respect element orders,
-every value must be an algebraic integer, the ordinary rows must satisfy
-exact row orthogonality, and every extra row must be a character of the
-group, which needs a complete table.  Every integer in the file must be a
-JSON integer.  The is_nilpotent flag is derived from the class sizes, and
-the is_solvable and p_solvable_for flags from a complete table; a declared
-value must agree, and the latter two may not be declared true for an
-incomplete table.  A table that fails any check is rejected outright, since
-every downstream constraint is only as trustworthy as the table it came
-from.
+tables for some primes.  All values are exact cyclotomic numbers.  A bundle
+is built in memory (`cyclic_table`) or loaded from a JSON file
+(`load_bundle`).  The file format and the checks that every loaded table
+must pass live in `bundlefile`, which `load_bundle` imports on its first
+call.  `resolve_bundle_path` finds the packaged bundles on disk.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from math import gcd, lcm
 from pathlib import Path
 
-from .arith import factorize, is_prime, prime_factors
-from .cyclotomics import Cyc, cyc_from_json, cyc_to_json, root_of_unity
+from .arith import factorize, prime_factors
+from .cyclotomics import Cyc, root_of_unity
 from .records import Record, set_field
 
 
@@ -171,374 +163,12 @@ class TableBundle:
         return tuple(t.prime for t in self.brauer)
 
 
-# -- validation ---------------------------------------------------------------
-
-def _check_ordinary(table: CharacterTable) -> None:
-    g = table.group_name
-    if table.group_order < 1:
-        raise BundleError(f"{g}: group order must be positive")
-    if not table.classes:
-        raise BundleError(f"{g}: table has no classes")
-    names = [cl.name for cl in table.classes]
-    if len(set(names)) != len(names):
-        raise BundleError(f"{g}: duplicate class names")
-    identities = [cl for cl in table.classes if cl.element_order == 1]
-    if len(identities) != 1 or identities[0].size != 1:
-        raise BundleError(f"{g}: need exactly one identity class of size 1")
-    for cl in table.classes:
-        if cl.element_order < 1 or table.group_order % cl.element_order:
-            raise BundleError(
-                f"{g}: class {cl.name} order {cl.element_order} does not divide {table.group_order}"
-            )
-        if cl.size < 1:
-            raise BundleError(f"{g}: class {cl.name} has nonpositive size")
-    if sum(cl.size for cl in table.classes) != table.group_order:
-        raise BundleError(f"{g}: class sizes do not sum to the group order")
-
-    for p in prime_factors(table.exponent()):
-        if p not in table.power_maps:
-            raise BundleError(f"{g}: power map for prime {p} is missing")
-    for p, pm in table.power_maps.items():
-        if len(pm) != len(table.classes):
-            raise BundleError(f"{g}: power map for {p} has wrong length")
-        for i, j in enumerate(pm):
-            if not 0 <= j < len(table.classes):
-                raise BundleError(f"{g}: power map for {p} has a bad class index {j}")
-            o = table.classes[i].element_order
-            if table.classes[j].element_order != o // gcd(o, p):
-                raise BundleError(
-                    f"{g}: power map for {p} sends {table.classes[i].name} to a class of wrong order"
-                )
-
-    if not table.characters:
-        raise BundleError(f"{g}: table has no characters")
-    for rows in (table.characters, table.extra_characters):
-        for row in rows:
-            if len(row) != len(table.classes):
-                raise BundleError(f"{g}: character row has wrong arity")
-            table.degree(row)
-    _check_integral(g, table, table.characters, "character")
-
-    # exact row orthogonality over the ordinary irreducibles
-    chars = [_row_terms(row) for row in table.characters]
-    for i, chi in enumerate(chars):
-        for j in range(i, len(chars)):
-            if _inner_product(table, chi, chars[j]) != int(i == j):
-                raise BundleError(
-                    f"{g}: row orthogonality fails for characters {i} and {j}"
-                )
-
-    # an extra row must be a character: a sum of irreducibles, each with a
-    # non-negative integer multiplicity <psi, chi_i>; a class function that
-    # is not could add inequalities that a genuine unit need not satisfy.
-    # The multiplicities decide that only when every irreducible is listed,
-    # and a row that passes is a sum of algebraic integers, so integral too.
-    if table.extra_characters and len(table.characters) != len(table.classes):
-        raise BundleError(
-            f"{g}: extra rows need a complete table, but it lists"
-            f" {len(table.characters)} irreducibles for {len(table.classes)} classes"
-        )
-    for r, psi in enumerate(table.extra_characters):
-        terms = _row_terms(psi)
-        mults = []
-        for i, chi in enumerate(chars):
-            m = _inner_product(table, terms, chi)
-            q = m.as_rational()
-            if q is None or q.denominator != 1 or q < 0:
-                raise BundleError(
-                    f"{g}: extra row {r} is not a character: its multiplicity"
-                    f" of character {i} is {m}"
-                )
-            mults.append(int(q))
-        # with as many irreducibles as classes the rows span all class
-        # functions, so psi must be exactly the sum they determine
-        if any(
-            v != sum(m * chi[x] for m, chi in zip(mults, table.characters) if m)
-            for x, v in enumerate(psi)
-        ):
-            raise BundleError(
-                f"{g}: extra row {r} is not a character: it is not the sum of"
-                " irreducibles its multiplicities give"
-            )
-
-
-def _check_integral(g: str, table: CharacterTable, rows, what: str) -> None:
-    """Every value must be an algebraic integer, as a sum of roots of unity
-    is.  Z[zeta_n] has the power basis as an integral basis, so that holds
-    exactly when every canonical coefficient is an integer."""
-    for r, row in enumerate(rows):
-        for cl, v in zip(table.classes, row):
-            if v is not None and not v.is_integral():
-                raise BundleError(
-                    f"{g}: {what} {r} at class {cl.name} is not an algebraic"
-                    f" integer: {v}"
-                )
-
-
-def _row_terms(row):
-    """A row over one field: (n, den, terms) with row[x] equal to
-    sum(c * zeta_n^e for e, c in terms[x]) / den, all integers."""
-    n = lcm(*(v.conductor for v in row))
-    den = lcm(*(c.denominator for v in row for c in v.coeffs.values()))
-    terms = tuple(
-        tuple((e * (n // v.conductor), int(c * den)) for e, c in v.coeffs.items())
-        for v in row
-    )
-    return n, den, terms
-
-
-def _inner_product(table: CharacterTable, a, b) -> Cyc:
-    """<a, b> = (1/|G|) sum_x |x| a(x) conj(b(x)) for rows given by
-    _row_terms.  Every product is added unreduced over Q(zeta_N), N the lcm
-    of the two conductors, conjugation negating exponents; the sum is
-    reduced to canonical form once."""
-    (na, da, ta), (nb, db, tb) = a, b
-    n = lcm(na, nb)
-    sa, sb = n // na, n // nb
-    acc: dict[int, int] = {}
-    for cl, xs, ys in zip(table.classes, ta, tb):
-        for e, c in xs:
-            c *= cl.size
-            for f, d in ys:
-                k = (e * sa - f * sb) % n
-                acc[k] = acc.get(k, 0) + c * d
-    return Cyc(n, acc) / (table.group_order * da * db)
-
-
-def _check_brauer(table: CharacterTable) -> None:
-    g = f"{table.group_name} mod {table.prime}"
-    p = table.prime
-    # Brauer: as many irreducible Brauer characters as p-regular classes
-    regular = sum(cl.element_order % p != 0 for cl in table.classes)
-    if len(table.characters) != regular:
-        raise BundleError(
-            f"{g}: {len(table.characters)} rows for {regular}"
-            f" {p}-regular classes, which need one irreducible each"
-        )
-    for row in table.characters:
-        table.degree(row)
-    if len(set(table.characters)) != len(table.characters):
-        raise BundleError(f"{g}: a character row is repeated")
-    _check_integral(g, table, table.characters, "character")
-
-
-# -- construction -------------------------------------------------------------
-
-def _typed(where: str, what: str, value, kind):
-    """`value`, which must be of type `kind`; an int must be a JSON integer,
-    neither a float nor a boolean."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise BundleError(f"{where}: {what} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def _field(where: str, node: dict, key: str, kind, default=None):
-    """node[key], of type `kind`; `default` when absent, if given."""
-    value = node.get(key, default)
-    if value is None:
-        raise BundleError(f"{where}: missing field {key!r}")
-    return _typed(where, key, value, kind)
-
-
-def _decode_rows(where: str, node: dict, key: str, positions, width: int, default=None):
-    """The rows listed under `key` as tuples over `width` classes: a row's
-    j-th value goes to class positions[j], and every other class gets None."""
-    out = []
-    for row in _field(where, node, key, list, default):
-        if not isinstance(row, list) or len(row) != len(positions):
-            raise BundleError(f"{where}: character row has wrong arity")
-        values = [None] * width
-        try:
-            for x, v in zip(positions, row):
-                values[x] = cyc_from_json(v)
-        except ValueError as exc:
-            raise BundleError(f"{where}: bad value in {key}: {exc}") from None
-        out.append(tuple(values))
-    return tuple(out)
-
-
-def _parse_ordinary(group: str, order: int, node: dict) -> CharacterTable:
-    classes = []
-    for rc in _field(group, node, "classes", list):
-        try:
-            name = str(rc["name"])
-        except (TypeError, KeyError):
-            raise BundleError(f"{group}: malformed class entry {rc!r}") from None
-        where = f"{group} class {name}"
-        classes.append(
-            ClassInfo(name, _field(where, rc, "order", int), _field(where, rc, "size", int))
-        )
-    power_maps = {}
-    for key, pm in _field(group, node, "power_maps", dict).items():
-        if (
-            not str(key).isdigit()
-            or not isinstance(pm, list)
-            or any(type(i) is not int for i in pm)
-        ):
-            raise BundleError(f"{group}: malformed power map for {key!r}")
-        power_maps[int(key)] = tuple(pm)
-    every, n = range(len(classes)), len(classes)
-    return CharacterTable(
-        group,
-        order,
-        tuple(classes),
-        power_maps,
-        _decode_rows(group, node, "characters", every, n),
-        extra_characters=_decode_rows(group, node, "extra_characters", every, n, []),
-    )
-
-
-def _parse_brauer(group: str, ordinary: CharacterTable, node) -> CharacterTable:
-    _typed(group, "Brauer table", node, dict)
-    p = _field(f"{group} Brauer table", node, "p", int)
-    g = f"{group} mod {p}"
-    if not is_prime(p):
-        raise BundleError(f"{g}: {p} is not a prime")
-    if ordinary.group_order % p:
-        raise BundleError(f"{g}: {p} does not divide the group order")
-    positions = []
-    for name in _field(g, node, "classes", list):
-        if _typed(g, "class name", name, str) not in ordinary._by_name:
-            raise BundleError(f"{g}: unresolved class reference {name!r}")
-        positions.append(ordinary._by_name[name])
-    regular = [x for x, cl in enumerate(ordinary.classes) if cl.element_order % p]
-    if sorted(positions) != regular:
-        raise BundleError(
-            f"{g}: classes must be exactly the {p}-regular ordinary classes, each once"
-        )
-    return CharacterTable(
-        group,
-        ordinary.group_order,
-        ordinary.classes,
-        ordinary.power_maps,
-        _decode_rows(g, node, "characters", positions, len(ordinary.classes)),
-        prime=p,
-    )
-
-
-def _sylows_normal(table: CharacterTable) -> bool:
-    """Whether G is nilpotent: for each prime p | |G|, the classes of p-power
-    element order (identity included) must have sizes summing to |G|_p.
-    The p-elements contain every Sylow p-subgroup, so then they are a single
-    Sylow p-subgroup, which is therefore normal; and in a nilpotent group
-    the p-elements are exactly its normal Sylow p-subgroup."""
-    return all(
-        sum(
-            cl.size
-            for cl in table.classes
-            if prime_factors(cl.element_order) in ((), (p,))
-        )
-        == p**e
-        for p, e in factorize(table.group_order)
-    )
-
-
-def _solvability(table: CharacterTable) -> tuple[bool, frozenset[int]]:
-    """(is_solvable, p_solvable_for) of G, from a complete ordinary table.
-
-    Every normal subgroup, as a set of classes, is an intersection of
-    kernels of irreducibles, and each cover M < N in the lattice of those
-    intersections is a chief factor N/M, of order |N|/|M|.  G is solvable
-    when every chief factor has prime-power order, and p-solvable when
-    every chief factor is a p-group or a p'-group."""
-    one = table.identity_index
-    normal = {frozenset(range(len(table.classes)))}
-    for chi in table.characters:
-        kernel = frozenset(x for x, v in enumerate(chi) if v == chi[one])
-        normal |= {n & kernel for n in normal}
-    order = {n: sum(table.classes[x].size for x in n) for n in normal}
-    factors = [
-        prime_factors(order[n] // order[m])
-        for n in normal
-        for m in normal
-        if m < n and not any(m < mid < n for mid in normal)
-    ]
-    return all(len(ps) == 1 for ps in factors), frozenset(
-        p
-        for p in prime_factors(table.group_order)
-        if all(ps == (p,) or p not in ps for ps in factors)
-    )
-
-
 def load_bundle(source: str | Path | dict) -> TableBundle:
-    """Load and validate a table bundle from a JSON file or parsed dict."""
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise BundleError(f"cannot read bundle {source}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise BundleError(f"bundle {source} is not valid JSON: {exc}") from None
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise BundleError("bundle must be a JSON object")
-    try:
-        group = str(data["group"])
-    except KeyError as exc:
-        raise BundleError(f"bundle missing or malformed field: {exc}") from None
-    order = _field(group, data, "order", int)
-    ordinary = _parse_ordinary(group, order, _field(group, data, "ordinary", dict))
-    _check_ordinary(ordinary)
+    """Load and validate a table bundle from a JSON file or parsed dict.
+    The format and its checks are `bundlefile`'s, imported on first use."""
+    from .bundlefile import read_bundle
 
-    brauer = []
-    seen = set()
-    for node in _field(group, data, "brauer", list, []):
-        t = _parse_brauer(group, ordinary, node)
-        if t.prime in seen:
-            raise BundleError(f"{group}: duplicate Brauer table for p={t.prime}")
-        seen.add(t.prime)
-        _check_brauer(t)
-        brauer.append(t)
-
-    flags = _field(group, data, "flags", dict, {})
-    for key in ("is_solvable", "is_nilpotent"):
-        if key in flags and not isinstance(flags[key], bool):
-            raise BundleError(f"{group}: flag {key} must be boolean")
-    nilpotent = _sylows_normal(ordinary)
-    if flags.get("is_nilpotent", nilpotent) != nilpotent:
-        raise BundleError(
-            f"{group}: flag is_nilpotent is {not nilpotent}, but the class sizes"
-            f" say {nilpotent}"
-        )
-    if nilpotent and flags.get("is_solvable") is False:
-        raise BundleError(f"{group}: a nilpotent group cannot be non-solvable")
-    psf = flags.get("p_solvable_for", [])
-    if not isinstance(psf, list) or not all(
-        type(p) is int and is_prime(p) for p in psf
-    ):
-        raise BundleError(f"{group}: p_solvable_for must be a list of primes")
-
-    solvable, p_solvable = flags.get("is_solvable"), frozenset(psf)
-    if len(ordinary.characters) == len(ordinary.classes):
-        derived = _solvability(ordinary)
-        if solvable is not None and solvable != derived[0]:
-            raise BundleError(
-                f"{group}: flag is_solvable is {solvable}, but the chief"
-                f" factors say {derived[0]}"
-            )
-        if "p_solvable_for" in flags and p_solvable != derived[1]:
-            raise BundleError(
-                f"{group}: p_solvable_for is {sorted(p_solvable)}, but the"
-                f" chief factors give {sorted(derived[1])}"
-            )
-        solvable, p_solvable = derived
-    elif solvable or p_solvable:
-        raise BundleError(
-            f"{group}: is_solvable and p_solvable_for need a complete table,"
-            f" but it lists {len(ordinary.characters)} irreducibles for"
-            f" {len(ordinary.classes)} classes"
-        )
-
-    return TableBundle(
-        group,
-        ordinary,
-        tuple(brauer),
-        is_solvable=solvable,
-        is_nilpotent=nilpotent,
-        p_solvable_for=p_solvable,
-    )
+    return read_bundle(source)
 
 
 def cyclic_table(n: int) -> TableBundle:
@@ -585,44 +215,3 @@ def resolve_bundle_path(name: str) -> Path:
             return candidate
     raise BundleError(f"no bundle found for {name!r} (searched {base})")
 
-
-def bundle_to_json(bundle: TableBundle) -> dict:
-    """Inverse of load_bundle, mainly for tests and tooling."""
-    ordinary = bundle.ordinary
-    node = {
-        "group": bundle.group_name,
-        "order": ordinary.group_order,
-        "ordinary": {
-            "classes": [
-                {"name": cl.name, "order": cl.element_order, "size": cl.size}
-                for cl in ordinary.classes
-            ],
-            "power_maps": {str(p): list(pm) for p, pm in sorted(ordinary.power_maps.items())},
-            "characters": [[cyc_to_json(v) for v in row] for row in ordinary.characters],
-        },
-    }
-    if ordinary.extra_characters:
-        node["ordinary"]["extra_characters"] = [
-            [cyc_to_json(v) for v in row] for row in ordinary.extra_characters
-        ]
-    if bundle.brauer:
-        node["brauer"] = [
-            {
-                "p": t.prime,
-                "classes": [cl.name for cl in t.classes if cl.element_order % t.prime],
-                "characters": [
-                    [cyc_to_json(v) for v in row if v is not None] for row in t.characters
-                ],
-            }
-            for t in bundle.brauer
-        ]
-    flags = {}
-    if bundle.is_solvable is not None:
-        flags["is_solvable"] = bundle.is_solvable
-    if bundle.is_nilpotent is not None:
-        flags["is_nilpotent"] = bundle.is_nilpotent
-    if bundle.p_solvable_for:
-        flags["p_solvable_for"] = sorted(bundle.p_solvable_for)
-    if flags:
-        node["flags"] = flags
-    return node

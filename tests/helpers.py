@@ -7,10 +7,10 @@ from math import lcm
 
 from helpzc import verify
 from helpzc.arith import divisors, is_prime, prime_factors
+from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
     CharacterTable,
     TableBundle,
-    bundle_to_json,
     cyclic_table,
     load_bundle,
     resolve_bundle_path,

@@ -21,9 +21,9 @@ import pytest
 
 from helpers import box_solutions, brute_force_pa_solutions, in_box, random_system
 from helpzc.arith import prime_factors
+from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
     BundleError,
-    bundle_to_json,
     cyclic_table,
     load_bundle,
     resolve_bundle_path,

@@ -13,6 +13,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import helpzc
+from helpzc import chartables
 from helpzc.chartables import cyclic_table
 from helpzc.verify import SolverOptions, check_zc
 
@@ -50,9 +52,9 @@ def test_cli_names_used_by_child_exist():
     assert sorted(name for name in used if not hasattr(cli, name)) == []
 
 
-def test_count_hooks_read_real_results(monkeypatch):
-    # the tracer's own wrappers and hooks, installed as Tracer.install
-    # does but undone after the test, around a real zc cyclic:6 run
+def install_tracer(monkeypatch):
+    """The tracer's own wrappers and hooks, installed as Tracer.install
+    does but undone after the test."""
     tracer = load_tracer()
     trace = tracer.Tracer()
     modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "helpzc"]
@@ -63,6 +65,12 @@ def test_count_hooks_read_real_results(monkeypatch):
             for key, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, key, wrapper)
+    return trace
+
+
+def test_count_hooks_read_real_results(monkeypatch):
+    # around a real zc cyclic:6 run
+    trace = install_tracer(monkeypatch)
     check_zc(cyclic_table(6), SolverOptions(shortcuts=False))
     counts = trace.counts
     # LinSystem.variables and .equalities, the elimination's .basis and
@@ -78,3 +86,16 @@ def test_count_hooks_read_real_results(monkeypatch):
     ):
         assert counts[name] > 0, name
     assert counts["intsolve.finite"] == counts["constraints.systems"]
+
+
+def test_load_span_covers_the_lazily_imported_reader(monkeypatch):
+    # load_bundle imports helpzc.bundlefile on its first call; with the
+    # reader unloaded again, that import runs inside the traced load
+    monkeypatch.delitem(sys.modules, "helpzc.bundlefile", raising=False)
+    monkeypatch.delattr(helpzc, "bundlefile", raising=False)
+    trace = install_tracer(monkeypatch)
+    bundle = chartables.load_bundle(chartables.resolve_bundle_path("s3"))
+    assert "helpzc.bundlefile" in sys.modules
+    assert bundle.ordinary.group_order == 6
+    assert [span[0] for span in trace.spans] == ["chartables.load"]
+    assert trace.counts["chartables.load_calls"] == 1

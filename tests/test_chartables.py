@@ -6,9 +6,9 @@ import pytest
 
 from helpers import BUNDLE_CORRUPTIONS, corrupted_bundle
 from helpzc.arith import prime_factors
+from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
     BundleError,
-    bundle_to_json,
     cyclic_table,
     data_dir,
     load_bundle,

@@ -10,7 +10,8 @@ import pytest
 
 from helpers import BUNDLE_CORRUPTIONS, corrupted_bundle
 from helpzc import cli
-from helpzc.chartables import bundle_to_json, cyclic_table
+from helpzc.bundlefile import bundle_to_json
+from helpzc.chartables import cyclic_table
 from helpzc.cli import build_parser, main, solver_options
 from helpzc.intsolve import DEFAULT_MAX_NODES
 

@@ -16,9 +16,9 @@ import pytest
 from helpers import asymmetric_row, brute_force_pa_solutions, cyclic_with_row
 from helpzc import constraints
 from helpzc.arith import divisors, euler_phi, prime_factors
+from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
     CharacterTable,
-    bundle_to_json,
     cyclic_table,
     load_bundle,
     resolve_bundle_path,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import box_solutions, in_box, random_system, reference_simplex
-from helpzc import intsolve
+from helpzc import intsolve, simplex
 from helpzc.intsolve import (
     Aborted,
     Finite,
@@ -165,14 +165,14 @@ def random_lp(rng):
 
 def test_simplex_matches_reference(monkeypatch):
     # every pivot division must be exact, not merely floored
-    real = intsolve._bareiss_row
+    real = simplex._bareiss_row
 
     def exact(row, prow, p, D, e):
         f = row[e]
         assert all((v * p - f * w) % D == 0 for v, w in zip(row, prow))
         return real(row, prow, p, D, e)
 
-    monkeypatch.setattr(intsolve, "_bareiss_row", exact)
+    monkeypatch.setattr(simplex, "_bareiss_row", exact)
     rng = random.Random(2024)
     seen = set()
     for _ in range(1500):
@@ -195,8 +195,8 @@ def test_simplex_matches_reference(monkeypatch):
 def test_bounding_runs_phase_one_once(monkeypatch):
     phase1 = []
     tableaus = []
-    real_phase1 = intsolve._Tableau._phase1
-    real_init = intsolve._Tableau.__init__
+    real_phase1 = simplex._Tableau._phase1
+    real_init = simplex._Tableau.__init__
 
     def counting_phase1(self, base):
         phase1.append(len(tableaus))
@@ -206,8 +206,8 @@ def test_bounding_runs_phase_one_once(monkeypatch):
         tableaus.append(d)
         real_init(self, inequalities, d)
 
-    monkeypatch.setattr(intsolve._Tableau, "_phase1", counting_phase1)
-    monkeypatch.setattr(intsolve._Tableau, "__init__", counting_init)
+    monkeypatch.setattr(simplex._Tableau, "_phase1", counting_phase1)
+    monkeypatch.setattr(simplex._Tableau, "__init__", counting_init)
     rng = random.Random(3)
     bounded_with_phase1 = 0
     for _ in range(100):

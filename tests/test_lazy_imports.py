@@ -1,0 +1,86 @@
+"""A command loads only the parts of helpzc that it runs.
+
+`chartables.load_bundle` imports the JSON bundle reader (`helpzc.bundlefile`)
+on its first call, and `intsolve.simplex_opt` imports the simplex
+(`helpzc.simplex`) on its first call, so a command over a generated table,
+or over systems that all carry a norm bound, never compiles either.  Each
+case runs in a fresh interpreter, since this test session has imported both
+modules already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+LAZY = {"helpzc.bundlefile", "helpzc.simplex"}
+
+REPORT = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("helpzc"))))
+"""
+
+
+def loaded_after(code: str) -> set[str]:
+    """The helpzc modules that a fresh interpreter holds after `code`,
+    run with src/ and tests/ on the path."""
+    path = os.pathsep.join(
+        filter(None, (str(SRC), str(TESTS), os.environ.get("PYTHONPATH")))
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code + REPORT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cyclic_command_loads_neither_reader_nor_simplex():
+    loaded = loaded_after(
+        "from helpzc import cli\n"
+        "assert cli.main(['zc', '--no-shortcuts', 'cyclic:12']) == 0\n"
+    )
+    assert "helpzc.cli" in loaded
+    assert loaded & LAZY == set()
+
+
+def test_bundle_command_loads_the_reader_only():
+    loaded = loaded_after("from helpzc import cli\nassert cli.main(['zc', 's3']) == 0\n")
+    assert loaded & LAZY == {"helpzc.bundlefile"}
+
+
+def test_system_without_norm_bound_loads_simplex_and_matches_reference():
+    loaded = loaded_after(
+        """
+import sys
+from helpers import box_solutions, reference_simplex
+from helpzc.intsolve import (
+    Finite, LinSystem, diophantine_eliminate, simplex_opt, solve_all,
+)
+
+s = LinSystem(
+    ("x0", "x1", "x2", "x3"),
+    (((1, 1, 1, 1), 3), ((1, -2, 0, 1), 0)),
+    frozenset(range(4)),
+)
+assert "helpzc.simplex" not in sys.modules
+assert solve_all(s) == Finite(box_solutions(s, 3))
+assert "helpzc.simplex" in sys.modules
+rows = diophantine_eliminate(s).inequalities
+d = len(rows[0][0])
+for j in range(d):
+    objective = tuple(int(i == j) for i in range(d))
+    for maximize in (True, False):
+        got = simplex_opt(rows, objective, maximize)
+        want = reference_simplex(rows, objective, maximize)
+        assert type(got) is type(want)
+        assert got.value == want.value
+"""
+    )
+    assert "helpzc.simplex" in loaded
