@@ -4,15 +4,25 @@ A bundle holds one ordinary character table and optionally Brauer (p-modular)
 tables for some primes.  All values are exact cyclotomic numbers.  Loading
 validates the table hard: class sizes must sum to the group order, power maps
 must exist for every prime dividing the exponent and respect element orders,
-every value must be an algebraic integer, the ordinary rows must satisfy
-exact row orthogonality, and every extra row must be a character of the
-group, which needs a complete table.  Every integer in the file must be a
-JSON integer.  The is_nilpotent flag is derived from the class sizes, and
-the is_solvable and p_solvable_for flags from a complete table; a declared
-value must agree, and the latter two may not be declared true for an
-incomplete table.  A table that fails any check is rejected outright, since
-every downstream constraint is only as trustworthy as the table it came
-from.
+every value must be an algebraic integer, and the ordinary rows must satisfy
+exact row orthogonality.  Every integer in the file must be a JSON integer.
+The is_nilpotent flag is derived from the class sizes, and the is_solvable
+and p_solvable_for flags from a complete table; a declared value must agree,
+and the latter two may not be declared true for an incomplete table.  A
+table that fails any check is rejected outright, since every downstream
+constraint is only as trustworthy as the table it came from.
+
+Only irreducible rows are read; a bundle that lists extra character rows
+is rejected.  A reducible character psi adds nothing a complete table lacks,
+and only a complete table can prove a row to be a character at all: there
+psi = sum_i m_i chi_i with every m_i >= 0, identity 1 of `constraints`
+makes the traces and the constant terms linear, so C(psi, l) =
+sum_i m_i C(chi_i, l) and a(psi, l) = sum_i m_i a(chi_i, l), and every eps
+that satisfies the rows of the chi_i satisfies those of psi; and
+psi(x^j) = sigma_j(psi(x)) leaves the Galois twists the same.  Only the
+p-constant relaxation could use a p-constant psi whose constituents are
+not, and it then skips a full system that has no solution anyway, so a
+store could differ only where that system would exhaust its node budget.
 
 `chartables.load_bundle` imports this module on its first call, so a
 command over a generated table (`cyclic_table`) never compiles it.
@@ -70,11 +80,8 @@ def _check_ordinary(table: CharacterTable) -> None:
 
     if not table.characters:
         raise BundleError(f"{g}: table has no characters")
-    for rows in (table.characters, table.extra_characters):
-        for row in rows:
-            if len(row) != len(table.classes):
-                raise BundleError(f"{g}: character row has wrong arity")
-            table.degree(row)
+    for row in table.characters:
+        table.degree(row)
     _check_integral(g, table, table.characters, "character")
 
     # exact row orthogonality over the ordinary irreducibles
@@ -85,39 +92,6 @@ def _check_ordinary(table: CharacterTable) -> None:
                 raise BundleError(
                     f"{g}: row orthogonality fails for characters {i} and {j}"
                 )
-
-    # an extra row must be a character: a sum of irreducibles, each with a
-    # non-negative integer multiplicity <psi, chi_i>; a class function that
-    # is not could add inequalities that a genuine unit need not satisfy.
-    # The multiplicities decide that only when every irreducible is listed,
-    # and a row that passes is a sum of algebraic integers, so integral too.
-    if table.extra_characters and len(table.characters) != len(table.classes):
-        raise BundleError(
-            f"{g}: extra rows need a complete table, but it lists"
-            f" {len(table.characters)} irreducibles for {len(table.classes)} classes"
-        )
-    for r, psi in enumerate(table.extra_characters):
-        terms = _row_terms(psi)
-        mults = []
-        for i, chi in enumerate(chars):
-            m = _inner_product(table, terms, chi)
-            q = m.as_rational()
-            if q is None or q.denominator != 1 or q < 0:
-                raise BundleError(
-                    f"{g}: extra row {r} is not a character: its multiplicity"
-                    f" of character {i} is {m}"
-                )
-            mults.append(int(q))
-        # with as many irreducibles as classes the rows span all class
-        # functions, so psi must be exactly the sum they determine
-        if any(
-            v != sum(m * chi[x] for m, chi in zip(mults, table.characters) if m)
-            for x, v in enumerate(psi)
-        ):
-            raise BundleError(
-                f"{g}: extra row {r} is not a character: it is not the sum of"
-                " irreducibles its multiplicities give"
-            )
 
 
 def _check_integral(g: str, table: CharacterTable, rows, what: str) -> None:
@@ -198,11 +172,11 @@ def _field(where: str, node: dict, key: str, kind, default=None):
     return _typed(where, key, value, kind)
 
 
-def _decode_rows(where: str, node: dict, key: str, positions, width: int, default=None):
+def _decode_rows(where: str, node: dict, key: str, positions, width: int):
     """The rows listed under `key` as tuples over `width` classes: a row's
     j-th value goes to class positions[j], and every other class gets None."""
     out = []
-    for row in _field(where, node, key, list, default):
+    for row in _field(where, node, key, list):
         if not isinstance(row, list) or len(row) != len(positions):
             raise BundleError(f"{where}: character row has wrong arity")
         values = [None] * width
@@ -235,14 +209,19 @@ def _parse_ordinary(group: str, order: int, node: dict) -> CharacterTable:
         ):
             raise BundleError(f"{group}: malformed power map for {key!r}")
         power_maps[int(key)] = tuple(pm)
-    every, n = range(len(classes)), len(classes)
+    if "extra_characters" in node:
+        raise BundleError(
+            f"{group}: extra_characters is not read: every character is a"
+            " non-negative sum of irreducibles, whose rows a complete table"
+            " already holds"
+        )
+    n = len(classes)
     return CharacterTable(
         group,
         order,
         tuple(classes),
         power_maps,
-        _decode_rows(group, node, "characters", every, n),
-        extra_characters=_decode_rows(group, node, "extra_characters", every, n, []),
+        _decode_rows(group, node, "characters", range(n), n),
     )
 
 
@@ -414,10 +393,6 @@ def bundle_to_json(bundle: TableBundle) -> dict:
             "characters": [[cyc_to_json(v) for v in row] for row in ordinary.characters],
         },
     }
-    if ordinary.extra_characters:
-        node["ordinary"]["extra_characters"] = [
-            [cyc_to_json(v) for v in row] for row in ordinary.extra_characters
-        ]
     if bundle.brauer:
         node["brauer"] = [
             {

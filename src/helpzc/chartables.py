@@ -1,7 +1,8 @@
 """Character table data model.
 
 A bundle holds one ordinary character table and optionally Brauer (p-modular)
-tables for some primes.  All values are exact cyclotomic numbers.  A bundle
+tables for some primes.  Every row is an irreducible character, ordinary or
+Brauer, and all values are exact cyclotomic numbers.  A bundle
 is built in memory (`cyclic_table`) or loaded from a JSON file
 (`load_bundle`).  The file format and the checks that every loaded table
 must pass live in `bundlefile`, which `load_bundle` imports on its first
@@ -47,7 +48,6 @@ class CharacterTable:
         classes: tuple[ClassInfo, ...],
         power_maps: dict[int, tuple[int, ...]],
         characters: tuple[tuple[Cyc | None, ...], ...],
-        extra_characters: tuple[tuple[Cyc, ...], ...] = (),
         prime: int | None = None,
     ):
         self.group_name = group_name
@@ -55,7 +55,6 @@ class CharacterTable:
         self.classes = classes
         self.power_maps = power_maps
         self.characters = characters
-        self.extra_characters = extra_characters
         self.prime = prime
         self._by_name = {cl.name: i for i, cl in enumerate(classes)}
         self._identity = next(
@@ -151,12 +150,6 @@ class TableBundle:
         self.is_solvable = is_solvable
         self.is_nilpotent = is_nilpotent
         self.p_solvable_for = p_solvable_for
-
-    def brauer_for(self, p: int) -> CharacterTable | None:
-        for t in self.brauer:
-            if t.prime == p:
-                return t
-        return None
 
     @property
     def brauer_primes(self) -> tuple[int, ...]:

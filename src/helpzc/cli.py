@@ -75,14 +75,11 @@ def load_store(bundle, path: str | None) -> SolutionStore:
 
 def save_store(bundle, store: SolutionStore, path: str | None) -> None:
     if path:
-        Path(path).write_text(
-            json.dumps(store_to_json(bundle, store), indent=1) + "\n"
-        )
+        write_json(path, store_to_json(bundle, store))
 
 
-def write_json(path: str | None, payload: dict) -> None:
-    if path:
-        Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+def write_json(path: str, payload: dict) -> None:
+    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
 def format_pa(table, pa) -> str:
@@ -127,12 +124,13 @@ def cmd_order(args) -> int:
     bundle = resolve_bundle(args.bundle)
     store = load_store(bundle, args.store)
     survivors, pre = solve_order_report(bundle, args.k, store, solver_options(args))
+    save_store(bundle, store, args.store)
     head = {"command": "order", "group": bundle.group_name, "order": args.k}
     if survivors is None:
         reason = store.obstructions[args.k]
         print(f"order {args.k}: Unknown ({reason})")
-        save_store(bundle, store, args.store)
-        write_json(args.json_out, {**head, "obstruction": reason})
+        if args.json_out:
+            write_json(args.json_out, {**head, "obstruction": reason})
         return EXIT_UNKNOWN
     t = bundle.ordinary
     kept = set(survivors)
@@ -143,18 +141,16 @@ def cmd_order(args) -> int:
     for cand in pre:
         tag = "admissible" if cand in kept else "rejected"
         print(f"  {tag}: {format_pa(t, cand.top)}")
-    save_store(bundle, store, args.store)
-    write_json(
-        args.json_out,
-        {
-            **head,
-            "candidates": [patuple_to_json(t, c) for c in pre],
-            "rejected": [
-                pa_to_json(t, c.top) for c in pre if c not in kept
-            ],
-            "survivors": [patuple_to_json(t, s) for s in survivors],
-        },
-    )
+    if args.json_out:
+        write_json(
+            args.json_out,
+            {
+                **head,
+                "candidates": [patuple_to_json(t, c) for c in pre],
+                "rejected": [pa_to_json(t, c.top) for c in pre if c not in kept],
+                "survivors": [patuple_to_json(t, s) for s in survivors],
+            },
+        )
     return EXIT_OK
 
 

@@ -277,9 +277,8 @@ def char_rows(tables) -> tuple[CharRow, ...]:
 def _table_rows(t: CharacterTable):
     prefix = f"mod{t.prime}" if t.is_brauer else "ord"
     return tuple(
-        CharRow(f"{prefix}{tag}{ri}", t.degree(row), row)
-        for tag, rows in (("", t.characters), ("x", t.extra_characters))
-        for ri, row in enumerate(rows)
+        CharRow(f"{prefix}{ri}", t.degree(row), row)
+        for ri, row in enumerate(t.characters)
     )
 
 

@@ -242,9 +242,6 @@ class Cyc:
 
     # -- predicates and conversions ---------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def is_integral(self) -> bool:
         """True iff the value is an algebraic integer: Z[zeta_n] is the ring
         of integers of Q(zeta_n), with the power basis as an integral basis,
@@ -350,9 +347,6 @@ class Cyc:
         if self.n == 1:
             return self
         return Cyc(self.n, {(e * j) % self.n: c for e, c in self._c.items()})
-
-    def conjugate(self) -> "Cyc":
-        return self.galois(-1)
 
     def trace_to_rational(self, m: int) -> Fraction:
         """Trace from Q(zeta_m) down to Q; the value must lie in Q(zeta_m).

@@ -167,7 +167,7 @@ def orders_to_check_pq(bundle: TableBundle, shortcuts: bool = True):
 # -- lattice recursion ----------------------------------------------------------
 
 
-def compatible(tup_a: PATuple, tup_b: PATuple, k: int) -> bool:
+def compatible(tup_a: PATuple, tup_b: PATuple) -> bool:
     """The two power tuples describe the same unit only if they agree on
     every order both of them cover."""
     shared = gcd(tup_a.order, tup_b.order)
@@ -218,7 +218,7 @@ def _candidates(bundle, k, store, options):
     propers = [
         _merge_levels(k, combo)
         for combo in product(*subs)
-        if all(compatible(a, b, k) for a, b in combinations(combo, 2))
+        if all(compatible(a, b) for a, b in combinations(combo, 2))
     ]
 
     # one system per Galois orbit: the first combination of each orbit is

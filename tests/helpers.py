@@ -51,9 +51,7 @@ def brute_force_pa_solutions(bundle, k, proper_levels, bound, tables=None):
     if tables is None:
         tables = (ordinary,) + tuple(t for t in bundle.brauer if k % t.prime)
     # every row, Brauer rows included, is indexed by the ordinary classes
-    rows = [
-        (t.degree(row), row) for t in tables for row in t.characters + t.extra_characters
-    ]
+    rows = [(t.degree(row), row) for t in tables for row in t.characters]
     support = ordinary.classes_of_order_dividing(k)
 
     def level_value(values, items):
@@ -229,7 +227,7 @@ def full_solve_candidates(bundle, k, store, options):
     tables = usable_tables(bundle, k, options)
     found = set()
     for combo in product(*subs):
-        if not all(compatible(a, b, k) for a, b in combinations(combo, 2)):
+        if not all(compatible(a, b) for a, b in combinations(combo, 2)):
             continue
         proper = _merge_levels(k, combo)
         if options.p_constant and _aggregated_rules_out(
@@ -246,23 +244,24 @@ def full_solve_candidates(bundle, k, store, options):
     return sorted(found, key=canonical_key)
 
 
-def cyclic_with_row(n, row, brauer):
-    """C_n plus one row: an extra ordinary row, or the last row of a fake
-    Brauer table, for the least prime not dividing n, that also holds every
-    character of C_n."""
-    t = cyclic_table(n).ordinary
-    if not brauer:
-        extended = CharacterTable(
-            t.group_name, n, t.classes, t.power_maps, t.characters,
-            extra_characters=(row,),
-        )
-        return TableBundle(t.group_name, extended)
+def with_rows(b, rows):
+    """Bundle b plus a fake Brauer table, for the least prime p not dividing
+    the group order, that holds every ordinary character of b and then
+    `rows`: a way to put rows the loader would refuse into a system.  With
+    no p-singular class, every one of its rows is used at every order."""
+    t = b.ordinary
+    n = t.group_order
     p = next(p for p in range(2, 2 * n + 3) if is_prime(p) and n % p)
     fake = CharacterTable(
-        t.group_name, n, t.classes, t.power_maps, t.characters + (row,),
+        t.group_name, n, t.classes, t.power_maps, t.characters + tuple(rows),
         prime=p,
     )
-    return TableBundle(t.group_name, t, (fake,))
+    return TableBundle(t.group_name, t, b.brauer + (fake,))
+
+
+def brauer_table(b, p):
+    """The Brauer table of bundle b for the prime p, or None."""
+    return next((t for t in b.brauer if t.prime == p), None)
 
 
 def asymmetric_row():
@@ -487,8 +486,9 @@ def reference_simplex(inequalities, objective, maximize: bool = True):
 
 # Malformed bundles, each as (id, base bundle, path into its JSON, the value
 # put there, the start of the error it must give).  Each one either crashed
-# the loader or loaded with a value that is not the file's: a float size or
-# order cut to an integer, a boolean read as 0 or 1.
+# the loader, or loaded with a value that is not the file's (a float size or
+# order cut to an integer, a boolean read as 0 or 1) or with a key that is
+# not read (extra character rows).
 M11_CYC = ("ordinary", "characters", 2, 6, "coeffs", 0)  # zeta_8 + zeta_8^3
 BUNDLE_CORRUPTIONS = [
     ("zero-denominator", "m11", ("ordinary", "characters", 1, 1), "1/0",
@@ -499,8 +499,9 @@ BUNDLE_CORRUPTIONS = [
      "M11: power_maps must be of type dict"),
     ("characters-not-list", "m11", ("ordinary", "characters"), 7,
      "M11: characters must be of type list"),
-    ("extra-characters-not-list", "m11", ("ordinary", "extra_characters"), 7,
-     "M11: extra_characters must be of type list"),
+    ("extra-characters-listed", "m11", ("ordinary", "extra_characters"), [],
+     "M11: extra_characters is not read: every character is a non-negative"
+     " sum of irreducibles"),
     ("brauer-classes-not-list", "m11", ("brauer", 0, "classes"), 7,
      "M11 mod 5: classes must be of type list"),
     ("brauer-characters-not-list", "m11", ("brauer", 0, "characters"), 7,

@@ -125,7 +125,7 @@ def _oracle_candidates(bundle, store, k, bound):
     subs = [store.solutions[k // p] for p in prime_factors(k) if k // p > 1]
     out = []
     for combo in product(*subs):
-        if not all(compatible(a, b, k) for a, b in combinations(combo, 2)):
+        if not all(compatible(a, b) for a, b in combinations(combo, 2)):
             continue
         levels = {e: dict(pa.entries) for part in combo for e, pa in part.levels}
         for eps in brute_force_pa_solutions(bundle, k, levels, bound):

@@ -282,6 +282,45 @@ def test_verdict_json_is_built_only_when_written(capsys, tmp_path, monkeypatch):
     assert json.loads(out_path.read_text())["verdict"] == "Proved"
 
 
+M11_ORDER_12 = {
+    "command": "order",
+    "group": "M11",
+    "order": 12,
+    "candidates": [
+        {"2": {"2a": 1}, "3": {"3a": 1}, "4": {"2a": 2, "4a": -1},
+         "6": {"3a": 3, "6a": -2}, "12": {"2a": 1, "4a": -1, "6a": 1}},
+        {"2": {"2a": 1}, "3": {"3a": 1}, "4": {"4a": 1},
+         "6": {"3a": 3, "6a": -2}, "12": {"2a": -1, "4a": 1, "6a": 1}},
+        {"2": {"2a": 1}, "3": {"3a": 1}, "4": {"4a": 1},
+         "6": {"3a": 3, "6a": -2}, "12": {"2a": 1, "4a": 1, "6a": -1}},
+    ],
+    "rejected": [
+        {"2a": 1, "4a": -1, "6a": 1},
+        {"2a": -1, "4a": 1, "6a": 1},
+        {"2a": 1, "4a": 1, "6a": -1},
+    ],
+    "survivors": [],
+}
+
+
+def test_order_payload_is_built_only_when_written(capsys, tmp_path, monkeypatch):
+    calls = []
+    for name in ("patuple_to_json", "pa_to_json", "store_to_json", "write_json"):
+        real = getattr(cli, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    assert run(capsys, "order", "12", "m11")[0] == 0
+    assert calls == []
+    out_path = tmp_path / "order.json"
+    assert run(capsys, "order", "12", "m11", "--json-out", str(out_path))[0] == 0
+    assert calls.count("write_json") == 1
+    assert json.loads(out_path.read_text()) == M11_ORDER_12
+
+
 @pytest.mark.parametrize(
     "base, path, value",
     [pytest.param(*case[1:4], id=case[0]) for case in BUNDLE_CORRUPTIONS],

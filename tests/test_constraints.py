@@ -13,10 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import asymmetric_row, brute_force_pa_solutions, cyclic_with_row
+from helpers import asymmetric_row, brauer_table, brute_force_pa_solutions, with_rows
 from helpzc import constraints
 from helpzc.arith import divisors, euler_phi, prime_factors
-from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
     CharacterTable,
     cyclic_table,
@@ -43,7 +42,7 @@ from helpzc.constraints import (
     trace_block,
     usable_tables,
 )
-from helpzc.cyclotomics import Cyc, cyc_to_json, rational, root_of_unity
+from helpzc.cyclotomics import Cyc, rational, root_of_unity
 from helpzc.intsolve import Finite, Infinite, LinSystem, solve_all
 from helpzc.verify import SolverOptions, check_zc, trivial_solutions
 
@@ -188,7 +187,7 @@ def test_a_term_missing_level():
 
 def test_char_rows_brauer_expansion():
     m11 = bundle("m11")
-    t11 = m11.brauer_for(11)
+    t11 = brauer_table(m11, 11)
     rows = char_rows((t11,))
     i11a = m11.ordinary.index_of("11a")
     assert rows[0].values[i11a] is None
@@ -301,10 +300,10 @@ def test_variable_layout_and_merging():
 
 
 def trivial_plus(n, extra):
-    """C_n with one more ordinary row, the trivial character's values but
-    degree 1 + extra: the trivial row's coefficients, and its constant
-    terms plus extra."""
-    return cyclic_with_row(n, (rational(1 + extra),) + (rational(1),) * (n - 1), False)
+    """C_n with one more row, the trivial character's values but degree
+    1 + extra: the trivial row's coefficients, and its constant terms plus
+    extra.  It is row n of a fake Brauer table, labelled mod{p}{n}."""
+    return with_rows(cyclic_table(n), [(rational(1 + extra),) + (rational(1),) * (n - 1)])
 
 
 def test_equal_rows_with_incongruent_constants_are_infeasible():
@@ -327,12 +326,12 @@ def test_equal_rows_with_congruent_constants_keep_the_tighter():
     assert [row[:2] for row in sys.congruences] == [row[:2] for row in ref.congruences]
     a = constant_terms(sys)
     for ell in range(4):
-        assert a[("ordx0", ell)] == a[("ord0", ell)] + 4
+        assert a[("mod34", ell)] == a[("ord0", ell)] + 4
     result = solve_all(sys)
     assert result == solve_all(ref) and result.solutions
     for sol in result.solutions:
         mu = mu_values(sys, sol)
-        assert all(mu[("ordx0", ell)] == mu[("ord0", ell)] + 1 for ell in range(4))
+        assert all(mu[("mod34", ell)] == mu[("ord0", ell)] + 1 for ell in range(4))
 
 
 def test_mu_values_reject_a_non_solution():
@@ -445,7 +444,7 @@ def test_is_p_constant():
     assert [is_p_constant(r, t, 5) for r in rows] == [True, False, False, True, True]
     assert all(is_p_constant(r, t, 2) for r in rows)  # single class of order 2
     m11 = bundle("m11")
-    t5 = m11.brauer_for(5)
+    t5 = brauer_table(m11, 5)
     brows = char_rows((t5,))
     assert not any(is_p_constant(r, m11.ordinary, 5) for r in brows)
 
@@ -553,22 +552,19 @@ def cyc_trace(value, m, ell):
     return (value * root_of_unity(m, -ell)).trace_to_rational(m)
 
 
-def m11_with_extra_rows():
-    """M11 plus two extra rows: the tensor squares of its first two
-    nonlinear characters."""
+def m11_with_squares():
+    """M11 plus a fake Brauer table whose last two rows are the tensor
+    squares of its first two nonlinear characters."""
     m11 = bundle("m11")
-    data = bundle_to_json(m11)
-    data["ordinary"]["extra_characters"] = [
-        [cyc_to_json(a * a) for a in m11.ordinary.characters[j]] for j in (1, 2)
-    ]
-    return load_bundle(data)
+    chi = m11.ordinary.characters
+    return with_rows(m11, [tuple(a * a for a in chi[j]) for j in (1, 2)])
 
 
 def test_trace_tables_match_cyc():
     seen = set()
     reference = {}  # cyclic tables repeat values: trace each one once
     bundles = [bundle(n) for n in ("s3", "s4", "a5", "sl23")]
-    bundles += [m11_with_extra_rows()] + [cyclic_table(n) for n in range(2, 25)]
+    bundles += [m11_with_squares()] + [cyclic_table(n) for n in range(2, 25)]
     for b in bundles:
         t = b.ordinary
         orders = {m for o in t.element_orders() for m in divisors(o) if m > 1}
@@ -590,8 +586,8 @@ def test_trace_tables_match_cyc():
                             expect.append(reference[key])
                         assert list(per_ell[ell]) == expect
                         assert all(type(c) is int for c in per_ell[ell])
-    # every kind of row: ordinary, extra, mod 5 and mod 11
-    assert {"ord1", "ordx1", "mod50", "mod110"} <= seen
+    # every kind of row: ordinary, mod 5, mod 11 and the squares mod 7
+    assert {"ord1", "mod50", "mod110", "mod711"} <= seen
 
 
 def cyc_constant_term(row, k, ell, tup):
@@ -744,7 +740,7 @@ def twist_cases():
     of C10 with a fake Brauer table of non-rational characters."""
     bundles = [bundle(n) for n in ("s3", "s4", "a5", "sl23", "m11")]
     bundles += [cyclic_table(n) for n in range(2, 25)]
-    bundles.append(cyclic_with_row(10, cyclic_table(10).ordinary.characters[1], True))
+    bundles.append(with_rows(cyclic_table(10), [cyclic_table(10).ordinary.characters[1]]))
     return [
         (b, k) for b in bundles for k in divisors(b.ordinary.exponent()) if k > 1
     ]
@@ -790,9 +786,8 @@ def test_lower_blocks_are_scaled_top_blocks(twist_cases):
                         ]
 
 
-@pytest.mark.parametrize("brauer", [False, True], ids=["extra", "brauer"])
-def test_symmetry_breaking_row_shrinks_twists(brauer):
-    b = cyclic_with_row(12, asymmetric_row(), brauer)
+def test_symmetry_breaking_row_shrinks_twists():
+    b = with_rows(cyclic_table(12), [asymmetric_row()])
     twists = {
         k: sorted(galois_twists(b.ordinary, usable_tables(b, k), k))
         for k in (3, 4, 6, 12)

@@ -55,7 +55,7 @@ def test_basic_identities():
     assert root_of_unity(8) ** 2 == root_of_unity(4)
     assert root_of_unity(7, 0) == 1
     assert root_of_unity(5, 7) == root_of_unity(5, 2)
-    assert rational(0).is_zero() and not rational(3).is_zero()
+    assert not rational(0) and rational(3)
 
 
 def test_conductor_never_two_mod_four():
