@@ -60,8 +60,8 @@ class CharacterTable:
         self._identity = next(
             (i for i, cl in enumerate(classes) if cl.element_order == 1), None
         )
-        # unit order m -> the integer trace block of these rows (see
-        # constraints.trace_block), built on first use
+        # unit order m -> the integer trace block of these rows and its
+        # numbered trace tuples (see constraints._traced), built on first use
         self.trace_blocks: dict = {}
         # a proper power's PAVector -> these rows' sums, and on an ordinary
         # table the order-k templates (constraints._level_sums, _template)

@@ -46,7 +46,14 @@ EXIT_UNKNOWN = 2
 
 def resolve_bundle(name: str):
     if name.startswith("cyclic:"):
-        return cyclic_table(int(name.split(":", 1)[1]))
+        text = name.split(":", 1)[1]
+        try:
+            n = int(text)
+        except ValueError:
+            raise ValueError(
+                f"bundle {name!r}: cyclic:N needs an integer N, got {text!r}"
+            ) from None
+        return cyclic_table(n)
     return load_bundle(resolve_bundle_path(name))
 
 

@@ -53,10 +53,16 @@ Assembly is integer-only; identities 1 and 2 make that exact.
    between the two solution sets, and feasibility, unboundedness and the
    p-constant relaxation (which permutes order-p classes among themselves
    and reads its witness only through p-constant rows) are shared.
-   galois_twists derives pi_j from the ordinary block at k alone, since its
-   columns separate the classes, and keeps j only if every other usable
-   block at k is invariant; a row that breaks the symmetry therefore only
-   shrinks the group of twists.
+   The condition reads on trace tuples: with T(v) = (Tr(v zeta_k^-l))_l,
+   which determines v in Q(zeta_k), T(sigma_j(v))[l] = T(v)[l j^-1], so a
+   cell holds the twist of another iff its tuple is the other's permuted by
+   l -> l j^-1.  _traced numbers each table's distinct tuples as it
+   traces them, and galois_twists maps each number to that of its permuted
+   tuple.  It derives pi_j from the ordinary table alone, since its columns
+   separate the classes: pi_j(x) is the class whose column of numbers is
+   x's column mapped.  It keeps j only if every other usable table maps
+   each cell's number at x to the number at pi_j(x); a row that breaks the
+   symmetry therefore only shrinks the group of twists.
 
 4. The p-constant relaxation.  Let k = p*q with distinct primes p, q and
    let psi be constant on the classes of order p, with value psi(x_p).  In
@@ -302,27 +308,43 @@ def trace_block(table: CharacterTable, m: int):
     """The integer coefficients of `table`'s rows at unit order m:
     block[r][l][i] = Tr_{Q(zeta_m)/Q}(psi_r(x) zeta_m^-l) for the r-th row
     of char_rows((table,)), l < m and x the i-th class of order dividing m.
+    """
+    return _traced(table, m)[0]
+
+
+def _traced(table: CharacterTable, m: int):
+    """(trace_block(table, m), ids, traces): traces[n] is the n-th distinct
+    trace tuple (Tr(psi(x) zeta_m^-l))_l met and ids[r][i] the number of
+    the tuple of cell (r, i), so equal numbers mean equal values.
 
     Built on first use and kept on the table, so each distinct value is
     traced once per m, whichever cells hold it and whichever table sets the
     table joins.
     """
-    block = table.trace_blocks.get(m)
-    if block is None:
+    got = table.trace_blocks.get(m)
+    if got is None:
         support = table.classes_of_order_dividing(m)
-        traced: dict[Cyc, tuple[int, ...]] = {}
-        rows = []
+        traced: dict[Cyc, int] = {}
+        number: dict[tuple[int, ...], int] = {}
+        traces, ids = [], []
         for row in char_rows((table,)):
-            columns = []
+            cells = []
             for x in support:
                 value = row.value_at(x)
-                traces = traced.get(value)
-                if traces is None:
-                    traces = traced[value] = _integer_traces(value, m, row.label)
-                columns.append(traces)
-            rows.append(tuple(zip(*columns)) if columns else ((),) * m)
-        block = table.trace_blocks[m] = tuple(rows)
-    return block
+                n = traced.get(value)
+                if n is None:
+                    t = _integer_traces(value, m, row.label)
+                    n = traced[value] = number.setdefault(t, len(traces))
+                    if n == len(traces):
+                        traces.append(t)
+                cells.append(n)
+            ids.append(tuple(cells))
+        block = tuple(
+            tuple(zip(*[traces[n] for n in cells])) if cells else ((),) * m
+            for cells in ids
+        )
+        got = table.trace_blocks[m] = (block, tuple(ids), tuple(traces))
+    return got
 
 
 def galois_twists(ordinary: CharacterTable, tables, k: int) -> dict:
@@ -331,31 +353,34 @@ def galois_twists(ordinary: CharacterTable, tables, k: int) -> dict:
     that leaves each block of `tables` at k invariant (identity 3 of the
     module docstring).  The result is a group; j = 1 is always in it.
 
-    Each j outside the group found so far is derived from the ordinary
-    block and checked; an accepted one joins as a generator and the group
-    is closed under composition.
+    Each j outside the group found so far is derived from the numbered
+    trace tuples of the ordinary table and checked on those of the others;
+    an accepted one joins as a generator and the group is closed under
+    composition.
     """
     support = ordinary.classes_of_order_dividing(k)
-    top = trace_block(ordinary, k)
-    others = [trace_block(t, k) for t in tables if t is not ordinary]
-    column = {
-        tuple(c[i] for row in top for c in row): i for i in range(len(support))
-    }
+    numbered = []
+    for t in (ordinary, *(t for t in tables if t is not ordinary)):
+        _, ids, traces = _traced(t, k)
+        numbered.append((ids, traces, {tr: n for n, tr in enumerate(traces)}))
+    columns = list(zip(*numbered[0][0]))
+    column = {col: i for i, col in enumerate(columns)}
 
     def derive(j):
+        # sigma_j(v) has the traces l -> Tr(v zeta^(-l j^-1)): the image of
+        # each number, None when no cell of the table holds that value
         inv = pow(j, -1, k)
-        at = [
-            column.get(tuple(row[ell * inv % k][i] for row in top for ell in range(k)))
-            for i in range(len(support))
+        turn = [ell * inv % k for ell in range(k)]
+        images = [
+            [number.get(tuple(map(tr.__getitem__, turn))) for tr in traces]
+            for _, traces, number in numbered
         ]
+        at = [column.get(tuple(map(images[0].__getitem__, col))) for col in columns]
         if None in at or len(set(at)) < len(at):
             return None
-        for block in others:
-            for row in block:
-                if any(
-                    tuple(row[ell][a] for a in at) != row[ell * inv % k]
-                    for ell in range(k)
-                ):
+        for (ids, _, _), image in zip(numbered[1:], images[1:]):
+            for row in ids:
+                if any(row[a] != image[n] for a, n in zip(at, row)):
                     return None
         return {x: support[a] for x, a in zip(support, at)}
 

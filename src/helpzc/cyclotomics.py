@@ -348,16 +348,6 @@ class Cyc:
             return self
         return Cyc(self.n, {(e * j) % self.n: c for e, c in self._c.items()})
 
-    def trace_to_rational(self, m: int) -> Fraction:
-        """Trace from Q(zeta_m) down to Q; the value must lie in Q(zeta_m).
-
-        Equals the sum of galois(j) over j coprime to m, computed term by
-        term from the Ramanujan sums Tr(zeta_m^j) (see ramanujan_sums).
-        """
-        step = self._step_into(m)
-        sums = ramanujan_sums(m)
-        return sum((c * sums[e * step] for e, c in self._c.items()), Fraction(0))
-
     def twisted_traces(self, m: int) -> tuple:
         """Tr_{Q(zeta_m)/Q}(self * zeta_m^-l) for l = 0 .. m-1; the value
         must lie in Q(zeta_m).

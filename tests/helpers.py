@@ -3,9 +3,10 @@
 import json
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
-from helpzc import verify
+from helpzc import intsolve, verify
 from helpzc.arith import divisors, is_prime, prime_factors
 from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
@@ -28,7 +29,7 @@ from helpzc.constraints import (
     trace_block,
     usable_tables,
 )
-from helpzc.cyclotomics import rational, root_of_unity
+from helpzc.cyclotomics import ramanujan_sums, rational, root_of_unity
 from helpzc.intsolve import Finite, Infeasible, LinSystem, Optimal, Unbounded, solve_all
 from helpzc.verify import (
     _aggregated_rules_out,
@@ -61,7 +62,7 @@ def brute_force_pa_solutions(bundle, k, proper_levels, bound, tables=None):
         return total
 
     def trace_term(val, e, ell):
-        return (val * root_of_unity(e, -ell)).trace_to_rational(e)
+        return trace_to_rational(val * root_of_unity(e, -ell), e)
 
     # the d > 1 terms depend only on the fixed proper levels
     fixed = []
@@ -98,6 +99,15 @@ def brute_force_pa_solutions(bundle, k, proper_levels, bound, tables=None):
         if good:
             solutions.append(assignment)
     return solutions
+
+
+def trace_to_rational(value, m):
+    """Trace oracle: Tr_{Q(zeta_m)/Q}(value); the value must lie in
+    Q(zeta_m).  Equals the sum of value.galois(j) over j coprime to m,
+    computed term by term from the Ramanujan sums Tr(zeta_m^j)."""
+    step = value._step_into(m)
+    sums = ramanujan_sums(m)
+    return sum((c * sums[e * step] for e, c in value._c.items()), Fraction(0))
 
 
 def bundle_of(name):
@@ -539,3 +549,90 @@ def corrupted_bundle(base, path, value):
         node = node[key]
     node[path[-1]] = value
     return data
+
+
+# -- reference search -----------------------------------------------------------
+
+
+def solve_unreduced(system, **kwargs):
+    """solve_all on the Hermite basis of the reduction, without its LLL
+    step: an oracle for the search on the reduced basis, which must find
+    the same solutions."""
+    saved = intsolve._lll, intsolve._lattice
+    intsolve._lll = lambda basis, weights: basis
+    intsolve._lattice = (None, None)
+    try:
+        return solve_all(system, **kwargs)
+    finally:
+        intsolve._lll, intsolve._lattice = saved
+
+
+def round_robin_propagate(rows, intervals):
+    """Interval propagation by up to 40 rounds over every row, stopping
+    after a round that changes nothing; None on conflict.  An oracle for
+    the worklist of intsolve._interval_propagate, with `rows` laid out as
+    there."""
+    lo = [a for a, _ in intervals]
+    hi = [b for _, b in intervals]
+    for _ in range(40):
+        changed = False
+        for nonzero, pos, neg, r in rows:
+            s = sum(map(mul, pos, hi)) + sum(map(mul, neg, lo)) - r
+            if s < 0:
+                return None
+            for j, c in nonzero:
+                if c > 0:
+                    if c * (hi[j] - lo[j]) > s:
+                        lo[j] = hi[j] - s // c
+                        changed = True
+                elif c * (lo[j] - hi[j]) > s:
+                    hi[j] = lo[j] + s // -c
+                    changed = True
+        if not changed:
+            break
+    return list(zip(lo, hi))
+
+
+def reference_galois_twists(ordinary, tables, k):
+    """galois_twists with each x -> x^j derived by looking up the whole
+    twisted column of the ordinary block, all rows and all l, and checked
+    on every cell of every other block: an oracle for the derivation from
+    trace ids."""
+    support = ordinary.classes_of_order_dividing(k)
+    top = trace_block(ordinary, k)
+    others = [trace_block(t, k) for t in tables if t is not ordinary]
+    column = {
+        tuple(c[i] for row in top for c in row): i for i in range(len(support))
+    }
+
+    def derive(j):
+        inv = pow(j, -1, k)
+        at = [
+            column.get(tuple(row[ell * inv % k][i] for row in top for ell in range(k)))
+            for i in range(len(support))
+        ]
+        if None in at or len(set(at)) < len(at):
+            return None
+        for block in others:
+            for row in block:
+                if any(
+                    tuple(row[ell][a] for a in at) != row[ell * inv % k]
+                    for ell in range(k)
+                ):
+                    return None
+        return {x: support[a] for x, a in zip(support, at)}
+
+    group = {1: {x: x for x in support}}
+    for j in range(2, k):
+        if gcd(j, k) != 1 or j in group:
+            continue
+        perm = derive(j)
+        if perm is None:
+            continue
+        base = dict(group)
+        power, step = j, perm
+        while power not in base:
+            for h, ph in base.items():
+                group[h * power % k] = {x: step[ph[x]] for x in support}
+            power, step = power * j % k, {x: perm[step[x]] for x in support}
+    return group

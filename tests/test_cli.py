@@ -340,6 +340,21 @@ def test_info_on_a_malformed_bundle_prints_one_error_line(tmp_path, base, path, 
     assert len(lines) == 1 and lines[0].startswith(f"error: {base.upper()}")
 
 
+@pytest.mark.parametrize("argv", [("info", "cyclic:abc"), ("zc", "cyclic:")])
+def test_bad_cyclic_order_prints_one_error_line(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-m", "helpzc.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    text = argv[1].split(":", 1)[1]
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [
+        f"error: bundle {argv[1]!r}: cyclic:N needs an integer N, got {text!r}"
+    ]
+
+
 def test_missing_bundle(capsys):
     code, _, err = run(capsys, "zc", "/no/such/bundle.json")
     assert code == 1

@@ -13,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import asymmetric_row, brauer_table, brute_force_pa_solutions, with_rows
+from helpers import (
+    asymmetric_row,
+    brauer_table,
+    brute_force_pa_solutions,
+    reference_galois_twists,
+    trace_to_rational,
+    with_rows,
+)
 from helpzc import constraints
 from helpzc.arith import divisors, euler_phi, prime_factors
 from helpzc.chartables import (
@@ -140,7 +147,7 @@ def test_mu_coefficient_galois_sums():
     block = trace_block(t, 6)
     for j in range(6):
         for ell in range(6):
-            expect = root_of_unity(6, j - ell).trace_to_rational(6)
+            expect = trace_to_rational(root_of_unity(6, j - ell), 6)
             assert block[j][ell][0] == expect
 
 
@@ -549,7 +556,7 @@ def test_build_system_rejects_order_one():
 
 def cyc_trace(value, m, ell):
     """Tr_{Q(zeta_m)/Q}(value * zeta_m^-l), through canonical Cyc arithmetic."""
-    return (value * root_of_unity(m, -ell)).trace_to_rational(m)
+    return trace_to_rational(value * root_of_unity(m, -ell), m)
 
 
 def m11_with_squares():
@@ -763,6 +770,16 @@ def test_galois_twists_are_power_maps(twist_cases):
             # a twisted group element is a group element
             assert {tup.twisted(perm) for tup in group_elements} == group_elements
     assert nontrivial > 50
+
+
+def test_galois_twists_match_the_column_derivation(twist_cases):
+    asymmetric = with_rows(cyclic_table(12), [asymmetric_row()])
+    cases = twist_cases + [(asymmetric, k) for k in (2, 3, 4, 6, 12)]
+    for b, k in cases:
+        for tables in (usable_tables(b, k), (b.ordinary,)):
+            assert galois_twists(b.ordinary, tables, k) == reference_galois_twists(
+                b.ordinary, tables, k
+            )
 
 
 def test_lower_blocks_are_scaled_top_blocks(twist_cases):

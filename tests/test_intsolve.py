@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import box_solutions, in_box, random_system, reference_simplex
+from helpers import (
+    box_solutions,
+    in_box,
+    random_system,
+    reference_simplex,
+    round_robin_propagate,
+)
 from helpzc import intsolve, simplex
 from helpzc.intsolve import (
     Aborted,
@@ -426,3 +432,70 @@ def test_oracle_property(data):
     if isinstance(res, Finite):
         inside = tuple(x for x in res.solutions if in_box(x, 6))
         assert inside == box_solutions(s, 6)
+
+
+# -- interval propagation ------------------------------------------------------
+
+
+def propagate(rows, d, intervals, work=None):
+    """The worklist propagation from `intervals` by the rows in `work` (all
+    by default), as the search runs it; None on conflict."""
+    prepared, meets = intsolve._prepare(rows, d)
+    lo, hi = [a for a, _ in intervals], [b for _, b in intervals]
+    if work is None:
+        work = range(len(rows))
+    if not intsolve._interval_propagate(prepared, meets, lo, hi, work, 40 * len(rows)):
+        return None
+    return list(zip(lo, hi))
+
+
+def test_worklist_propagation_matches_round_robin():
+    # from the root box, and after fixing one parameter of the box reached,
+    # with only the rows that meet it queued, as at a search node
+    rng = random.Random(73)
+    shrunk = conflicts = 0
+    for _ in range(2000):
+        d = rng.randint(1, 5)
+        rows = [
+            (tuple(rng.choice([0, 0, *range(-4, 5)]) for _ in range(d)), rng.randint(-12, 12))
+            for _ in range(rng.randint(1, 6))
+        ]
+        box = []
+        for _ in range(d):
+            a = rng.randint(-6, 6)
+            box.append((a, a + rng.randint(0, 9)))
+        prepared, meets = intsolve._prepare(rows, d)
+        want = round_robin_propagate(prepared, box)
+        assert propagate(rows, d, box) == want
+        if want is None:
+            conflicts += 1
+            continue
+        shrunk += want != box
+        j = rng.randrange(d)
+        val = rng.randint(*want[j])
+        fixed = want[:]
+        fixed[j] = (val, val)
+        assert propagate(rows, d, fixed, meets[j]) == round_robin_propagate(prepared, fixed)
+    assert shrunk > 300 and conflicts > 300, (shrunk, conflicts)
+
+
+def test_worklist_propagation_matches_round_robin_on_golden_searches(monkeypatch):
+    from test_golden import GOLDEN, run
+
+    real = intsolve._interval_propagate
+    calls = []
+
+    def checked(rows, meets, lo, hi, work, cap):
+        box = list(zip(lo, hi))
+        got = real(rows, meets, lo, hi, work, cap)
+        want = round_robin_propagate(rows, box)
+        assert got == (want is not None)
+        if got:
+            assert list(zip(lo, hi)) == want
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(intsolve, "_interval_propagate", checked)
+    for command in sorted(GOLDEN):
+        run(command)
+    assert len(calls) > 500 and not all(calls), (len(calls), all(calls))

@@ -1,12 +1,21 @@
 """The norm bound of complete tables (identity 5 of the constraints module)
-and its exact enumeration, against the LP-bounded search as oracle."""
+and its exact enumeration on an LLL-reduced basis, against the LP-bounded
+search and the search on the unreduced Hermite basis as oracles."""
 
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
 
-from helpers import box_solutions, built_systems, bundle_of, random_system
+from helpers import (
+    box_solutions,
+    built_calls,
+    built_systems,
+    bundle_of,
+    random_system,
+    solve_unreduced,
+)
 from helpzc import intsolve, verify
 from helpzc.arith import prime_factors
 from helpzc.constraints import (
@@ -50,6 +59,7 @@ def test_norm_search_matches_the_lp_search(monkeypatch, name, checker, p_constan
         assert system.norm is not None
         got = solve_all(system)
         assert isinstance(got, Finite)
+        assert solve_unreduced(system) == got
         want = solve_all(without_norm(system))
         if any(isinstance(v, AggVar) for v in system.variables):
             if isinstance(want, Finite):
@@ -129,6 +139,7 @@ def test_norm_search_matches_box_on_random_systems(monkeypatch):
         radius = rng.randint(0, 12)
         bounded = LinSystem(s.variables, s.equalities, s.nonneg, (weights, radius))
         got = solve_all(bounded)
+        assert solve_unreduced(bounded) == got
         # w_i·x_i² <= R puts every coordinate within sqrt(R / min w)
         assert got == Finite(box_solutions(bounded, isqrt(radius // min(weights))))
         want = solve_all(s)
@@ -138,6 +149,73 @@ def test_norm_search_matches_box_on_random_systems(monkeypatch):
             cut += len(kept) < len(want.solutions)
         found += bool(got.solutions)
     assert found >= 120 and cut >= 30, (found, cut)
+
+
+def gram_schmidt(basis, weights):
+    """The Gram–Schmidt vectors' squared norms and the μ_kj of `basis`
+    under Σ w_i·u_i·v_i, in Fractions."""
+    def dot(u, v):
+        return sum(Fraction(w) * a * b for w, a, b in zip(weights, u, v))
+
+    stars, norms, mu = [], [], {}
+    for k, b in enumerate(basis):
+        v = [Fraction(a) for a in b]
+        for j in range(k):
+            mu[k, j] = dot(b, stars[j]) / norms[j]
+            v = [a - mu[k, j] * c for a, c in zip(v, stars[j])]
+        stars.append(v)
+        norms.append(dot(v, v))
+    return norms, mu
+
+
+def test_lll_reduces_and_keeps_the_lattice():
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        weights = tuple(rng.randint(1, 5) for _ in range(rng.randint(n, 8)))
+        basis = tuple(
+            tuple(rng.randint(-60, 60) for _ in weights) for _ in range(n)
+        )
+        norms, _ = gram_schmidt(basis, weights)
+        if not all(norms):
+            continue
+        reduced = intsolve._lll(basis, weights)
+        got, mu = gram_schmidt(reduced, weights)
+        # size-reduced, and the Lovász condition with δ = 99/100
+        assert all(abs(m) <= Fraction(1, 2) for m in mu.values())
+        for k in range(1, n):
+            assert got[k] >= (Fraction(99, 100) - mu[k, k - 1] ** 2) * got[k - 1]
+        # a unimodular change of basis: the same covolume, and each old
+        # vector an integer combination of the new ones (in the solutions
+        # of the system x = Σ t_j·b_j, t integral)
+        volume = 1
+        for a, b in zip(norms, got):
+            volume *= a / b
+        assert volume == 1
+        for b in basis:
+            system = LinSystem(
+                tuple(f"t{j}" for j in range(n)),
+                tuple(
+                    (tuple(r[i] for r in reduced), b[i]) for i in range(len(weights))
+                ),
+                frozenset(),
+            )
+            assert len(solve_all(system).solutions) == 1
+    # a form that is not positive definite on the lattice leaves it as given
+    assert intsolve._lll(((1, 0), (0, 1)), (1, 0)) == ((1, 0), (0, 1))
+
+
+def test_large_lattice_searches_stay_small(monkeypatch):
+    # the top systems of cyclic:72 have a lattice of dimension 70; on its
+    # Hermite basis one search visits 3,303 nodes, on the LLL-reduced one
+    # about 71
+    calls = built_calls(
+        monkeypatch, bundle_of("cyclic:72"), check_zc, SolverOptions(shortcuts=False)
+    )
+    top = [system for _, args, system in calls if args[1] == 72]
+    assert top
+    for system in top:
+        assert isinstance(solve_all(system, max_nodes=200), Finite)
 
 
 def test_norm_search_is_exact_far_from_the_origin():

@@ -5,14 +5,21 @@ A HeLP system holds only its lead variables and one congruence row per
 distinct coefficient tuple.  Its assembly is a template kept per order plus
 the constant terms of its combination, and its reduction is made once per
 coefficient matrix and reused.  The oracles here are the system assembled
-from nothing, a fresh reduction per system, the system written out as it
-was assembled before, with one nonnegative multiplicity column per row, and
-that written-out system without its norm, bounded by the LP.
+from nothing, a fresh reduction per system, the search on the Hermite basis
+without its LLL step, the system written out as it was assembled before,
+with one nonnegative multiplicity column per row, and that written-out
+system without its norm, bounded by the LP.
 """
 
 import pytest
 
-from helpers import built_calls, built_systems, bundle_of, reference_system
+from helpers import (
+    built_calls,
+    built_systems,
+    bundle_of,
+    reference_system,
+    solve_unreduced,
+)
 from helpzc import intsolve, verify
 from helpzc.constraints import AggVar
 from helpzc.intsolve import Finite, Infinite, LinSystem, solve_all
@@ -116,6 +123,7 @@ def test_shared_lattice_matches_fresh_reduction_and_oracles(
         assert all(len(row[0]) == n for row in system.congruences)
         monkeypatch.setattr(intsolve, "_lattice", (None, None))
         assert solve_all(system) == shared
+        assert solve_unreduced(system) == shared
         assert isinstance(shared, Finite)
         assert lead_part(solve_all(written_out(system)), n) == shared.solutions
         lp = solve_all(written_out(system, bounded=False))
