@@ -6,11 +6,13 @@ validates the table hard: class sizes must sum to the group order, power maps
 must exist for every prime dividing the exponent and respect element orders,
 every value must be an algebraic integer, and the ordinary rows must satisfy
 exact row orthogonality.  Every integer in the file must be a JSON integer.
-The is_nilpotent flag is derived from the class sizes, and the is_solvable
-and p_solvable_for flags from a complete table; a declared value must agree,
-and the latter two may not be declared true for an incomplete table.  A
-table that fails any check is rejected outright, since every downstream
+A table that fails any check is rejected outright, since every downstream
 constraint is only as trustworthy as the table it came from.
+
+Group facts are derived, never declared: nilpotency from the class sizes,
+solvability and p-solvability from the chief factors of a complete table
+(unknown for an incomplete one).  A bundle that lists a flags node is
+rejected.
 
 Only irreducible rows are read; a bundle that lists extra character rows
 is rejected.  A reducible character psi adds nothing a complete table lacks,
@@ -315,6 +317,12 @@ def read_bundle(source: str | Path | dict) -> TableBundle:
         group = str(data["group"])
     except KeyError as exc:
         raise BundleError(f"bundle missing or malformed field: {exc}") from None
+    if "flags" in data:
+        raise BundleError(
+            f"{group}: flags is not read: nilpotency comes from the class sizes,"
+            " solvability and p-solvability from the chief factors of a"
+            " complete table"
+        )
     order = _field(group, data, "order", int)
     ordinary = _parse_ordinary(group, order, _field(group, data, "ordinary", dict))
     _check_ordinary(ordinary)
@@ -329,51 +337,16 @@ def read_bundle(source: str | Path | dict) -> TableBundle:
         _check_brauer(t)
         brauer.append(t)
 
-    flags = _field(group, data, "flags", dict, {})
-    for key in ("is_solvable", "is_nilpotent"):
-        if key in flags and not isinstance(flags[key], bool):
-            raise BundleError(f"{group}: flag {key} must be boolean")
-    nilpotent = _sylows_normal(ordinary)
-    if flags.get("is_nilpotent", nilpotent) != nilpotent:
-        raise BundleError(
-            f"{group}: flag is_nilpotent is {not nilpotent}, but the class sizes"
-            f" say {nilpotent}"
-        )
-    if nilpotent and flags.get("is_solvable") is False:
-        raise BundleError(f"{group}: a nilpotent group cannot be non-solvable")
-    psf = flags.get("p_solvable_for", [])
-    if not isinstance(psf, list) or not all(
-        type(p) is int and is_prime(p) for p in psf
-    ):
-        raise BundleError(f"{group}: p_solvable_for must be a list of primes")
-
-    solvable, p_solvable = flags.get("is_solvable"), frozenset(psf)
+    solvable, p_solvable = None, frozenset()
     if len(ordinary.characters) == len(ordinary.classes):
-        derived = _solvability(ordinary)
-        if solvable is not None and solvable != derived[0]:
-            raise BundleError(
-                f"{group}: flag is_solvable is {solvable}, but the chief"
-                f" factors say {derived[0]}"
-            )
-        if "p_solvable_for" in flags and p_solvable != derived[1]:
-            raise BundleError(
-                f"{group}: p_solvable_for is {sorted(p_solvable)}, but the"
-                f" chief factors give {sorted(derived[1])}"
-            )
-        solvable, p_solvable = derived
-    elif solvable or p_solvable:
-        raise BundleError(
-            f"{group}: is_solvable and p_solvable_for need a complete table,"
-            f" but it lists {len(ordinary.characters)} irreducibles for"
-            f" {len(ordinary.classes)} classes"
-        )
+        solvable, p_solvable = _solvability(ordinary)
 
     return TableBundle(
         group,
         ordinary,
         tuple(brauer),
         is_solvable=solvable,
-        is_nilpotent=nilpotent,
+        is_nilpotent=_sylows_normal(ordinary),
         p_solvable_for=p_solvable,
     )
 
@@ -404,13 +377,4 @@ def bundle_to_json(bundle: TableBundle) -> dict:
             }
             for t in bundle.brauer
         ]
-    flags = {}
-    if bundle.is_solvable is not None:
-        flags["is_solvable"] = bundle.is_solvable
-    if bundle.is_nilpotent is not None:
-        flags["is_nilpotent"] = bundle.is_nilpotent
-    if bundle.p_solvable_for:
-        flags["p_solvable_for"] = sorted(bundle.p_solvable_for)
-    if flags:
-        node["flags"] = flags
     return node

@@ -6,7 +6,9 @@ Brauer, and all values are exact cyclotomic numbers.  A bundle
 is built in memory (`cyclic_table`) or loaded from a JSON file
 (`load_bundle`).  The file format and the checks that every loaded table
 must pass live in `bundlefile`, which `load_bundle` imports on its first
-call.  `resolve_bundle_path` finds the packaged bundles on disk.
+call.  A bundle's group facts (`is_nilpotent`, `is_solvable`,
+`p_solvable_for`) are derived from its ordinary table, never read from a
+file.  `resolve_bundle_path` finds the packaged bundles on disk.
 """
 
 from __future__ import annotations

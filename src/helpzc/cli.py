@@ -73,6 +73,14 @@ def solver_options(args) -> SolverOptions:
     )
 
 
+def check_outputs(args) -> None:
+    """Refuse an output path that exists and is not a regular file, before
+    any work is done that could not be written there."""
+    for path in (args.store, args.json_out):
+        if path and Path(path).exists() and not Path(path).is_file():
+            raise ValueError(f"output path {path} exists and is not a regular file")
+
+
 def load_store(bundle, path: str | None) -> SolutionStore:
     if path and Path(path).is_file():
         with open(path) as fh:
@@ -117,6 +125,7 @@ def verdict_json(command: str, bundle, verdict) -> dict:
 
 
 def cmd_check(args, label, checker) -> int:
+    check_outputs(args)
     bundle = resolve_bundle(args.bundle)
     store = load_store(bundle, args.store)
     verdict = checker(bundle, solver_options(args), store)
@@ -128,6 +137,7 @@ def cmd_check(args, label, checker) -> int:
 
 
 def cmd_order(args) -> int:
+    check_outputs(args)
     bundle = resolve_bundle(args.bundle)
     store = load_store(bundle, args.store)
     survivors, pre = solve_order_report(bundle, args.k, store, solver_options(args))

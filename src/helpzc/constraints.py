@@ -449,15 +449,12 @@ class AggVar(Record):
         return f"agg:{self.prime}"
 
 
-def usable_tables(bundle: TableBundle, k: int, options=None):
-    """Ordinary table plus Brauer(p) for p not dividing k; Brauer tables of
-    primes the group is p-solvable for add nothing and are skipped.
-
-    `options` is a verify.SolverOptions, of which only use_brauer is read;
-    None means on.
-    """
+def usable_tables(bundle: TableBundle, k: int, use_brauer: bool = True):
+    """Ordinary table plus, if `use_brauer`, Brauer(p) for p not dividing k;
+    Brauer tables of primes the group is p-solvable for add nothing and are
+    skipped."""
     tables = [bundle.ordinary]
-    if options is None or options.use_brauer:
+    if use_brauer:
         for t in bundle.brauer:
             if k % t.prime and t.prime not in bundle.p_solvable_for:
                 tables.append(t)

@@ -213,7 +213,7 @@ def _candidates(bundle, k, store, options):
             return None
         subs.append(got)
 
-    tables = usable_tables(bundle, k, options)
+    tables = usable_tables(bundle, k, options.use_brauer)
     rows = char_rows(tables)
     propers = [
         _merge_levels(k, combo)

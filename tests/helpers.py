@@ -234,7 +234,7 @@ def full_solve_candidates(bundle, k, store, options):
     k/p, so the store must hold those orders.  The sorted complete tuples,
     or None when a system is infinite or exhausts the node budget."""
     subs = [store.solutions[k // p] for p in prime_factors(k) if p < k]
-    tables = usable_tables(bundle, k, options)
+    tables = usable_tables(bundle, k, options.use_brauer)
     found = set()
     for combo in product(*subs):
         if not all(compatible(a, b) for a, b in combinations(combo, 2)):
@@ -512,6 +512,8 @@ BUNDLE_CORRUPTIONS = [
     ("extra-characters-listed", "m11", ("ordinary", "extra_characters"), [],
      "M11: extra_characters is not read: every character is a non-negative"
      " sum of irreducibles"),
+    ("flags-listed", "m11", ("flags",), {},
+     "M11: flags is not read: nilpotency comes from the class sizes"),
     ("brauer-classes-not-list", "m11", ("brauer", 0, "classes"), 7,
      "M11 mod 5: classes must be of type list"),
     ("brauer-characters-not-list", "m11", ("brauer", 0, "characters"), 7,

@@ -211,14 +211,13 @@ def test_criterion_5_solver_oracle():
 def _recheck_mu_sums(bundle, solutions_by_order):
     """Re-solve each stored tuple's system and confirm every character row's
     multiplicities sum to its degree."""
-    options = SolverOptions()
     checked = 0
     for k, tuples in solutions_by_order.items():
         by_proper = {}
         for tup in tuples:
             by_proper.setdefault(tup.proper(), []).append(tup)
         for proper, siblings in by_proper.items():
-            tables = usable_tables(bundle, k, options)
+            tables = usable_tables(bundle, k)
             rows = char_rows(tables)
             sys = build_system(bundle, k, proper, tables)
             result = solve_all(sys)

@@ -88,22 +88,29 @@ def test_bundles_load(bundles):
     assert m11.index_of("2a") == 1
 
 
+# (is_solvable, p_solvable_for, is_nilpotent) of each bundled group.  A5 and
+# M11 are simple; S3 has chief factors of orders 3 and 2, S4 and SL(2,3) of
+# orders 4, 3 and 2.  None is nilpotent: SL(2,3) fails only at p = 3, its
+# 2-elements being its normal quaternion subgroup.
+FACTS = {
+    "s3.json": (True, {2, 3}, False),
+    "s4.json": (True, {2, 3}, False),
+    "sl23.json": (True, {2, 3}, False),
+    "a5.json": (False, set(), False),
+    "m11.json": (False, set(), False),
+}
+
+
+def facts(bundle):
+    return bundle.is_solvable, bundle.p_solvable_for, bundle.is_nilpotent
+
+
 def test_flags(bundles):
-    assert bundles["s4.json"].is_solvable is True
-    assert bundles["s4.json"].is_nilpotent is False
-    assert bundles["s4.json"].p_solvable_for == {2, 3}
-    assert bundles["a5.json"].is_solvable is False
-    assert bundles["m11.json"].p_solvable_for == frozenset()
+    assert {name: facts(b) for name, b in bundles.items()} == FACTS
 
 
-def test_nilpotency_is_derived_when_not_declared(bundles):
-    for bundle in bundles.values():
-        data = bundle_to_json(bundle)
-        del data["flags"]["is_nilpotent"]
-        assert load_bundle(data).is_nilpotent is bundle.is_nilpotent is False
-    data = bundle_to_json(cyclic_table(8))
-    del data["flags"]
-    c8 = load_bundle(data)
+def test_nilpotency_is_derived_when_not_declared():
+    c8 = load_bundle(bundle_to_json(cyclic_table(8)))
     assert c8.is_nilpotent is True and c8.is_solvable is True
 
 
@@ -378,40 +385,18 @@ def test_reject_malformed_value():
 
 
 def test_reject_bad_flags():
-    def mutate(d):
-        d["flags"] = {"is_solvable": "yes"}
-    corrupt(mutate)
-    # p_solvable_for decides which Brauer tables are skipped
-    for bad in ([None], [[2]], ["x"], [2.5], [True], [4], 2):
-        def mutate(d):
-            d["flags"] = {"p_solvable_for": bad}
-        corrupt(mutate)
-
-
-@pytest.mark.parametrize("name", BUNDLED)
-def test_reject_nilpotent_flag_the_class_sizes_deny(name):
-    # none of the bundled groups is nilpotent; SL(2,3) fails only at p = 3,
-    # its 2-elements being its normal quaternion subgroup
-    data = json.loads(resolve_bundle_path(name).read_text())
-    data["flags"]["is_nilpotent"] = True
-    with pytest.raises(BundleError, match="is_nilpotent is True, but the class sizes"):
-        load_bundle(data)
-
-
-def test_reject_nilpotent_flag_contradictions():
-    data = bundle_to_json(cyclic_table(12))
-    data["flags"]["is_nilpotent"] = False
-    with pytest.raises(BundleError, match="is_nilpotent is False, but the class sizes"):
-        load_bundle(data)
-    data["flags"].update(is_nilpotent=True, is_solvable=False)
-    with pytest.raises(BundleError, match="nilpotent group cannot be non-solvable"):
-        load_bundle(data)
-    del data["flags"]["is_solvable"]
-    assert load_bundle(data).is_nilpotent is True
+    # the group facts are derived, so even a value the table agrees with,
+    # such as S4's own {"is_solvable": true}, is refused
+    for flags in ({}, {"is_solvable": True}, {"is_nilpotent": False},
+                  {"p_solvable_for": [2, 3]}, {"is_solvable": "yes"}, [2]):
+        data = json.loads(resolve_bundle_path("s4.json").read_text())
+        data["flags"] = flags
+        with pytest.raises(BundleError, match="^S4: flags is not read"):
+            load_bundle(data)
 
 
 def direct_product_json(a, n):
-    """The bundle of A x C_n, without flags, from A's bundle: classes,
+    """The bundle of A x C_n from A's bundle: classes,
     power maps and characters are the products of those of A and C_n."""
     t = a.ordinary
     pairs = [(i, j) for i in range(len(t.classes)) for j in range(n)]
@@ -449,16 +434,12 @@ def direct_product_json(a, n):
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_solvability_flags_are_derived_from_the_chief_factors(name):
-    # A5 and M11 are simple; S3 has chief factors of orders 3 and 2, S4 and
-    # SL(2,3) of orders 4, 3 and 2
+    # the chief factors need every irreducible; the class sizes alone still
+    # decide nilpotency
     data = json.loads(resolve_bundle_path(name).read_text())
-    declared = load_bundle(data)
-    del data["flags"]
-    derived = load_bundle(data)
-    solvable = name not in ("a5.json", "m11.json")
-    assert derived.is_solvable is declared.is_solvable is solvable
-    want = frozenset({2, 3}) if solvable else frozenset()
-    assert derived.p_solvable_for == declared.p_solvable_for == want
+    assert facts(load_bundle(data)) == FACTS[name]
+    del data["ordinary"]["characters"][-1]
+    assert facts(load_bundle(data)) == (None, set(), FACTS[name][2])
 
 
 def test_p_solvable_for_a_non_solvable_group():
@@ -472,44 +453,17 @@ def test_p_solvable_for_a_non_solvable_group():
     assert bundle.p_solvable_for == frozenset({2, 3, 5})
 
 
-def test_reject_solvability_flags_the_chief_factors_deny():
-    data = m11_raw()
-    data["flags"]["is_solvable"] = True
-    with pytest.raises(BundleError, match="is_solvable is True, but the chief factors"):
-        load_bundle(data)
-    data = json.loads(resolve_bundle_path("s4.json").read_text())
-    data["flags"]["is_solvable"] = False
-    with pytest.raises(BundleError, match="is_solvable is False, but the chief factors"):
-        load_bundle(data)
-    data["flags"].update(is_solvable=True, p_solvable_for=[2])
-    with pytest.raises(BundleError, match=r"p_solvable_for is \[2\], but the chief"):
-        load_bundle(data)
-    data["flags"]["p_solvable_for"] = []
-    with pytest.raises(BundleError, match="p_solvable_for is"):
-        load_bundle(data)
-
-
 def test_incomplete_table_may_not_declare_solvability():
     data = bundle_to_json(cyclic_table(6))
     data["ordinary"]["characters"] = data["ordinary"]["characters"][:2]
-    for flags in ({"is_solvable": True}, {"p_solvable_for": [3]}):
-        data["flags"] = flags
-        with pytest.raises(BundleError, match="need a complete table"):
-            load_bundle(data)
-    # the class sizes show C6 nilpotent, so it cannot be declared non-solvable
-    data["flags"] = {"is_solvable": False}
-    with pytest.raises(BundleError, match="nilpotent group cannot be non-solvable"):
-        load_bundle(data)
-    del data["flags"]
     bundle = load_bundle(data)
     assert bundle.is_solvable is None and bundle.p_solvable_for == frozenset()
     assert bundle.is_nilpotent is True
-    # S3 is not nilpotent, and only a complete table shows it solvable
-    data = bundle_to_json(load_named("s3"))
-    data["ordinary"]["characters"] = data["ordinary"]["characters"][:2]
-    data["flags"] = {"is_solvable": False}
-    bundle = load_bundle(data)
-    assert bundle.is_solvable is False and bundle.p_solvable_for == frozenset()
+    # nor may it declare what its missing rows would show
+    for flags in ({"is_solvable": True}, {"is_solvable": False}, {"p_solvable_for": [3]}):
+        data["flags"] = flags
+        with pytest.raises(BundleError, match="flags is not read"):
+            load_bundle(data)
 
 
 @pytest.mark.parametrize(
@@ -533,11 +487,14 @@ def test_error_names_the_table():
 
 
 def test_bundle_roundtrip(bundles):
-    m11 = bundles["m11.json"]
-    again = load_bundle(bundle_to_json(m11))
-    assert again.ordinary.characters == m11.ordinary.characters
-    assert [t.characters for t in again.brauer] == [t.characters for t in m11.brauer]
-    assert again.ordinary.power_maps == m11.ordinary.power_maps
+    # the facts a cyclic_table states in memory are derived again on load
+    for bundle in [*bundles.values(), cyclic_table(12)]:
+        again = load_bundle(bundle_to_json(bundle))
+        assert again.ordinary.classes == bundle.ordinary.classes
+        assert again.ordinary.power_maps == bundle.ordinary.power_maps
+        assert again.ordinary.characters == bundle.ordinary.characters
+        assert [t.characters for t in again.brauer] == [t.characters for t in bundle.brauer]
+        assert facts(again) == facts(bundle)
 
 
 def test_resolve_bundle_path(tmp_path, monkeypatch):

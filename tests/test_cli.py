@@ -201,7 +201,6 @@ def test_nilpotent_shortcut_line(capsys):
 
 def test_undeclared_nilpotency_takes_the_shortcut(capsys, tmp_path):
     data = bundle_to_json(cyclic_table(8))
-    del data["flags"]
     bundle = tmp_path / "c8.json"
     bundle.write_text(json.dumps(data))
     code, out, _ = run(capsys, "info", str(bundle))
@@ -253,6 +252,19 @@ def test_store_group_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, "pq", "m11", "--store", str(store))
     assert code == 1
     assert "belongs to" in err
+
+
+@pytest.mark.parametrize("option", ["--store", "--json-out"])
+def test_output_path_that_is_no_file_is_refused_first(capsys, tmp_path, option):
+    # refused before the bundle is resolved, so nothing is computed and not
+    # even a missing bundle is looked for
+    message = f"error: output path {tmp_path} exists and is not a regular file\n"
+    for argv in (("zc", "m11"), ("pq", "m11"), ("order", "12", "m11"), ("zc", "nowhere")):
+        assert run(capsys, *argv, option, str(tmp_path)) == (1, "", message)
+    # a fresh path is written as before
+    fresh = tmp_path / "fresh.json"
+    assert run(capsys, "zc", "a5", option, str(fresh))[0] == 0
+    assert json.loads(fresh.read_text())["group"] == "A5"
 
 
 def test_json_out_verdict(capsys, tmp_path):

@@ -98,7 +98,7 @@ def test_usable_tables(bundles):
     assert [t.prime for t in usable_tables(m11, 11)] == [None, 5]
     assert [t.prime for t in usable_tables(m11, 5)] == [None, 11]
     assert [t.prime for t in usable_tables(m11, 55)] == [None]
-    no_brauer = usable_tables(m11, 12, SolverOptions(use_brauer=False))
+    no_brauer = usable_tables(m11, 12, use_brauer=False)
     assert [t.prime for t in no_brauer] == [None]
 
 
