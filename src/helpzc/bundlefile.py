@@ -4,8 +4,10 @@ A bundle holds one ordinary character table and optionally Brauer (p-modular)
 tables for some primes.  All values are exact cyclotomic numbers.  Loading
 validates the table hard: class sizes must sum to the group order, power maps
 must exist for every prime dividing the exponent and respect element orders,
-every value must be an algebraic integer, and the ordinary rows must satisfy
-exact row orthogonality.  Every integer in the file must be a JSON integer.
+every value psi(x) must be an algebraic integer of conductor dividing o(x),
+psi(x^p) must be sigma_p(psi(x)) wherever p does not divide o(x), and the
+ordinary rows must satisfy exact row orthogonality.  Every integer in the
+file must be a JSON integer.
 A table that fails any check is rejected outright, since every downstream
 constraint is only as trustworthy as the table it came from.
 
@@ -84,7 +86,7 @@ def _check_ordinary(table: CharacterTable) -> None:
         raise BundleError(f"{g}: table has no characters")
     for row in table.characters:
         table.degree(row)
-    _check_integral(g, table, table.characters, "character")
+    _check_values(g, table)
 
     # exact row orthogonality over the ordinary irreducibles
     chars = [_row_terms(row) for row in table.characters]
@@ -94,19 +96,51 @@ def _check_ordinary(table: CharacterTable) -> None:
                 raise BundleError(
                     f"{g}: row orthogonality fails for characters {i} and {j}"
                 )
+    _check_power_maps(g, table)
 
 
-def _check_integral(g: str, table: CharacterTable, rows, what: str) -> None:
-    """Every value must be an algebraic integer, as a sum of roots of unity
-    is.  Z[zeta_n] has the power basis as an integral basis, so that holds
-    exactly when every canonical coefficient is an integer."""
-    for r, row in enumerate(rows):
+def _check_values(g: str, table: CharacterTable) -> None:
+    """Each value psi(x) of a row, ordinary or Brauer at a p-regular class,
+    is a sum of o(x)-th roots of unity.  So it must be an algebraic integer
+    (Z[zeta_n] has the power basis as an integral basis, so exactly when
+    every canonical coefficient is an integer), and its conductor must
+    divide o(x)."""
+    for r, row in enumerate(table.characters):
         for cl, v in zip(table.classes, row):
-            if v is not None and not v.is_integral():
+            if v is None:
+                continue
+            if not v.is_integral():
                 raise BundleError(
-                    f"{g}: {what} {r} at class {cl.name} is not an algebraic"
+                    f"{g}: character {r} at class {cl.name} is not an algebraic"
                     f" integer: {v}"
                 )
+            if cl.element_order % v.conductor:
+                raise BundleError(
+                    f"{g}: character {r} at class {cl.name} has conductor"
+                    f" {v.conductor}, which does not divide the element order"
+                    f" {cl.element_order}: {v}"
+                )
+
+
+def _check_power_maps(g: str, table: CharacterTable) -> None:
+    """psi(x^j) = sigma_j(psi(x)), zeta -> zeta^j, for every power map j
+    coprime to o(x), as each eigenvalue of x is raised to the j-th power."""
+    classes = table.classes
+    images = {}  # few values are irrational, and they repeat
+    for r, row in enumerate(table.characters):
+        for j, pm in table.power_maps.items():
+            for cl, v, y in zip(classes, row, pm):
+                if v is None or gcd(j, cl.element_order) != 1:
+                    continue
+                image = v if v.conductor == 1 else images.get((v, j))
+                if image is None:
+                    image = images[v, j] = v.galois(j)
+                if row[y] != image:
+                    raise BundleError(
+                        f"{g}: power map for {j} sends {cl.name} to"
+                        f" {classes[y].name}, where character {r} is"
+                        f" {row[y]}, not {image}"
+                    )
 
 
 def _row_terms(row):
@@ -153,7 +187,8 @@ def _check_brauer(table: CharacterTable) -> None:
         table.degree(row)
     if len(set(table.characters)) != len(table.characters):
         raise BundleError(f"{g}: a character row is repeated")
-    _check_integral(g, table, table.characters, "character")
+    _check_values(g, table)
+    _check_power_maps(g, table)
 
 
 # -- construction -------------------------------------------------------------

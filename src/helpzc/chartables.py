@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .arith import factorize, prime_factors
 from .cyclotomics import Cyc, root_of_unity
-from .records import Record, set_field
+from .records import Record
 
 
 class BundleError(ValueError):
@@ -28,11 +28,6 @@ class BundleError(ValueError):
 
 class ClassInfo(Record):
     __slots__ = ("name", "element_order", "size")
-
-    def __init__(self, name: str, element_order: int, size: int):
-        set_field(self, "name", name)
-        set_field(self, "element_order", element_order)
-        set_field(self, "size", size)
 
 
 class CharacterTable:

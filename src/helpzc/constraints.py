@@ -118,7 +118,7 @@ from .arith import divisors, is_prime
 from .chartables import CharacterTable, TableBundle
 from .cyclotomics import Cyc, FieldError
 from .intsolve import LinSystem
-from .records import Record, set_field
+from .records import Record
 
 
 class ConstraintError(ValueError):
@@ -143,8 +143,7 @@ class PAVector(Record):
         idx = [i for i, _ in entries]
         if idx != sorted(set(idx)) or any(v == 0 for _, v in entries):
             raise ConstraintError("entries must be sorted, unique, nonzero")
-        set_field(self, "order", order)
-        set_field(self, "entries", entries)
+        super().__init__(order, entries)
 
     def __hash__(self):
         return hash((self.order, self.entries))
@@ -198,8 +197,7 @@ class PATuple(Record):
                 raise ConstraintError(f"level {e} does not divide order {order}")
             if pa.order != e:
                 raise ConstraintError(f"level {e} holds a PAVector of order {pa.order}")
-        set_field(self, "order", order)
-        set_field(self, "levels", levels)
+        super().__init__(order, levels)
 
     def __hash__(self):
         return hash((self.order, self.levels))
@@ -251,11 +249,6 @@ class CharRow(Record):
 
     __slots__ = ("label", "degree", "values")
 
-    def __init__(self, label: str, degree: int, values: tuple):
-        set_field(self, "label", label)
-        set_field(self, "degree", degree)
-        set_field(self, "values", values)
-
     def value_at(self, class_index: int) -> Cyc:
         v = self.values[class_index]
         if v is None:
@@ -281,7 +274,8 @@ def char_rows(tables) -> tuple[CharRow, ...]:
 
 
 def _table_rows(t: CharacterTable):
-    prefix = f"mod{t.prime}" if t.is_brauer else "ord"
+    # a separator keeps mod-3 row 11 apart from mod-31 row 1
+    prefix = f"mod{t.prime}:" if t.is_brauer else "ord"
     return tuple(
         CharRow(f"{prefix}{ri}", t.degree(row), row)
         for ri, row in enumerate(t.characters)
@@ -429,10 +423,6 @@ def _level_sums(table: CharacterTable, pa: PAVector):
 class EpsVar(Record):
     __slots__ = ("class_index", "name")
 
-    def __init__(self, class_index: int, name: str):
-        set_field(self, "class_index", class_index)
-        set_field(self, "name", name)
-
     def __str__(self):
         return f"eps:{self.name}"
 
@@ -441,9 +431,6 @@ class AggVar(Record):
     """Sum of the eps over all classes of order `prime` (p-constant mode)."""
 
     __slots__ = ("prime",)
-
-    def __init__(self, prime: int):
-        set_field(self, "prime", prime)
 
     def __str__(self):
         return f"agg:{self.prime}"

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul as _mul
 
-from .records import Record, set_field
+from .records import Record
 
 DEFAULT_MAX_NODES = 10_000_000
 
@@ -72,12 +72,7 @@ class LinSystem(Record):
             raise ValueError("norm needs one nonnegative weight per variable")
         if modulus < 1:
             raise ValueError("the modulus must be positive")
-        set_field(self, "variables", variables)
-        set_field(self, "equalities", equalities)
-        set_field(self, "nonneg", nonneg)
-        set_field(self, "norm", norm)
-        set_field(self, "modulus", modulus)
-        set_field(self, "congruences", congruences)
+        super().__init__(variables, equalities, nonneg, norm, modulus, congruences)
 
     def check_solution(self, x) -> bool:
         mu = [sum(map(_mul, c, x)) + a for c, a, _ in self.congruences]
@@ -95,37 +90,21 @@ class LinSystem(Record):
 class Finite(Record):
     __slots__ = ("solutions",)
 
-    def __init__(self, solutions: tuple[tuple[int, ...], ...]):
-        set_field(self, "solutions", solutions)
-
 
 class Infinite(Record):
     __slots__ = ("ray",)
-
-    def __init__(self, ray: tuple[int, ...]):
-        set_field(self, "ray", ray)
 
 
 class Aborted(Record):
     __slots__ = ("nodes",)
 
-    def __init__(self, nodes: int):
-        set_field(self, "nodes", nodes)
-
 
 class Optimal(Record):
     __slots__ = ("value", "point")
 
-    def __init__(self, value: Fraction, point: tuple[Fraction, ...]):
-        set_field(self, "value", value)
-        set_field(self, "point", point)
-
 
 class Unbounded(Record):
     __slots__ = ("ray",)
-
-    def __init__(self, ray: tuple[Fraction, ...]):
-        set_field(self, "ray", ray)
 
 
 class Infeasible(Record):
@@ -138,12 +117,6 @@ class Parametrization(Record):
     the same coefficients."""
 
     __slots__ = ("origin", "basis", "inequalities", "lattice")
-
-    def __init__(self, origin, basis, inequalities, lattice):
-        set_field(self, "origin", origin)
-        set_field(self, "basis", basis)
-        set_field(self, "inequalities", inequalities)
-        set_field(self, "lattice", lattice)
 
 
 def _ceil_div(a: int, b: int) -> int:

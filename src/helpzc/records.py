@@ -4,9 +4,11 @@ Every helpzc command runs in a fresh interpreter, so start-up is paid on
 every command.  Frozen dataclasses cost about 30 ms of it: importing
 `dataclasses` pulls in inspect, ast, dis and tokenize, and each class is
 code-generated at creation.  A record is instead a plain class that lists
-its fields, in order, as `__slots__` and writes its own `__init__`, setting
-each field with `object.__setattr__` after any validation.  This base gives
-what a frozen dataclass gave: assignment and deletion raise AttributeError,
+its fields, in order, as `__slots__`; this base builds it from them.  Every
+field is required and is passed by position, in slot order, or by slot
+name.  A record that validates its fields or gives them defaults writes an
+`__init__` that ends in one call to the base's.  The base gives what a
+frozen dataclass gave: assignment and deletion raise AttributeError,
 instances are equal only to instances of the same class with equal fields,
 hash the tuple of their fields, show their fields in `repr`, and copy and
 pickle by calling the constructor on their fields.  Records hashed in hot
@@ -15,12 +17,21 @@ loops (partial augmentations) write `__hash__` out for their own fields.
 
 from __future__ import annotations
 
-# sets one field inside a record's __init__
-set_field = object.__setattr__
-
 
 class Record:
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if named:
+            values += tuple([named.pop(f) for f in fields[len(values):] if f in named])
+        if named or len(values) != len(fields):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes each of the fields {fields}"
+                " once, by position or by name"
+            )
+        for f, v in zip(fields, values):
+            object.__setattr__(self, f, v)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

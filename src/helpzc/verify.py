@@ -40,7 +40,7 @@ from .constraints import (
     usable_tables,
 )
 from .intsolve import DEFAULT_MAX_NODES, Aborted, Finite, Infinite, solve_all
-from .records import Record, set_field
+from .records import Record
 from .wagner import wagner_test
 
 REASON_NONTRIVIAL = "nontrivial solutions"
@@ -69,17 +69,11 @@ class SolverOptions(Record):
     ):
         if max_nodes < 0:
             raise DriverError("the node budget must be non-negative")
-        set_field(self, "shortcuts", shortcuts)
-        set_field(self, "use_brauer", use_brauer)
-        set_field(self, "p_constant", p_constant)
-        set_field(self, "max_nodes", max_nodes)
+        super().__init__(shortcuts, use_brauer, p_constant, max_nodes)
 
 
 class ShortcutProved(Record):
     __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        set_field(self, "reason", reason)
 
 
 class SolutionStore:
@@ -120,10 +114,7 @@ class Verdict(Record):
         store: SolutionStore,
         obstructions: tuple[tuple[int, str], ...] = (),
     ):
-        set_field(self, "proved", proved)
-        set_field(self, "shortcut", shortcut)
-        set_field(self, "store", store)
-        set_field(self, "obstructions", obstructions)
+        super().__init__(proved, shortcut, store, obstructions)
 
 
 def canonical_key(tup: PATuple):
@@ -249,11 +240,15 @@ def _candidates(bundle, k, store, options):
                 found.append(proper.with_top(top))
         if twists is None:
             # derived once the first system's assembly has built the trace
-            # blocks at k, so that their cost counts as assembly
-            twists = (
-                galois_twists(bundle.ordinary, tables, k) if len(propers) > 1 else {}
-            )
-        for perm in [None, *twists.values()]:
+            # blocks at k, so that their cost counts as assembly; None
+            # stands for every j that fixes each class, j = 1 among them
+            twists = [None]
+            if len(propers) > 1:
+                group = galois_twists(bundle.ordinary, tables, k)
+                for perm in group.values():
+                    if perm != group[1] and perm not in twists:
+                        twists.append(perm)
+        for perm in twists:
             member = proper if perm is None else proper.twisted(perm)
             if member in pending:
                 pending.discard(member)

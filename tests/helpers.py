@@ -536,6 +536,16 @@ BUNDLE_CORRUPTIONS = [
      "M11: bad value in characters: not an exact rational: True"),
     ("coefficient-float", "m11", M11_CYC + (1,), 1.0,
      "M11: bad value in characters: not an exact rational: 1.0"),
+    # 3a^2 = 3a: orders are kept and rows stay orthogonal, but 3a holds z3
+    ("power-map-against-values", "sl23", ("ordinary", "power_maps", "2"),
+     [0, 0, 2, 3, 1, 2, 3],
+     "SL(2,3): power map for 2 sends 3a to 3a, where character 1 is z3,"
+     " not -1 - z3"),
+    # z3 at 2a: integral, but outside Q(zeta_2)
+    ("value-outside-its-field", "m11", ("brauer", 0, "characters", 1, 1),
+     {"n": 3, "coeffs": [[1, 1]]},
+     "M11 mod 5: character 1 at class 2a has conductor 3, which does not"
+     " divide the element order 2"),
 ]
 
 

@@ -339,7 +339,8 @@ def test_order_payload_is_built_only_when_written(capsys, tmp_path, monkeypatch)
 )
 def test_info_on_a_malformed_bundle_prints_one_error_line(tmp_path, base, path, value):
     bundle = tmp_path / "bad.json"
-    bundle.write_text(json.dumps(corrupted_bundle(base, path, value)))
+    data = corrupted_bundle(base, path, value)
+    bundle.write_text(json.dumps(data))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     out = subprocess.run(
         [sys.executable, "-m", "helpzc.cli", "info", str(bundle)],
@@ -349,7 +350,7 @@ def test_info_on_a_malformed_bundle_prints_one_error_line(tmp_path, base, path, 
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
     lines = out.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {base.upper()}")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {data['group']}")
 
 
 @pytest.mark.parametrize("argv", [("info", "cyclic:abc"), ("zc", "cyclic:")])

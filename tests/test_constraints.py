@@ -309,7 +309,7 @@ def test_variable_layout_and_merging():
 def trivial_plus(n, extra):
     """C_n with one more row, the trivial character's values but degree
     1 + extra: the trivial row's coefficients, and its constant terms plus
-    extra.  It is row n of a fake Brauer table, labelled mod{p}{n}."""
+    extra.  It is row n of a fake Brauer table, labelled mod{p}:{n}."""
     return with_rows(cyclic_table(n), [(rational(1 + extra),) + (rational(1),) * (n - 1)])
 
 
@@ -333,12 +333,31 @@ def test_equal_rows_with_congruent_constants_keep_the_tighter():
     assert [row[:2] for row in sys.congruences] == [row[:2] for row in ref.congruences]
     a = constant_terms(sys)
     for ell in range(4):
-        assert a[("mod34", ell)] == a[("ord0", ell)] + 4
+        assert a[("mod3:4", ell)] == a[("ord0", ell)] + 4
     result = solve_all(sys)
     assert result == solve_all(ref) and result.solutions
     for sol in result.solutions:
         mu = mu_values(sys, sol)
-        assert all(mu[("mod34", ell)] == mu[("ord0", ell)] + 1 for ell in range(4))
+        assert all(mu[("mod3:4", ell)] == mu[("ord0", ell)] + 1 for ell in range(4))
+
+
+def test_brauer_labels_keep_the_prime_apart_from_the_row():
+    # fake mod-3 and mod-31 tables over C12: without a separator mod-3 row
+    # 11 and mod-31 row 1 would share one label, and their multiplicities
+    # one key
+    b = cyclic_table(12)
+    t = b.ordinary
+    tables = (t,) + tuple(
+        CharacterTable(t.group_name, 12, t.classes, t.power_maps, t.characters, prime=p)
+        for p in (3, 31)
+    )
+    labels = [row.label for row in char_rows(tables)]
+    assert len(set(labels)) == len(labels) == 36
+    assert {"mod3:11", "mod31:1"} <= set(labels)
+    sys = build_system(b, 2, PATuple(2, ()), tables)
+    (sol,) = solve_all(sys).solutions
+    assert len(mu_values(sys, sol)) == 36 * 2
+    assert mu_sums(sys, sol) == dict.fromkeys(labels, 1)
 
 
 def test_mu_values_reject_a_non_solution():
@@ -594,7 +613,7 @@ def test_trace_tables_match_cyc():
                         assert list(per_ell[ell]) == expect
                         assert all(type(c) is int for c in per_ell[ell])
     # every kind of row: ordinary, mod 5, mod 11 and the squares mod 7
-    assert {"ord1", "mod50", "mod110", "mod711"} <= seen
+    assert {"ord1", "mod5:0", "mod11:0", "mod7:11"} <= seen
 
 
 def cyc_constant_term(row, k, ell, tup):
@@ -677,7 +696,7 @@ def test_trace_blocks_are_shared_between_table_sets(monkeypatch):
         {key for _, _, owners in s.congruences for key, _ in owners}
         for s in systems
     ]
-    assert mu_owners[1] == {o for o in mu_owners[0] if not o[0].startswith("mod5")}
+    assert mu_owners[1] == {o for o in mu_owners[0] if not o[0].startswith("mod5:")}
 
 
 def test_char_rows_are_built_once_per_table(monkeypatch):
@@ -696,7 +715,7 @@ def test_char_rows_are_built_once_per_table(monkeypatch):
     again = char_rows(usable_tables(m11, 10))
     assert sorted(built, key=str) == sorted((None, 5, 11), key=str)
     # the joined rows are the tables' own row objects, in table order
-    kept = [r for r in first if not r.label.startswith("mod5")]
+    kept = [r for r in first if not r.label.startswith("mod5:")]
     assert len(again) == len(kept)
     assert all(a is b for a, b in zip(again, kept))
 

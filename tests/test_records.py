@@ -1,14 +1,19 @@
 """The immutable records keep the behaviour of frozen dataclasses.
 
-Every record is a slotted class on `helpzc.records.Record` with its own
-`__init__`; these tests pin what callers rely on: value equality within one
-class only, field hashing, immutability, a field repr, copy and pickle, and
-the validation each constructor runs.
+Every record is a slotted class on `helpzc.records.Record`, built by the
+base's constructor from its fields or by an `__init__` that validates or
+gives defaults and ends in the base's; these tests pin what callers rely
+on: value equality within one class only, field hashing, immutability, a
+field repr, copy and pickle, and the validation each constructor runs.  The
+records are found, not listed: every subclass of Record in a helpzc module
+must have a fixture in `fields_of`.
 """
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -50,6 +55,10 @@ from helpzc.verify import (
 def fields_of(cls):
     """Fresh field values for one instance of cls; two calls give equal,
     not identical, values."""
+    return _fixtures()[cls]
+
+
+def _fixtures():
     pa2 = PAVector(2, ((1, 1),))
     return {
         ClassInfo: ("2a", 2, 15),
@@ -76,30 +85,60 @@ def fields_of(cls):
         SolverOptions: (False, True, True, 5),
         ShortcutProved: ("nilpotent",),
         Verdict: (True, None, SolutionStore("C4"), ((8, "node budget"),)),
-    }[cls]
+    }
 
 
-RECORDS = [
-    ClassInfo,
-    PAVector,
-    PATuple,
-    CharRow,
-    EpsVar,
-    AggVar,
-    LinSystem,
-    Finite,
-    Infinite,
-    Aborted,
-    Optimal,
-    Unbounded,
-    Infeasible,
-    Parametrization,
-    SolverOptions,
-    ShortcutProved,
-    Verdict,
-]
+def _all_records():
+    """Every subclass of Record, at any depth, that a helpzc module defines,
+    once every helpzc module is imported."""
+    for module in pkgutil.iter_modules(helpzc.__path__):
+        importlib.import_module(f"helpzc.{module.name}")
+    found, todo = [], [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("helpzc."):
+                found.append(sub)
+    return sorted(found, key=lambda c: (c.__module__, c.__qualname__))
+
+
+RECORDS = _all_records()
 
 records = pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+
+# the records that only store their fields, so the base builds them
+BASE_BUILT = [cls for cls in RECORDS if "__init__" not in vars(cls)]
+
+
+def test_every_record_has_a_fixture():
+    assert sorted(c.__name__ for c in RECORDS) == sorted(c.__name__ for c in _fixtures())
+
+
+def test_records_that_only_store_their_fields_write_no_constructor():
+    assert {c.__name__ for c in BASE_BUILT} == {
+        "ClassInfo", "CharRow", "EpsVar", "AggVar", "Finite", "Infinite",
+        "Aborted", "Optimal", "Unbounded", "Infeasible", "Parametrization",
+        "ShortcutProved",
+    }
+
+
+@pytest.mark.parametrize("cls", BASE_BUILT, ids=lambda c: c.__name__)
+def test_base_constructor_takes_each_field_once(cls):
+    values = fields_of(cls)
+    named = dict(zip(cls.__slots__, values))
+    record = cls(*values)
+    assert cls(**named) == record
+    assert cls(*values[:1], **dict(list(named.items())[1:])) == record
+    bad = [((*values, None), {}), (values, {"extra": 1})]
+    if values:
+        bad += [
+            (values[:-1], {}),
+            (values, {cls.__slots__[0]: values[0]}),
+            ((), dict(list(named.items())[1:])),
+        ]
+    for args, kwargs in bad:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
 
 
 @records

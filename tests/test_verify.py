@@ -469,6 +469,21 @@ def test_one_system_per_galois_orbit(bundles, monkeypatch):
     assert len(solved) == 52  # 64 combinations
 
 
+def test_orbit_solve_twists_by_each_nontrivial_twist_only(bundles, monkeypatch):
+    perms = []
+    real = PATuple.twisted
+
+    def recording(self, perm):
+        perms.append(perm)
+        return real(self, perm)
+
+    monkeypatch.setattr(PATuple, "twisted", recording)
+    check_zc(cyclic_table(18), SolverOptions(shortcuts=False))
+    check_zc(bundles["m11"])
+    assert perms
+    assert not any(all(x == y for x, y in perm.items()) for perm in perms)
+
+
 # -- single-order audit -----------------------------------------------------------
 
 
