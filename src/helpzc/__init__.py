@@ -35,7 +35,6 @@ from .cyclotomics import (
     Cyc,
     FieldError,
     GaloisError,
-    Rat,
     cyc_from_json,
     cyc_to_json,
     from_coeffs,
@@ -74,7 +73,6 @@ __all__ = [
     "LinSystem",
     "PATuple",
     "PAVector",
-    "Rat",
     "SolutionStore",
     "SolverOptions",
     "TableBundle",

@@ -92,7 +92,7 @@ def _check_ordinary(table: CharacterTable) -> None:
     chars = [_row_terms(row) for row in table.characters]
     for i, chi in enumerate(chars):
         for j in range(i, len(chars)):
-            if _inner_product(table, chi, chars[j]) != int(i == j):
+            if _weighted_sum(table, chi, chars[j]) != table.group_order * (i == j):
                 raise BundleError(
                     f"{g}: row orthogonality fails for characters {i} and {j}"
                 )
@@ -144,23 +144,22 @@ def _check_power_maps(g: str, table: CharacterTable) -> None:
 
 
 def _row_terms(row):
-    """A row over one field: (n, den, terms) with row[x] equal to
-    sum(c * zeta_n^e for e, c in terms[x]) / den, all integers."""
+    """A row over one field: (n, terms) with row[x] equal to
+    sum(c * zeta_n^e for e, c in terms[x]), all integers, as the values are
+    algebraic integers (`_check_values`)."""
     n = lcm(*(v.conductor for v in row))
-    den = lcm(*(c.denominator for v in row for c in v.coeffs.values()))
     terms = tuple(
-        tuple((e * (n // v.conductor), int(c * den)) for e, c in v.coeffs.items())
-        for v in row
+        tuple((e * (n // v.conductor), c) for e, c in v.coeffs.items()) for v in row
     )
-    return n, den, terms
+    return n, terms
 
 
-def _inner_product(table: CharacterTable, a, b) -> Cyc:
-    """<a, b> = (1/|G|) sum_x |x| a(x) conj(b(x)) for rows given by
-    _row_terms.  Every product is added unreduced over Q(zeta_N), N the lcm
-    of the two conductors, conjugation negating exponents; the sum is
-    reduced to canonical form once."""
-    (na, da, ta), (nb, db, tb) = a, b
+def _weighted_sum(table: CharacterTable, a, b) -> Cyc:
+    """|G| <a, b> = sum_x |x| a(x) conj(b(x)) for rows given by _row_terms.
+    Every product is added unreduced over Q(zeta_N), N the lcm of the two
+    conductors, conjugation negating exponents; the integer sum is reduced
+    to canonical form once."""
+    (na, ta), (nb, tb) = a, b
     n = lcm(na, nb)
     sa, sb = n // na, n // nb
     acc: dict[int, int] = {}
@@ -170,7 +169,7 @@ def _inner_product(table: CharacterTable, a, b) -> Cyc:
             for f, d in ys:
                 k = (e * sa - f * sb) % n
                 acc[k] = acc.get(k, 0) + c * d
-    return Cyc(n, acc) / (table.group_order * da * db)
+    return Cyc(n, acc)
 
 
 def _check_brauer(table: CharacterTable) -> None:

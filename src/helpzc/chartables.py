@@ -84,9 +84,14 @@ class CharacterTable:
             raise BundleError(f"{self.group_name}: no class named {name!r}") from None
 
     def degree(self, row: tuple[Cyc, ...]) -> int:
-        d = row[self.identity_index].as_rational()
+        value = row[self.identity_index]
+        d = value.as_rational()
         if d is None or d.denominator != 1 or d <= 0:
-            raise BundleError(f"{self.group_name}: character degree {d} is not a positive integer")
+            r = self.characters.index(row)
+            raise BundleError(
+                f"{self.group_name}: character {r} has degree {value},"
+                " which is not a positive integer"
+            )
         return int(d)
 
     def element_orders(self) -> tuple[int, ...]:

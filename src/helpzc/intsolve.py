@@ -30,7 +30,8 @@ sum_i w_i * x_i^2 <= R with integer weights w_i >= 0.  The pipeline:
      denominator): one phase 1 per system, then each bound re-optimized
      from the feasible basis; only such a system can be Infinite.  The
      tableau lives in the `simplex` module, which `simplex_opt` imports
-     on its first call, so a run over complete tables never loads it;
+     on its first call together with `fractions.Fraction`, the type of
+     its results, so a run over complete tables never loads either;
   4. enumerate by depth-first fixing of parameters inside those bounds,
      pruning by integer interval propagation over the inequality rows: a
      worklist that starts with every row at the root and, after a
@@ -43,7 +44,6 @@ Everything is exact; there is no floating point anywhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul as _mul
 
@@ -237,14 +237,26 @@ def _lll(basis, weights):
     d = [1] + [0] * n
     lam = [[0] * (n + 1) for _ in range(n + 1)]
 
+    # the steps b[k] -= q·b[l] that lam already holds but b[k] not yet:
+    # nothing reads b[k] before the next swap or the next k, so `settle`
+    # applies them there
+    moves = []
+
     def red(k, l):
         # b[k] -= q·b[l], q the integer nearest μ_kl
         if 2 * abs(lam[k][l]) > d[l]:
             q = (2 * lam[k][l] + d[l]) // (2 * d[l])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            moves.append((q, b[l]))
             lam[k][l] -= q * d[l]
             for i in range(1, l):
                 lam[k][i] -= q * lam[l][i]
+
+    def settle(k):
+        v = b[k]
+        for q, w in moves:
+            v = [x - q * y for x, y in zip(v, w)]
+        b[k] = v
+        moves.clear()
 
     k, kmax = 1, 0
     while k <= n:
@@ -268,6 +280,7 @@ def _lll(basis, weights):
         red(k, k - 1)
         if 100 * d[k] * d[k - 2] < 99 * d[k - 1] ** 2 - 100 * lam[k][k - 1] ** 2:
             # swap b[k - 1] and b[k]: d[k - 1] and the lam beside them move
+            settle(k)
             b[k], b[k - 1] = b[k - 1], b[k]
             for j in range(1, k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
@@ -282,6 +295,7 @@ def _lll(basis, weights):
         else:
             for l in range(k - 2, 0, -1):
                 red(k, l)
+            settle(k)
             k += 1
     return tuple(map(tuple, b[1:]))
 
@@ -351,6 +365,8 @@ def simplex_opt(inequalities, objective, maximize: bool = True):
     requested direction.  Consecutive calls on equal rows share one
     tableau and one phase 1.
     """
+    from fractions import Fraction
+
     from .simplex import _feasible_tableau
 
     d = len(objective)

@@ -7,7 +7,7 @@ from math import gcd, lcm
 from operator import mul
 
 from helpzc import intsolve, verify
-from helpzc.arith import divisors, is_prime, prime_factors
+from helpzc.arith import divisors, euler_phi, is_prime, prime_factors
 from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
     CharacterTable,
@@ -29,7 +29,12 @@ from helpzc.constraints import (
     trace_block,
     usable_tables,
 )
-from helpzc.cyclotomics import ramanujan_sums, rational, root_of_unity
+from helpzc.cyclotomics import (
+    cyclotomic_polynomial,
+    ramanujan_sums,
+    rational,
+    root_of_unity,
+)
 from helpzc.intsolve import Finite, Infeasible, LinSystem, Optimal, Unbounded, solve_all
 from helpzc.verify import (
     _aggregated_rules_out,
@@ -107,7 +112,7 @@ def trace_to_rational(value, m):
     computed term by term from the Ramanujan sums Tr(zeta_m^j)."""
     step = value._step_into(m)
     sums = ramanujan_sums(m)
-    return sum((c * sums[e * step] for e, c in value._c.items()), Fraction(0))
+    return sum((c * sums[e * step] for e, c in value.coeffs.items()), Fraction(0))
 
 
 def bundle_of(name):
@@ -546,6 +551,14 @@ BUNDLE_CORRUPTIONS = [
      {"n": 3, "coeffs": [[1, 1]]},
      "M11 mod 5: character 1 at class 2a has conductor 3, which does not"
      " divide the element order 2"),
+    # rational strings are read only in the forms cyc_to_json writes
+    ("value-decimal-string", "m11", ("ordinary", "characters", 1, 1), "2.0",
+     "M11: bad value in characters: not an exact rational: '2.0'"),
+    ("coefficient-exponent-string", "m11", M11_CYC + (1,), "1e3",
+     "M11: bad value in characters: not an exact rational: '1e3'"),
+    ("degree-not-rational", "s3", ("ordinary", "characters", 1, 0),
+     {"n": 3, "coeffs": [[1, 1]]},
+     "S3: character 1 has degree z3, which is not a positive integer"),
 ]
 
 
@@ -648,3 +661,165 @@ def reference_galois_twists(ordinary, tables, k):
                 group[h * power % k] = {x: step[ph[x]] for x in support}
             power, step = power * j % k, {x: perm[step[x]] for x in support}
     return group
+
+
+# -- reference cyclotomic canonical form ------------------------------------------
+
+
+def _reference_power_table(n):
+    """x^e mod Phi_n for e in 0..n-1, as dense integer vectors."""
+    deg = euler_phi(n)
+    phi_poly = cyclotomic_polynomial(n)
+    rows, cur = [], [1] + [0] * (deg - 1)
+    for _ in range(n):
+        rows.append(tuple(cur))
+        top = cur[deg - 1]
+        cur = [0] + cur[:-1]
+        cur = [c - top * f for c, f in zip(cur, phi_poly)]
+    return rows
+
+
+def _reference_reduce(n, sparse):
+    table = _reference_power_table(n)
+    dense = [Fraction(0)] * euler_phi(n)
+    for e, c in sparse.items():
+        for i, r in enumerate(table[e]):
+            dense[i] += c * r
+    return {i: c for i, c in enumerate(dense) if c}
+
+
+def _reference_descend(n, d, coeffs):
+    """Coordinates over the zeta_d power basis by Gauss–Jordan in Fractions
+    on the canonical vectors of zeta_d^j inside Q(zeta_n); None when the
+    value is not in their span."""
+    if d == 1:
+        return dict(coeffs) if set(coeffs) <= {0} else None
+    deg_n, deg_d = euler_phi(n), euler_phi(d)
+    table = _reference_power_table(n)
+    cols = [table[(n // d * j) % n] for j in range(deg_d)]
+    # the augmented system [M | v], M's columns the zeta_d^j
+    rows = [
+        [Fraction(cols[j][i]) for j in range(deg_d)] + [Fraction(coeffs.get(i, 0))]
+        for i in range(deg_n)
+    ]
+    r = 0
+    for col in range(deg_d):
+        piv = next(i for i in range(r, deg_n) if rows[i][col])
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(deg_n):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    if any(rows[i][-1] for i in range(deg_d, deg_n)):
+        return None
+    return {j: rows[j][-1] for j in range(deg_d) if rows[j][-1]}
+
+
+def reference_canonical(n, coeffs):
+    """(conductor, {exponent: Fraction}) of sum(c * zeta_n^e), found in
+    Fraction arithmetic as helpzc's Cyc once did: fold, move n = 2 mod 4
+    to n/2, reduce modulo Phi_n, and descend by linear algebra to each
+    maximal subfield in turn.  An oracle for the integer canonical form."""
+    folded = {}
+    for e, c in coeffs.items():
+        folded[e % n] = folded.get(e % n, Fraction(0)) + Fraction(c)
+    if n % 4 == 2:
+        m, moved = n // 2, {}
+        for e, c in folded.items():
+            e2 = e * ((n // 2 + 1) // 2) % m
+            moved[e2] = moved.get(e2, Fraction(0)) + (-c if e % 2 else c)
+        n, folded = m, moved
+    coeffs = _reference_reduce(n, folded)
+    if not coeffs:
+        return 1, {}
+    while n > 1:
+        for p in prime_factors(n):
+            d = n // p
+            if d % 4 == 2:
+                d //= 2
+            down = _reference_descend(n, d, coeffs)
+            if down is not None:
+                n, coeffs = d, down
+                break
+        else:
+            break
+    return n, coeffs
+
+
+def reference_str(n, coeffs):
+    """The display of a canonical form, as Cyc.__str__ gives it."""
+    parts = []
+    for e, c in sorted(coeffs.items()):
+        mono = f"z{n}" if e == 1 else f"z{n}^{e}"
+        if e == 0:
+            parts.append(str(c))
+        else:
+            parts.append(mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}")
+    out = parts[0] if parts else "0"
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+# -- reference LLL ------------------------------------------------------------
+
+
+def reference_lll(basis, weights):
+    """intsolve._lll as it was before its size reductions were deferred:
+    every step b[k] -= q·b[l] rewrites b[k] at once.  An oracle that must
+    give the same basis."""
+
+    def length(v):
+        return sum(map(mul, map(mul, weights, v), v))
+
+    n = len(basis)
+    b = [None, *sorted(map(list, basis), key=length)]
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 1, 0
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            wk = list(map(mul, weights, b[k]))
+            for j in range(1, k + 1):
+                u = sum(map(mul, wk, b[j]))
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    return basis
+                else:
+                    d[k] = u
+        if k == 1:
+            k = 2
+            continue
+        red(k, k - 1)
+        if 100 * d[k] * d[k - 2] < 99 * d[k - 1] ** 2 - 100 * lam[k][k - 1] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(1, k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            m = lam[k][k - 1]
+            e = (d[k - 2] * d[k] + m * m) // d[k - 1]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k] * lam[i][k - 1] - m * t) // d[k - 1]
+                lam[i][k - 1] = (e * t + m * lam[i][k]) // d[k]
+            d[k - 1] = e
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                red(k, l)
+            k += 1
+    return tuple(map(tuple, b[1:]))

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import trace_to_rational
+from helpers import reference_canonical, reference_str, trace_to_rational
 from helpzc.arith import euler_phi
 from helpzc.cyclotomics import (
     Cyc,
@@ -282,3 +282,52 @@ def test_hash_consistency():
     seen = {root_of_unity(8): "a", rational(Fraction(1, 2)): "b"}
     assert seen[root_of_unity(8, 9)] == "a"
     assert seen[rational(Fraction(2, 4))] == "b"
+
+
+# -- integer canonical form against the Fraction oracle --------------------------
+
+@st.composite
+def rational_values(draw):
+    """(n, {exponent: Fraction}) with n <= 60, n = 2 mod 4 included; half
+    the time the value is taken from a subfield Q(zeta_d), d | n, so that
+    the descent has something to find."""
+    n = draw(st.integers(1, 60))
+    step = n // draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    if draw(st.booleans()):
+        step = 1
+    dens = st.sampled_from([1, 1, 1, 2, 3, 4, 6])
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(-5, 5), dens), max_size=6
+    ))
+    coeffs = {}
+    for e, c, q in terms:
+        e = e * step % n
+        coeffs[e] = coeffs.get(e, 0) + Fraction(c, q)
+    return n, coeffs
+
+
+def oracle_hash(n, coeffs):
+    return hash(coeffs.get(0, Fraction(0))) if n == 1 else hash((n, tuple(sorted(coeffs.items()))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_values(), rational_values())
+def test_integer_canonical_form_matches_the_fraction_oracle(a, b):
+    (n, coeffs), (m, other) = a, b
+    value = from_coeffs(n, coeffs)
+    want_n, want = reference_canonical(n, coeffs)
+    assert value.conductor == want_n
+    assert value.coeffs == want
+    assert value.is_integral() == all(c.denominator == 1 for c in want.values())
+    assert str(value) == reference_str(want_n, want)
+    assert hash(value) == oracle_hash(want_n, want)
+    # equal exactly when the canonical forms are
+    assert value == from_coeffs(want_n, want)
+    assert (value == from_coeffs(m, other)) == ((want_n, want) == reference_canonical(m, other))
+    for j in (-1, 2, 5, 7, 11, 13):
+        if gcd(j, want_n) != 1:
+            continue
+        got = value.galois(j)
+        image_n, image = reference_canonical(want_n, {e * j % want_n: c for e, c in want.items()})
+        assert (got.conductor, got.coeffs) == (image_n, image)
+        assert str(got) == reference_str(image_n, image)

@@ -3,9 +3,11 @@
 `chartables.load_bundle` imports the JSON bundle reader (`helpzc.bundlefile`)
 on its first call, and `intsolve.simplex_opt` imports the simplex
 (`helpzc.simplex`) on its first call, so a command over a generated table,
-or over systems that all carry a norm bound, never compiles either.  Each
-case runs in a fresh interpreter, since this test session has imported both
-modules already.
+or over systems that all carry a norm bound, never compiles either.  A
+table of algebraic integers is loaded and checked in integer arithmetic, so
+`fractions` (and with it `decimal`) is imported only once a value that is
+not an algebraic integer shows up.  Each case runs in a fresh interpreter,
+since this test session has imported all of these modules already.
 """
 
 import json
@@ -14,19 +16,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 LAZY = {"helpzc.bundlefile", "helpzc.simplex"}
 
+RATIONALS = {"fractions", "decimal"}
+
 REPORT = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("helpzc"))))
+print(json.dumps(sorted(
+    m for m in sys.modules if m.startswith("helpzc") or m in ("fractions", "decimal")
+)))
 """
 
 
 def loaded_after(code: str) -> set[str]:
-    """The helpzc modules that a fresh interpreter holds after `code`,
-    run with src/ and tests/ on the path."""
+    """The helpzc modules, and those of RATIONALS, that a fresh interpreter
+    holds after `code`, run with src/ and tests/ on the path."""
     path = os.pathsep.join(
         filter(None, (str(SRC), str(TESTS), os.environ.get("PYTHONPATH")))
     )
@@ -84,3 +92,42 @@ for j in range(d):
 """
     )
     assert "helpzc.simplex" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zc", "m11"],
+        ["pq", "m11"],
+        ["order", "12", "m11"],
+        ["zc", "--no-shortcuts", "cyclic:12"],
+        *(["info", name] for name in ("s3", "s4", "a5", "sl23", "m11")),
+    ],
+    ids=" ".join,
+)
+def test_commands_over_valid_tables_never_import_fractions(argv):
+    loaded = loaded_after(f"from helpzc import cli\nassert cli.main({argv!r}) in (0, 2)\n")
+    assert "helpzc.cli" in loaded
+    assert loaded & RATIONALS == set()
+
+
+def test_a_rational_value_imports_fractions_to_be_rejected():
+    loaded = loaded_after(
+        """
+import json, sys
+from helpzc.chartables import BundleError, load_bundle, resolve_bundle_path
+
+data = json.loads(resolve_bundle_path("m11").read_text())
+data["ordinary"]["characters"][1][1] = "2/3"
+assert "fractions" not in sys.modules
+try:
+    load_bundle(data)
+except BundleError as exc:
+    assert str(exc) == (
+        "M11: character 1 at class 2a is not an algebraic integer: 2/3"
+    ), exc
+else:
+    raise AssertionError("a bundle holding 2/3 loaded")
+"""
+    )
+    assert "fractions" in loaded

@@ -14,6 +14,7 @@ from helpers import (
     built_systems,
     bundle_of,
     random_system,
+    reference_lll,
     solve_unreduced,
 )
 from helpzc import intsolve, verify
@@ -203,6 +204,36 @@ def test_lll_reduces_and_keeps_the_lattice():
             assert len(solve_all(system).solutions) == 1
     # a form that is not positive definite on the lattice leaves it as given
     assert intsolve._lll(((1, 0), (0, 1)), (1, 0)) == ((1, 0), (0, 1))
+
+
+def test_lll_gives_the_basis_of_the_reference():
+    # deferring each size reduction of b[k] to the next swap or the next k
+    # changes no vector: the same basis, vector for vector
+    rng = random.Random(47)
+    for _ in range(300):
+        n, big = rng.randint(1, 8), 10 ** rng.randint(1, 8)
+        weights = tuple(rng.randint(0, 5) for _ in range(rng.randint(n, 9)))
+        basis = tuple(tuple(rng.randint(-big, big) for _ in weights) for _ in range(n))
+        assert intsolve._lll(basis, weights) == reference_lll(basis, weights)
+
+
+@pytest.mark.parametrize("n", [60, 72])
+def test_lll_gives_the_basis_of_the_reference_on_top_systems(monkeypatch, n):
+    calls = []
+    real = intsolve._lll
+
+    def recording(basis, weights):
+        calls.append((basis, weights))
+        return real(basis, weights)
+
+    monkeypatch.setattr(intsolve, "_lll", recording)
+    monkeypatch.setattr(intsolve, "_lattice", (None, None))
+    check_zc(bundle_of(f"cyclic:{n}"), SolverOptions(shortcuts=False))
+    top = max(len(basis) for basis, _ in calls)
+    assert top >= n - 2
+    for basis, weights in calls:
+        if len(basis) == top:
+            assert real(basis, weights) == reference_lll(basis, weights)
 
 
 def test_large_lattice_searches_stay_small(monkeypatch):
