@@ -37,8 +37,6 @@ from .cyclotomics import (
     GaloisError,
     cyc_from_json,
     cyc_to_json,
-    from_coeffs,
-    rational,
     root_of_unity,
 )
 from .intsolve import Aborted, Finite, Infinite, LinSystem, solve_all
@@ -84,10 +82,8 @@ __all__ = [
     "cyc_from_json",
     "cyc_to_json",
     "cyclic_table",
-    "from_coeffs",
     "load_bundle",
     "pa_vector",
-    "rational",
     "resolve_bundle_path",
     "root_of_unity",
     "solve_all",

@@ -1,13 +1,16 @@
 """The JSON bundle format: reading, validating and writing table bundles.
 
 A bundle holds one ordinary character table and optionally Brauer (p-modular)
-tables for some primes.  All values are exact cyclotomic numbers.  Loading
-validates the table hard: class sizes must sum to the group order, power maps
-must exist for every prime dividing the exponent and respect element orders,
-every value psi(x) must be an algebraic integer of conductor dividing o(x),
-psi(x^p) must be sigma_p(psi(x)) wherever p does not divide o(x), and the
-ordinary rows must satisfy exact row orthogonality.  Every integer in the
-file must be a JSON integer.
+tables for some primes.  Every value is a cyclotomic integer, written as a
+JSON integer or as integer coefficients over zeta_n.  Loading validates the
+table hard.  Class sizes must sum to the group order, and power maps must
+exist for every prime dividing the exponent and respect element orders;
+these checks finish before any value is decoded.  A value psi(x) is a sum
+of o(x)-th roots of unity, so its encoding must be over zeta_n with n
+dividing lcm(2, o(x)), which is checked before the value is reduced; its
+conductor then divides o(x).  psi(x^p) must be sigma_p(psi(x)) wherever p
+does not divide o(x), and the ordinary rows must satisfy exact row
+orthogonality.  Every integer in the file must be a JSON integer.
 A table that fails any check is rejected outright, since every downstream
 constraint is only as trustworthy as the table it came from.
 
@@ -40,53 +43,54 @@ from pathlib import Path
 
 from .arith import factorize, is_prime, prime_factors
 from .chartables import BundleError, CharacterTable, ClassInfo, TableBundle
-from .cyclotomics import Cyc, cyc_from_json, cyc_to_json
+from .cyclotomics import Cyc, FieldError, cyc_from_json, cyc_to_json
 
 
 # -- validation ---------------------------------------------------------------
 
-def _check_ordinary(table: CharacterTable) -> None:
-    g = table.group_name
-    if table.group_order < 1:
+def _check_classes(g: str, order: int, classes, power_maps) -> None:
+    if order < 1:
         raise BundleError(f"{g}: group order must be positive")
-    if not table.classes:
+    if not classes:
         raise BundleError(f"{g}: table has no classes")
-    names = [cl.name for cl in table.classes]
+    names = [cl.name for cl in classes]
     if len(set(names)) != len(names):
         raise BundleError(f"{g}: duplicate class names")
-    identities = [cl for cl in table.classes if cl.element_order == 1]
+    identities = [cl for cl in classes if cl.element_order == 1]
     if len(identities) != 1 or identities[0].size != 1:
         raise BundleError(f"{g}: need exactly one identity class of size 1")
-    for cl in table.classes:
-        if cl.element_order < 1 or table.group_order % cl.element_order:
+    for cl in classes:
+        if cl.element_order < 1 or order % cl.element_order:
             raise BundleError(
-                f"{g}: class {cl.name} order {cl.element_order} does not divide {table.group_order}"
+                f"{g}: class {cl.name} order {cl.element_order} does not divide {order}"
             )
         if cl.size < 1:
             raise BundleError(f"{g}: class {cl.name} has nonpositive size")
-    if sum(cl.size for cl in table.classes) != table.group_order:
+    if sum(cl.size for cl in classes) != order:
         raise BundleError(f"{g}: class sizes do not sum to the group order")
 
-    for p in prime_factors(table.exponent()):
-        if p not in table.power_maps:
+    for p in prime_factors(lcm(*(cl.element_order for cl in classes))):
+        if p not in power_maps:
             raise BundleError(f"{g}: power map for prime {p} is missing")
-    for p, pm in table.power_maps.items():
-        if len(pm) != len(table.classes):
+    for p, pm in power_maps.items():
+        if len(pm) != len(classes):
             raise BundleError(f"{g}: power map for {p} has wrong length")
         for i, j in enumerate(pm):
-            if not 0 <= j < len(table.classes):
+            if not 0 <= j < len(classes):
                 raise BundleError(f"{g}: power map for {p} has a bad class index {j}")
-            o = table.classes[i].element_order
-            if table.classes[j].element_order != o // gcd(o, p):
+            o = classes[i].element_order
+            if classes[j].element_order != o // gcd(o, p):
                 raise BundleError(
-                    f"{g}: power map for {p} sends {table.classes[i].name} to a class of wrong order"
+                    f"{g}: power map for {p} sends {classes[i].name} to a class of wrong order"
                 )
 
+
+def _check_ordinary(table: CharacterTable) -> None:
+    g = table.group_name
     if not table.characters:
         raise BundleError(f"{g}: table has no characters")
     for row in table.characters:
         table.degree(row)
-    _check_values(g, table)
 
     # exact row orthogonality over the ordinary irreducibles
     chars = [_row_terms(row) for row in table.characters]
@@ -97,29 +101,6 @@ def _check_ordinary(table: CharacterTable) -> None:
                     f"{g}: row orthogonality fails for characters {i} and {j}"
                 )
     _check_power_maps(g, table)
-
-
-def _check_values(g: str, table: CharacterTable) -> None:
-    """Each value psi(x) of a row, ordinary or Brauer at a p-regular class,
-    is a sum of o(x)-th roots of unity.  So it must be an algebraic integer
-    (Z[zeta_n] has the power basis as an integral basis, so exactly when
-    every canonical coefficient is an integer), and its conductor must
-    divide o(x)."""
-    for r, row in enumerate(table.characters):
-        for cl, v in zip(table.classes, row):
-            if v is None:
-                continue
-            if not v.is_integral():
-                raise BundleError(
-                    f"{g}: character {r} at class {cl.name} is not an algebraic"
-                    f" integer: {v}"
-                )
-            if cl.element_order % v.conductor:
-                raise BundleError(
-                    f"{g}: character {r} at class {cl.name} has conductor"
-                    f" {v.conductor}, which does not divide the element order"
-                    f" {cl.element_order}: {v}"
-                )
 
 
 def _check_power_maps(g: str, table: CharacterTable) -> None:
@@ -145,8 +126,7 @@ def _check_power_maps(g: str, table: CharacterTable) -> None:
 
 def _row_terms(row):
     """A row over one field: (n, terms) with row[x] equal to
-    sum(c * zeta_n^e for e, c in terms[x]), all integers, as the values are
-    algebraic integers (`_check_values`)."""
+    sum(c * zeta_n^e for e, c in terms[x]), all integers."""
     n = lcm(*(v.conductor for v in row))
     terms = tuple(
         tuple((e * (n // v.conductor), c) for e, c in v.coeffs.items()) for v in row
@@ -186,7 +166,6 @@ def _check_brauer(table: CharacterTable) -> None:
         table.degree(row)
     if len(set(table.characters)) != len(table.characters):
         raise BundleError(f"{g}: a character row is repeated")
-    _check_values(g, table)
     _check_power_maps(g, table)
 
 
@@ -208,19 +187,27 @@ def _field(where: str, node: dict, key: str, kind, default=None):
     return _typed(where, key, value, kind)
 
 
-def _decode_rows(where: str, node: dict, key: str, positions, width: int):
-    """The rows listed under `key` as tuples over `width` classes: a row's
-    j-th value goes to class positions[j], and every other class gets None."""
+def _decode_rows(where: str, node: dict, key: str, positions, classes):
+    """The rows listed under `key` as tuples over the checked `classes`: a
+    row's j-th value goes to class positions[j], and every other class gets
+    None.  The value at x must be encoded over zeta_n, n | lcm(2, o(x)), as
+    a sum of o(x)-th roots of unity can be; a larger n is refused before
+    the value is reduced."""
     out = []
-    for row in _field(where, node, key, list):
+    for r, row in enumerate(_field(where, node, key, list)):
         if not isinstance(row, list) or len(row) != len(positions):
             raise BundleError(f"{where}: character row has wrong arity")
-        values = [None] * width
-        try:
-            for x, v in zip(positions, row):
-                values[x] = cyc_from_json(v)
-        except ValueError as exc:
-            raise BundleError(f"{where}: bad value in {key}: {exc}") from None
+        values = [None] * len(classes)
+        for x, v in zip(positions, row):
+            cl = classes[x]
+            try:
+                values[x] = cyc_from_json(v, lcm(2, cl.element_order))
+            except FieldError as exc:
+                raise BundleError(
+                    f"{where}: character {r} at class {cl.name} is {exc}"
+                ) from None
+            except ValueError as exc:
+                raise BundleError(f"{where}: bad value in {key}: {exc}") from None
         out.append(tuple(values))
     return tuple(out)
 
@@ -251,13 +238,13 @@ def _parse_ordinary(group: str, order: int, node: dict) -> CharacterTable:
             " non-negative sum of irreducibles, whose rows a complete table"
             " already holds"
         )
-    n = len(classes)
+    _check_classes(group, order, classes, power_maps)
     return CharacterTable(
         group,
         order,
         tuple(classes),
         power_maps,
-        _decode_rows(group, node, "characters", range(n), n),
+        _decode_rows(group, node, "characters", range(len(classes)), classes),
     )
 
 
@@ -284,7 +271,7 @@ def _parse_brauer(group: str, ordinary: CharacterTable, node) -> CharacterTable:
         ordinary.group_order,
         ordinary.classes,
         ordinary.power_maps,
-        _decode_rows(g, node, "characters", positions, len(ordinary.classes)),
+        _decode_rows(g, node, "characters", positions, ordinary.classes),
         prime=p,
     )
 

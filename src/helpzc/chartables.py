@@ -2,7 +2,7 @@
 
 A bundle holds one ordinary character table and optionally Brauer (p-modular)
 tables for some primes.  Every row is an irreducible character, ordinary or
-Brauer, and all values are exact cyclotomic numbers.  A bundle
+Brauer, and all values are cyclotomic integers (`Cyc`).  A bundle
 is built in memory (`cyclic_table`) or loaded from a JSON file
 (`load_bundle`).  The file format and the checks that every loaded table
 must pass live in `bundlefile`, which `load_bundle` imports on its first
@@ -85,14 +85,14 @@ class CharacterTable:
 
     def degree(self, row: tuple[Cyc, ...]) -> int:
         value = row[self.identity_index]
-        d = value.as_rational()
-        if d is None or d.denominator != 1 or d <= 0:
+        d = value.coeffs.get(0, 0) if value.conductor == 1 else 0
+        if d <= 0:
             r = self.characters.index(row)
             raise BundleError(
                 f"{self.group_name}: character {r} has degree {value},"
                 " which is not a positive integer"
             )
-        return int(d)
+        return d
 
     def element_orders(self) -> tuple[int, ...]:
         return tuple(sorted({cl.element_order for cl in self.classes}))

@@ -74,11 +74,14 @@ def solver_options(args) -> SolverOptions:
 
 
 def check_outputs(args) -> None:
-    """Refuse an output path that exists and is not a regular file, before
-    any work is done that could not be written there."""
+    """Refuse an output path that exists and is not a regular file, and a
+    store that the verdict would overwrite, before any work is done that
+    could not be written there."""
     for path in (args.store, args.json_out):
         if path and Path(path).exists() and not Path(path).is_file():
             raise ValueError(f"output path {path} exists and is not a regular file")
+    if args.store and args.json_out and Path(args.store).resolve() == Path(args.json_out).resolve():
+        raise ValueError(f"--store and --json-out both name {args.json_out}")
 
 
 def load_store(bundle, path: str | None) -> SolutionStore:

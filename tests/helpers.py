@@ -30,9 +30,10 @@ from helpzc.constraints import (
     usable_tables,
 )
 from helpzc.cyclotomics import (
+    ONE,
+    ZERO,
     cyclotomic_polynomial,
     ramanujan_sums,
-    rational,
     root_of_unity,
 )
 from helpzc.intsolve import Finite, Infeasible, LinSystem, Optimal, Unbounded, solve_all
@@ -61,7 +62,7 @@ def brute_force_pa_solutions(bundle, k, proper_levels, bound, tables=None):
     support = ordinary.classes_of_order_dividing(k)
 
     def level_value(values, items):
-        total = rational(0)
+        total = ZERO
         for x, c in items:
             total = total + values[x] * c
         return total
@@ -78,7 +79,7 @@ def brute_force_pa_solutions(bundle, k, proper_levels, bound, tables=None):
             for d in divisors(k):
                 e = k // d
                 if e == 1:
-                    total += trace_term(rational(degree), 1, ell)
+                    total += trace_term(ONE * degree, 1, ell)
                 elif e < k:
                     total += trace_term(
                         level_value(values, proper_levels[e].items()), e, ell
@@ -507,7 +508,7 @@ def reference_simplex(inequalities, objective, maximize: bool = True):
 M11_CYC = ("ordinary", "characters", 2, 6, "coeffs", 0)  # zeta_8 + zeta_8^3
 BUNDLE_CORRUPTIONS = [
     ("zero-denominator", "m11", ("ordinary", "characters", 1, 1), "1/0",
-     "M11: bad value in characters: not an exact rational: '1/0'"),
+     "M11: bad value in characters: not a cyclotomic integer encoding: '1/0'"),
     ("brauer-not-list", "m11", ("brauer",), 7,
      "M11: brauer must be of type list"),
     ("power-maps-list", "m11", ("ordinary", "power_maps"), [[0]],
@@ -538,27 +539,42 @@ BUNDLE_CORRUPTIONS = [
     ("exponent-bool", "m11", M11_CYC + (0,), True,
      "M11: bad value in characters: exponent True out of range"),
     ("coefficient-bool", "m11", M11_CYC + (1,), True,
-     "M11: bad value in characters: not an exact rational: True"),
+     "M11: bad value in characters: coefficient True is not an integer"),
     ("coefficient-float", "m11", M11_CYC + (1,), 1.0,
-     "M11: bad value in characters: not an exact rational: 1.0"),
+     "M11: bad value in characters: coefficient 1.0 is not an integer"),
     # 3a^2 = 3a: orders are kept and rows stay orthogonal, but 3a holds z3
     ("power-map-against-values", "sl23", ("ordinary", "power_maps", "2"),
      [0, 0, 2, 3, 1, 2, 3],
      "SL(2,3): power map for 2 sends 3a to 3a, where character 1 is z3,"
      " not -1 - z3"),
-    # z3 at 2a: integral, but outside Q(zeta_2)
+    # z3 at 2a: a value at an element of order 2 lies in Q(zeta_2)
     ("value-outside-its-field", "m11", ("brauer", 0, "characters", 1, 1),
      {"n": 3, "coeffs": [[1, 1]]},
-     "M11 mod 5: character 1 at class 2a has conductor 3, which does not"
-     " divide the element order 2"),
-    # rational strings are read only in the forms cyc_to_json writes
+     "M11 mod 5: character 1 at class 2a is encoded over zeta_3, outside"
+     " Q(zeta_2)"),
+    # a huge field is refused before the value is reduced, whose cost grows
+    # with n
+    ("value-over-zeta-2-to-the-70", "s3", ("ordinary", "characters", 1, 1),
+     {"n": 2**70, "coeffs": [[0, 1]]},
+     f"S3: character 1 at class 2a is encoded over zeta_{2**70}, outside"
+     " Q(zeta_2)"),
+    ("value-over-zeta-20011", "s3", ("ordinary", "characters", 1, 1),
+     {"n": 20011, "coeffs": [[20010, 1]]},
+     "S3: character 1 at class 2a is encoded over zeta_20011, outside"
+     " Q(zeta_2)"),
+    # every value and coefficient is a JSON integer: no string is read
     ("value-decimal-string", "m11", ("ordinary", "characters", 1, 1), "2.0",
-     "M11: bad value in characters: not an exact rational: '2.0'"),
+     "M11: bad value in characters: not a cyclotomic integer encoding: '2.0'"),
+    ("value-rational-string", "m11", ("ordinary", "characters", 1, 1), "2/3",
+     "M11: bad value in characters: not a cyclotomic integer encoding: '2/3'"),
     ("coefficient-exponent-string", "m11", M11_CYC + (1,), "1e3",
-     "M11: bad value in characters: not an exact rational: '1e3'"),
+     "M11: bad value in characters: coefficient '1e3' is not an integer"),
+    ("coefficient-rational-string", "m11", M11_CYC + (1,), "1/2",
+     "M11: bad value in characters: coefficient '1/2' is not an integer"),
+    # a degree lies in Q(zeta_2), the field of the identity's values
     ("degree-not-rational", "s3", ("ordinary", "characters", 1, 0),
      {"n": 3, "coeffs": [[1, 1]]},
-     "S3: character 1 has degree z3, which is not a positive integer"),
+     "S3: character 1 at class 1a is encoded over zeta_3, outside Q(zeta_2)"),
 ]
 
 

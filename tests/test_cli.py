@@ -267,6 +267,25 @@ def test_output_path_that_is_no_file_is_refused_first(capsys, tmp_path, option):
     assert json.loads(fresh.read_text())["group"] == "A5"
 
 
+def test_store_that_is_also_the_json_out_is_refused_first(capsys, tmp_path, monkeypatch):
+    # the verdict payload would overwrite the store and break every later
+    # resume from it; refused before solving, whether or not the file exists
+    store = tmp_path / "store.json"
+    assert run(capsys, "zc", "a5", "--store", str(store))[0] == 0
+    saved = store.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    for path in (store, tmp_path / "absent.json"):
+        # the same file, spelled once absolute and once relative
+        for argv in (("zc", "a5"), ("pq", "a5"), ("order", "6", "a5"), ("zc", "nowhere")):
+            code, out, err = run(
+                capsys, *argv, "--store", str(path), "--json-out", path.name
+            )
+            assert (code, out) == (1, "")
+            assert err == f"error: --store and --json-out both name {path.name}\n"
+    assert store.read_bytes() == saved
+    assert not (tmp_path / "absent.json").exists()
+
+
 def test_json_out_verdict(capsys, tmp_path):
     out_path = tmp_path / "verdict.json"
     code, _, _ = run(capsys, "pq", "a5", "--json-out", str(out_path))

@@ -3,13 +3,14 @@
 `chartables.load_bundle` imports the JSON bundle reader (`helpzc.bundlefile`)
 on its first call, and `intsolve.simplex_opt` imports the simplex
 (`helpzc.simplex`) on its first call, so a command over a generated table,
-or over systems that all carry a norm bound, never compiles either.  A
-table of algebraic integers is loaded and checked in integer arithmetic, so
-`fractions` (and with it `decimal`) is imported only once a value that is
-not an algebraic integer shows up.  Each case runs in a fresh interpreter,
+or over systems that all carry a norm bound, never compiles either.  Table
+values are cyclotomic integers, loaded and checked in integer arithmetic,
+so `fractions` (and with it `decimal`) is imported only by
+`intsolve.simplex_opt`, for an LP.  Each case runs in a fresh interpreter,
 since this test session has imported all of these modules already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -111,7 +112,7 @@ def test_commands_over_valid_tables_never_import_fractions(argv):
     assert loaded & RATIONALS == set()
 
 
-def test_a_rational_value_imports_fractions_to_be_rejected():
+def test_a_rational_value_is_rejected_without_importing_fractions():
     loaded = loaded_after(
         """
 import json, sys
@@ -119,15 +120,49 @@ from helpzc.chartables import BundleError, load_bundle, resolve_bundle_path
 
 data = json.loads(resolve_bundle_path("m11").read_text())
 data["ordinary"]["characters"][1][1] = "2/3"
-assert "fractions" not in sys.modules
 try:
     load_bundle(data)
 except BundleError as exc:
     assert str(exc) == (
-        "M11: character 1 at class 2a is not an algebraic integer: 2/3"
+        "M11: bad value in characters: not a cyclotomic integer encoding: '2/3'"
     ), exc
 else:
     raise AssertionError("a bundle holding 2/3 loaded")
 """
     )
-    assert "fractions" in loaded
+    assert "helpzc.bundlefile" in loaded
+    assert loaded & RATIONALS == set()
+
+
+class _FractionsImports(ast.NodeVisitor):
+    """The enclosing function (or None at module level) of every import of
+    `fractions` in one module."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Import(self, node):
+        if any(a.name.split(".")[0] == "fractions" for a in node.names):
+            self.found.append(self.scope[-1] if self.scope else None)
+
+    def visit_ImportFrom(self, node):
+        if node.level == 0 and (node.module or "").split(".")[0] == "fractions":
+            self.found.append(self.scope[-1] if self.scope else None)
+
+
+def test_only_the_lp_imports_fractions():
+    # tables and assembly are integer-only; the LP's optimum is the one
+    # rational result helpzc returns
+    found = set()
+    for path in sorted((SRC / "helpzc").glob("*.py")):
+        visitor = _FractionsImports()
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        found |= {(path.stem, scope) for scope in visitor.found}
+    assert found == {("intsolve", "simplex_opt")}

@@ -31,7 +31,7 @@ from helpzc.constraints import (
     PATuple,
     PAVector,
 )
-from helpzc.cyclotomics import rational, root_of_unity
+from helpzc.cyclotomics import ONE, root_of_unity
 from helpzc.intsolve import (
     Aborted,
     Finite,
@@ -64,7 +64,7 @@ def _fixtures():
         ClassInfo: ("2a", 2, 15),
         PAVector: (4, ((1, 2), (3, -1))),
         PATuple: (4, ((2, pa2), (4, PAVector(4, ((3, 1),))))),
-        CharRow: ("ord1", 1, (rational(1), root_of_unity(4))),
+        CharRow: ("ord1", 1, (ONE, root_of_unity(4))),
         EpsVar: (3, "4a"),
         AggVar: (5,),
         LinSystem: (
