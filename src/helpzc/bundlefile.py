@@ -10,7 +10,9 @@ of o(x)-th roots of unity, so its encoding must be over zeta_n with n
 dividing lcm(2, o(x)), which is checked before the value is reduced; its
 conductor then divides o(x).  psi(x^p) must be sigma_p(psi(x)) wherever p
 does not divide o(x), and the ordinary rows must satisfy exact row
-orthogonality.  Every integer in the file must be a JSON integer.
+orthogonality.  Every integer in the file must be a JSON integer, every
+name a JSON string, and every key one that is read: a misspelt key would
+otherwise drop what it holds without a word.
 A table that fails any check is rejected outright, since every downstream
 constraint is only as trustworthy as the table it came from.
 
@@ -187,6 +189,14 @@ def _field(where: str, node: dict, key: str, kind, default=None):
     return _typed(where, key, value, kind)
 
 
+def _known(where: str, node: dict, keys) -> None:
+    """Refuse a key of `node` outside `keys`: nothing reads it, so a
+    misspelt key would drop what it holds without a word."""
+    for key in node:
+        if key not in keys:
+            raise BundleError(f"{where}: unknown field {key!r}")
+
+
 def _decode_rows(where: str, node: dict, key: str, positions, classes):
     """The rows listed under `key` as tuples over the checked `classes`: a
     row's j-th value goes to class positions[j], and every other class gets
@@ -215,11 +225,11 @@ def _decode_rows(where: str, node: dict, key: str, positions, classes):
 def _parse_ordinary(group: str, order: int, node: dict) -> CharacterTable:
     classes = []
     for rc in _field(group, node, "classes", list):
-        try:
-            name = str(rc["name"])
-        except (TypeError, KeyError):
-            raise BundleError(f"{group}: malformed class entry {rc!r}") from None
+        if not isinstance(rc, dict):
+            raise BundleError(f"{group}: malformed class entry {rc!r}")
+        name = _field(group, rc, "name", str)
         where = f"{group} class {name}"
+        _known(where, rc, ("name", "order", "size"))
         classes.append(
             ClassInfo(name, _field(where, rc, "order", int), _field(where, rc, "size", int))
         )
@@ -238,6 +248,7 @@ def _parse_ordinary(group: str, order: int, node: dict) -> CharacterTable:
             " non-negative sum of irreducibles, whose rows a complete table"
             " already holds"
         )
+    _known(group, node, ("classes", "power_maps", "characters"))
     _check_classes(group, order, classes, power_maps)
     return CharacterTable(
         group,
@@ -252,6 +263,7 @@ def _parse_brauer(group: str, ordinary: CharacterTable, node) -> CharacterTable:
     _typed(group, "Brauer table", node, dict)
     p = _field(f"{group} Brauer table", node, "p", int)
     g = f"{group} mod {p}"
+    _known(g, node, ("p", "classes", "characters"))
     if not is_prime(p):
         raise BundleError(f"{g}: {p} is not a prime")
     if ordinary.group_order % p:
@@ -334,16 +346,14 @@ def read_bundle(source: str | Path | dict) -> TableBundle:
         data = source
     if not isinstance(data, dict):
         raise BundleError("bundle must be a JSON object")
-    try:
-        group = str(data["group"])
-    except KeyError as exc:
-        raise BundleError(f"bundle missing or malformed field: {exc}") from None
+    group = _field("bundle", data, "group", str)
     if "flags" in data:
         raise BundleError(
             f"{group}: flags is not read: nilpotency comes from the class sizes,"
             " solvability and p-solvability from the chief factors of a"
             " complete table"
         )
+    _known(group, data, ("group", "order", "ordinary", "brauer"))
     order = _field(group, data, "order", int)
     ordinary = _parse_ordinary(group, order, _field(group, data, "ordinary", dict))
     _check_ordinary(ordinary)

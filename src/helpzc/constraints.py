@@ -148,16 +148,6 @@ class PAVector(Record):
     def __hash__(self):
         return hash((self.order, self.entries))
 
-    def value(self, class_index: int) -> int:
-        for i, v in self.entries:
-            if i == class_index:
-                return v
-        return 0
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
-
     def twisted(self, perm: dict[int, int]) -> "PAVector":
         """The entries moved from each class x to perm[x]."""
         return PAVector(self.order, tuple(sorted((perm[i], v) for i, v in self.entries)))
@@ -216,11 +206,6 @@ class PATuple(Record):
     @property
     def top(self) -> PAVector:
         return self.level(self.order)
-
-    def proper(self) -> "PATuple":
-        return PATuple(
-            self.order, tuple((e, pa) for e, pa in self.levels if e != self.order)
-        )
 
     def with_top(self, pa: PAVector) -> "PATuple":
         if pa.order != self.order or self.has_level(self.order):

@@ -364,19 +364,17 @@ def cyc_to_json(a: Cyc):
 
 def cyc_from_json(obj, m: int) -> Cyc:
     """Decode the encoding produced by cyc_to_json (input need not be
-    canonical) of a value in Q(zeta_m): a JSON integer, or {n, coeffs} with
-    integer [exponent, coefficient] pairs.  An encoding over zeta_n is
-    refused with a FieldError unless n divides m, before any reduction, so
-    the work is bounded by m, not by the input."""
+    canonical) of a value in Q(zeta_m): a JSON integer, or {n, coeffs} and
+    no other key, with integer [exponent, coefficient] pairs.  An encoding
+    over zeta_n is refused with a FieldError unless n divides m, before any
+    reduction, so the work is bounded by m, not by the input."""
     if type(obj) is int:
         return ONE * obj
     if not isinstance(obj, dict):
         raise ValueError(f"not a cyclotomic integer encoding: {obj!r}")
-    try:
-        n = obj["n"]
-        pairs = obj["coeffs"]
-    except KeyError as exc:
-        raise ValueError(f"malformed cyclotomic value encoding: {obj!r}") from exc
+    if obj.keys() != {"n", "coeffs"}:
+        raise ValueError(f"malformed cyclotomic value encoding: {obj!r}")
+    n, pairs = obj["n"], obj["coeffs"]
     if type(n) is not int or n < 1:
         raise ValueError(f"bad conductor in encoding: {n!r}")
     if m % n:

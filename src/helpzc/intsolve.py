@@ -6,16 +6,18 @@ also require c·x + a >= 0, and optionally a norm bound
 sum_i w_i * x_i^2 <= R with integer weights w_i >= 0.  The pipeline:
 
   1. eliminate the equalities and congruences over Z (a column reduction
-     to a Hermite-style form with a unimodular transform, each congruence
-     taking a private slack column -k), writing every integer solution as
+     to a Hermite-style form, each column held only as its unimodular
+     transform over the variables and each congruence taking a private
+     slack column of value -k), writing every integer solution as
      origin + integer combination of lattice basis vectors.  Under a norm
      bound the basis is then LLL-reduced (δ = 99/100, integral, Cohen's
      Algorithm 2.6.7) for the norm's inner product Σ w_i·u_i·v_i, a
      unimodular change that keeps the lattice and makes its vectors short,
      so that step 3 searches a short basis.  The reduction reads only the
      coefficients, so it is made once per coefficient matrix and shared;
-     each system adds only its origin and right sides, found by the
-     reduction steps, not from the basis;
+     each system adds only its right sides, which fix its origin row by
+     row: the residual of a row over the origin so far, divided by the
+     row's pivot value, times the pivot's transform;
   2. push the nonnegativity constraints and each c·x + a >= 0 through that
      parametrization, giving an inequality system over the free integer
      parameters;
@@ -128,9 +130,9 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class _Lattice:
-    """One coefficient matrix reduced: per row the earlier pivot columns it
-    meets and their entries, then its own pivot column, value and transform
-    (`steps`); the basis; the rows over x that become inequalities
+    """One coefficient matrix reduced: per row its pivot value and the
+    pivot's transform over x, or (0, None) when no column is left nonzero
+    on it (`steps`); the basis; the rows over x that become inequalities
     (`sources`: x_i ≥ 0, then each c·x + a ≥ 0) and their rows over t,
     merged by coefficients with their sources and divisors; `_gram`."""
 
@@ -145,57 +147,45 @@ _lattice = (None, None)
 
 
 def _reduce(modulus, n, equalities, congruences, nonneg, weights) -> _Lattice:
-    """Column-reduce the equality rows, then the congruence rows, keeping
-    the unimodular transform over the n variables only."""
-    rows = equalities + congruences
-    m = len(rows)
-    acols = [[row[j] for row in rows] for j in range(n)]
+    """Column-reduce the equality rows, then the congruence rows.  A column
+    is only its unimodular transform u over the n variables: every earlier
+    row is zero on it, so its value on row r is row·u, and a congruence
+    row's private slack column is u = 0 with value -modulus."""
     ucols = [[int(i == j) for i in range(n)] for j in range(n)]
-
-    def pivot(live, r):
-        # the column of least |entry| in row r, made positive
-        j0 = min(live, key=lambda j: (abs(acols[j][r]), j))
-        if acols[j0][r] < 0:
-            acols[j0] = [-v for v in acols[j0]]
-            ucols[j0] = [-v for v in ucols[j0]]
-        return j0
-
     avail = list(range(n))
     lat = _Lattice()
-    lat.steps, solved = [], []
-    for r in range(m):
+    lat.steps = []
+    for r, row in enumerate(equalities + congruences):
+        val = {j: sum(map(_mul, row, ucols[j])) for j in avail}
         if r >= len(equalities):
-            # the row's private slack column: -modulus on this row, zero
-            # on every earlier one and over the variables
-            avail.append(len(acols))
-            acols.append([0] * r + [-modulus] + [0] * (m - r - 1))
+            avail.append(len(ucols))
+            val[len(ucols)] = -modulus
             ucols.append([0] * n)
-        live = [j for j in avail if acols[j][r]]
-        while len(live) > 1:
-            j0 = pivot(live, r)
-            p = acols[j0][r]
-            # column_j -= q * column_j0, over the pivot column's nonzeros
-            a0 = [(i, v) for i, v in enumerate(acols[j0]) if v]
+        live = [j for j in avail if val[j]]
+        if not live:
+            lat.steps.append((0, None))
+            continue
+        while True:
+            # the column of least |value|, lowest index first, made positive
+            j0 = min(live, key=lambda j: (abs(val[j]), j))
+            p = val[j0]
+            if p < 0:
+                p = val[j0] = -p
+                ucols[j0] = [-v for v in ucols[j0]]
+            if len(live) == 1:
+                break
+            # column_j -= q * column_j0, over the pivot's nonzeros
             u0 = [(i, v) for i, v in enumerate(ucols[j0]) if v]
             for j in live:
-                q = acols[j][r] // p
+                q = val[j] // p
                 if q and j != j0:
-                    aj, uj = acols[j], ucols[j]
-                    for i, v in a0:
-                        aj[i] -= q * v
+                    val[j] -= q * p
+                    uj = ucols[j]
                     for i, v in u0:
                         uj[i] -= q * v
-            live = [j for j in live if acols[j][r]]
-        # forward substitution reads the earlier pivot columns, now final
-        cols = tuple([j for j in solved if acols[j][r]])
-        entries = tuple([acols[j][r] for j in cols])
-        if not live:
-            lat.steps.append((cols, entries, None, 0, None))
-            continue
-        j0 = pivot(live, r)
+            live = [j for j in live if val[j]]
         # leaving avail, the pivot column is final
-        lat.steps.append((cols, entries, j0, acols[j0][r], tuple(ucols[j0])))
-        solved.append(j0)
+        lat.steps.append((p, tuple(ucols[j0])))
         avail.remove(j0)
     basis = tuple(tuple(ucols[j]) for j in avail)
     lat.basis = basis = basis if weights is None else _lll(basis, weights)
@@ -237,26 +227,14 @@ def _lll(basis, weights):
     d = [1] + [0] * n
     lam = [[0] * (n + 1) for _ in range(n + 1)]
 
-    # the steps b[k] -= q·b[l] that lam already holds but b[k] not yet:
-    # nothing reads b[k] before the next swap or the next k, so `settle`
-    # applies them there
-    moves = []
-
     def red(k, l):
         # b[k] -= q·b[l], q the integer nearest μ_kl
         if 2 * abs(lam[k][l]) > d[l]:
             q = (2 * lam[k][l] + d[l]) // (2 * d[l])
-            moves.append((q, b[l]))
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
             lam[k][l] -= q * d[l]
             for i in range(1, l):
                 lam[k][i] -= q * lam[l][i]
-
-    def settle(k):
-        v = b[k]
-        for q, w in moves:
-            v = [x - q * y for x, y in zip(v, w)]
-        b[k] = v
-        moves.clear()
 
     k, kmax = 1, 0
     while k <= n:
@@ -280,7 +258,6 @@ def _lll(basis, weights):
         red(k, k - 1)
         if 100 * d[k] * d[k - 2] < 99 * d[k - 1] ** 2 - 100 * lam[k][k - 1] ** 2:
             # swap b[k - 1] and b[k]: d[k - 1] and the lam beside them move
-            settle(k)
             b[k], b[k - 1] = b[k - 1], b[k]
             for j in range(1, k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
@@ -295,15 +272,14 @@ def _lll(basis, weights):
         else:
             for l in range(k - 2, 0, -1):
                 red(k, l)
-            settle(k)
             k += 1
     return tuple(map(tuple, b[1:]))
 
 
 def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
     """Parametrize all integer solutions of the equality and congruence rows
-    from their shared reduction: the right sides fix only the origin, by
-    forward substitution.  Nonnegativity and each c·x + a >= 0 become the
+    from their shared reduction: the right sides fix only the origin, row by
+    row from its residual.  Nonnegativity and each c·x + a >= 0 become the
     returned rows coeffs·t >= rhs, normalized by integer rounding (exact,
     since t is integral) and merged by coefficients.  None when there is no
     integer solution or a row without coefficients fails."""
@@ -321,18 +297,24 @@ def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
         _lattice = (key, _reduce(*key))
     lat = _lattice[1]
     rhs = [r for _, r in sys.equalities] + [-a for _, a, _ in sys.congruences]
-    y, origin = {}, [0] * len(sys.variables)
-    for (cols, entries, j0, p, u), acc in zip(lat.steps, rhs):
-        acc -= sum(map(_mul, entries, [y[j] for j in cols]))
-        if j0 is None:
+    origin = [0] * len(sys.variables)
+    rows = zip(lat.steps, equalities + congruences, rhs)
+    for r, ((p, u), row, acc) in enumerate(rows):
+        # the pivot transform is zero on every earlier equality row and
+        # 0 mod k on every earlier congruence row, so the origin keeps them
+        acc -= sum(map(_mul, row, origin))
+        if r >= len(equalities):
+            # exact: the slack -k took part in the row's Euclid, so p | k
+            acc %= k
+        if not p:
             if acc:
                 return None
             continue
-        y[j0], rem = divmod(acc, p)
+        y, rem = divmod(acc, p)
         if rem:
             return None
-        if y[j0]:
-            origin = [o + y[j0] * v for o, v in zip(origin, u)]
+        if y:
+            origin = [o + y * v for o, v in zip(origin, u)]
 
     consts = [0] * len(sys.nonneg) + [a for _, a, _ in sys.congruences]
     values = [sum(map(_mul, c, origin)) + a for c, a in zip(lat.sources, consts)]

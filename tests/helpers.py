@@ -20,6 +20,7 @@ from helpzc.constraints import (
     AggVar,
     ConstraintError,
     EpsVar,
+    PATuple,
     PAVector,
     build_system,
     char_rows,
@@ -43,6 +44,11 @@ from helpzc.verify import (
     canonical_key,
     compatible,
 )
+
+
+def proper(tup):
+    """The tuple's levels below its own order: those of its proper powers."""
+    return PATuple(tup.order, tuple((e, pa) for e, pa in tup.levels if e != tup.order))
 
 
 def brute_force_pa_solutions(bundle, k, proper_levels, bound, tables=None):
@@ -503,8 +509,9 @@ def reference_simplex(inequalities, objective, maximize: bool = True):
 # Malformed bundles, each as (id, base bundle, path into its JSON, the value
 # put there, the start of the error it must give).  Each one either crashed
 # the loader, or loaded with a value that is not the file's (a float size or
-# order cut to an integer, a boolean read as 0 or 1) or with a key that is
-# not read (extra character rows).
+# order cut to an integer, a boolean read as 0 or 1, a name made a string
+# by str()) or with a key that is not read (extra character rows, a
+# misspelt key).
 M11_CYC = ("ordinary", "characters", 2, 6, "coeffs", 0)  # zeta_8 + zeta_8^3
 BUNDLE_CORRUPTIONS = [
     ("zero-denominator", "m11", ("ordinary", "characters", 1, 1), "1/0",
@@ -571,6 +578,24 @@ BUNDLE_CORRUPTIONS = [
      "M11: bad value in characters: coefficient '1e3' is not an integer"),
     ("coefficient-rational-string", "m11", M11_CYC + (1,), "1/2",
      "M11: bad value in characters: coefficient '1/2' is not an integer"),
+    # a name is a JSON string, not made one by str()
+    ("group-null", "m11", ("group",), None,
+     "bundle: missing field 'group'"),
+    ("group-not-string", "m11", ("group",), ["M11"],
+     "bundle: group must be of type str, got ['M11']"),
+    ("class-name-not-string", "s3", ("ordinary", "classes", 1, "name"), [2, "a"],
+     "S3: name must be of type str, got [2, 'a']"),
+    # a key that is not read is refused: a misspelt one would drop its data
+    ("brauer-key-misspelt", "m11", ("Brauer",), [],
+     "M11: unknown field 'Brauer'"),
+    ("ordinary-unknown-key", "m11", ("ordinary", "Characters"), [],
+     "M11: unknown field 'Characters'"),
+    ("class-unknown-key", "s3", ("ordinary", "classes", 1, "sise"), 3,
+     "S3 class 2a: unknown field 'sise'"),
+    ("brauer-node-unknown-key", "m11", ("brauer", 0, "prime"), 5,
+     "M11 mod 5: unknown field 'prime'"),
+    ("value-unknown-key", "m11", ("ordinary", "characters", 2, 6, "den"), 1,
+     "M11: bad value in characters: malformed cyclotomic value encoding"),
     # a degree lies in Q(zeta_2), the field of the identity's values
     ("degree-not-rational", "s3", ("ordinary", "characters", 1, 0),
      {"n": 3, "coeffs": [[1, 1]]},
@@ -783,9 +808,9 @@ def reference_str(n, coeffs):
 
 
 def reference_lll(basis, weights):
-    """intsolve._lll as it was before its size reductions were deferred:
-    every step b[k] -= q·b[l] rewrites b[k] at once.  An oracle that must
-    give the same basis."""
+    """Cohen's Algorithm 2.6.7 as intsolve._lll follows it, with every step
+    b[k] -= q·b[l] applied at once and the same δ = 99/100 and tie rules.
+    An oracle that must give the same basis, vector for vector."""
 
     def length(v):
         return sum(map(mul, map(mul, weights, v), v))

@@ -19,7 +19,13 @@ from time import perf_counter
 
 import pytest
 
-from helpers import box_solutions, brute_force_pa_solutions, in_box, random_system
+from helpers import (
+    box_solutions,
+    brute_force_pa_solutions,
+    in_box,
+    proper,
+    random_system,
+)
 from helpzc.arith import prime_factors
 from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
@@ -215,11 +221,11 @@ def _recheck_mu_sums(bundle, solutions_by_order):
     for k, tuples in solutions_by_order.items():
         by_proper = {}
         for tup in tuples:
-            by_proper.setdefault(tup.proper(), []).append(tup)
-        for proper, siblings in by_proper.items():
+            by_proper.setdefault(proper(tup), []).append(tup)
+        for lower, siblings in by_proper.items():
             tables = usable_tables(bundle, k)
             rows = char_rows(tables)
-            sys = build_system(bundle, k, proper, tables)
+            sys = build_system(bundle, k, lower, tables)
             result = solve_all(sys)
             assert isinstance(result, Finite)
             by_top = {}

@@ -353,10 +353,12 @@ def test_order_payload_is_built_only_when_written(capsys, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "base, path, value",
-    [pytest.param(*case[1:4], id=case[0]) for case in BUNDLE_CORRUPTIONS],
+    "base, path, value, message",
+    [pytest.param(*case[1:], id=case[0]) for case in BUNDLE_CORRUPTIONS],
 )
-def test_info_on_a_malformed_bundle_prints_one_error_line(tmp_path, base, path, value):
+def test_info_on_a_malformed_bundle_prints_one_error_line(
+    tmp_path, base, path, value, message
+):
     bundle = tmp_path / "bad.json"
     data = corrupted_bundle(base, path, value)
     bundle.write_text(json.dumps(data))
@@ -369,7 +371,7 @@ def test_info_on_a_malformed_bundle_prints_one_error_line(tmp_path, base, path, 
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
     lines = out.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {data['group']}")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("argv", [("info", "cyclic:abc"), ("zc", "cyclic:")])

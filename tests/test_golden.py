@@ -86,6 +86,13 @@ GOLDEN = {
         "5228110c5d16d7700e6d9501df84dec9fafdcef549b1dc69ece694cb6b02df99",
     "zc --no-shortcuts --p-constant cyclic:18":
         "c8c85502173003ef8883ed914d4c0c86046a2fca91afe9dc167e4ae599117e24",
+    # node budgets at the size of a search: M11's order 4 needs exactly 5
+    # nodes and the top system of cyclic:72 exactly 71, so a change to a
+    # lattice basis or a search tree moves these stores
+    "zc --max-nodes 5 m11":
+        "9a43ed686b11f5a6ca9abf4b05a7971c8f452778ff1c190486af4e0706e9e965",
+    "zc --no-shortcuts --max-nodes 70 cyclic:72":
+        "6ccbba881934f72399998ba26d7628ecf410295bb7a3647318c5230d4286d8fd",
 }
 
 

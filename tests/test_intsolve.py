@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -410,28 +411,45 @@ def test_oracle_random_box():
     assert compared >= 40
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_oracle_property(data):
+    # equalities, then congruence rows c·x + a ≡ 0 (mod k), c·x + a >= 0,
+    # whose origin is solved from the residual modulo k; half the systems
+    # get right sides that make a drawn point x0 a solution
     n = data.draw(st.integers(1, 3), label="nvars")
     m = data.draw(st.integers(1, 2), label="nrows")
-    eqs = tuple(
-        (
-            tuple(
-                data.draw(st.integers(-4, 4), label=f"c{i},{j}") for j in range(n)
-            ),
-            data.draw(st.integers(-4, 4), label=f"r{i}"),
-        )
-        for i in range(m)
-    )
+    modulus = data.draw(st.integers(1, 12), label="modulus")
+    ncong = data.draw(st.integers(1, 3), label="ncong")
     nonneg = frozenset(
         i for i in range(n) if data.draw(st.booleans(), label=f"nn{i}")
     )
-    s = LinSystem(tuple(f"x{i}" for i in range(n)), eqs, nonneg)
+    x0 = None
+    if data.draw(st.booleans(), label="planted"):
+        x0 = [data.draw(st.integers(-3 * (i not in nonneg), 3)) for i in range(n)]
+
+    def row(label):
+        c = tuple(data.draw(st.integers(-4, 4), label=f"{label}{j}") for j in range(n))
+        if x0 is None:
+            return c, data.draw(st.integers(-4, 4), label=f"{label}rhs")
+        return c, sum(map(mul, c, x0))
+
+    eqs = tuple(row(f"e{i},") for i in range(m))
+    congruences = []
+    for i in range(ncong):
+        c, v = row(f"k{i},")
+        # c·x0 + a = modulus·j, j >= 0, when x0 is planted
+        a = v if x0 is None else modulus * data.draw(st.integers(0, 2)) - v
+        congruences.append((c, a, None))
+    s = LinSystem(
+        tuple(f"x{i}" for i in range(n)), eqs, nonneg,
+        modulus=modulus, congruences=tuple(congruences),
+    )
     res = solve_all(s)
     if isinstance(res, Finite):
         inside = tuple(x for x in res.solutions if in_box(x, 6))
         assert inside == box_solutions(s, 6)
+        assert x0 is None or tuple(x0) in inside
 
 
 # -- interval propagation ------------------------------------------------------

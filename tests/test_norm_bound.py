@@ -207,8 +207,8 @@ def test_lll_reduces_and_keeps_the_lattice():
 
 
 def test_lll_gives_the_basis_of_the_reference():
-    # deferring each size reduction of b[k] to the next swap or the next k
-    # changes no vector: the same basis, vector for vector
+    # _lll must stay the textbook algorithm: the same basis, vector for
+    # vector, from any input
     rng = random.Random(47)
     for _ in range(300):
         n, big = rng.randint(1, 8), 10 ** rng.randint(1, 8)
@@ -239,14 +239,14 @@ def test_lll_gives_the_basis_of_the_reference_on_top_systems(monkeypatch, n):
 def test_large_lattice_searches_stay_small(monkeypatch):
     # the top systems of cyclic:72 have a lattice of dimension 70; on its
     # Hermite basis one search visits 3,303 nodes, on the LLL-reduced one
-    # about 71
-    calls = built_calls(
-        monkeypatch, bundle_of("cyclic:72"), check_zc, SolverOptions(shortcuts=False)
-    )
-    top = [system for _, args, system in calls if args[1] == 72]
-    assert top
-    for system in top:
-        assert isinstance(solve_all(system, max_nodes=200), Finite)
+    # 71; the top search of cyclic:120 visits 119
+    for n in (72, 120):
+        options = SolverOptions(shortcuts=False)
+        calls = built_calls(monkeypatch, bundle_of(f"cyclic:{n}"), check_zc, options)
+        top = [system for _, args, system in calls if args[1] == n]
+        assert top
+        for system in top:
+            assert isinstance(solve_all(system, max_nodes=200), Finite)
 
 
 def test_norm_search_is_exact_far_from_the_origin():
