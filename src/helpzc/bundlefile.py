@@ -235,8 +235,11 @@ def _parse_ordinary(group: str, order: int, node: dict) -> CharacterTable:
         )
     power_maps = {}
     for key, pm in _field(group, node, "power_maps", dict).items():
+        # a prime is a key in canonical ASCII decimals, as an order is in a
+        # store, so no two keys ("3", "03", an Arabic-Indic 3) name one prime
         if (
-            not str(key).isdigit()
+            not str(key).isdecimal()
+            or str(int(key)) != str(key)
             or not isinstance(pm, list)
             or any(type(i) is not int for i in pm)
         ):

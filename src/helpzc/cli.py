@@ -14,17 +14,22 @@ BUNDLE is a file path, a bare name resolved in the bundled data directory
 order N.  Exit status 0 means proved or completed, 2 means the method was
 inconclusive, 1 means a usage or data error.  The verdict lines
 ("ZC: Proved", "PQ: Proved (solvable shortcut)", ...) are stable.
+
+The command line is read from two tables, `COMMANDS` and `OPTIONS`, by a
+parser that accepts what argparse would, without importing argparse (and
+with it gettext and locale) at every start-up.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .chartables import cyclic_table, load_bundle, resolve_bundle_path
 from .intsolve import DEFAULT_MAX_NODES
+from .records import Record
 from .verify import (
     SolutionStore,
     SolverOptions,
@@ -57,10 +62,17 @@ def resolve_bundle(name: str):
     return load_bundle(resolve_bundle_path(name))
 
 
+def integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
 def node_budget(text: str) -> int:
-    n = int(text)
+    n = integer(text)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"node budget must be non-negative, got {n}")
+        raise ValueError(f"node budget must be non-negative, got {n}")
     return n
 
 
@@ -74,12 +86,14 @@ def solver_options(args) -> SolverOptions:
 
 
 def check_outputs(args) -> None:
-    """Refuse an output path that exists and is not a regular file, and a
-    store that the verdict would overwrite, before any work is done that
-    could not be written there."""
-    for path in (args.store, args.json_out):
-        if path and Path(path).exists() and not Path(path).is_file():
+    """Refuse an output path that exists and is not a regular file, or
+    whose directory does not exist, and a store that the verdict would
+    overwrite, before any work is done that could not be written there."""
+    for path in filter(None, (args.store, args.json_out)):
+        if Path(path).exists() and not Path(path).is_file():
             raise ValueError(f"output path {path} exists and is not a regular file")
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"output path {path} is not in an existing directory")
     if args.store and args.json_out and Path(args.store).resolve() == Path(args.json_out).resolve():
         raise ValueError(f"--store and --json-out both name {args.json_out}")
 
@@ -209,64 +223,184 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="helpzc",
-        description="Constraint-based verification of torsion units in integral group rings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(Record):
+    """A long option: a flag when `metavar` is None, which sets its
+    attribute to True, else an option taking one value, which `convert`
+    checks and converts."""
 
-    solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument(
-        "--no-shortcuts",
-        action="store_true",
-        help="solve even when a structural theorem already settles the question",
-    )
-    solver.add_argument(
-        "--no-brauer", action="store_true", help="use only the ordinary table"
-    )
-    solver.add_argument(
-        "--p-constant",
-        action="store_true",
-        help="try the aggregated relaxation before each full system",
-    )
-    solver.add_argument(
-        "--max-nodes",
-        type=node_budget,
-        default=DEFAULT_MAX_NODES,
-        metavar="N",
-        help="search node budget per system",
-    )
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--json-out", metavar="PATH", help="write the result as JSON")
-    output.add_argument(
-        "--store", metavar="PATH", help="resume from and persist the solution store"
-    )
+    __slots__ = ("metavar", "help", "convert", "default", "required")
 
-    p = sub.add_parser("zc", parents=[solver, output], help="verify rational conjugacy")
-    p.add_argument("bundle")
-    p.set_defaults(func=lambda a: cmd_check(a, "ZC", check_zc))
+    def __init__(self, metavar, help, convert=str, default=None, required=False):
+        super().__init__(metavar, help, convert, False if metavar is None else default, required)
 
-    p = sub.add_parser("pq", parents=[solver, output], help="verify the prime graph question")
-    p.add_argument("bundle")
-    p.set_defaults(func=lambda a: cmd_check(a, "PQ", check_pq))
 
-    p = sub.add_parser("order", parents=[solver, output], help="audit a single order")
-    p.add_argument("k", type=int)
-    p.add_argument("bundle")
-    p.set_defaults(func=cmd_order)
+class Command(Record):
+    """A subcommand: its help line, its positionals as (attribute,
+    converter) pairs, the names of its options, and what runs it."""
 
-    p = sub.add_parser("wagner", help="congruence-test one tuple")
-    p.add_argument("k", type=int)
-    p.add_argument("bundle")
-    p.add_argument("--tuple", required=True, metavar="FILE", help="tuple as store JSON")
-    p.set_defaults(func=cmd_wagner)
+    __slots__ = ("help", "positionals", "options", "func")
 
-    p = sub.add_parser("info", help="print derived facts about a bundle")
-    p.add_argument("bundle")
-    p.set_defaults(func=cmd_info)
 
-    return parser
+# The command line is these two tables, read by the parser below and by
+# `helpzc.usage`, which writes the usage lines and --help and is imported
+# only to show them.  An option's attribute is its name without the leading
+# dashes, dashes made underscores.
+OPTIONS = {
+    "--no-shortcuts": Option(
+        None, "solve even when a structural theorem already settles the question"
+    ),
+    "--no-brauer": Option(None, "use only the ordinary table"),
+    "--p-constant": Option(None, "try the aggregated relaxation before each full system"),
+    "--max-nodes": Option(
+        "N", "search node budget per system", node_budget, DEFAULT_MAX_NODES
+    ),
+    "--json-out": Option("PATH", "write the result as JSON"),
+    "--store": Option("PATH", "resume from and persist the solution store"),
+    "--tuple": Option("FILE", "tuple as store JSON", required=True),
+}
+SOLVER = ("--no-shortcuts", "--no-brauer", "--p-constant", "--max-nodes", "--json-out", "--store")
+BUNDLE = (("bundle", str),)
+COMMANDS = {
+    "zc": Command(
+        "verify rational conjugacy order by order",
+        BUNDLE, SOLVER, lambda a: cmd_check(a, "ZC", check_zc),
+    ),
+    "pq": Command(
+        "verify the missing prime-graph orders",
+        BUNDLE, SOLVER, lambda a: cmd_check(a, "PQ", check_pq),
+    ),
+    "order": Command(
+        "audit one order: candidates and survivors", (("k", integer), *BUNDLE), SOLVER, cmd_order
+    ),
+    "wagner": Command(
+        "congruence-test one stored tuple", (("k", integer), *BUNDLE), ("--tuple",), cmd_wagner
+    ),
+    "info": Command("print derived facts about a bundle", BUNDLE, (), cmd_info),
+}
+HELP = ("-h", "--help")
+
+
+def _exit(command, message=None):
+    """Print the help of `command` (None for helpzc's own) and exit 0, or
+    with a message, the usage and the message and exit 2."""
+    from .usage import show
+
+    show(command, message)
+
+
+def _read(command, arg: str, names):
+    """How argparse reads `arg` where the options `names` are known: None
+    for a positional (a negative number, or a word with a space, is one),
+    else the option it names ("" for none) and its `=value` (None if it has
+    none).  A unique prefix of a long option names it."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    key, eq, value = arg.partition("=")
+    if key not in names:
+        hits = [n for n in names if key.startswith("--") and n.startswith(key)]
+        if len(hits) > 1:
+            _exit(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
+        if not hits:
+            whole, dot, frac = arg[1:].partition(".")
+            if dot:
+                number = (not whole or whole.isdecimal()) and frac.isdecimal()
+            else:
+                number = whole.isdecimal()
+            return None if number or " " in arg else ("", None)
+        key = hits[0]
+    return key, value if eq else None
+
+
+def _convert(command, label: str, convert, text: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        _exit(command, f"argument {label}: {exc}")
+
+
+class Parser:
+    """The command line of `COMMANDS` and `OPTIONS`, read as argparse read
+    it: options before, between and after the positionals, `--opt=value`,
+    unique prefixes of long options, `--` ending the options, and the last
+    of a repeated option winning.  `parse_args` returns a namespace holding
+    `command`, `func`, the command's positionals and each of its options;
+    it prints help and raises SystemExit(0) on -h, and prints the usage and
+    an error and raises SystemExit(2) on a usage error."""
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        argv = list(sys.argv[1:] if argv is None else argv)
+        extras = []
+        for i, arg in enumerate(argv):
+            read = None if arg == "--" else _read(None, arg, HELP)
+            if read is None:
+                break
+            if not read[0]:
+                extras.append(arg)
+            elif read[1] is not None:
+                _exit(None, f"argument -h/--help: ignored explicit argument {read[1]!r}")
+            else:
+                _exit(None)
+        else:
+            _exit(None, "the following arguments are required: command")
+        command, rest = arg, argv[i + 1:]
+        if command not in COMMANDS:
+            choices = ", ".join(map(repr, COMMANDS))
+            _exit(None, f"argument command: invalid choice: {arg!r} (choose from {choices})")
+        spec = COMMANDS[command]
+        names = (*HELP, *spec.options)
+        attrs = {"command": command, "func": spec.func}
+        attrs.update((n[2:].replace("-", "_"), OPTIONS[n].default) for n in spec.options)
+        # argparse reads every word before "--" first, so an ambiguous
+        # prefix fails even where it would be a value
+        tail = rest.index("--") if "--" in rest else len(rest)
+        reads = [_read(command, arg, names) for arg in rest[:tail]]
+        rest = rest[:tail] + rest[tail + 1:]
+        reads += [None] * (len(rest) - tail)
+        words = []
+        j = 0
+        while j < len(rest):
+            arg, read = rest[j], reads[j]
+            j += 1
+            if read is None:
+                if len(words) < len(spec.positionals):
+                    dest, convert = spec.positionals[len(words)]
+                    attrs[dest] = _convert(command, dest.upper(), convert, arg)
+                words.append(arg)
+                continue
+            name, value = read
+            if not name:
+                extras.append(arg)
+                continue
+            opt = OPTIONS.get(name)
+            if value is not None and (opt is None or opt.metavar is None):
+                label = "-h/--help" if opt is None else name
+                _exit(command, f"argument {label}: ignored explicit argument {value!r}")
+            if opt is None:
+                _exit(command)
+            if opt.metavar is None:
+                value = True
+            else:
+                if value is None:
+                    if j == tail or reads[j] is not None:
+                        _exit(command, f"argument {name}: expected one argument")
+                    value = rest[j]
+                    j += 1
+                value = _convert(command, name, opt.convert, value)
+            attrs[name[2:].replace("-", "_")] = value
+        missing = [dest.upper() for dest, _ in spec.positionals[len(words):]] + [
+            n for n in spec.options
+            if OPTIONS[n].required and attrs[n[2:].replace("-", "_")] is None
+        ]
+        if missing:
+            _exit(command, f"the following arguments are required: {', '.join(missing)}")
+        extras += words[len(spec.positionals):]
+        if extras:
+            _exit(command, f"unrecognized arguments: {' '.join(extras)}")
+        return SimpleNamespace(**attrs)
+
+
+def build_parser() -> Parser:
+    return Parser()
 
 
 def main(argv=None) -> int:

@@ -543,6 +543,14 @@ BUNDLE_CORRUPTIONS = [
      "C1: order must be of type int"),
     ("power-map-entry-bool", "s3", ("ordinary", "power_maps", "2", 0), False,
      "S3: malformed power map for '2'"),
+    # three spellings of 3 besides s3's own "3": int() reads the first two as
+    # 3, and fails on the third
+    ("power-map-key-leading-zero", "s3", ("ordinary", "power_maps", "03"), [0, 1, 0],
+     "S3: malformed power map for '03'"),
+    ("power-map-key-arabic-indic", "s3", ("ordinary", "power_maps", "\u0663"), [0, 1, 0],
+     "S3: malformed power map for '\u0663'"),
+    ("power-map-key-superscript", "s3", ("ordinary", "power_maps", "\u00b3"), [0, 1, 0],
+     "S3: malformed power map for '\u00b3'"),
     ("exponent-bool", "m11", M11_CYC + (0,), True,
      "M11: bad value in characters: exponent True out of range"),
     ("coefficient-bool", "m11", M11_CYC + (1,), True,

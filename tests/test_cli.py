@@ -257,10 +257,15 @@ def test_store_group_mismatch(capsys, tmp_path):
 @pytest.mark.parametrize("option", ["--store", "--json-out"])
 def test_output_path_that_is_no_file_is_refused_first(capsys, tmp_path, option):
     # refused before the bundle is resolved, so nothing is computed and not
-    # even a missing bundle is looked for
-    message = f"error: output path {tmp_path} exists and is not a regular file\n"
-    for argv in (("zc", "m11"), ("pq", "m11"), ("order", "12", "m11"), ("zc", "nowhere")):
-        assert run(capsys, *argv, option, str(tmp_path)) == (1, "", message)
+    # even a missing bundle is looked for; a path in a missing directory
+    # would fail only when written, after the verdict
+    nowhere = tmp_path / "no" / "out.json"
+    for path, message in (
+        (tmp_path, f"error: output path {tmp_path} exists and is not a regular file\n"),
+        (nowhere, f"error: output path {nowhere} is not in an existing directory\n"),
+    ):
+        for argv in (("zc", "m11"), ("pq", "m11"), ("order", "12", "m11"), ("zc", "nowhere")):
+            assert run(capsys, *argv, option, str(path)) == (1, "", message)
     # a fresh path is written as before
     fresh = tmp_path / "fresh.json"
     assert run(capsys, "zc", "a5", option, str(fresh))[0] == 0
@@ -403,6 +408,78 @@ def test_usage_errors_and_help(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "zc" in out and "wagner" in out
+
+
+def test_readme_shows_the_help_text(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for argv in (["--help"], ["zc", "-h"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert f"$ helpzc {' '.join(argv)}\n{out}```" in readme
+
+
+ZC_OPTIONS = (
+    "--help", "--no-shortcuts", "--no-brauer", "--p-constant", "--max-nodes",
+    "--json-out", "--store",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        # a command line that parses, with the attributes it sets
+        pytest.param(["zc", "--max-nodes=7", "--store=s.json", "a5"],
+                     {"max_nodes": 7, "store": "s.json", "bundle": "a5"}, id="opt=value"),
+        pytest.param(["order", "12", "cyclic:12", "--max-nodes", "1"],
+                     {"k": 12, "bundle": "cyclic:12", "max_nodes": 1}, id="options-after"),
+        pytest.param(["order", "--no-brauer", "12", "--p-constant", "cyclic:12", "--json-out", "o"],
+                     {"k": 12, "bundle": "cyclic:12", "no_brauer": True, "p_constant": True,
+                      "no_shortcuts": False, "json_out": "o"}, id="options-between"),
+        pytest.param(["zc", "--no-s", "--max", "3", "a5"],
+                     {"no_shortcuts": True, "no_brauer": False, "max_nodes": 3}, id="prefixes"),
+        pytest.param(["zc", "--max-nodes", "5", "a5", "--max-nodes", "9"],
+                     {"max_nodes": 9}, id="last-repeat-wins"),
+        pytest.param(["zc", "--no-brauer", "--", "cyclic:4"],
+                     {"no_brauer": True, "bundle": "cyclic:4"}, id="double-dash"),
+        pytest.param(["info", "--", "-h"], {"bundle": "-h"}, id="double-dash-then-option"),
+        pytest.param(["order", "-3", "a5"], {"k": -3}, id="negative-k"),
+        pytest.param(["wagner", "6", "--tuple", "t.json", "m11"],
+                     {"k": 6, "bundle": "m11", "tuple": "t.json"}, id="wagner"),
+        # help, on stdout, naming every option
+        pytest.param(["zc", "-h"], ZC_OPTIONS, id="zc-help"),
+        # a usage error, with the end of its message
+        pytest.param(["zc", "--no", "a5"], "ambiguous option: --no could match", id="ambiguous"),
+        pytest.param(["zc", "--max-nodes", "-5", "a5"],
+                     "node budget must be non-negative, got -5", id="negative-budget"),
+        pytest.param(["zc", "--max-nodes", "x", "a5"], "--max-nodes: invalid", id="budget-not-int"),
+        pytest.param(["order", "x", "a5"], "invalid int value: 'x'", id="k-not-int"),
+        pytest.param(["zc", "--bogus", "a5"], "unrecognized arguments: --bogus", id="unknown-option"),
+        pytest.param(["bogus", "a5"], "invalid choice: 'bogus'", id="unknown-command"),
+        pytest.param(["wagner", "6", "m11"], "the following arguments are required: --tuple",
+                     id="wagner-without-tuple"),
+        pytest.param(["zc", "--no-brauer=1", "a5"], "ignored explicit argument '1'", id="flag=value"),
+        pytest.param(["zc", "a5", "--json-out"], "--json-out: expected one argument",
+                     id="missing-value"),
+        pytest.param(["zc", "a5", "s4"], "unrecognized arguments: s4", id="extra-positional"),
+        pytest.param(["info", "--", "s3", "--no-brauer"], "unrecognized arguments: --no-brauer",
+                     id="double-dash-ends-options"),
+    ],
+)
+def test_command_line_parses_as_argparse_did(capsys, argv, expect):
+    # each case read the same under argparse, which the parser replaced
+    if isinstance(expect, dict):
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0] and callable(args.func)
+        assert {name: getattr(args, name) for name in expect} == expect
+        return
+    code, out, err = run(capsys, *argv)
+    if isinstance(expect, tuple):
+        assert (code, err) == (0, "")
+        assert all(name in out for name in expect)
+        return
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert "error: " in err and expect in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(

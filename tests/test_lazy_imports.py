@@ -1,4 +1,5 @@
-"""A command loads only the parts of helpzc that it runs.
+"""A command loads only the parts of helpzc, and of the standard library,
+that it runs.
 
 `chartables.load_bundle` imports the JSON bundle reader (`helpzc.bundlefile`)
 on its first call, and `intsolve.simplex_opt` imports the simplex
@@ -6,8 +7,12 @@ on its first call, and `intsolve.simplex_opt` imports the simplex
 or over systems that all carry a norm bound, never compiles either.  Table
 values are cyclotomic integers, loaded and checked in integer arithmetic,
 so `fractions` (and with it `decimal`) is imported only by
-`intsolve.simplex_opt`, for an LP.  Each case runs in a fresh interpreter,
-since this test session has imported all of these modules already.
+`intsolve.simplex_opt`, for an LP.  The command line is read by `cli`'s own
+table-driven parser, so no command, help or usage error imports `argparse`
+(nor, with it, `gettext` and `locale`), and only help or a usage error
+imports the text of either (`helpzc.usage`).  Each case runs in a fresh
+interpreter, since this test session has imported all of these modules
+already.
 """
 
 import ast
@@ -21,21 +26,22 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
-LAZY = {"helpzc.bundlefile", "helpzc.simplex"}
+LAZY = {"helpzc.bundlefile", "helpzc.simplex", "helpzc.usage"}
 
 RATIONALS = {"fractions", "decimal"}
+ARGPARSE = {"argparse", "gettext", "locale"}
 
-REPORT = """
+REPORT = f"""
 import json, sys
 print(json.dumps(sorted(
-    m for m in sys.modules if m.startswith("helpzc") or m in ("fractions", "decimal")
+    m for m in sys.modules if m.startswith("helpzc") or m in {sorted(RATIONALS | ARGPARSE)!r}
 )))
 """
 
 
 def loaded_after(code: str) -> set[str]:
-    """The helpzc modules, and those of RATIONALS, that a fresh interpreter
-    holds after `code`, run with src/ and tests/ on the path."""
+    """The helpzc modules, and those of RATIONALS and ARGPARSE, that a fresh
+    interpreter holds after `code`, run with src/ and tests/ on the path."""
     path = os.pathsep.join(
         filter(None, (str(SRC), str(TESTS), os.environ.get("PYTHONPATH")))
     )
@@ -134,12 +140,41 @@ else:
     assert loaded & RATIONALS == set()
 
 
-class _FractionsImports(ast.NodeVisitor):
-    """The enclosing function (or None at module level) of every import of
-    `fractions` in one module."""
+def test_no_command_loads_argparse(tmp_path):
+    # each command, help and a usage error, in one interpreter, checked
+    # after each
+    tup = tmp_path / "t.json"
+    tup.write_text(json.dumps({"2": {"2a": 1}, "3": {"3a": 1}, "6": {"6a": 1}}))
+    commands = [
+        ["zc", "a5"],
+        ["pq", "m11"],
+        ["order", "12", "m11"],
+        ["info", "s3"],
+        ["wagner", "6", "m11", "--tuple", str(tup)],
+        ["--help"],
+        ["zc", "--no", "a5"],
+    ]
+    loaded = loaded_after(
+        f"""
+import sys
+from helpzc import cli
 
-    def __init__(self):
-        self.scope, self.found = [], []
+for argv in {commands!r}:
+    cli.main(argv)
+    held = [m for m in {sorted(ARGPARSE)!r} if m in sys.modules]
+    assert not held, (argv, held)
+"""
+    )
+    assert {"helpzc.cli", "helpzc.usage"} <= loaded
+    assert loaded & ARGPARSE == set()
+
+
+class _Imports(ast.NodeVisitor):
+    """The enclosing function (or None at module level) of every import of
+    the top-level module `name` in one module."""
+
+    def __init__(self, name):
+        self.name, self.scope, self.found = name, [], []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -149,20 +184,30 @@ class _FractionsImports(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Import(self, node):
-        if any(a.name.split(".")[0] == "fractions" for a in node.names):
+        if any(a.name.split(".")[0] == self.name for a in node.names):
             self.found.append(self.scope[-1] if self.scope else None)
 
     def visit_ImportFrom(self, node):
-        if node.level == 0 and (node.module or "").split(".")[0] == "fractions":
+        if node.level == 0 and (node.module or "").split(".")[0] == self.name:
             self.found.append(self.scope[-1] if self.scope else None)
+
+
+def importers(name: str) -> set[tuple[str, str | None]]:
+    """(module, enclosing function) of every import of `name` in helpzc."""
+    found = set()
+    for path in sorted((SRC / "helpzc").glob("*.py")):
+        visitor = _Imports(name)
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        found |= {(path.stem, scope) for scope in visitor.found}
+    return found
 
 
 def test_only_the_lp_imports_fractions():
     # tables and assembly are integer-only; the LP's optimum is the one
     # rational result helpzc returns
-    found = set()
-    for path in sorted((SRC / "helpzc").glob("*.py")):
-        visitor = _FractionsImports()
-        visitor.visit(ast.parse(path.read_text(), str(path)))
-        found |= {(path.stem, scope) for scope in visitor.found}
-    assert found == {("intsolve", "simplex_opt")}
+    assert importers("fractions") == {("intsolve", "simplex_opt")}
+
+
+def test_no_module_imports_argparse():
+    # cli parses the command line from its own tables
+    assert importers("argparse") == set()

@@ -23,6 +23,7 @@ import pytest
 
 import helpzc
 from helpzc.chartables import ClassInfo
+from helpzc.cli import Command, Option
 from helpzc.constraints import (
     AggVar,
     CharRow,
@@ -85,6 +86,8 @@ def _fixtures():
         SolverOptions: (False, True, True, 5),
         ShortcutProved: ("nilpotent",),
         Verdict: (True, None, SolutionStore("C4"), ((8, "node budget"),)),
+        Option: ("N", "search node budget per system", int, 3, False),
+        Command: ("print facts", (("bundle", str),), ("--store",), len),
     }
 
 
@@ -118,7 +121,7 @@ def test_records_that_only_store_their_fields_write_no_constructor():
     assert {c.__name__ for c in BASE_BUILT} == {
         "ClassInfo", "CharRow", "EpsVar", "AggVar", "Finite", "Infinite",
         "Aborted", "Optimal", "Unbounded", "Infeasible", "Parametrization",
-        "ShortcutProved",
+        "ShortcutProved", "Command",
     }
 
 
