@@ -31,14 +31,7 @@ from .constraints import (
     build_system_p_constant,
     pa_vector,
 )
-from .cyclotomics import (
-    Cyc,
-    FieldError,
-    GaloisError,
-    cyc_from_json,
-    cyc_to_json,
-    root_of_unity,
-)
+from .cyclotomics import Cyc, FieldError, GaloisError, root_of_unity
 from .intsolve import Aborted, Finite, Infinite, LinSystem, solve_all
 from .verify import (
     DriverError,
@@ -49,13 +42,24 @@ from .verify import (
     check_zc,
     solve_order,
     solve_order_report,
-    store_from_json,
-    store_to_json,
     trivial_solutions,
 )
 from .wagner import wagner_test
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the value and store codecs, which only a file read or written needs,
+    # load on first use
+    if name in ("cyc_from_json", "cyc_to_json"):
+        from . import bundlefile as codec
+    elif name in ("store_from_json", "store_to_json"):
+        from . import storefile as codec
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(codec, name)
+
 
 __all__ = [
     "Aborted",

@@ -33,8 +33,11 @@ p-constant relaxation could use a p-constant psi whose constituents are
 not, and it then skips a full system that has no solution anyway, so a
 store could differ only where that system would exhaust its node budget.
 
-`chartables.load_bundle` imports this module on its first call, so a
-command over a generated table (`cyclic_table`) never compiles it.
+A value's JSON encoding (`cyc_to_json`, `cyc_from_json`) lives here, with
+its only user; `helpzc.cyc_to_json` and `helpzc.cyc_from_json` name the
+same functions.  `chartables.load_bundle` imports this module on its first
+call, so a command over a generated table (`cyclic_table`) never compiles
+it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,46 @@ from pathlib import Path
 
 from .arith import factorize, is_prime, prime_factors
 from .chartables import BundleError, CharacterTable, ClassInfo, TableBundle
-from .cyclotomics import Cyc, FieldError, cyc_from_json, cyc_to_json
+from .cyclotomics import ONE, Cyc, FieldError, _canonical
+
+
+# -- values -------------------------------------------------------------------
+
+def cyc_to_json(a: Cyc):
+    """Encode a value: a bare int for an integer, else {n, coeffs}."""
+    if a.n == 1:
+        return a._c.get(0, 0)
+    return {"n": a.n, "coeffs": [[e, c] for e, c in sorted(a._c.items())]}
+
+
+def cyc_from_json(obj, m: int) -> Cyc:
+    """Decode the encoding produced by cyc_to_json (input need not be
+    canonical) of a value in Q(zeta_m): a JSON integer, or {n, coeffs} and
+    no other key, with integer [exponent, coefficient] pairs.  An encoding
+    over zeta_n is refused with a FieldError unless n divides m, before any
+    reduction, so the work is bounded by m, not by the input."""
+    if type(obj) is int:
+        return ONE * obj
+    if not isinstance(obj, dict):
+        raise ValueError(f"not a cyclotomic integer encoding: {obj!r}")
+    if obj.keys() != {"n", "coeffs"}:
+        raise ValueError(f"malformed cyclotomic value encoding: {obj!r}")
+    n, pairs = obj["n"], obj["coeffs"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"bad conductor in encoding: {n!r}")
+    if m % n:
+        raise FieldError(f"encoded over zeta_{n}, outside Q(zeta_{m})")
+    if not isinstance(pairs, list):
+        raise ValueError(f"coefficients must be a list: {pairs!r}")
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"bad coefficient entry: {pair!r}")
+        e, c = pair
+        if type(e) is not int or not 0 <= e < n:
+            raise ValueError(f"exponent {e!r} out of range for conductor {n}")
+        if type(c) is not int:
+            raise ValueError(f"coefficient {c!r} is not an integer")
+    return Cyc._raw(*_canonical(n, pairs))
 
 
 # -- validation ---------------------------------------------------------------

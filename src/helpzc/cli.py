@@ -30,18 +30,7 @@ from types import SimpleNamespace
 from .chartables import cyclic_table, load_bundle, resolve_bundle_path
 from .intsolve import DEFAULT_MAX_NODES
 from .records import Record
-from .verify import (
-    SolutionStore,
-    SolverOptions,
-    check_pq,
-    check_zc,
-    pa_to_json,
-    patuple_from_json,
-    patuple_to_json,
-    solve_order_report,
-    store_from_json,
-    store_to_json,
-)
+from .verify import SolutionStore, SolverOptions, check_pq, check_zc, solve_order_report
 from .wagner import wagner_test
 
 EXIT_OK = 0
@@ -67,6 +56,12 @@ def integer(text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def nonempty_path(text: str) -> str:
+    if not text:
+        raise ValueError("a path must not be empty")
+    return text
 
 
 def node_budget(text: str) -> int:
@@ -100,6 +95,8 @@ def check_outputs(args) -> None:
 
 def load_store(bundle, path: str | None) -> SolutionStore:
     if path and Path(path).is_file():
+        from .storefile import store_from_json
+
         with open(path) as fh:
             return store_from_json(bundle, json.load(fh))
     return SolutionStore(bundle.group_name)
@@ -107,6 +104,8 @@ def load_store(bundle, path: str | None) -> SolutionStore:
 
 def save_store(bundle, store: SolutionStore, path: str | None) -> None:
     if path:
+        from .storefile import store_to_json
+
         write_json(path, store_to_json(bundle, store))
 
 
@@ -131,6 +130,8 @@ def print_verdict(label: str, verdict) -> None:
 
 
 def verdict_json(command: str, bundle, verdict) -> dict:
+    from .storefile import store_to_json
+
     return {
         "command": command,
         "group": bundle.group_name,
@@ -176,6 +177,8 @@ def cmd_order(args) -> int:
         tag = "admissible" if cand in kept else "rejected"
         print(f"  {tag}: {format_pa(t, cand.top)}")
     if args.json_out:
+        from .storefile import pa_to_json, patuple_to_json
+
         write_json(
             args.json_out,
             {
@@ -189,6 +192,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_wagner(args) -> int:
+    from .storefile import patuple_from_json
+
     bundle = resolve_bundle(args.bundle)
     with open(args.tuple) as fh:
         data = json.load(fh)
@@ -254,9 +259,9 @@ OPTIONS = {
     "--max-nodes": Option(
         "N", "search node budget per system", node_budget, DEFAULT_MAX_NODES
     ),
-    "--json-out": Option("PATH", "write the result as JSON"),
-    "--store": Option("PATH", "resume from and persist the solution store"),
-    "--tuple": Option("FILE", "tuple as store JSON", required=True),
+    "--json-out": Option("PATH", "write the result as JSON", nonempty_path),
+    "--store": Option("PATH", "resume from and persist the solution store", nonempty_path),
+    "--tuple": Option("FILE", "tuple as store JSON", nonempty_path, required=True),
 }
 SOLVER = ("--no-shortcuts", "--no-brauer", "--p-constant", "--max-nodes", "--json-out", "--store")
 BUNDLE = (("bundle", str),)
@@ -414,6 +419,21 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+
+
+# The store codec, imported above only where a store, a --json-out payload
+# or a --tuple file is read or written, is reachable here as well.
+_STORE_CODEC = frozenset(
+    ("pa_to_json", "patuple_from_json", "patuple_to_json", "store_from_json", "store_to_json")
+)
+
+
+def __getattr__(name):
+    if name in _STORE_CODEC:
+        from . import storefile
+
+        return getattr(storefile, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,9 @@ plain ints coerce in arithmetic.  Z[zeta_n] is closed under sums, products
 and the Galois action, and Z[zeta_n] meets Q(zeta_d) in Z[zeta_d], so the
 descent to a subfield divides exactly: every step is integer arithmetic,
 and neither `fractions` nor floating point is used.
+
+A value's JSON encoding is read and written only with a bundle file, so
+`cyc_to_json` and `cyc_from_json` live in `helpzc.bundlefile`.
 """
 
 from __future__ import annotations
@@ -351,42 +354,3 @@ def root_of_unity(n: int, i: int = 1) -> Cyc:
 
 ZERO = Cyc._raw(1, {})
 ONE = Cyc._raw(1, {0: 1})
-
-
-# -- JSON encoding used by the table file format ----------------------------
-
-def cyc_to_json(a: Cyc):
-    """Encode a value: a bare int for an integer, else {n, coeffs}."""
-    if a.n == 1:
-        return a._c.get(0, 0)
-    return {"n": a.n, "coeffs": [[e, c] for e, c in sorted(a._c.items())]}
-
-
-def cyc_from_json(obj, m: int) -> Cyc:
-    """Decode the encoding produced by cyc_to_json (input need not be
-    canonical) of a value in Q(zeta_m): a JSON integer, or {n, coeffs} and
-    no other key, with integer [exponent, coefficient] pairs.  An encoding
-    over zeta_n is refused with a FieldError unless n divides m, before any
-    reduction, so the work is bounded by m, not by the input."""
-    if type(obj) is int:
-        return ONE * obj
-    if not isinstance(obj, dict):
-        raise ValueError(f"not a cyclotomic integer encoding: {obj!r}")
-    if obj.keys() != {"n", "coeffs"}:
-        raise ValueError(f"malformed cyclotomic value encoding: {obj!r}")
-    n, pairs = obj["n"], obj["coeffs"]
-    if type(n) is not int or n < 1:
-        raise ValueError(f"bad conductor in encoding: {n!r}")
-    if m % n:
-        raise FieldError(f"encoded over zeta_{n}, outside Q(zeta_{m})")
-    if not isinstance(pairs, list):
-        raise ValueError(f"coefficients must be a list: {pairs!r}")
-    for pair in pairs:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"bad coefficient entry: {pair!r}")
-        e, c = pair
-        if type(e) is not int or not 0 <= e < n:
-            raise ValueError(f"exponent {e!r} out of range for conductor {n}")
-        if type(c) is not int:
-            raise ValueError(f"coefficient {c!r} is not an integer")
-    return Cyc._raw(*_canonical(n, pairs))

@@ -31,9 +31,12 @@ sum_i w_i * x_i^2 <= R with integer weights w_i >= 0.  The pipeline:
      simplex (Bland's rule on an integer tableau with one common
      denominator): one phase 1 per system, then each bound re-optimized
      from the feasible basis; only such a system can be Infinite.  The
-     tableau lives in the `simplex` module, which `simplex_opt` imports
-     on its first call together with `fractions.Fraction`, the type of
-     its results, so a run over complete tables never loads either;
+     tableau, the LP's result records, this bounding (`lp_bounds`) and
+     the redundancy sweep live in the `simplex` module, which the first
+     LP imports together with `fractions.Fraction`, the type of its
+     results, so a run over complete tables never loads either.
+     `simplex_opt` stays here as the one LP entry, and those names
+     resolve as attributes of this module too;
   4. enumerate by depth-first fixing of parameters inside those bounds,
      pruning by integer interval propagation over the inequality rows: a
      worklist that starts with every row at the root and, after a
@@ -99,18 +102,6 @@ class Infinite(Record):
 
 class Aborted(Record):
     __slots__ = ("nodes",)
-
-
-class Optimal(Record):
-    __slots__ = ("value", "point")
-
-
-class Unbounded(Record):
-    __slots__ = ("ray",)
-
-
-class Infeasible(Record):
-    __slots__ = ()
 
 
 class Parametrization(Record):
@@ -349,7 +340,7 @@ def simplex_opt(inequalities, objective, maximize: bool = True):
     """
     from fractions import Fraction
 
-    from .simplex import _feasible_tableau
+    from .simplex import Infeasible, Optimal, Unbounded, _feasible_tableau
 
     d = len(objective)
     tab = _feasible_tableau(inequalities, d)
@@ -369,31 +360,6 @@ def simplex_opt(inequalities, objective, maximize: bool = True):
         Fraction(sign * value, tab.D * scale),
         tuple(Fraction(v, tab.D) for v in got),
     )
-
-
-def lp_bounds(rows, d: int):
-    """Integer bounds of each of the d free parameters over the LP
-    relaxation of `rows` (coeffs·t >= rhs): a maximizing and a minimizing
-    `simplex_opt` per parameter, all from one phase 1.
-
-    Returns [(lo, hi), ...], one interval per parameter; None when the
-    relaxation is infeasible or an interval holds no integer; or the
-    Unbounded result of the first unbounded parameter.
-    """
-    intervals = []
-    for j in range(d):
-        objective = tuple(1 if i == j else 0 for i in range(d))
-        hi = simplex_opt(rows, objective)
-        if isinstance(hi, Infeasible):
-            return None
-        lo = simplex_opt(rows, objective, maximize=False)
-        if isinstance(hi, Unbounded) or isinstance(lo, Unbounded):
-            return hi if isinstance(hi, Unbounded) else lo
-        lo, hi = math.ceil(lo.value), math.floor(hi.value)
-        if lo > hi:
-            return None
-        intervals.append((lo, hi))
-    return intervals
 
 
 # -- norm bound ----------------------------------------------------------------
@@ -465,35 +431,6 @@ def _ellipsoid(par: Parametrization, radius: int):
     return intervals, [sum(map(_mul, v, h)) for v in V], n
 
 
-# -- redundancy elimination --------------------------------------------------
-
-
-def remove_redundant(inequalities):
-    """Drop duplicate rows and rows implied by the remaining ones (LP test).
-
-    Never changes the solution set of the system, over rationals or
-    integers.  `solve_all` does not call it: on every system measured, one
-    LP per row cost more than the smaller row set saved.
-    """
-    seen = set()
-    rows = []
-    for row in inequalities:
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    i = 0
-    while i < len(rows):
-        coeffs, r = rows[i]
-        rest = rows[:i] + rows[i + 1:]
-        if rest:
-            res = simplex_opt(rest, coeffs, maximize=False)
-            if isinstance(res, Optimal) and res.value >= r:
-                rows.pop(i)
-                continue
-        i += 1
-    return tuple(rows)
-
-
 # -- enumeration -------------------------------------------------------------
 
 
@@ -557,14 +494,6 @@ def _interval_propagate(rows, meets, lo, hi, work, cap):
     return True
 
 
-def _scale_ray(ray):
-    """The primitive integer vector on the rational ray."""
-    denom = math.lcm(*(v.denominator for v in ray))
-    ints = [int(v * denom) for v in ray]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
-
-
 def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
     """All integer solutions of the system.
 
@@ -587,6 +516,8 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
         return Finite(())
 
     if sys.norm is None:
+        from .simplex import Unbounded, _scale_ray, lp_bounds
+
         intervals = lp_bounds(rows, d)
         if intervals is None:
             return Finite(())
@@ -670,3 +601,18 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
         return Aborted(nodes - 1)
 
     return Finite(tuple(sorted(set(solutions))))
+
+
+# The LP bounding and its records live in `simplex`, which a run over
+# complete tables never loads; these names resolve here too, loading it.
+_IN_SIMPLEX = frozenset(
+    ("Infeasible", "Optimal", "Unbounded", "lp_bounds", "remove_redundant", "_scale_ray")
+)
+
+
+def __getattr__(name):
+    if name in _IN_SIMPLEX:
+        from . import simplex
+
+        return getattr(simplex, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

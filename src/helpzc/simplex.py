@@ -1,15 +1,35 @@
-"""The fraction-free simplex behind `intsolve.simplex_opt`.
+"""The LP layer: the fraction-free simplex behind `intsolve.simplex_opt`,
+its result records, the bounding of a system's parameters by LP
+(`lp_bounds`) and the redundancy sweep (`remove_redundant`).
 
 Only a system without a norm bound reaches it, which among HeLP systems
-means one over an incomplete character table, so `simplex_opt` imports this
-module on its first call.
+means one over an incomplete character table, so `intsolve` imports this
+module at its first LP and a run over complete tables never compiles it.
+`intsolve.simplex_opt` stays the one LP entry: the functions here call it
+through `intsolve` at each call, and the names moved here from `intsolve`
+still resolve there.
 """
 
 from __future__ import annotations
 
 import math
+from math import gcd
 
+from . import intsolve
 from .intsolve import _bareiss_row
+from .records import Record
+
+
+class Optimal(Record):
+    __slots__ = ("value", "point")
+
+
+class Unbounded(Record):
+    __slots__ = ("ray",)
+
+
+class Infeasible(Record):
+    __slots__ = ()
 
 
 class _Tableau:
@@ -179,3 +199,75 @@ def _feasible_tableau(inequalities, d: int) -> _Tableau:
         rows = tuple(_integer_row(c, r) for c, r in inequalities)
         _warm = (key, _Tableau(rows, d))
     return _warm[1]
+
+
+# -- LP bounding ------------------------------------------------------------------
+
+
+def simplex_opt(inequalities, objective, maximize: bool = True):
+    """`intsolve.simplex_opt`, looked up at each call, so that a wrapper put
+    there after this module loaded (`bench/tracer.py` puts one) sees every
+    LP solved here."""
+    return intsolve.simplex_opt(inequalities, objective, maximize)
+
+
+def lp_bounds(rows, d: int):
+    """Integer bounds of each of the d free parameters over the LP
+    relaxation of `rows` (coeffs·t >= rhs): a maximizing and a minimizing
+    `simplex_opt` per parameter, all from one phase 1.
+
+    Returns [(lo, hi), ...], one interval per parameter; None when the
+    relaxation is infeasible or an interval holds no integer; or the
+    Unbounded result of the first unbounded parameter.
+    """
+    intervals = []
+    for j in range(d):
+        objective = tuple(1 if i == j else 0 for i in range(d))
+        hi = simplex_opt(rows, objective)
+        if isinstance(hi, Infeasible):
+            return None
+        lo = simplex_opt(rows, objective, maximize=False)
+        if isinstance(hi, Unbounded) or isinstance(lo, Unbounded):
+            return hi if isinstance(hi, Unbounded) else lo
+        lo, hi = math.ceil(lo.value), math.floor(hi.value)
+        if lo > hi:
+            return None
+        intervals.append((lo, hi))
+    return intervals
+
+
+def _scale_ray(ray):
+    """The primitive integer vector on the rational ray."""
+    denom = math.lcm(*(v.denominator for v in ray))
+    ints = [int(v * denom) for v in ray]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+# -- redundancy elimination --------------------------------------------------
+
+
+def remove_redundant(inequalities):
+    """Drop duplicate rows and rows implied by the remaining ones (LP test).
+
+    Never changes the solution set of the system, over rationals or
+    integers.  `solve_all` does not call it: on every system measured, one
+    LP per row cost more than the smaller row set saved.
+    """
+    seen = set()
+    rows = []
+    for row in inequalities:
+        if row not in seen:
+            seen.add(row)
+            rows.append(row)
+    i = 0
+    while i < len(rows):
+        coeffs, r = rows[i]
+        rest = rows[:i] + rows[i + 1:]
+        if rest:
+            res = simplex_opt(rest, coeffs, maximize=False)
+            if isinstance(res, Optimal) and res.value >= r:
+                rows.pop(i)
+                continue
+        i += 1
+    return tuple(rows)

@@ -12,8 +12,8 @@ partial augmentation tuples of u^p for every prime p | k are combined into
 compatible candidates for the proper powers of u, the constraint system of
 one candidate per Galois orbit is solved exactly and its solutions twisted
 onto the rest of the orbit, and the surviving tuples are filtered through
-the congruence test.  Results land in a SolutionStore which can be
-serialized for audit or resumed from.
+the congruence test.  Results land in a SolutionStore, which
+`helpzc.storefile` writes and reads as JSON, for audit or to resume from.
 
 A verdict is Proved or Unknown, never "false": an obstruction (nontrivial
 solutions, an infinite solution set, or an exhausted node budget) means the
@@ -346,118 +346,3 @@ def check_pq(
 ) -> Verdict:
     """No missing prime-graph order p*q has an admissible tuple."""
     return _check(bundle, orders_to_check_pq, lambda table, k: (), options, store)
-
-
-# -- persistence ------------------------------------------------------------------
-
-
-def pa_to_json(table: CharacterTable, pa) -> dict:
-    return {table.classes[i].name: v for i, v in pa.entries}
-
-
-def patuple_to_json(table: CharacterTable, tup: PATuple) -> dict:
-    return {str(e): pa_to_json(table, pa) for e, pa in tup.levels}
-
-
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise DriverError(f"{what} must be a JSON object")
-    return value
-
-
-def _order_key(key) -> int:
-    """An order written as a JSON key: the decimal string of an integer >= 2."""
-    try:
-        k = int(key)
-    except (TypeError, ValueError):
-        k = None
-    if k is None or str(k) != key or k < 2:
-        raise DriverError(f"{key!r} is not an order (an integer from 2 up)")
-    return k
-
-
-def patuple_from_json(table: CharacterTable, order: int, data: dict) -> PATuple:
-    _check_order(order)
-    levels = []
-    for e_str, by_name in _json_object(data, f"an order-{order} tuple").items():
-        e = _order_key(e_str)
-        values = {}
-        for name, v in _json_object(by_name, f"level {e}").items():
-            # bool is an int subclass, and a float may carry a fraction
-            if type(v) is not int:
-                raise DriverError(
-                    f"partial augmentation {name} = {v!r} at level {e}"
-                    " is not an integer"
-                )
-            values[table.index_of(name)] = v
-        levels.append((e, pa_vector(table, e, values)))
-    return PATuple(order, tuple(sorted(levels, key=lambda level: level[0])))
-
-
-def store_to_json(bundle: TableBundle, store: SolutionStore) -> dict:
-    t = bundle.ordinary
-    return {
-        "group": store.group_name,
-        "solutions": {
-            str(k): [patuple_to_json(t, tup) for tup in tuples]
-            for k, tuples in sorted(store.solutions.items())
-        },
-        "obstructions": {str(k): r for k, r in sorted(store.obstructions.items())},
-    }
-
-
-def store_from_json(bundle: TableBundle, data: dict) -> SolutionStore:
-    _json_object(data, "a store")
-    if data.get("group") != bundle.group_name:
-        raise DriverError(
-            f"store belongs to {data.get('group')!r}, not {bundle.group_name!r}"
-        )
-    store = SolutionStore(bundle.group_name)
-    t = bundle.ordinary
-    for k_str, tuples in _json_object(data.get("solutions", {}), "solutions").items():
-        k = _order_key(k_str)
-        if not isinstance(tuples, list):
-            raise DriverError(f"the tuples of order {k} must be a JSON list")
-        loaded = []
-        for item in tuples:
-            tup = patuple_from_json(t, k, item)
-            if not tup.is_complete():
-                raise DriverError(f"stored tuple for order {k} is incomplete")
-            if not wagner_test(t, tup):
-                raise DriverError(
-                    f"stored tuple for order {k} fails the congruence test"
-                )
-            loaded.append(tup)
-        store.solutions[k] = tuple(sorted(set(loaded), key=canonical_key))
-    for k_str, reason in _json_object(
-        data.get("obstructions", {}), "obstructions"
-    ).items():
-        k = _order_key(k_str)
-        if k in store.solutions:
-            raise DriverError(f"store has order {k} both solved and obstructed")
-        # _candidates marks only these; nontrivial solutions are a verdict,
-        # and a marker would block the order without ever being retried
-        if reason not in (REASON_INFINITE, REASON_BUDGET):
-            raise DriverError(f"order {k}: unknown obstruction {reason!r}")
-        store.obstructions[k] = reason
-    for k in store.solutions:
-        for d in divisors(k):
-            if 1 < d < k and d not in store.solutions:
-                raise DriverError(
-                    f"store has order {k} but no entry for its divisor {d}"
-                )
-    # the recursion builds order k only from stored tuples of each k/p
-    for k, tuples in store.solutions.items():
-        for tup in tuples:
-            for p in prime_factors(k):
-                m = k // p
-                if m > 1 and tup.restrict(m) not in store.solutions[m]:
-                    raise DriverError(
-                        f"stored tuple for order {k} restricts to an order-{m}"
-                        " tuple the store does not hold"
-                    )
-    # group elements pass every filter, so a store helpzc wrote holds them
-    for k, tuples in store.solutions.items():
-        if not set(trivial_solutions(t, k)) <= set(tuples):
-            raise DriverError(f"stored order {k} lacks a group element's tuple")
-    return store

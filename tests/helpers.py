@@ -37,7 +37,7 @@ from helpzc.cyclotomics import (
     ramanujan_sums,
     root_of_unity,
 )
-from helpzc.intsolve import Finite, Infeasible, LinSystem, Optimal, Unbounded, solve_all
+from helpzc.intsolve import Finite, LinSystem, solve_all
 from helpzc.verify import (
     _aggregated_rules_out,
     _merge_levels,
@@ -383,6 +383,10 @@ def reference_simplex(inequalities, objective, maximize: bool = True):
     point/ray live in t-space; the ray certifies unboundedness of the
     requested direction.
     """
+    # imported here, as the LP layer is, so that importing these helpers
+    # leaves `helpzc.simplex` unloaded
+    from helpzc.simplex import Infeasible, Optimal, Unbounded
+
     d = len(objective)
     obj = [Fraction(c) for c in objective]
     if not maximize:

@@ -41,13 +41,13 @@ from helpzc.constraints import (
     mu_sums,
 )
 from helpzc.intsolve import Finite, solve_all
+from helpzc.storefile import patuple_to_json
 from helpzc.verify import (
     SolutionStore,
     SolverOptions,
     check_pq,
     check_zc,
     compatible,
-    patuple_to_json,
     solve_order,
     solve_order_report,
     trivial_solutions,

@@ -16,6 +16,7 @@ from pathlib import Path
 import helpzc
 from helpzc import chartables
 from helpzc.chartables import cyclic_table
+from helpzc.intsolve import Finite, LinSystem, solve_all
 from helpzc.verify import SolverOptions, check_zc
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -99,3 +100,27 @@ def test_load_span_covers_the_lazily_imported_reader(monkeypatch):
     assert bundle.ordinary.group_order == 6
     assert [span[0] for span in trace.spans] == ["chartables.load"]
     assert trace.counts["chartables.load_calls"] == 1
+
+
+def test_every_lp_records_one_span(monkeypatch):
+    # a system without a norm bound is bounded by LP; every simplex_opt
+    # call must record one intsolve.lp span, also when the LP layer is
+    # first imported while the tracer installs or after it
+    monkeypatch.delitem(sys.modules, "helpzc.simplex", raising=False)
+    monkeypatch.delattr(helpzc, "simplex", raising=False)
+    trace = install_tracer(monkeypatch)
+    simplex = importlib.import_module("helpzc.simplex")
+    calls = []
+    real = simplex._feasible_tableau
+
+    def counting(*args):
+        # simplex_opt builds or reuses one tableau per call
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simplex, "_feasible_tableau", counting)
+    system = LinSystem(("x0", "x1", "x2", "x3"), (((1, 1, 1, 1), 3),), frozenset(range(4)))
+    result = solve_all(system)
+    assert isinstance(result, Finite) and len(result.solutions) == 20
+    spans = [span for span in trace.spans if span[0] == "intsolve.lp"]
+    assert len(spans) == len(calls) == trace.counts["intsolve.lp_solves"] > 0

@@ -14,7 +14,8 @@ from helpzc.chartables import (
     load_bundle,
     resolve_bundle_path,
 )
-from helpzc.cyclotomics import ONE, Cyc, cyc_from_json, cyc_to_json, root_of_unity
+from helpzc.bundlefile import cyc_from_json, cyc_to_json
+from helpzc.cyclotomics import ONE, Cyc, root_of_unity
 
 BUNDLED = ["s3.json", "s4.json", "a5.json", "sl23.json", "m11.json"]
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import BUNDLE_CORRUPTIONS, corrupted_bundle
-from helpzc import cli
+from helpzc import cli, storefile
 from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import cyclic_table
 from helpzc.cli import build_parser, main, solver_options
@@ -291,6 +291,27 @@ def test_store_that_is_also_the_json_out_is_refused_first(capsys, tmp_path, monk
     assert not (tmp_path / "absent.json").exists()
 
 
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--store", ("zc", "nowhere")),
+        ("--json-out", ("order", "12", "nowhere")),
+        ("--tuple", ("wagner", "6", "nowhere")),
+    ],
+)
+def test_empty_path_is_a_usage_error(capsys, tmp_path, monkeypatch, option, argv):
+    # an empty path used to read as no path: the run exited 0 and wrote
+    # nothing; now it is refused before the bundle is resolved
+    monkeypatch.chdir(tmp_path)
+    for spelling in ((f"{option}=",), (option, "")):
+        code, out, err = run(capsys, *argv, *spelling)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            f"helpzc {argv[0]}: error: argument {option}: a path must not be empty"
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_json_out_verdict(capsys, tmp_path):
     out_path = tmp_path / "verdict.json"
     code, _, _ = run(capsys, "pq", "a5", "--json-out", str(out_path))
@@ -341,14 +362,19 @@ M11_ORDER_12 = {
 
 def test_order_payload_is_built_only_when_written(capsys, tmp_path, monkeypatch):
     calls = []
-    for name in ("patuple_to_json", "pa_to_json", "store_to_json", "write_json"):
-        real = getattr(cli, name)
+    for module, name in (
+        (storefile, "patuple_to_json"),
+        (storefile, "pa_to_json"),
+        (storefile, "store_to_json"),
+        (cli, "write_json"),
+    ):
+        real = getattr(module, name)
 
         def counting(*args, _name=name, _real=real):
             calls.append(_name)
             return _real(*args)
 
-        monkeypatch.setattr(cli, name, counting)
+        monkeypatch.setattr(module, name, counting)
     assert run(capsys, "order", "12", "m11")[0] == 0
     assert calls == []
     out_path = tmp_path / "order.json"

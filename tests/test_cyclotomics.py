@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import reference_canonical, reference_str, trace_to_rational
 from helpzc.arith import euler_phi
+from helpzc.bundlefile import cyc_from_json, cyc_to_json
 from helpzc.cyclotomics import (
     ONE,
     ZERO,
     Cyc,
     FieldError,
     GaloisError,
-    cyc_from_json,
-    cyc_to_json,
     cyclotomic_polynomial,
     root_of_unity,
 )

@@ -12,13 +12,8 @@ import json
 import pytest
 
 from helpzc.cli import build_parser, resolve_bundle, solver_options
-from helpzc.verify import (
-    SolutionStore,
-    check_pq,
-    check_zc,
-    solve_order_report,
-    store_to_json,
-)
+from helpzc.storefile import store_to_json
+from helpzc.verify import SolutionStore, check_pq, check_zc, solve_order_report
 
 GOLDEN = {
     "zc s3":

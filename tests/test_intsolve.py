@@ -260,13 +260,13 @@ def test_wide_search_bounds_once_and_matches_box(monkeypatch):
     # propagation alone: one lp_bounds call per system that reaches
     # bounding, none at the search nodes
     calls = []
-    real = intsolve.lp_bounds
+    real = simplex.lp_bounds
 
     def counting(rows, d):
         calls.append(d)
         return real(rows, d)
 
-    monkeypatch.setattr(intsolve, "lp_bounds", counting)
+    monkeypatch.setattr(simplex, "lp_bounds", counting)
     rng = random.Random(17)
     bounded = 0
     for _ in range(20):

@@ -2,9 +2,12 @@
 that it runs.
 
 `chartables.load_bundle` imports the JSON bundle reader (`helpzc.bundlefile`)
-on its first call, and `intsolve.simplex_opt` imports the simplex
-(`helpzc.simplex`) on its first call, so a command over a generated table,
-or over systems that all carry a norm bound, never compiles either.  Table
+on its first call, and the first LP imports the LP layer (`helpzc.simplex`),
+so a command over a generated table, or over systems that all carry a norm
+bound, never compiles either.  `cli` imports the store codec
+(`helpzc.storefile`) only to read or write a store, a `--json-out` payload
+or a `--tuple` file.  `helpzc`, `helpzc.cli` and `helpzc.intsolve` still
+resolve the names that moved into these modules.  Table
 values are cyclotomic integers, loaded and checked in integer arithmetic,
 so `fractions` (and with it `decimal`) is imported only by
 `intsolve.simplex_opt`, for an LP.  The command line is read by `cli`'s own
@@ -26,7 +29,15 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
-LAZY = {"helpzc.bundlefile", "helpzc.simplex", "helpzc.usage"}
+LAZY = {"helpzc.bundlefile", "helpzc.simplex", "helpzc.storefile", "helpzc.usage"}
+# what a solve over a generated table compiles: the solver and the CLI
+SOLVER = {"helpzc"} | {
+    f"helpzc.{name}"
+    for name in (
+        "arith", "records", "cyclotomics", "chartables", "intsolve",
+        "constraints", "wagner", "verify", "cli",
+    )
+}
 
 RATIONALS = {"fractions", "decimal"}
 ARGPARSE = {"argparse", "gettext", "locale"}
@@ -56,13 +67,78 @@ def loaded_after(code: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def helpzc_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m.split(".")[0] == "helpzc"}
+
+
 def test_cyclic_command_loads_neither_reader_nor_simplex():
     loaded = loaded_after(
         "from helpzc import cli\n"
         "assert cli.main(['zc', '--no-shortcuts', 'cyclic:12']) == 0\n"
     )
-    assert "helpzc.cli" in loaded
+    assert helpzc_modules(loaded) == SOLVER
     assert loaded & LAZY == set()
+
+
+@pytest.mark.parametrize(
+    "argv", [["zc", "m11"], ["pq", "m11"], ["order", "12", "m11"]], ids=" ".join
+)
+def test_bundle_solve_adds_the_reader_only(argv):
+    loaded = loaded_after(f"from helpzc import cli\nassert cli.main({argv!r}) in (0, 2)\n")
+    assert helpzc_modules(loaded) == SOLVER | {"helpzc.bundlefile"}
+
+
+@pytest.mark.parametrize(
+    "argv, codec",
+    [
+        pytest.param(argv, codec, id=" ".join(argv))
+        for argv, codec in (
+            (["zc", "a5", "--store", "OUT"], True),
+            (["zc", "a5", "--json-out", "OUT"], True),
+            (["order", "12", "m11", "--json-out", "OUT"], True),
+            (["wagner", "6", "m11", "--tuple", "TUPLE"], True),
+            (["zc", "a5"], False),
+            (["pq", "a5"], False),
+            (["order", "12", "m11"], False),
+            (["info", "s3"], False),
+        )
+    ],
+)
+def test_store_codec_loads_only_for_a_file(tmp_path, argv, codec):
+    tup = tmp_path / "t.json"
+    tup.write_text(json.dumps({"2": {"2a": 1}, "3": {"3a": 1}, "6": {"6a": 1}}))
+    files = {"OUT": str(tmp_path / "out.json"), "TUPLE": str(tup)}
+    argv = [files.get(a, a) for a in argv]
+    loaded = loaded_after(f"from helpzc import cli\nassert cli.main({argv!r}) == 0\n")
+    assert ("helpzc.storefile" in loaded) == codec
+
+
+def test_moved_names_resolve_at_their_old_places():
+    import helpzc
+    from helpzc import bundlefile, cli, intsolve, simplex, storefile
+
+    moved = [
+        (helpzc, storefile, ("store_from_json", "store_to_json")),
+        (helpzc, bundlefile, ("cyc_from_json", "cyc_to_json")),
+        (
+            cli,
+            storefile,
+            ("pa_to_json", "patuple_from_json", "patuple_to_json", "store_from_json",
+             "store_to_json"),
+        ),
+        (
+            intsolve,
+            simplex,
+            ("Infeasible", "Optimal", "Unbounded", "lp_bounds", "remove_redundant",
+             "_scale_ray"),
+        ),
+    ]
+    for old, new, names in moved:
+        for name in names:
+            assert getattr(old, name) is getattr(new, name), (old.__name__, name)
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            getattr(old, "no_such_name")
+    assert all(hasattr(helpzc, name) for name in helpzc.__all__)
 
 
 def test_bundle_command_loads_the_reader_only():

@@ -13,6 +13,12 @@ from helpzc.chartables import (
     resolve_bundle_path,
 )
 from helpzc.constraints import PATuple, pa_vector
+from helpzc.storefile import (
+    patuple_from_json,
+    patuple_to_json,
+    store_from_json,
+    store_to_json,
+)
 from helpzc.verify import (
     REASON_BUDGET,
     REASON_INFINITE,
@@ -26,12 +32,8 @@ from helpzc.verify import (
     compatible,
     orders_to_check_pq,
     orders_to_check_zc,
-    patuple_from_json,
-    patuple_to_json,
     solve_order,
     solve_order_report,
-    store_from_json,
-    store_to_json,
     trivial_solutions,
     usable_tables,
 )
