@@ -102,15 +102,19 @@ Each character table gets one integer block of C_m per unit order m, built
 from the stored exponents on first use, with each distinct value traced
 once, and kept on the table; a table set's coefficients are its tables'
 blocks joined.  What the systems of one order share (the rows merged by
-coefficient tuple, the variables, the norm) is built once per order and
-table set, and each proper power's sums of identity 1 once per table, so a
-system computes only its constant terms.  Cyclotomic (Cyc) arithmetic only
-loads and validates the character tables.
+coefficient tuple, their layout, the degrees, the variables, the norm) is
+built once per order and table set, each proper power's sums of identity 1
+once per table, and their share of the constants, in the merged order, once
+per order.  A system's constant terms are then one flat list, the degrees
+plus its proper powers' shares, and every step over the rows (psi, l) is an
+operation on whole lists: the sum, the clash test mod k, and the check of
+each solution's multiplicities.  Cyclotomic (Cyc) arithmetic only loads and
+validates the character tables.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add
 
@@ -443,16 +447,34 @@ def build_system(
     return _assemble(bundle.ordinary, tables, k, None, levels)
 
 
+class Layout(Record):
+    """Where the rows (psi, l) of an order-k system sit, in the merged
+    order of _template: `at[j]` is the index r*k + l of the j-th one, r the
+    row in char_rows(tables) and l < k, `labels[j]` and `ells[j]` name it,
+    and the congruence rows own `runs` of them in turn.  The rows used are
+    `used`, and positions[i*k:i*k + k] are where row used[i]'s k entries
+    sit, in the order of l."""
+
+    __slots__ = ("at", "labels", "ells", "runs", "used", "positions")
+
+
+class Constants(Record):
+    """The constant terms a(psi, l) of one system, one flat tuple in its
+    layout's merged order; every congruence row of the system holds this
+    one record."""
+
+    __slots__ = ("layout", "values")
+
+
 def _template(ordinary, tables, k, p):
     """What the order-k systems over `tables` share, kept on the ordinary
     table; p is None for the full system, else the summed prime of identity
     4.  The rows (psi, l) are merged by coefficient tuple C in first-seen
-    order: the distinct C, the bounds of each one's run in `at`, and per row
-    its index r*k + l into the flat constants (r indexing char_rows(tables)),
-    label and l.  Then the degrees, laid out like the constants, the lead
-    variables, Σ x = 1 and the norm bound of identity 5 if the ordinary
-    table is complete.  A few flat tuples, not one per row, keep the
-    garbage collector's work small."""
+    order: the distinct C, the bounds of each one's run and the Layout.
+    Then the degrees gathered in merged order, each proper level's share
+    gathered likewise on first use, the lead variables, Σ x = 1 and the
+    norm bound of identity 5 if the ordinary table is complete.  A few flat
+    tuples, not one per row, keep the garbage collector's work small."""
     key = (k, tuple(tables), p)
     template = ordinary.templates.get(key)
     if template is not None:
@@ -474,6 +496,16 @@ def _template(ordinary, tables, k, p):
                 c = tuple([c[j] for j in columns])
             merged.setdefault(c, []).append(i)
     at = tuple(chain.from_iterable(merged.values()))
+    runs = tuple(map(len, merged.values()))
+    layout = Layout(
+        at,
+        tuple([rows[i // k].label for i in at]),
+        tuple([i % k for i in at]),
+        runs,
+        tuple(used),
+        # sorting the merged positions by index r*k + l groups them by row
+        tuple(sorted(range(len(at)), key=at.__getitem__)),
+    )
     lead = [EpsVar(support[i], ordinary.classes[support[i]].name) for i in columns]
     if p is not None:
         lead[-1] = AggVar(p)
@@ -489,11 +521,10 @@ def _template(ordinary, tables, k, p):
         norm = (tuple(scale // size for size in sizes), scale)
     template = ordinary.templates[key] = (
         tuple(merged),
-        tuple(accumulate(map(len, merged.values()), initial=0)),
-        at,
-        tuple([rows[i // k].label for i in at]),
-        tuple([i % k for i in at]),
-        [row.degree for row in rows for _ in range(k)],
+        tuple(accumulate(runs, initial=0)),
+        layout,
+        tuple([rows[i // k].degree for i in at]),
+        {},
         tuple(lead),
         (((1,) * len(lead), 1),),
         norm,
@@ -503,27 +534,32 @@ def _template(ordinary, tables, k, p):
 
 def _assemble(ordinary, tables, k, p, levels) -> LinSystem:
     """The system of _template(...) for the proper powers `levels`, with
-    a(psi, l) = deg psi + each level's kept sums (identity 1): per distinct
-    C the row C·x + a ≡ 0 (mod k), C·x + a >= 0, a the least constant of
-    its rows and `owners` each one's ((label, l), a(psi, l)); if two of
-    them differ mod k, the system is the clash row (0, 1, None)."""
-    coefficients, bounds, at, labels, ells, a_terms, lead, equalities, norm = _template(
+    constants a(psi, l) = deg psi + each level's share (identity 1), summed
+    a whole list at a time in merged order.  Per distinct C the row
+    (C, a, constants), C·x + a ≡ 0 (mod k) and C·x + a >= 0, a the least
+    constant of its run and `constants` the Constants record shared by all
+    rows; if two constants of one run differ mod k, the system is the clash
+    row (0, 1, None)."""
+    coefficients, bounds, layout, constants, shares, lead, equalities, norm = _template(
         ordinary, tables, k, p
     )
     for pa in levels:
-        # each level's sums repeat every e = pa.order
-        sums = [s * (k // pa.order) for t in tables for s in _level_sums(t, pa)]
-        a_terms = list(map(add, a_terms, chain.from_iterable(sums)))
-    constants = list(map(a_terms.__getitem__, at))
-    owners = tuple(zip(zip(labels, ells), constants))
+        share = shares.get(pa)
+        if share is None:
+            # a level of order e repeats its e sums every e entries
+            sums = [s * (k // pa.order) for t in tables for s in _level_sums(t, pa)]
+            flat = list(chain.from_iterable(sums))
+            share = shares[pa] = tuple(map(flat.__getitem__, layout.at))
+        constants = map(add, constants, share)
+    constants = tuple(constants)
+    residues = list(map(k.__rmod__, constants))
+    record = Constants(layout, constants)
     congruences = []
     for coeffs, lo, hi in zip(coefficients, bounds, bounds[1:]):
-        run = constants[lo:hi]
-        a = min(run)
-        if any((b - a) % k for b in run):
+        if len(set(residues[lo:hi])) > 1:
             congruences = [((0,) * len(lead), 1, None)]
             break
-        congruences.append((coeffs, a, owners[lo:hi]))
+        congruences.append((coeffs, min(constants[lo:hi]), record))
     return LinSystem(lead, equalities, frozenset(), norm, k, tuple(congruences))
 
 
@@ -573,23 +609,33 @@ def eps_projection(sys: LinSystem, solution) -> dict[int, int]:
     return out
 
 
-def mu_values(sys: LinSystem, solution) -> dict[tuple[str, int], int]:
-    """(row label, l) -> multiplicity, recomputed from the solution's eps:
-    (C·eps + a(psi, l)) / k for each owner of each congruence row, which
-    must be a nonnegative integer, so anything else means a bug."""
-    out = {}
-    k = sys.modulus
+def _numerators(sys: LinSystem, solution):
+    """The layout of `sys` and k·mu = C·eps + a(psi, l) for every (psi, l)
+    in its merged order: each run's dot product, repeated over the run,
+    plus the constants.  Each must be a nonnegative multiple of k, so
+    anything else means a bug; the message names the first (psi, l) that
+    is not."""
+    record = sys.congruences[0][2]
+    if record is None:
+        raise AssertionError("a system with clashing constants has no solution")
     nonzero = [(i, v) for i, v in enumerate(solution) if v]
-    for coeffs, _, owners in sys.congruences:
-        if owners is None:
-            raise AssertionError("a system with clashing constants has no solution")
-        dot = sum([coeffs[i] * v for i, v in nonzero])
-        for key, a in owners:
-            count, rem = divmod(dot + a, k)
-            if rem or count < 0:
-                raise AssertionError(f"{key}: {dot + a} / {k} is no nonnegative integer")
-            out[key] = count
-    return out
+    dots = [sum([c[i] * v for i, v in nonzero]) for c, _, _ in sys.congruences]
+    layout, k = record.layout, sys.modulus
+    repeated = chain.from_iterable(map(repeat, dots, layout.runs))
+    values = list(map(add, repeated, record.values))
+    if min(values) < 0 or any(map(k.__rmod__, values)):
+        j = next(j for j, v in enumerate(values) if v < 0 or v % k)
+        key = (layout.labels[j], layout.ells[j])
+        raise AssertionError(f"{key}: {values[j]} / {k} is no nonnegative integer")
+    return layout, values
+
+
+def mu_values(sys: LinSystem, solution) -> dict[tuple[str, int], int]:
+    """(row label, l) -> multiplicity (C·eps + a(psi, l)) / k, recomputed
+    from the solution's eps."""
+    layout, values = _numerators(sys, solution)
+    k = sys.modulus
+    return dict(zip(zip(layout.labels, layout.ells), [v // k for v in values]))
 
 
 def mu_sums(sys: LinSystem, solution) -> dict[str, int]:
@@ -601,13 +647,17 @@ def mu_sums(sys: LinSystem, solution) -> dict[str, int]:
 
 
 def assert_mu_sums(sys: LinSystem, solution, rows) -> None:
-    """The multiplicities of each row must be nonnegative integers summing
-    to its degree; both are implied by the system, so a violation means a
+    """The multiplicities of each row the system was built from, rows[r]
+    for r in its layout's `used`, must be nonnegative integers summing to
+    its degree; both are implied by the system, so a violation means a
     bug."""
-    sums = mu_sums(sys, solution)
-    for row in rows:
-        if row.label in sums and sums[row.label] != row.degree:
+    layout, values = _numerators(sys, solution)
+    k = sys.modulus
+    # the values of each row in turn, k at a time
+    ordered = iter(list(map(values.__getitem__, layout.positions)))
+    for r, total in zip(layout.used, map(sum, zip(*[ordered] * k))):
+        if total != k * rows[r].degree:
             raise AssertionError(
-                f"multiplicity sum {sums[row.label]} != degree {row.degree}"
-                f" for {row.label}"
+                f"multiplicity sum {total // k} != degree {rows[r].degree}"
+                f" for {rows[r].label}"
             )

@@ -59,9 +59,10 @@ DEFAULT_MAX_NODES = 10_000_000
 
 class LinSystem(Record):
     """Integer equalities Σ c·x = rhs, x_i ≥ 0 for i in nonneg, for each
-    congruence row (c, a, owners) c·x + a ≡ 0 (mod modulus) and c·x + a ≥ 0,
-    and Σ w_i·x_i² ≤ R when norm = (w, R) is given.  `owners`, like the
-    variables, means nothing to the solver (see constraints._assemble)."""
+    congruence row (c, a, tag) c·x + a ≡ 0 (mod modulus) and c·x + a ≥ 0,
+    and Σ w_i·x_i² ≤ R when norm = (w, R) is given.  The tag, like the
+    variables, means nothing to the solver: a HeLP system's rows all hold
+    its one record of constant terms (see constraints._assemble)."""
 
     __slots__ = ("variables", "equalities", "nonneg", "norm", "modulus", "congruences")
 

@@ -153,6 +153,17 @@ def built_systems(monkeypatch, bundle, checker, options):
     return [system for _, _, system in built_calls(monkeypatch, bundle, checker, options)]
 
 
+def constant_terms(sys):
+    """(row label, l) -> a(psi, l) in the system's merged order, read from
+    the Constants record that its congruence rows share; empty for the
+    clash row, which has none."""
+    record = sys.congruences[0][2]
+    if record is None:
+        return {}
+    layout = record.layout
+    return dict(zip(zip(layout.labels, layout.ells), record.values))
+
+
 # -- reference assembly ----------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from helpers import (
     asymmetric_row,
     brauer_table,
     brute_force_pa_solutions,
+    constant_terms,
     proper,
     reference_galois_twists,
     trace_to_rational,
@@ -33,6 +34,7 @@ from helpzc.chartables import (
 from helpzc.constraints import (
     AggVar,
     CharRow,
+    Constants,
     ConstraintError,
     EpsVar,
     PATuple,
@@ -67,12 +69,6 @@ def solutions_on_support(sys, result):
         proj = eps_projection(sys, sol)
         out.append(tuple(proj[i] for i in sorted(proj)))
     return sorted(out)
-
-
-def constant_terms(sys):
-    """(row label, l) -> a(psi, l), as each congruence row's owners record
-    it."""
-    return {key: a for _, _, owners in sys.congruences for key, a in owners}
 
 
 def trivial_proper(table, k, chosen):
@@ -286,17 +282,17 @@ def test_variable_layout_and_merging():
     assert [type(v) for v in sys.variables] == [EpsVar]
     assert sys.equalities == (((1,), 1),)
     assert sys.nonneg == frozenset() and sys.modulus == 2
-    owners = [o for _, _, o in sys.congruences]
-    # trivial and sign character rows coincide pairwise
+    # trivial and sign character rows coincide pairwise: ord0 at l = 0 and
+    # ord1 at l = 1 have C = (1,), the other two C = (-1,)
     assert [coeffs for coeffs, _, _ in sys.congruences] == [(1,), (-1,)]
-    assert all(len(o) == 2 for o in owners)
-    assert {key for o in owners for key, _ in o} == {
-        ("ord0", 0), ("ord0", 1), ("ord1", 0), ("ord1", 1)
-    }
-    # each row keeps the least constant of its owners
-    assert all(a == min(b for _, b in o) for _, a, o in sys.congruences)
+    a = constant_terms(sys)
+    assert list(a) == [("ord0", 0), ("ord1", 1), ("ord0", 1), ("ord1", 0)]
+    # each row keeps the least constant of its run of two
+    values = list(a.values())
+    assert [b for _, b, _ in sys.congruences] == [min(values[:2]), min(values[2:])]
+    # and both rows share one record of the constants
+    assert sys.congruences[0][2] is sys.congruences[1][2]
     assert str(sys.variables[0]) == "eps:g1"
-    assert sys.congruences[0][2][0][0][0] == "ord0"
 
 
 def trivial_plus(n, extra):
@@ -360,6 +356,30 @@ def test_mu_values_reject_a_non_solution():
     # the message names the (row, l) whose multiplicity fails
     with pytest.raises(AssertionError, match=r"^\('ord\d', \d\): .* no nonnegative integer"):
         mu_values(sys, (2, -1, 0))
+
+
+def test_mu_sums_reject_a_wrong_degree_sum():
+    b = cyclic_table(4)
+    sys = build_system(b, 4, trivial_proper(b.ordinary, 4, 1))
+    sol = solve_all(sys).solutions[0]
+    rows = char_rows((b.ordinary,))
+    assert_mu_sums(sys, sol, rows)
+    # one constant raised by k: every multiplicity is still a nonnegative
+    # integer, but that row's sum is its degree plus 1
+    record = sys.congruences[0][2]
+    j = record.layout.labels.index("ord2")
+    values = list(record.values)
+    values[j] += 4
+    raised = Constants(record.layout, tuple(values))
+    bad = LinSystem(
+        sys.variables, sys.equalities, sys.nonneg, sys.norm, sys.modulus,
+        tuple((coeffs, a, raised) for coeffs, a, _ in sys.congruences),
+    )
+    key = ("ord2", record.layout.ells[j])
+    assert mu_values(bad, sol)[key] == mu_values(sys, sol)[key] + 1
+    assert mu_sums(bad, sol)["ord2"] == 2
+    with pytest.raises(AssertionError, match=r"^multiplicity sum 2 != degree 1 for ord2$"):
+        assert_mu_sums(bad, sol, rows)
 
 
 def test_integer_coefficients():
@@ -681,11 +701,8 @@ def test_trace_blocks_are_shared_between_table_sets(monkeypatch):
     assert len(keys) < sum(len(char_rows((x,))) for x in with_mod5)
     assert set(t.trace_blocks) == {2}
     # the second set's system is the first's without the mod-5 rows
-    mu_owners = [
-        {key for _, _, owners in s.congruences for key, _ in owners}
-        for s in systems
-    ]
-    assert mu_owners[1] == {o for o in mu_owners[0] if not o[0].startswith("mod5:")}
+    terms = [set(constant_terms(s)) for s in systems]
+    assert terms[1] == {key for key in terms[0] if not key[0].startswith("mod5:")}
 
 
 def test_char_rows_are_built_once_per_table(monkeypatch):

@@ -27,8 +27,10 @@ from helpzc.cli import Command, Option
 from helpzc.constraints import (
     AggVar,
     CharRow,
+    Constants,
     ConstraintError,
     EpsVar,
+    Layout,
     PATuple,
     PAVector,
 )
@@ -61,6 +63,14 @@ def fields_of(cls):
 
 def _fixtures():
     pa2 = PAVector(2, ((1, 1),))
+    layout = (
+        (0, 3, 1, 2),
+        ("ord0", "ord1", "ord0", "ord1"),
+        (0, 1, 1, 0),
+        (2, 2),
+        (0, 1),
+        ((0, 2), (3, 1)),
+    )
     return {
         ClassInfo: ("2a", 2, 15),
         PAVector: (4, ((1, 2), (3, -1))),
@@ -68,13 +78,15 @@ def _fixtures():
         CharRow: ("ord1", 1, (ONE, root_of_unity(4))),
         EpsVar: (3, "4a"),
         AggVar: (5,),
+        Layout: layout,
+        Constants: (Layout(*layout), (1, 1, 1, 1)),
         LinSystem: (
             ("x", "y"),
             (((1, 1), 1),),
             frozenset({0, 1}),
             ((1, 1), 1),
             3,
-            (((1, 2), 1, ((("ord1", 0), 1),)),),
+            (((1, 2), 1, Constants(Layout(*layout), (1, 1))),),
         ),
         Finite: (((1, 0), (0, 1)),),
         Infinite: ((1, -1),),
@@ -119,7 +131,8 @@ def test_every_record_has_a_fixture():
 
 def test_records_that_only_store_their_fields_write_no_constructor():
     assert {c.__name__ for c in BASE_BUILT} == {
-        "ClassInfo", "CharRow", "EpsVar", "AggVar", "Finite", "Infinite",
+        "ClassInfo", "CharRow", "EpsVar", "AggVar", "Layout", "Constants",
+        "Finite", "Infinite",
         "Aborted", "Optimal", "Unbounded", "Infeasible", "Parametrization",
         "ShortcutProved", "Command",
     }

@@ -11,18 +11,22 @@ with one nonnegative multiplicity column per row, and that written-out
 system without its norm, bounded by the LP.
 """
 
+import gc
+
 import pytest
 
 from helpers import (
     built_calls,
     built_systems,
     bundle_of,
+    constant_terms,
     reference_system,
     solve_unreduced,
 )
 from helpzc import intsolve, verify
-from helpzc.constraints import AggVar
+from helpzc.constraints import AggVar, build_system
 from helpzc.intsolve import Finite, Infinite, LinSystem, solve_all
+from helpzc.records import Record
 from helpzc.verify import (
     SolutionStore,
     SolverOptions,
@@ -97,10 +101,16 @@ def test_assembly_matches_the_per_system_reference(monkeypatch, name, command, v
         else:
             bundle, k, p, proper, tables = args
             reference = reference_system(bundle, k, proper, tables, p)
-        # field by field, so that a failure names the field; tuples compare
-        # the congruences and their owners in order
+        # field by field, so that a failure names the field; the reference
+        # rows carry their ((label, l), a(psi, l)) owners, which must be the
+        # system's constant terms in order
         for field in LinSystem.__slots__:
-            assert getattr(system, field) == getattr(reference, field), field
+            if field != "congruences":
+                assert getattr(system, field) == getattr(reference, field), field
+        rows = [row[:2] for row in system.congruences]
+        assert rows == [row[:2] for row in reference.congruences], "congruences"
+        owners = [o for *_, own in reference.congruences if own for o in own]
+        assert list(constant_terms(system).items()) == owners, "constants"
 
 
 def lead_part(result, n):
@@ -199,3 +209,40 @@ def test_zc_m11_assembles_each_order_once(monkeypatch, options, systems, templat
     # table skips the orders its prime divides
     per_table = [sum(tag == t.prime for tag, _ in summed) for t in (m11.ordinary, *m11.brauer)]
     assert per_table == [12, 11, 10]
+
+
+def held(obj, shared):
+    """Every tuple, list and dict reachable from obj through containers and
+    records other than the objects in `shared`."""
+    skip = {id(x) for x in shared}
+    seen, stack = {}, [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen and id(x) not in skip:
+            seen[id(x)] = x
+            if isinstance(x, Record):
+                stack.extend(getattr(x, f) for f in x.__slots__)
+            elif isinstance(x, (tuple, list, dict)):
+                stack.extend(gc.get_referents(x))
+    return [x for x in seen.values() if isinstance(x, (tuple, list, dict))]
+
+
+def test_zc_m11_order_33_rows_share_one_constants_record(monkeypatch):
+    m11 = bundle_of("m11")
+    calls = built_calls(monkeypatch, m11, check_zc, SolverOptions())
+    calls = [(args, system) for _, args, system in calls if system.modulus == 33]
+    assert calls
+    for args, system in calls:
+        rows = system.congruences
+        record = rows[0][2]
+        # 627 rows (psi, l), 19 table rows times 33, merged into 28
+        # congruence rows that all point at one record
+        assert (len(rows), len(record.values)) == (28, 627)
+        assert all(row[2] is record for row in rows)
+        assert all(type(a) is int for a in record.values)
+        # the layout is the template's, kept for the next system
+        assert build_system(*args).congruences[0][2].layout is record.layout
+        # beyond the template's coefficients and layout, the system holds
+        # its rows and one flat tuple of constants: nothing per (psi, l)
+        owned = held(rows, [row[0] for row in rows] + [record.layout])
+        assert len(owned) == len(rows) + 2
