@@ -98,6 +98,21 @@ Assembly is integer-only; identities 1 and 2 make that exact.
    On an abelian group every class has size 1, so eps is a unit vector
    (Higman's theorem).
 
+6. The multiplicities of a row sum to its degree.  For m > 1 the m-th
+   roots of unity sum to zero, so for every class x
+
+       sum_{l < m} C_m[psi][l][x] = Tr(psi(x) sum_l zeta_m^-l) = 0.
+
+   Sum the rows (psi, l) of an order-k system over l < k.  The eps terms
+   cancel (m = k), and so does each proper level's share, which repeats
+   its e sums k/e times (m = e > 1); only the e = 1 term is left, deg psi
+   k times.  Hence sum_l mu_l(u, psi) = deg psi for every eps, so no
+   solution needs checking for it.  _template checks the first half on
+   each row of its top block, class by class, and _assemble the second on
+   each level's sums when it first builds that level's share, both before
+   they are gathered into merged order; a trace block that breaks it is
+   refused there.
+
 Each character table gets one integer block of C_m per unit order m, built
 from the stored exponents on first use, with each distinct value traced
 once, and kept on the table; a table set's coefficients are its tables'
@@ -107,9 +122,9 @@ built once per order and table set, each proper power's sums of identity 1
 once per table, and their share of the constants, in the merged order, once
 per order.  A system's constant terms are then one flat list, the degrees
 plus its proper powers' shares, and every step over the rows (psi, l) is an
-operation on whole lists: the sum, the clash test mod k, and the check of
-each solution's multiplicities.  Cyclotomic (Cyc) arithmetic only loads and
-validates the character tables.
+operation on whole lists: the sum, the clash test mod k, and the check that
+each solution's multiplicities are nonnegative integers.  Cyclotomic (Cyc)
+arithmetic only loads and validates the character tables.
 """
 
 from __future__ import annotations
@@ -451,11 +466,9 @@ class Layout(Record):
     """Where the rows (psi, l) of an order-k system sit, in the merged
     order of _template: `at[j]` is the index r*k + l of the j-th one, r the
     row in char_rows(tables) and l < k, `labels[j]` and `ells[j]` name it,
-    and the congruence rows own `runs` of them in turn.  The rows used are
-    `used`, and positions[i*k:i*k + k] are where row used[i]'s k entries
-    sit, in the order of l."""
+    and the congruence rows own `runs` of them in turn."""
 
-    __slots__ = ("at", "labels", "ells", "runs", "used", "positions")
+    __slots__ = ("at", "labels", "ells", "runs")
 
 
 class Constants(Record):
@@ -474,7 +487,8 @@ def _template(ordinary, tables, k, p):
     Then the degrees gathered in merged order, each proper level's share
     gathered likewise on first use, the lead variables, Σ x = 1 and the
     norm bound of identity 5 if the ordinary table is complete.  A few flat
-    tuples, not one per row, keep the garbage collector's work small."""
+    tuples, not one per row, keep the garbage collector's work small.  Each
+    row's k coefficient tuples must sum to zero (identity 6)."""
     key = (k, tuple(tables), p)
     template = ordinary.templates.get(key)
     if template is not None:
@@ -491,6 +505,8 @@ def _template(ordinary, tables, k, p):
     top = [row for t in tables for row in trace_block(t, k)]
     merged: dict[tuple, list] = {}
     for r in used:
+        if any(map(sum, zip(*top[r]))):
+            raise AssertionError(f"{rows[r].label}: order-{k} coefficients sum to nonzero")
         for i, c in enumerate(top[r], r * k):
             if p is not None:
                 c = tuple([c[j] for j in columns])
@@ -498,13 +514,7 @@ def _template(ordinary, tables, k, p):
     at = tuple(chain.from_iterable(merged.values()))
     runs = tuple(map(len, merged.values()))
     layout = Layout(
-        at,
-        tuple([rows[i // k].label for i in at]),
-        tuple([i % k for i in at]),
-        runs,
-        tuple(used),
-        # sorting the merged positions by index r*k + l groups them by row
-        tuple(sorted(range(len(at)), key=at.__getitem__)),
+        at, tuple([rows[i // k].label for i in at]), tuple([i % k for i in at]), runs
     )
     lead = [EpsVar(support[i], ordinary.classes[support[i]].name) for i in columns]
     if p is not None:
@@ -539,7 +549,8 @@ def _assemble(ordinary, tables, k, p, levels) -> LinSystem:
     (C, a, constants), C·x + a ≡ 0 (mod k) and C·x + a >= 0, a the least
     constant of its run and `constants` the Constants record shared by all
     rows; if two constants of one run differ mod k, the system is the clash
-    row (0, 1, None)."""
+    row (0, 1, None).  Each row's sums in a level's share must total zero
+    (identity 6)."""
     coefficients, bounds, layout, constants, shares, lead, equalities, norm = _template(
         ordinary, tables, k, p
     )
@@ -548,6 +559,10 @@ def _assemble(ordinary, tables, k, p, levels) -> LinSystem:
         if share is None:
             # a level of order e repeats its e sums every e entries
             sums = [s * (k // pa.order) for t in tables for s in _level_sums(t, pa)]
+            for r, row in enumerate(sums):
+                if sum(row):
+                    label = char_rows(tables)[r].label
+                    raise AssertionError(f"{label}: level-{pa.order} sums total nonzero")
             flat = list(chain.from_iterable(sums))
             share = shares[pa] = tuple(map(flat.__getitem__, layout.at))
         constants = map(add, constants, share)
@@ -609,7 +624,7 @@ def eps_projection(sys: LinSystem, solution) -> dict[int, int]:
     return out
 
 
-def _numerators(sys: LinSystem, solution):
+def numerators(sys: LinSystem, solution):
     """The layout of `sys` and k·mu = C·eps + a(psi, l) for every (psi, l)
     in its merged order: each run's dot product, repeated over the run,
     plus the constants.  Each must be a nonnegative multiple of k, so
@@ -633,31 +648,15 @@ def _numerators(sys: LinSystem, solution):
 def mu_values(sys: LinSystem, solution) -> dict[tuple[str, int], int]:
     """(row label, l) -> multiplicity (C·eps + a(psi, l)) / k, recomputed
     from the solution's eps."""
-    layout, values = _numerators(sys, solution)
+    layout, values = numerators(sys, solution)
     k = sys.modulus
     return dict(zip(zip(layout.labels, layout.ells), [v // k for v in values]))
 
 
 def mu_sums(sys: LinSystem, solution) -> dict[str, int]:
-    """Row label -> sum of its multiplicities (must equal the degree)."""
+    """Row label -> sum of its multiplicities, the row's degree by identity
+    6 of the module docstring."""
     out: dict[str, int] = {}
     for (label, _), val in mu_values(sys, solution).items():
         out[label] = out.get(label, 0) + val
     return out
-
-
-def assert_mu_sums(sys: LinSystem, solution, rows) -> None:
-    """The multiplicities of each row the system was built from, rows[r]
-    for r in its layout's `used`, must be nonnegative integers summing to
-    its degree; both are implied by the system, so a violation means a
-    bug."""
-    layout, values = _numerators(sys, solution)
-    k = sys.modulus
-    # the values of each row in turn, k at a time
-    ordered = iter(list(map(values.__getitem__, layout.positions)))
-    for r, total in zip(layout.used, map(sum, zip(*[ordered] * k))):
-        if total != k * rows[r].degree:
-            raise AssertionError(
-                f"multiplicity sum {total // k} != degree {rows[r].degree}"
-                f" for {rows[r].label}"
-            )

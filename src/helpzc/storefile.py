@@ -9,10 +9,11 @@ of each solved order and the obstruction marker of each obstructed one:
 
 Each tuple maps every level e > 1 of its order to the partial
 augmentations of u^(k/e), by class name.  Reading a store checks it as
-hard as a table: every tuple must be complete and pass the congruence
-test, every solved order must hold its divisors' orders and the tuples
-its own tuples restrict to, and the group elements' own tuples; a marker
-must be one that the order recursion writes.
+hard as a table: it may hold no other key, every tuple must be complete
+and pass the congruence test, every solved order must hold its divisors'
+orders and the tuples its own tuples restrict to, and the group
+elements' own tuples; a marker must be one that the order recursion
+writes.
 
 `cli` imports this module only where it reads or writes a store, a
 `--json-out` payload or a `--tuple` file, so a solve that writes none of
@@ -93,7 +94,10 @@ def store_to_json(bundle: TableBundle, store: SolutionStore) -> dict:
 
 
 def store_from_json(bundle: TableBundle, data: dict) -> SolutionStore:
-    _json_object(data, "a store")
+    # nothing reads another key, so a misspelt one would drop what it holds
+    for key in _json_object(data, "a store"):
+        if key not in ("group", "solutions", "obstructions"):
+            raise DriverError(f"a store has no field {key!r}")
     if data.get("group") != bundle.group_name:
         raise DriverError(
             f"store belongs to {data.get('group')!r}, not {bundle.group_name!r}"

@@ -30,12 +30,11 @@ from .chartables import CharacterTable, TableBundle
 from .constraints import (
     ConstraintError,
     PATuple,
-    assert_mu_sums,
     build_system,
     build_system_p_constant,
-    char_rows,
     eps_projection,
     galois_twists,
+    numerators,
     pa_vector,
     usable_tables,
 )
@@ -55,6 +54,13 @@ class DriverError(ValueError):
 def _check_order(k: int) -> None:
     if k < 2:
         raise DriverError("orders start at 2")
+
+
+def _check_store(bundle: TableBundle, store: SolutionStore) -> None:
+    if store.group_name != bundle.group_name:
+        raise DriverError(
+            f"store belongs to {store.group_name!r}, not {bundle.group_name!r}"
+        )
 
 
 class SolverOptions(Record):
@@ -203,9 +209,13 @@ def _candidates(bundle, k, store, options):
             store.obstructions[k] = store.obstructions[m]
             return None
         subs.append(got)
+    # with no class of order dividing k, Σ eps = 1 has no variable to sit
+    # on; the proper powers above are solved all the same, so that the
+    # store holds every divisor
+    if not bundle.ordinary.classes_of_order_dividing(k):
+        return []
 
     tables = usable_tables(bundle, k, options.use_brauer)
-    rows = char_rows(tables)
     propers = [
         _merge_levels(k, combo)
         for combo in product(*subs)
@@ -235,7 +245,7 @@ def _candidates(bundle, k, store, options):
                 store.obstructions[k] = REASON_BUDGET
                 return None
             for sol in result.solutions:
-                assert_mu_sums(sys, sol, rows)
+                numerators(sys, sol)  # each k·mu a nonnegative multiple of k
                 top = pa_vector(bundle.ordinary, k, eps_projection(sys, sol))
                 found.append(proper.with_top(top))
         if twists is None:
@@ -271,6 +281,7 @@ def solve_order(
     """
     options = options or SolverOptions()
     _check_order(k)
+    _check_store(bundle, store)
     if k in store.obstructions:
         return None
     if k in store.solutions:
@@ -293,6 +304,7 @@ def solve_order_report(bundle, k, store, options=None):
     """Like solve_order but also reports the pre-congruence candidates,
     for auditing a single order."""
     _check_order(k)
+    _check_store(bundle, store)
     _drop_budget_markers(store)
     return _audit_order(bundle, k, store, options or SolverOptions())
 
@@ -316,6 +328,7 @@ def _check(bundle, orders_for, expected, options, store) -> Verdict:
     the tuples expected(table, k); a theorem's shortcut proves at once."""
     options = options or SolverOptions()
     store = store if store is not None else SolutionStore(bundle.group_name)
+    _check_store(bundle, store)
     _drop_budget_markers(store)
     orders = orders_for(bundle, options.shortcuts)
     if isinstance(orders, ShortcutProved):

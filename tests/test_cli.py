@@ -66,6 +66,38 @@ def test_order_audit_names_candidates(capsys, tmp_path):
     assert len(data["survivors"]) == 0
 
 
+def test_order_with_no_class_builds_no_trace_block(capsys, monkeypatch):
+    # 100003 is a prime not dividing |M11|, so only the identity has an
+    # order dividing it: no system is built, nor any table's rows x 100003
+    # trace block
+    loaded = []
+    resolve = cli.resolve_bundle
+
+    def keep(name):
+        loaded.append(resolve(name))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "resolve_bundle", keep)
+    code, out, _ = run(capsys, "order", "100003", "m11")
+    assert code == 0
+    assert out == "order 100003: 0 candidate tuples, 0 admissible after the congruence test\n"
+    (bundle,) = loaded
+    assert 100003 not in bundle.ordinary.trace_blocks
+    assert all(100003 not in t.trace_blocks for t in bundle.brauer)
+
+
+def test_store_of_an_order_with_no_class_reloads(capsys, tmp_path):
+    # order 7 is solved before order 49 is found empty, so the store holds
+    # every divisor of 49 and reloads
+    store = tmp_path / "store.json"
+    code, out, _ = run(capsys, "order", "49", "a5", "--store", str(store))
+    assert code == 0
+    assert out.startswith("order 49: 0 candidate tuples")
+    assert json.loads(store.read_text())["solutions"] == {"7": [], "49": []}
+    code, again, _ = run(capsys, "order", "49", "a5", "--store", str(store))
+    assert (code, again) == (0, out)
+
+
 def test_order_obstructed(capsys):
     code, out, _ = run(
         capsys, "order", "12", "cyclic:12", "--max-nodes", "1"

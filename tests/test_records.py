@@ -68,8 +68,6 @@ def _fixtures():
         ("ord0", "ord1", "ord0", "ord1"),
         (0, 1, 1, 0),
         (2, 2),
-        (0, 1),
-        ((0, 2), (3, 1)),
     )
     return {
         ClassInfo: ("2a", 2, 15),

@@ -557,6 +557,24 @@ def test_store_json_rejects_wrong_group(bundles, m11_pq):
         store_from_json(bundles["a5"], data)
 
 
+def test_drivers_refuse_a_store_of_another_group(bundles):
+    s3, s4 = bundles["s3"], bundles["s4"]
+    foreign = check_zc(s3).store
+    # read as S4's, S3's tuples would leave orders 2, 3 and 4 with
+    # nontrivial solutions; each driver refuses the store untouched
+    drivers = (
+        lambda: check_zc(s4, store=foreign),
+        lambda: check_pq(s4, store=foreign),
+        lambda: solve_order(s4, 4, foreign),
+        lambda: solve_order_report(s4, 4, foreign),
+    )
+    for driver in drivers:
+        with pytest.raises(DriverError, match="store belongs to 'S3', not 'S4'"):
+            driver()
+    assert foreign == check_zc(s3).store
+    assert check_zc(s4).proved
+
+
 def test_store_json_rejects_incomplete_tuple(bundles):
     a5 = bundles["a5"]
     data = {
@@ -646,6 +664,13 @@ def a5_order5(pa):
     "load, data, match",
     [
         pytest.param("store", [], "a store must be a JSON object", id="store-list"),
+        pytest.param(
+            # read as an empty store, a resumed run would redo every order
+            "store",
+            {"group": "A5", "solution": {"2": [{"2": {"2a": 1}}]}, "obstructions": {}},
+            "a store has no field 'solution'",
+            id="unknown-key",
+        ),
         pytest.param(
             "store", a5_store_json(solutions=[]), "solutions must be", id="solutions-list"
         ),
