@@ -64,6 +64,8 @@ class CharacterTable:
         # table the order-k templates (constraints._level_sums, _template)
         self.level_sums: dict = {}
         self.templates: dict = {}
+        # element order k -> the group elements' tuples (verify.trivial_solutions)
+        self.group_elements: dict = {}
         # these rows as constraints.CharRows, built on first use
         self.char_rows = None
 

@@ -5,19 +5,20 @@ which are flagged nonnegative, congruence rows c·x + a ≡ 0 (mod k) that
 also require c·x + a >= 0, and optionally a norm bound
 sum_i w_i * x_i^2 <= R with integer weights w_i >= 0.  The pipeline:
 
-  1. eliminate the equalities and congruences over Z (a column reduction
-     to a Hermite-style form, each column held only as its unimodular
-     transform over the variables and each congruence taking a private
-     slack column of value -k), writing every integer solution as
-     origin + integer combination of lattice basis vectors.  Under a norm
-     bound the basis is then LLL-reduced (δ = 99/100, integral, Cohen's
-     Algorithm 2.6.7) for the norm's inner product Σ w_i·u_i·v_i, a
-     unimodular change that keeps the lattice and makes its vectors short,
-     so that step 3 searches a short basis.  The reduction reads only the
-     coefficients, so it is made once per coefficient matrix and shared;
-     each system adds only its right sides, which fix its origin row by
-     row: the residual of a row over the origin so far, divided by the
-     row's pivot value, times the pivot's transform;
+  1. eliminate the equalities and congruences over Z, writing every
+     integer solution as origin + integer combination of lattice basis
+     vectors: the equality rows are column-reduced exactly, each column
+     held only as its transform over the variables, and the congruence
+     rows are taken modulo k over the kernel left, which the lattice
+     contains k times.  Its basis is the Hermite normal form modulo k
+     (after Cohen, Algorithm 2.4.8; Domich, Kannan and Trotter 1987).
+     Under a norm bound it is then LLL-reduced (δ = 99/100, integral,
+     Cohen's Algorithm 2.6.7) for the norm's inner product Σ w_i·u_i·v_i,
+     a unimodular change that keeps the lattice and makes its vectors
+     short, so that step 3 searches a short basis.  The reduction reads
+     only the coefficients, so it is made once per coefficient matrix and
+     shared; each system adds only its right sides, which fix its origin
+     (`diophantine_eliminate`);
   2. push the nonnegativity constraints and each c·x + a >= 0 through that
      parametrization, giving an inequality system over the free integer
      parameters;
@@ -122,11 +123,11 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class _Lattice:
-    """One coefficient matrix reduced: per row its pivot value and the
-    pivot's transform over x, or (0, None) when no column is left nonzero
-    on it (`steps`); the basis; the rows over x that become inequalities
-    (`sources`: x_i ≥ 0, then each c·x + a ≥ 0) and their rows over t,
-    merged by coefficients with their sources and divisors; `_gram`."""
+    """One coefficient matrix reduced: for each row that moves the origin,
+    its index, its pivot value and the pivot's transform over x (`steps`);
+    the basis; the rows over x that become inequalities (`sources`: x_i ≥ 0,
+    then each c·x + a ≥ 0) and their rows over t, merged by coefficients
+    with their sources and divisors; `_gram`."""
 
     __slots__ = ("steps", "basis", "sources", "rows", "gram")
 
@@ -139,47 +140,64 @@ _lattice = (None, None)
 
 
 def _reduce(modulus, n, equalities, congruences, nonneg, weights) -> _Lattice:
-    """Column-reduce the equality rows, then the congruence rows.  A column
-    is only its unimodular transform u over the n variables: every earlier
-    row is zero on it, so its value on row r is row·u, and a congruence
-    row's private slack column is u = 0 with value -modulus."""
-    ucols = [[int(i == j) for i in range(n)] for j in range(n)]
-    avail = list(range(n))
+    """Column-reduce the equality rows exactly, then take the congruence
+    rows modulo k over the kernel they leave.  A column is only its
+    unimodular transform u over the n variables: every earlier row is zero
+    on it, so its value on row r is row·u.  In coordinates y over the d
+    columns left, L = {y : (c·columns)·y ≡ 0 (mod k) for each congruence
+    row c} contains k·Z^d, so d generators held mod k span it with k·Z^d,
+    and each row restricts them to its class (`_split`).  A class that is
+    0 on every generator is implied by the rows before it, or repeats
+    one: its row is constant mod k on origin + L and records no step.  The
+    basis is the Hermite normal form of L modulo k: lower triangular over
+    y, p | k on the diagonal, each entry in [0, p) for the diagonal entry p
+    of its coordinate."""
+    k = modulus
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
     lat = _Lattice()
     lat.steps = []
-    for r, row in enumerate(equalities + congruences):
-        val = {j: sum(map(_mul, row, ucols[j])) for j in avail}
-        if r >= len(equalities):
-            avail.append(len(ucols))
-            val[len(ucols)] = -modulus
-            ucols.append([0] * n)
-        live = [j for j in avail if val[j]]
-        if not live:
-            lat.steps.append((0, None))
-            continue
-        while True:
-            # the column of least |value|, lowest index first, made positive
-            j0 = min(live, key=lambda j: (abs(val[j]), j))
-            p = val[j0]
-            if p < 0:
-                p = val[j0] = -p
-                ucols[j0] = [-v for v in ucols[j0]]
-            if len(live) == 1:
-                break
-            # column_j -= q * column_j0, over the pivot's nonzeros
-            u0 = [(i, v) for i, v in enumerate(ucols[j0]) if v]
-            for j in live:
-                q = val[j] // p
-                if q and j != j0:
-                    val[j] -= q * p
-                    uj = ucols[j]
-                    for i, v in u0:
-                        uj[i] -= q * v
-            live = [j for j in live if val[j]]
-        # leaving avail, the pivot column is final
-        lat.steps.append((p, tuple(ucols[j0])))
-        avail.remove(j0)
-    basis = tuple(tuple(ucols[j]) for j in avail)
+    for r, row in enumerate(equalities):
+        vals = [sum(map(_mul, row, u)) for u in cols]
+        j0 = _euclid(cols, vals)
+        if j0 is not None:
+            # leaving the columns, the pivot is final
+            lat.steps.append((r, vals[j0], tuple(cols.pop(j0))))
+    kernel = [[(i, v) for i, v in enumerate(u) if v] for u in cols]
+    d = len(kernel)
+
+    def over_x(y):
+        x = [0] * n
+        for t, col in zip(y, kernel):
+            if t:
+                for i, v in col:
+                    x[i] += t * v
+        return tuple(x)
+
+    # each generator is its image over x mod k, on which the rows' classes
+    # are read, followed by itself over y
+    gens = [
+        [v % k for v in u] + [int(i == j) for i in range(d)]
+        for j, u in enumerate(cols)
+    ]
+    for r, c in enumerate(congruences, len(equalities)):
+        vals = [sum(map(_mul, c, g)) % k for g in gens]
+        if any(vals):
+            p, h = _split(gens, vals, k)
+            lat.steps.append((r, p, over_x(h[n:])))
+    gens = [g[n:] for g in gens]
+    # coordinate by coordinate, the generators split off one basis vector,
+    # or k·e_i when none is nonzero there, and the vectors before it are
+    # reduced by it at that coordinate
+    hnf = []
+    for i in range(d):
+        p, h = _split(gens, [g[i] for g in gens], k) or (k, [0] * d)
+        h[i] = p
+        for prev in hnf:
+            q = prev[i] // p
+            if q:
+                prev[i:] = [a - q * b for a, b in zip(prev[i:], h[i:])]
+        hnf.append(h)
+    basis = tuple(map(over_x, hnf))
     lat.basis = basis = basis if weights is None else _lll(basis, weights)
 
     # the sources of inequality rows over x: x_i >= 0, then c·x + a >= 0
@@ -195,6 +213,53 @@ def _reduce(modulus, n, equalities, congruences, nonneg, weights) -> _Lattice:
     lat.rows = sorted(merged.items())
     lat.gram = None if weights is None or not basis else _gram(basis, weights)
     return lat
+
+
+def _euclid(cols, vals, k=0):
+    """Column Euclid on one row, vals[j] being the value of cols[j] on it:
+    the column of least |value|, lowest index first, made positive,
+    reduces the others until it alone is nonzero.  Returns its index, its
+    value being the gcd, or None when every value is 0.  With a modulus k
+    the values lie in [0, k) and the columns are held mod k."""
+    live = [j for j, v in enumerate(vals) if v]
+    if not live:
+        return None
+    while True:
+        j0 = min(live, key=lambda j: (abs(vals[j]), j))
+        if vals[j0] < 0:
+            vals[j0] = -vals[j0]
+            cols[j0] = [-v for v in cols[j0]]
+        if len(live) == 1:
+            return j0
+        c0 = cols[j0]
+        for j in live:
+            if j != j0:
+                q = vals[j] // vals[j0]
+                vals[j] -= q * vals[j0]
+                pairs = zip(cols[j], c0)
+                if k:
+                    cols[j] = [(x - q * y) % k for x, y in pairs]
+                else:
+                    cols[j] = [x - q * y for x, y in pairs]
+        live = [j for j in live if vals[j]]
+
+
+def _split(gens, vals, k):
+    """Restrict the lattice that gens and k·Z^d span to f ≡ 0 (mod k), f a
+    linear form with vals[j] = f(gens[j]) mod k.  The column Euclid leaves
+    one generator g0 of value g, the gcd of the values, and the others of
+    value 0.  With p = gcd(g, k), the multiples of g0 on which f ≡ 0 are
+    those of (k/p)·g0, which replaces g0.  Returns p and h = s·g0 mod k,
+    s·(g/p) ≡ 1 (mod k/p), so that f(h) ≡ p: h and the restricted lattice
+    span the old one.  None when f is 0 on every generator."""
+    j0 = _euclid(gens, vals, k)
+    if j0 is None:
+        return None
+    g0, g = gens[j0], vals[j0]
+    p = gcd(g, k)
+    s = pow(g // p, -1, k // p)
+    gens[j0] = [k // p * v % k for v in g0]
+    return p, [s * v % k for v in g0]
 
 
 def _lll(basis, weights):
@@ -270,11 +335,15 @@ def _lll(basis, weights):
 
 def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
     """Parametrize all integer solutions of the equality and congruence rows
-    from their shared reduction: the right sides fix only the origin, row by
-    row from its residual.  Nonnegativity and each c·x + a >= 0 become the
-    returned rows coeffs·t >= rhs, normalized by integer rounding (exact,
-    since t is integral) and merged by coefficients.  None when there is no
-    integer solution or a row without coefficients fails."""
+    from their shared reduction: the right sides fix only the origin, step
+    by step from the residual of each step's row.  A step's pivot transform
+    lies in the lattice of the rows before it, so later steps keep every
+    earlier row, and a row without a step is constant on origin + L (mod k
+    on a congruence row), so testing it at the origin is the whole check it
+    needs.  Nonnegativity and each c·x + a >= 0 become the returned rows
+    coeffs·t >= rhs, normalized by integer rounding (exact, since t is
+    integral) and merged by coefficients.  None when there is no integer
+    solution or a row without coefficients fails."""
     global _lattice
     k = sys.modulus
     # a row without coefficients is a condition on its constant alone,
@@ -288,28 +357,29 @@ def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
     if _lattice[0] != key:
         _lattice = (key, _reduce(*key))
     lat = _lattice[1]
-    rhs = [r for _, r in sys.equalities] + [-a for _, a, _ in sys.congruences]
     origin = [0] * len(sys.variables)
-    rows = zip(lat.steps, equalities + congruences, rhs)
-    for r, ((p, u), row, acc) in enumerate(rows):
+    for r, p, u in lat.steps:
         # the pivot transform is zero on every earlier equality row and
         # 0 mod k on every earlier congruence row, so the origin keeps them
-        acc -= sum(map(_mul, row, origin))
-        if r >= len(equalities):
-            # exact: the slack -k took part in the row's Euclid, so p | k
-            acc %= k
-        if not p:
-            if acc:
-                return None
-            continue
+        if r < len(equalities):
+            c, acc = sys.equalities[r]
+            acc -= sum(map(_mul, c, origin))
+        else:
+            # p | k, the values being taken mod k
+            c, a, _ = sys.congruences[r - len(equalities)]
+            acc = -(sum(map(_mul, c, origin)) + a) % k
         y, rem = divmod(acc, p)
         if rem:
             return None
         if y:
             origin = [o + y * v for o, v in zip(origin, u)]
-
+    # the rows without a step, at the origin
+    if any(sum(map(_mul, c, origin)) != b for c, b in sys.equalities):
+        return None
     consts = [0] * len(sys.nonneg) + [a for _, a, _ in sys.congruences]
     values = [sum(map(_mul, c, origin)) + a for c, a in zip(lat.sources, consts)]
+    if any(v % k for v in values[len(sys.nonneg):]):
+        return None
     inequalities = []
     for coeffs, members in lat.rows:
         bound = max([_ceil_div(-values[s], g) for s, g in members])

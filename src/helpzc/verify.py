@@ -132,7 +132,11 @@ def canonical_key(tup: PATuple):
 
 def trivial_solutions(table: CharacterTable, k: int) -> tuple[PATuple, ...]:
     """One complete tuple per class of element order exactly k, holding the
-    partial augmentations of the group elements themselves."""
+    partial augmentations of the group elements themselves; built once per
+    table and order."""
+    got = table.group_elements.get(k)
+    if got is not None:
+        return got
     out = []
     for c, cl in enumerate(table.classes):
         if cl.element_order != k:
@@ -144,7 +148,8 @@ def trivial_solutions(table: CharacterTable, k: int) -> tuple[PATuple, ...]:
             ci = table.class_of_power(c, k // e)
             levels.append((e, pa_vector(table, e, {ci: 1})))
         out.append(PATuple(k, tuple(levels)))
-    return tuple(sorted(out, key=canonical_key))
+    got = table.group_elements[k] = tuple(sorted(out, key=canonical_key))
+    return got
 
 
 def orders_to_check_zc(bundle: TableBundle, shortcuts: bool = True):
@@ -313,7 +318,18 @@ def _audit_order(bundle, k, store, options):
     pre = _candidates(bundle, k, store, options)
     if pre is None:
         return None, None
-    survivors = tuple(t for t in pre if wagner_test(bundle.ordinary, t))
+    table = bundle.ordinary
+    survivors = tuple(t for t in pre if wagner_test(table, t))
+    # a group element's tuple passes every sound filter, so a missing one
+    # means that the tables are wrong, and nothing of the order is stored
+    kept = set(survivors)
+    for own in trivial_solutions(table, k):
+        if own not in kept:
+            (c, _), = own.top.entries
+            raise DriverError(
+                f"order {k}: the group elements of class {table.classes[c].name}"
+                " fail the constraints; the tables are inconsistent"
+            )
     store.solutions[k] = survivors
     # a re-audit that gets through supersedes an earlier obstruction
     store.obstructions.pop(k, None)
@@ -323,9 +339,10 @@ def _audit_order(bundle, k, store, options):
 # -- verdicts --------------------------------------------------------------------
 
 
-def _check(bundle, orders_for, expected, options, store) -> Verdict:
+def _check(bundle, orders_for, options, store) -> Verdict:
     """Solve every order `orders_for` names, each expected to hold exactly
-    the tuples expected(table, k); a theorem's shortcut proves at once."""
+    the group elements' tuples (none at an order that no element has); a
+    theorem's shortcut proves at once."""
     options = options or SolverOptions()
     store = store if store is not None else SolutionStore(bundle.group_name)
     _check_store(bundle, store)
@@ -338,7 +355,7 @@ def _check(bundle, orders_for, expected, options, store) -> Verdict:
         got = solve_order(bundle, k, store, options)
         if got is None:
             obstructions.append((k, store.obstructions[k]))
-        elif set(got) != set(expected(bundle.ordinary, k)):
+        elif set(got) != set(trivial_solutions(bundle.ordinary, k)):
             obstructions.append((k, REASON_NONTRIVIAL))
     return Verdict(not obstructions, None, store, tuple(obstructions))
 
@@ -349,7 +366,7 @@ def check_zc(
     store: SolutionStore | None = None,
 ) -> Verdict:
     """Every order's admissible tuples are those of the group elements."""
-    return _check(bundle, orders_to_check_zc, trivial_solutions, options, store)
+    return _check(bundle, orders_to_check_zc, options, store)
 
 
 def check_pq(
@@ -358,4 +375,4 @@ def check_pq(
     store: SolutionStore | None = None,
 ) -> Verdict:
     """No missing prime-graph order p*q has an admissible tuple."""
-    return _check(bundle, orders_to_check_pq, lambda table, k: (), options, store)
+    return _check(bundle, orders_to_check_pq, options, store)

@@ -640,13 +640,107 @@ def corrupted_bundle(base, path, value):
     return data
 
 
+# -- reference elimination -------------------------------------------------------
+
+
+def reference_reduce(sys):
+    """The elimination as it was made before the congruences were taken
+    modulo k: an exact column reduction of the equality rows and then of
+    the congruence rows, each congruence row with a private slack column of
+    value -k, every column held as its transform over x.  Returns the
+    origin solved from it, None when the rows have no integer solution, and
+    the basis it leaves, before any LLL step."""
+    n, k = len(sys.variables), sys.modulus
+    rows = [c for c, _ in sys.equalities] + [c for c, _, _ in sys.congruences]
+    rhs = [b for _, b in sys.equalities] + [-a for _, a, _ in sys.congruences]
+    ucols = [[int(i == j) for i in range(n)] for j in range(n)]
+    avail = list(range(n))
+    origin = [0] * n
+    for r, row in enumerate(rows):
+        val = {j: sum(map(mul, row, ucols[j])) for j in avail}
+        if r >= len(sys.equalities):
+            avail.append(len(ucols))
+            val[len(ucols)] = -k
+            ucols.append([0] * n)
+        live = [j for j in avail if val[j]]
+        if origin is not None:
+            acc = rhs[r] - sum(map(mul, row, origin))
+            if r >= len(sys.equalities):
+                acc %= k
+        if not live:
+            if origin is not None and acc:
+                origin = None
+            continue
+        while True:
+            j0 = min(live, key=lambda j: (abs(val[j]), j))
+            if val[j0] < 0:
+                val[j0] = -val[j0]
+                ucols[j0] = [-v for v in ucols[j0]]
+            if len(live) == 1:
+                break
+            for j in live:
+                q = val[j] // val[j0]
+                if q and j != j0:
+                    val[j] -= q * val[j0]
+                    ucols[j] = [a - q * b for a, b in zip(ucols[j], ucols[j0])]
+            live = [j for j in live if val[j]]
+        if origin is not None:
+            y, rem = divmod(acc, val[j0])
+            origin = None if rem else [o + y * v for o, v in zip(origin, ucols[j0])]
+        avail.remove(j0)
+    basis = tuple(tuple(ucols[j]) for j in avail)
+    return origin and tuple(origin), basis
+
+
+def hermite_rows(vectors):
+    """The Hermite normal form of the lattice the integer vectors span, as
+    its nonzero rows: each row's leading entry positive and the entries
+    above it reduced modulo it.  Two sets of vectors span one lattice
+    exactly when their forms are equal."""
+    rows = [list(v) for v in vectors if any(v)]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        live = [r for r in rows if r[col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r[:] = [a - q * b for a, b in zip(r, p)]
+            live = [r for r in live if r[col]]
+        p = live[0]
+        if p[col] < 0:
+            p[:] = [-a for a in p]
+        for r in out:
+            q = r[col] // p[col]
+            r[:] = [a - q * b for a, b in zip(r, p)]
+        out.append(p)
+        rows = [r for r in rows if r is not p and any(r)]
+    return tuple(map(tuple, out))
+
+
+def in_lattice(vector, hermite):
+    """Whether the vector lies in the lattice of the form `hermite_rows`
+    gives."""
+    v = list(vector)
+    for row in hermite:
+        col = next(i for i, a in enumerate(row) if a)
+        q, rem = divmod(v[col], row[col])
+        if rem:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
 # -- reference search -----------------------------------------------------------
 
 
 def solve_unreduced(system, **kwargs):
-    """solve_all on the Hermite basis of the reduction, without its LLL
-    step: an oracle for the search on the reduced basis, which must find
-    the same solutions."""
+    """solve_all on the basis that the reduction hands to its LLL step,
+    the Hermite normal form modulo k: an oracle for the search on the
+    LLL-reduced basis, which must find the same solutions."""
     saved = intsolve._lll, intsolve._lattice
     intsolve._lll = lambda basis, weights: basis
     intsolve._lattice = (None, None)

@@ -241,6 +241,18 @@ def test_undeclared_nilpotency_takes_the_shortcut(capsys, tmp_path):
     assert code == 0 and out.strip() == "ZC: Proved (nilpotent shortcut)"
 
 
+def test_a_group_element_missing_from_an_order_is_an_error(capsys, tmp_path):
+    # S4 with 4a^2 = 2a, a transposition: the element orders still agree,
+    # but the group element of class 4a fails the order-4 constraints
+    bundle = tmp_path / "s4.json"
+    bundle.write_text(json.dumps(corrupted_bundle("s4", ("ordinary", "power_maps", "2", 4), 1)))
+    store = tmp_path / "store.json"
+    code, out, err = run(capsys, "zc", "--no-shortcuts", "--store", str(store), str(bundle))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: order 4: the group elements of class 4a fail")
+    assert not store.exists()
+
+
 def test_node_budget_flag(capsys):
     code, out, _ = run(
         capsys, "zc", "cyclic:12", "--no-shortcuts", "--max-nodes", "1"

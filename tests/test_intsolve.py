@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     box_solutions,
+    hermite_rows,
     in_box,
+    in_lattice,
     random_system,
+    reference_reduce,
     reference_simplex,
     round_robin_propagate,
 )
@@ -450,6 +453,96 @@ def test_oracle_property(data):
         inside = tuple(x for x in res.solutions if in_box(x, 6))
         assert inside == box_solutions(s, 6)
         assert x0 is None or tuple(x0) in inside
+
+
+def congruence_system(rng, k):
+    """A system over 2 to 4 variables, bounded by nonnegativity and a fixed
+    sum or by a norm, with one or two equality rows and congruence rows mod
+    k among which some repeat an earlier row mod k, some are implied by
+    earlier rows, some are 0 mod k on the equalities' kernel, and some have
+    constants that clash mod k with the rows they derive from; half the
+    systems have a planted solution x0.  Returns the system and a bound on
+    every coordinate of its solutions."""
+    n = rng.randint(2, 4)
+    x0 = [rng.randint(0, 1) for _ in range(n)]
+    planted = rng.random() < 0.5
+    total = sum(x0) if planted else rng.randint(0, 3)
+    eqs = [((1,) * n, total)]
+    if rng.random() < 0.5:
+        c = tuple(rng.randint(-3, 3) for _ in range(n))
+        eqs.append((c, sum(map(mul, c, x0)) if planted else rng.randint(-3, 3)))
+    rows = []  # (c, a) with c·x0 + a ≡ 0 (mod k) when planted
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.choice(["new", "new", "repeat", "implied", "zero"]) if rows else "new"
+        if kind == "new":
+            c = [rng.randint(-k, k) for _ in range(n)]
+            a = -sum(map(mul, c, x0))
+        elif kind == "repeat":
+            c, a = rng.choice(rows)
+        elif kind == "implied":
+            (c1, a1), (c2, a2) = rng.choice(rows), rng.choice(rows)
+            t1, t2 = rng.randint(-2, 2), rng.randint(-2, 2)
+            c = [t1 * u + t2 * v for u, v in zip(c1, c2)]
+            a = t1 * a1 + t2 * a2
+        else:
+            # a multiple of an equality row: 0 mod k on their kernel
+            e, b = rng.choice(eqs)
+            t = rng.randint(-2, 2)
+            c, a = [t * v for v in e], -t * b
+        # the same class mod k; c·x0 moves by a multiple of k
+        c = [v + k * rng.randint(-1, 1) for v in c]
+        if not planted or rng.random() < 0.05:
+            a += rng.randint(1, k - 1)  # clashes mod k
+        rows.append((c, a + k * rng.randint(0, 3)))
+    variables = tuple(f"x{i}" for i in range(n))
+    congruences = tuple((tuple(c), a, None) for c, a in rows)
+    if rng.random() < 0.5:
+        return LinSystem(
+            variables, tuple(eqs), frozenset(range(n)),
+            modulus=k, congruences=congruences,
+        ), total
+    return LinSystem(
+        variables, tuple(eqs), frozenset(), ((1,) * n, 4),
+        modulus=k, congruences=congruences,
+    ), 2
+
+
+@pytest.mark.parametrize("k", [4, 6, 12, 18, 30, 36])
+def test_mod_k_reduction_matches_the_slack_column_reduction(monkeypatch, k):
+    rng = random.Random(k)
+    refused = solved = 0
+    for _ in range(100):
+        s, bound = congruence_system(rng, k)
+        monkeypatch.setattr(intsolve, "_lattice", (None, None))
+        par = diophantine_eliminate(s)
+        origin, basis = reference_reduce(s)
+        # one lattice: the same Hermite form from either basis
+        key = (
+            k, len(s.variables), tuple(c for c, _ in s.equalities),
+            tuple(c for c, _, _ in s.congruences), s.nonneg,
+            None if s.norm is None else s.norm[0],
+        )
+        lat = intsolve._reduce(*key)
+        hermite = hermite_rows(basis)
+        assert hermite_rows(lat.basis) == hermite
+        if origin is None:
+            assert par is None
+            refused += 1
+        elif par is None:
+            # refused only by a row that is constant on the lattice
+            sources = [(tuple(int(i == j) for j in range(len(origin))), 0) for i in s.nonneg]
+            sources += [(c, a) for c, a, _ in s.congruences]
+            assert any(
+                not any(sum(map(mul, c, b)) for b in basis)
+                and sum(map(mul, c, origin)) + a < 0
+                for c, a in sources
+            )
+        else:
+            assert in_lattice([a - b for a, b in zip(par.origin, origin)], hermite)
+        result = solve_all(s)
+        assert result == Finite(box_solutions(s, bound))
+        solved += bool(result.solutions)
+    assert refused >= 20 and solved >= 10, (refused, solved)
 
 
 # -- interval propagation ------------------------------------------------------

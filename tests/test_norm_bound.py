@@ -13,6 +13,7 @@ from helpers import (
     built_calls,
     built_systems,
     bundle_of,
+    proper,
     random_system,
     reference_lll,
     solve_unreduced,
@@ -28,7 +29,7 @@ from helpzc.constraints import (
     eps_projection,
 )
 from helpzc.intsolve import Finite, Infinite, LinSystem, solve_all
-from helpzc.verify import SolverOptions, check_pq, check_zc
+from helpzc.verify import SolverOptions, check_pq, check_zc, trivial_solutions
 
 BUNDLES = ["s3", "s4", "a5", "sl23", "m11"]
 
@@ -236,10 +237,36 @@ def test_lll_gives_the_basis_of_the_reference_on_top_systems(monkeypatch, n):
             assert real(basis, weights) == reference_lll(basis, weights)
 
 
+class Captured(Exception):
+    pass
+
+
+def test_the_basis_before_the_lll_stays_below_n_times_k(monkeypatch):
+    # the top systems of zc --no-shortcuts cyclic:105 share one lattice of
+    # dimension 103 over 104 variables; the basis taken modulo k has every
+    # entry below n·k, where the slack-column reduction left entries near
+    # 2.6e16
+    b = bundle_of("cyclic:105")
+    system = build_system(b, 105, proper(trivial_solutions(b.ordinary, 105)[0]))
+
+    def capture(basis, weights):
+        raise Captured(basis)
+
+    monkeypatch.setattr(intsolve, "_lll", capture)
+    monkeypatch.setattr(intsolve, "_lattice", (None, None))
+    with pytest.raises(Captured) as got:
+        intsolve.diophantine_eliminate(system)
+    (basis,) = got.value.args
+    n, k = len(system.variables), system.modulus
+    assert (n, k, len(basis)) == (104, 105, 103)
+    assert max(abs(v) for vector in basis for v in vector) <= n * k
+
+
 def test_large_lattice_searches_stay_small(monkeypatch):
-    # the top systems of cyclic:72 have a lattice of dimension 70; on its
-    # Hermite basis one search visits 3,303 nodes, on the LLL-reduced one
-    # 71; the top search of cyclic:120 visits 119
+    # the top systems of cyclic:72 have a lattice of dimension 70; one
+    # search visits 71 nodes on the LLL-reduced basis and on the Hermite
+    # normal form modulo k before it, against 3,303 on the basis that the
+    # slack-column reduction left; the top search of cyclic:120 visits 119
     for n in (72, 120):
         options = SolverOptions(shortcuts=False)
         calls = built_calls(monkeypatch, bundle_of(f"cyclic:{n}"), check_zc, options)

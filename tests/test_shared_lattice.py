@@ -150,12 +150,15 @@ def test_shared_lattice_matches_fresh_reduction_and_oracles(
 def test_zc_m11_reduces_each_order_once(monkeypatch):
     m11 = bundle_of("m11")
     monkeypatch.setattr(intsolve, "_lattice", (None, None))
-    reductions, solves = [], []
+    reductions, solves, rows, steps = [], [], [], []
     real_reduce, real_solve = intsolve._reduce, verify.solve_all
 
     def reducing(*key):
         reductions.append(key[0])
-        return real_reduce(*key)
+        lat = real_reduce(*key)
+        rows.append(len(key[3]))
+        steps.append(sum(r >= len(key[2]) for r, _, _ in lat.steps))
+        return lat
 
     def solving(system, **kwargs):
         solves.append(system.modulus)
@@ -169,6 +172,9 @@ def test_zc_m11_reduces_each_order_once(monkeypatch):
     assert len(solves) == 26 and len(reductions) == 13
     assert sorted(reductions) == sorted(set(solves))
     assert max(solves.count(k) for k in solves) == 10
+    # of their 276 congruence rows all but 17 are implied mod k by the
+    # rows before them, or repeat one, and record no origin step
+    assert sum(rows) == 276 and sum(steps) <= 17
 
 
 class Recording(dict):

@@ -37,6 +37,7 @@ from helpzc.verify import (
     trivial_solutions,
     usable_tables,
 )
+from helpzc.wagner import wagner_test
 
 
 @pytest.fixture(scope="module")
@@ -444,13 +445,21 @@ def test_orbit_solve_matches_full_solve_cyclic(n):
 def test_symmetry_breaking_row_keeps_full_solve():
     b = with_rows(cyclic_table(12), [asymmetric_row()])
     options = SolverOptions(shortcuts=False)
-    verdict = check_zc(b, options)
-    # the row kills one of the two order-6 group elements and two of the
-    # four of order 12, so the store is not closed under the lost twists
-    assert {k: len(v) for k, v in verdict.store.solutions.items()} == {
+    # the row is no character: the driver refuses the order at which it
+    # first kills a group element
+    with pytest.raises(DriverError, match="order 6: the group elements of class g10"):
+        check_zc(b, options)
+    # the store built order by order without that check: the row kills one
+    # of the two order-6 group elements and two of the four of order 12, so
+    # the store is not closed under the lost twists
+    store = SolutionStore(b.group_name)
+    for k in (2, 3, 4, 6, 12):
+        pre = verify._candidates(b, k, store, options)
+        store.solutions[k] = tuple(t for t in pre if wagner_test(b.ordinary, t))
+    assert {k: len(v) for k, v in store.solutions.items()} == {
         2: 1, 3: 2, 4: 2, 6: 1, 12: 2
     }
-    assert_orbit_solve_is_full_solve(b, verdict.store, options)
+    assert_orbit_solve_is_full_solve(b, store, options)
 
 
 def test_one_system_per_galois_orbit(bundles, monkeypatch):
