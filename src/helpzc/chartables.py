@@ -57,6 +57,9 @@ class CharacterTable:
         self._identity = next(
             (i for i, cl in enumerate(classes) if cl.element_order == 1), None
         )
+        self._exponent = lcm(*(cl.element_order for cl in classes))
+        # k -> classes_of_order_dividing(k)
+        self._dividing: dict[int, tuple[int, ...]] = {}
         # unit order m -> the integer trace block of these rows and its
         # numbered trace tuples (see constraints._traced), built on first use
         self.trace_blocks: dict = {}
@@ -100,7 +103,7 @@ class CharacterTable:
         return tuple(sorted({cl.element_order for cl in self.classes}))
 
     def exponent(self) -> int:
-        return lcm(*(cl.element_order for cl in self.classes))
+        return self._exponent
 
     def prime_graph_missing_pq(self) -> tuple[int, ...]:
         """Products p*q of distinct primes both occurring as element orders,
@@ -116,7 +119,7 @@ class CharacterTable:
 
     def class_of_power(self, c: int, d: int) -> int:
         """Index of the class of x^d for x in class c, composing power maps."""
-        d %= self.exponent()
+        d %= self._exponent
         if d == 0:
             return self.identity_index
         for p, e in factorize(d):
@@ -130,12 +133,16 @@ class CharacterTable:
         return c
 
     def classes_of_order_dividing(self, k: int) -> tuple[int, ...]:
-        """Non-identity classes whose element order divides k (table order)."""
-        return tuple(
-            i
-            for i, cl in enumerate(self.classes)
-            if cl.element_order > 1 and k % cl.element_order == 0
-        )
+        """Non-identity classes whose element order divides k (table order),
+        found once per k."""
+        got = self._dividing.get(k)
+        if got is None:
+            got = self._dividing[k] = tuple(
+                i
+                for i, cl in enumerate(self.classes)
+                if cl.element_order > 1 and k % cl.element_order == 0
+            )
+        return got
 
 
 class TableBundle:

@@ -42,7 +42,9 @@ sum_i w_i * x_i^2 <= R with integer weights w_i >= 0.  The pipeline:
      pruning by integer interval propagation over the inequality rows: a
      worklist that starts with every row at the root and, after a
      parameter is fixed, with the rows that meet it, re-queueing the rows
-     of each parameter a row shrinks, up to 40 visits per row.
+     of each parameter a row shrinks, up to 40 visits per row.  The
+     search's recursive closure is emptied when it ends, so a solve
+     leaves no reference cycle and reference counting frees all of it.
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -670,6 +672,10 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
         )
     except _Budget:
         return Aborted(nodes - 1)
+    finally:
+        # dfs holds itself through its closure cell: empty the cell, so
+        # that reference counting frees the search and all it refers to
+        del dfs
 
     return Finite(tuple(sorted(set(solutions))))
 

@@ -18,10 +18,18 @@ the congruence test.  Results land in a SolutionStore, which
 A verdict is Proved or Unknown, never "false": an obstruction (nontrivial
 solutions, an infinite solution set, or an exhausted node budget) means the
 method is inconclusive, not that a counterexample exists.
+
+A verdict makes no reference cycles (the solver's search keeps no closure
+that refers to itself), so reference counting frees everything it drops.
+The drivers (`check_zc`, `check_pq`, `solve_order`, `solve_order_report`)
+therefore run with the cyclic garbage collector paused and restore it as
+they found it, even on an error.
 """
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
 from itertools import combinations, product
 from math import gcd
 
@@ -49,6 +57,31 @@ REASON_BUDGET = "node budget"
 
 class DriverError(ValueError):
     pass
+
+
+def _collector_paused(driver):
+    """Run the driver with the cyclic garbage collector paused, if it is
+    enabled, and enable it again however the driver ends.  The collector
+    would find nothing (see the module docstring) and only walk what the
+    verdict keeps: tables, templates and store.  Unless the caller holds
+    frozen objects, freezing and unfreezing moves those survivors into
+    the oldest generation before the collector resumes, so that its next
+    young pass does not walk them either."""
+
+    @wraps(driver)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return driver(*args, **kwargs)
+        gc.disable()
+        try:
+            return driver(*args, **kwargs)
+        finally:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
+
+    return paused
 
 
 def _check_order(k: int) -> None:
@@ -273,6 +306,7 @@ def _candidates(bundle, k, store, options):
     return sorted(set(candidates), key=canonical_key)
 
 
+@_collector_paused
 def solve_order(
     bundle: TableBundle,
     k: int,
@@ -305,6 +339,7 @@ def _drop_budget_markers(store: SolutionStore) -> None:
             del store.obstructions[k]
 
 
+@_collector_paused
 def solve_order_report(bundle, k, store, options=None):
     """Like solve_order but also reports the pre-congruence candidates,
     for auditing a single order."""
@@ -339,6 +374,7 @@ def _audit_order(bundle, k, store, options):
 # -- verdicts --------------------------------------------------------------------
 
 
+@_collector_paused
 def _check(bundle, orders_for, options, store) -> Verdict:
     """Solve every order `orders_for` names, each expected to hold exactly
     the group elements' tuples (none at an order that no element has); a

@@ -158,6 +158,28 @@ def test_classes_of_order_dividing(bundles):
     assert a5.classes_of_order_dividing(30) == (1, 2, 3, 4)
 
 
+def test_table_invariants_are_computed_once(bundles):
+    """The exponent is fixed at construction and each k's dividing classes
+    are kept; both equal a fresh computation from the classes."""
+    tables = [
+        t
+        for bundle in (*bundles.values(), *map(cyclic_table, range(2, 17)))
+        for t in (bundle.ordinary, *bundle.brauer)
+    ]
+    for t in tables:
+        exponent = lcm(*(cl.element_order for cl in t.classes))
+        assert t.exponent() == exponent
+        for k in range(1, 2 * exponent + 1):
+            fresh = tuple(
+                i
+                for i, cl in enumerate(t.classes)
+                if cl.element_order != 1 and k % cl.element_order == 0
+            )
+            first = t.classes_of_order_dividing(k)
+            assert first == fresh
+            assert t.classes_of_order_dividing(k) is first
+
+
 def all_tables(bundles):
     for bundle in bundles.values():
         yield bundle.ordinary
