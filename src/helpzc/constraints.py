@@ -307,9 +307,10 @@ def trace_block(table: CharacterTable, m: int):
 
 
 def _traced(table: CharacterTable, m: int):
-    """(trace_block(table, m), ids, traces): traces[n] is the n-th distinct
-    trace tuple (Tr(psi(x) zeta_m^-l))_l met and ids[r][i] the number of
-    the tuple of cell (r, i), so equal numbers mean equal values.
+    """(trace_block(table, m), ids, number): number maps each distinct trace
+    tuple (Tr(psi(x) zeta_m^-l))_l met to its number, in the order met, and
+    ids[r][i] is the number of the tuple of cell (r, i).  A trace tuple
+    determines the value, so equal numbers mean equal values.
 
     Built on first use and kept on the table, so each distinct value is
     traced once per m, whichever cells hold it and whichever table sets the
@@ -320,7 +321,7 @@ def _traced(table: CharacterTable, m: int):
         support = table.classes_of_order_dividing(m)
         traced: dict[Cyc, int] = {}
         number: dict[tuple[int, ...], int] = {}
-        traces, ids = [], []
+        ids = []
         for row in char_rows((table,)):
             cells = []
             for x in support:
@@ -328,16 +329,15 @@ def _traced(table: CharacterTable, m: int):
                 n = traced.get(value)
                 if n is None:
                     t = _integer_traces(value, m, row.label)
-                    n = traced[value] = number.setdefault(t, len(traces))
-                    if n == len(traces):
-                        traces.append(t)
+                    n = traced[value] = number.setdefault(t, len(number))
                 cells.append(n)
             ids.append(tuple(cells))
+        traces = list(number)
         block = tuple(
             tuple(zip(*[traces[n] for n in cells])) if cells else ((),) * m
             for cells in ids
         )
-        got = table.trace_blocks[m] = (block, tuple(ids), tuple(traces))
+        got = table.trace_blocks[m] = (block, tuple(ids), number)
     return got
 
 
@@ -353,10 +353,8 @@ def galois_twists(ordinary: CharacterTable, tables, k: int) -> dict:
     composition.
     """
     support = ordinary.classes_of_order_dividing(k)
-    numbered = []
-    for t in (ordinary, *(t for t in tables if t is not ordinary)):
-        _, ids, traces = _traced(t, k)
-        numbered.append((ids, traces, {tr: n for n, tr in enumerate(traces)}))
+    others = (t for t in tables if t is not ordinary)
+    numbered = [_traced(t, k)[1:] for t in (ordinary, *others)]
     columns = list(zip(*numbered[0][0]))
     column = {col: i for i, col in enumerate(columns)}
 
@@ -366,13 +364,13 @@ def galois_twists(ordinary: CharacterTable, tables, k: int) -> dict:
         inv = pow(j, -1, k)
         turn = [ell * inv % k for ell in range(k)]
         images = [
-            [number.get(tuple(map(tr.__getitem__, turn))) for tr in traces]
-            for _, traces, number in numbered
+            [number.get(tuple(map(tr.__getitem__, turn))) for tr in number]
+            for _, number in numbered
         ]
         at = [column.get(tuple(map(images[0].__getitem__, col))) for col in columns]
         if None in at or len(set(at)) < len(at):
             return None
-        for (ids, _, _), image in zip(numbered[1:], images[1:]):
+        for (ids, _), image in zip(numbered[1:], images[1:]):
             for row in ids:
                 if any(row[a] != image[n] for a, n in zip(at, row)):
                     return None
@@ -489,7 +487,9 @@ def _template(ordinary, tables, k, p):
     norm bound of identity 5 if the ordinary table is complete.  A few flat
     tuples, not one per row, keep the garbage collector's work small.  Each
     row's k coefficient tuples must sum to zero (identity 6)."""
-    key = (k, tuple(tables), p)
+    # the ordinary table stands for itself as None: a key holding it would
+    # make the table a reference cycle
+    key = (k, tuple(None if t is ordinary else t for t in tables), p)
     template = ordinary.templates.get(key)
     if template is not None:
         return template

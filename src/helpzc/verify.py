@@ -8,30 +8,31 @@ Checks two questions about the normalized torsion units of Z[G]:
   while p*q is not (check_pq).
 
 Orders are processed bottom-up over the divisor lattice: the admissible
-partial augmentation tuples of u^p for every prime p | k are combined into
+partial augmentation tuples of u^p for every prime p | k are merged into
 compatible candidates for the proper powers of u, the constraint system of
 one candidate per Galois orbit is solved exactly and its solutions twisted
-onto the rest of the orbit, and the surviving tuples are filtered through
-the congruence test.  Results land in a SolutionStore, which
-`helpzc.storefile` writes and reads as JSON, for audit or to resume from.
+onto the rest of the orbit (the twists derived before the first system),
+and the surviving tuples are filtered through the congruence test.
+Results land in a SolutionStore, which `helpzc.storefile` writes and reads
+as JSON, for audit or to resume from.
 
 A verdict is Proved or Unknown, never "false": an obstruction (nontrivial
 solutions, an infinite solution set, or an exhausted node budget) means the
 method is inconclusive, not that a counterexample exists.
 
-A verdict makes no reference cycles (the solver's search keeps no closure
-that refers to itself), so reference counting frees everything it drops.
+A verdict makes no reference cycles, nor do the caches it leaves on the
+tables, so reference counting frees what it drops, and a dropped bundle.
 The drivers (`check_zc`, `check_pq`, `solve_order`, `solve_order_report`)
-therefore run with the cyclic garbage collector paused and restore it as
-they found it, even on an error.
+check their inputs once and run with the cyclic garbage collector paused,
+restoring it as they found it, even on an error; the recursion over lower
+orders goes through `_solved`, never through a driver.
 """
 
 from __future__ import annotations
 
 import gc
 from functools import wraps
-from itertools import combinations, product
-from math import gcd
+from itertools import product
 
 from .arith import divisors, prime_factors
 from .chartables import CharacterTable, TableBundle
@@ -66,7 +67,7 @@ def _collector_paused(driver):
     verdict keeps: tables, templates and store.  Unless the caller holds
     frozen objects, freezing and unfreezing moves those survivors into
     the oldest generation before the collector resumes, so that its next
-    young pass does not walk them either."""
+    young pass does not walk them either.  No driver calls another."""
 
     @wraps(driver)
     def paused(*args, **kwargs):
@@ -202,20 +203,14 @@ def orders_to_check_pq(bundle: TableBundle, shortcuts: bool = True):
 # -- lattice recursion ----------------------------------------------------------
 
 
-def compatible(tup_a: PATuple, tup_b: PATuple) -> bool:
-    """The two power tuples describe the same unit only if they agree on
-    every order both of them cover."""
-    shared = gcd(tup_a.order, tup_b.order)
-    return all(
-        tup_a.level(e) == tup_b.level(e) for e in divisors(shared) if e > 1
-    )
-
-
-def _merge_levels(k: int, parts) -> PATuple:
+def _merge_levels(k: int, parts) -> PATuple | None:
+    """The levels of the power tuples `parts`, merged at order k; None if
+    two parts differ on a level they share, so describe no one unit."""
     levels: dict[int, object] = {}
     for part in parts:
         for e, pa in part.levels:
-            levels[e] = pa
+            if levels.setdefault(e, pa) != pa:
+                return None
     return PATuple(k, tuple(sorted(levels.items())))
 
 
@@ -242,7 +237,7 @@ def _candidates(bundle, k, store, options):
         m = k // p
         if m == 1:
             continue
-        got = solve_order(bundle, m, store, options)
+        got = _solved(bundle, m, store, options)
         if got is None:
             store.obstructions[k] = store.obstructions[m]
             return None
@@ -254,16 +249,19 @@ def _candidates(bundle, k, store, options):
         return []
 
     tables = usable_tables(bundle, k, options.use_brauer)
-    propers = [
-        _merge_levels(k, combo)
-        for combo in product(*subs)
-        if all(compatible(a, b) for a, b in combinations(combo, 2))
-    ]
+    merged = (_merge_levels(k, combo) for combo in product(*subs))
+    propers = [proper for proper in merged if proper is not None]
 
     # one system per Galois orbit: the first combination of each orbit is
     # solved and its candidates twisted onto the others (identity 3 of the
-    # constraints module)
-    twists = None
+    # constraints module); None stands for every j that fixes each class,
+    # j = 1 among them
+    twists = [None]
+    if len(propers) > 1:
+        group = galois_twists(bundle.ordinary, tables, k)
+        for perm in group.values():
+            if perm != group[1] and perm not in twists:
+                twists.append(perm)
     pending = set(propers)
     candidates = []
     for proper in propers:
@@ -286,16 +284,6 @@ def _candidates(bundle, k, store, options):
                 numerators(sys, sol)  # each k·mu a nonnegative multiple of k
                 top = pa_vector(bundle.ordinary, k, eps_projection(sys, sol))
                 found.append(proper.with_top(top))
-        if twists is None:
-            # derived once the first system's assembly has built the trace
-            # blocks at k, so that their cost counts as assembly; None
-            # stands for every j that fixes each class, j = 1 among them
-            twists = [None]
-            if len(propers) > 1:
-                group = galois_twists(bundle.ordinary, tables, k)
-                for perm in group.values():
-                    if perm != group[1] and perm not in twists:
-                        twists.append(perm)
         for perm in twists:
             member = proper if perm is None else proper.twisted(perm)
             if member in pending:
@@ -304,6 +292,16 @@ def _candidates(bundle, k, store, options):
                     found if perm is None else (c.twisted(perm) for c in found)
                 )
     return sorted(set(candidates), key=canonical_key)
+
+
+def _solved(bundle, k, store, options):
+    """solve_order past the driver: the stored tuples, audited if absent."""
+    if k in store.obstructions:
+        return None
+    got = store.solutions.get(k)
+    if got is None:
+        got, _ = _audit_order(bundle, k, store, options)
+    return got
 
 
 @_collector_paused
@@ -318,15 +316,9 @@ def solve_order(
     Returns None when an obstruction (infinite set or node budget) blocks
     the order; the reason is recorded in store.obstructions.
     """
-    options = options or SolverOptions()
     _check_order(k)
     _check_store(bundle, store)
-    if k in store.obstructions:
-        return None
-    if k in store.solutions:
-        return store.solutions[k]
-    survivors, _ = _audit_order(bundle, k, store, options)
-    return survivors
+    return _solved(bundle, k, store, options or SolverOptions())
 
 
 def _drop_budget_markers(store: SolutionStore) -> None:
@@ -388,7 +380,7 @@ def _check(bundle, orders_for, options, store) -> Verdict:
         return Verdict(True, orders.reason, store)
     obstructions = []
     for k in sorted(orders):
-        got = solve_order(bundle, k, store, options)
+        got = _solved(bundle, k, store, options)
         if got is None:
             obstructions.append((k, store.obstructions[k]))
         elif set(got) != set(trivial_solutions(bundle.ordinary, k)):

@@ -38,12 +38,17 @@ from helpzc.cyclotomics import (
     root_of_unity,
 )
 from helpzc.intsolve import Finite, LinSystem, solve_all
-from helpzc.verify import (
-    _aggregated_rules_out,
-    _merge_levels,
-    canonical_key,
-    compatible,
-)
+from helpzc.verify import _aggregated_rules_out, _merge_levels, canonical_key
+
+
+def compatible(tup_a, tup_b):
+    """The two power tuples describe the same unit only if they agree on
+    every order both of them cover: the pairwise reference for
+    verify._merge_levels, which checks while it merges."""
+    shared = gcd(tup_a.order, tup_b.order)
+    return all(
+        tup_a.level(e) == tup_b.level(e) for e in divisors(shared) if e > 1
+    )
 
 
 def proper(tup):

@@ -22,6 +22,7 @@ import pytest
 from helpers import (
     box_solutions,
     brute_force_pa_solutions,
+    compatible,
     in_box,
     proper,
     random_system,
@@ -47,7 +48,6 @@ from helpzc.verify import (
     SolverOptions,
     check_pq,
     check_zc,
-    compatible,
     solve_order,
     solve_order_report,
     trivial_solutions,

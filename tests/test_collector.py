@@ -1,5 +1,5 @@
-"""A verdict makes no reference cycles, and the drivers run it with the
-cyclic garbage collector paused.
+"""A verdict makes no reference cycles, nor does a bundle it has used, and
+the drivers run it with the cyclic garbage collector paused.
 
 Reference counting frees everything a verdict drops, so the collector
 would find nothing; the drivers (`check_zc`, `check_pq`, `solve_order`,
@@ -44,6 +44,14 @@ def no_shortcuts(bundle):
     return check_zc(bundle, SolverOptions(shortcuts=False))
 
 
+def p_constant(bundle):
+    return check_zc(bundle, SolverOptions(p_constant=True))
+
+
+def no_brauer(bundle):
+    return check_zc(bundle, SolverOptions(use_brauer=False))
+
+
 def lp_path(_):
     # no norm bound: the LP bounds the first system and its search finds
     # the 15 points of x + y + z = 4 in N^3; the second is unbounded
@@ -58,6 +66,8 @@ def lp_path(_):
 VERDICTS = {
     "zc m11": (m11, check_zc),
     "pq m11": (m11, check_pq),
+    "zc --p-constant m11": (m11, p_constant),
+    "zc --no-brauer m11": (m11, no_brauer),
     "order 12 m11": (m11, order_12),
     "zc --no-shortcuts cyclic:18": (lambda: cyclic_table(18), no_shortcuts),
     "zc --max-nodes 5 m11": (m11, budget_abort),
@@ -69,12 +79,13 @@ VERDICTS = {
 def test_a_verdict_leaves_no_cyclic_garbage(name):
     load, work = VERDICTS[name]
     work(load())  # imports every module the verdict loads on first use
-    bundle = load()
     gc.disable()
     try:
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
-        work(bundle)
+        # the bundle is dropped with the verdict: the caches the verdict
+        # leaves on its tables must not refer back to a table either
+        work(load())
         found = gc.collect()
         kinds = sorted({type(o).__name__ for o in gc.garbage})
     finally:

@@ -389,11 +389,11 @@ def test_mu_sums_reject_a_wrong_degree_sum():
         build_system(b, 4, proper)
     # and one coefficient of row ord2 at l = 0, raised by 1
     b = cyclic_table(4)
-    block, ids, traces = constraints._traced(b.ordinary, 4)
+    block, ids, number = constraints._traced(b.ordinary, 4)
     row = list(block[2])
     row[0] = (row[0][0] + 1,) + row[0][1:]
     block = block[:2] + (tuple(row),) + block[3:]
-    b.ordinary.trace_blocks[4] = (block, ids, traces)
+    b.ordinary.trace_blocks[4] = (block, ids, number)
     with pytest.raises(AssertionError, match=r"^ord2: order-4 coefficients sum to nonzero$"):
         build_system(b, 4, proper)
 

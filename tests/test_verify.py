@@ -1,10 +1,13 @@
 """Tests for the order-lattice driver, verdicts, and the solution store."""
 
+from collections import Counter
+from itertools import combinations, product
+
 import pytest
 
-from helpers import asymmetric_row, full_solve_candidates, with_rows
+from helpers import asymmetric_row, compatible, full_solve_candidates, with_rows
 from helpzc import intsolve, verify
-from helpzc.arith import divisors
+from helpzc.arith import divisors, prime_factors
 from helpzc.chartables import (
     CharacterTable,
     TableBundle,
@@ -29,7 +32,6 @@ from helpzc.verify import (
     SolverOptions,
     check_pq,
     check_zc,
-    compatible,
     orders_to_check_pq,
     orders_to_check_zc,
     solve_order,
@@ -150,13 +152,72 @@ def test_compatible_checks_shared_levels():
             ),
         )
 
-    assert compatible(order9({g6: 1}), order6({g6: 1}))
-    assert not compatible(order9({g6: 1}), order6({g12: 1}))
-    assert not compatible(order9({g6: 2, g12: -1}), order6({g6: 1}))
+    nine, six = order9({g6: 1}), order6({g6: 1})
+    assert verify._merge_levels(18, (nine, six)) == PATuple(
+        18, tuple(sorted(dict(nine.levels + six.levels).items()))
+    )
+    assert verify._merge_levels(18, (order9({g6: 1}), order6({g12: 1}))) is None
+    assert verify._merge_levels(18, (order9({g6: 2, g12: -1}), six)) is None
     # coprime orders share no level, so anything goes
     two = PATuple(2, ((2, pa_vector(t, 2, {g9: 1})),))
     three = PATuple(3, ((3, pa_vector(t, 3, {g12: 1})),))
-    assert compatible(two, three)
+    assert verify._merge_levels(6, (two, three)) == PATuple(6, two.levels + three.levels)
+
+
+# (group, checker, options, combinations kept, combinations dropped)
+MERGE_STORES = {
+    "zc m11": ("m11", check_zc, SolverOptions(), 32, 0),
+    "pq m11": ("m11", check_pq, SolverOptions(), 18, 0),
+    "zc --no-shortcuts cyclic:72": (
+        None, check_zc, SolverOptions(shortcuts=False), 63, 98
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_STORES))
+def test_merge_rejects_exactly_the_incompatible_combinations(bundles, name):
+    group, checker, options, kept, dropped = MERGE_STORES[name]
+    bundle = bundles[group] if group else cyclic_table(72)
+    store = checker(bundle, options).store
+    fitting = Counter()
+    for k in store.solutions:
+        subs = [store.solutions[k // p] for p in prime_factors(k) if p < k]
+        for combo in product(*subs):
+            merged = verify._merge_levels(k, combo)
+            fits = all(compatible(a, b) for a, b in combinations(combo, 2))
+            assert (merged is not None) == fits
+            fitting[fits] += 1
+            if fits:
+                levels = {e: pa for part in combo for e, pa in part.levels}
+                assert merged == PATuple(k, tuple(sorted(levels.items())))
+    assert (fitting[True], fitting[False]) == (kept, dropped)
+
+
+def order_12(bundle):
+    return solve_order_report(bundle, 12, SolutionStore(bundle.group_name))
+
+
+@pytest.mark.parametrize(
+    "work, audits",
+    [(check_zc, 31), (check_pq, 9), (order_12, 5)],
+    ids=["zc m11", "pq m11", "order 12 m11"],
+)
+def test_the_recursion_audits_each_order_once_past_the_driver(
+    bundles, monkeypatch, work, audits
+):
+    calls = Counter()
+    for name in ("solve_order", "_audit_order"):
+        real = getattr(verify, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    work(bundles["m11"])
+    # a lower order is read from the store or audited, never re-entered
+    # through the public driver
+    assert calls == {"_audit_order": audits}
 
 
 def test_solve_order_rejects_bad_order(bundles):
