@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .chartables import cyclic_table, load_bundle, resolve_bundle_path
+from .chartables import BundleError, cyclic_table, load_bundle, resolve_bundle_path
 from .intsolve import DEFAULT_MAX_NODES
 from .records import Record
 from .verify import SolutionStore, SolverOptions, check_pq, check_zc, solve_order_report
@@ -82,15 +82,26 @@ def solver_options(args) -> SolverOptions:
 
 def check_outputs(args) -> None:
     """Refuse an output path that exists and is not a regular file, or
-    whose directory does not exist, and a store that the verdict would
-    overwrite, before any work is done that could not be written there."""
-    for path in filter(None, (args.store, args.json_out)):
+    whose directory does not exist, a store that the verdict would
+    overwrite, and an output that would overwrite the bundle's file, before
+    any work is done that could not be written there.  A bundle that does
+    not resolve is left to report its own error."""
+    named = [(o, p) for o, p in (("--store", args.store), ("--json-out", args.json_out)) if p]
+    for _, path in named:
         if Path(path).exists() and not Path(path).is_file():
             raise ValueError(f"output path {path} exists and is not a regular file")
         if not Path(path).parent.is_dir():
             raise ValueError(f"output path {path} is not in an existing directory")
-    if args.store and args.json_out and Path(args.store).resolve() == Path(args.json_out).resolve():
+    if len(named) == 2 and Path(args.store).resolve() == Path(args.json_out).resolve():
         raise ValueError(f"--store and --json-out both name {args.json_out}")
+    if named and not args.bundle.startswith("cyclic:"):
+        try:
+            source = resolve_bundle_path(args.bundle).resolve()
+        except BundleError:
+            return
+        for option, path in named:
+            if Path(path).resolve() == source:
+                raise ValueError(f"{option} {path} is the bundle file")
 
 
 def load_store(bundle, path: str | None) -> SolutionStore:

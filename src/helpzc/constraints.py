@@ -6,7 +6,7 @@ D(u) is
 
     mu_l(u, psi) = (1/k) * sum_{d | k} Tr_{Q(zeta_{k/d})/Q}( psi(u^d) * zeta_{k/d}^{-l} )
 
-and must be a nonnegative integer.  Writing psi(u) = sum_x eps_x(u) psi(x)
+and must be a non-negative integer.  Writing psi(u) = sum_x eps_x(u) psi(x)
 over the classes x of order dividing k turns each (psi, l) into a congruence
 
     sum_x Tr(psi(x) zeta_k^{-l}) * eps_x + a(psi, l)  ≡  0 (mod k),  >= 0,
@@ -123,7 +123,7 @@ once per table, and their share of the constants, in the merged order, once
 per order.  A system's constant terms are then one flat list, the degrees
 plus its proper powers' shares, and every step over the rows (psi, l) is an
 operation on whole lists: the sum, the clash test mod k, and the check that
-each solution's multiplicities are nonnegative integers.  Cyclotomic (Cyc)
+each solution's multiplicities are non-negative integers.  Cyclotomic (Cyc)
 arithmetic only loads and validates the character tables.
 """
 
@@ -575,7 +575,7 @@ def _assemble(ordinary, tables, k, p, levels) -> LinSystem:
             congruences = [((0,) * len(lead), 1, None)]
             break
         congruences.append((coeffs, min(constants[lo:hi]), record))
-    return LinSystem(lead, equalities, frozenset(), norm, k, tuple(congruences))
+    return LinSystem(lead, equalities, norm, k, tuple(congruences))
 
 
 def is_p_constant(row: CharRow, table: CharacterTable, p: int) -> bool:
@@ -627,7 +627,7 @@ def eps_projection(sys: LinSystem, solution) -> dict[int, int]:
 def numerators(sys: LinSystem, solution):
     """The layout of `sys` and k·mu = C·eps + a(psi, l) for every (psi, l)
     in its merged order: each run's dot product, repeated over the run,
-    plus the constants.  Each must be a nonnegative multiple of k, so
+    plus the constants.  Each must be a non-negative multiple of k, so
     anything else means a bug; the message names the first (psi, l) that
     is not."""
     record = sys.congruences[0][2]
@@ -641,7 +641,7 @@ def numerators(sys: LinSystem, solution):
     if min(values) < 0 or any(map(k.__rmod__, values)):
         j = next(j for j, v in enumerate(values) if v < 0 or v % k)
         key = (layout.labels[j], layout.ells[j])
-        raise AssertionError(f"{key}: {values[j]} / {k} is no nonnegative integer")
+        raise AssertionError(f"{key}: {values[j]} / {k} is no non-negative integer")
     return layout, values
 
 

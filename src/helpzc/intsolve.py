@@ -1,27 +1,26 @@
 """Exact enumeration of integer solutions of linear constraint systems.
 
-A LinSystem holds integer equality rows over declared variables, some of
-which are flagged nonnegative, congruence rows c·x + a ≡ 0 (mod k) that
-also require c·x + a >= 0, and optionally a norm bound
-sum_i w_i * x_i^2 <= R with integer weights w_i >= 0.  The pipeline:
+A LinSystem holds integer equality rows over declared variables,
+congruence rows c·x + a ≡ 0 (mod k) that also require c·x + a >= 0, and
+optionally a norm bound sum_i w_i * x_i^2 <= R with integer weights
+w_i >= 0.  The congruence row is the one inequality: a sign bound
+x_i >= 0 is the row (k·e_i, 0).  The pipeline:
 
-  1. eliminate the equalities and congruences over Z, writing every
-     integer solution as origin + integer combination of lattice basis
-     vectors: the equality rows are column-reduced exactly, each column
-     held only as its transform over the variables, and the congruence
-     rows are taken modulo k over the kernel left, which the lattice
-     contains k times.  Its basis is the Hermite normal form modulo k
-     (after Cohen, Algorithm 2.4.8; Domich, Kannan and Trotter 1987).
-     Under a norm bound it is then LLL-reduced (δ = 99/100, integral,
-     Cohen's Algorithm 2.6.7) for the norm's inner product Σ w_i·u_i·v_i,
-     a unimodular change that keeps the lattice and makes its vectors
-     short, so that step 3 searches a short basis.  The reduction reads
-     only the coefficients, so it is made once per coefficient matrix and
-     shared; each system adds only its right sides, which fix its origin
-     (`diophantine_eliminate`);
-  2. push the nonnegativity constraints and each c·x + a >= 0 through that
-     parametrization, giving an inequality system over the free integer
-     parameters;
+  1. eliminate the equalities and congruences over Z, writing every integer
+     solution as origin + integer combination of lattice basis vectors: the
+     equality rows are column-reduced exactly, each column held only as its
+     transform over the variables, and the congruence rows are taken modulo
+     k over the kernel left, which the lattice contains k times (a sign row,
+     0 mod k, restricts nothing).  Its basis is the Hermite normal form
+     modulo k (after Cohen, Algorithm 2.4.8; Domich, Kannan and Trotter
+     1987).  Under a norm bound it is then LLL-reduced (δ = 99/100,
+     integral, Cohen's Algorithm 2.6.7) for the norm's inner product
+     Σ w_i·u_i·v_i, a unimodular change that keeps the lattice and makes
+     its vectors short, so that step 3 searches a short basis.  The
+     reduction reads only the coefficients, so it is made once per
+     coefficient matrix and shared; each system adds only its right sides,
+     which fix its origin (`diophantine_eliminate`);
+  2. push each c·x + a >= 0 through it: inequalities over the parameters;
   3. bound the parameters.  A system with a norm bound (every HeLP system
      over a complete character table, see the constraints module) is
      bounded by its ellipsoid Q(t) <= R, which must be positive definite
@@ -61,33 +60,29 @@ DEFAULT_MAX_NODES = 10_000_000
 
 
 class LinSystem(Record):
-    """Integer equalities Σ c·x = rhs, x_i ≥ 0 for i in nonneg, for each
-    congruence row (c, a, tag) c·x + a ≡ 0 (mod modulus) and c·x + a ≥ 0,
-    and Σ w_i·x_i² ≤ R when norm = (w, R) is given.  The tag, like the
-    variables, means nothing to the solver: a HeLP system's rows all hold
-    its one record of constant terms (see constraints._assemble)."""
+    """Integer equalities Σ c·x = rhs, for each congruence row (c, a, tag)
+    c·x + a ≡ 0 (mod modulus) and c·x + a ≥ 0, and Σ w_i·x_i² ≤ R when
+    norm = (w, R) is given.  The congruence rows are the only inequalities:
+    x_i ≥ 0 is the row (modulus·e_i, 0).  The tag, like the variables,
+    means nothing to the solver: a HeLP system's rows all hold its one
+    record of constant terms (see constraints._assemble)."""
 
-    __slots__ = ("variables", "equalities", "nonneg", "norm", "modulus", "congruences")
+    __slots__ = ("variables", "equalities", "norm", "modulus", "congruences")
 
-    def __init__(
-        self, variables, equalities, nonneg, norm=None, modulus=1, congruences=()
-    ):
+    def __init__(self, variables, equalities, norm=None, modulus=1, congruences=()):
         n = len(variables)
         if any(len(row[0]) != n for row in (*equalities, *congruences)):
             raise ValueError("row arity does not match variables")
-        if any(not 0 <= i < n for i in nonneg):
-            raise ValueError("nonneg index out of range")
         if norm is not None and (len(norm[0]) != n or any(w < 0 for w in norm[0])):
-            raise ValueError("norm needs one nonnegative weight per variable")
+            raise ValueError("norm needs one non-negative weight per variable")
         if modulus < 1:
             raise ValueError("the modulus must be positive")
-        super().__init__(variables, equalities, nonneg, norm, modulus, congruences)
+        super().__init__(variables, equalities, norm, modulus, congruences)
 
     def check_solution(self, x) -> bool:
         mu = [sum(map(_mul, c, x)) + a for c, a, _ in self.congruences]
         return (
             all(sum(map(_mul, c, x)) == rhs for c, rhs in self.equalities)
-            and all(x[i] >= 0 for i in self.nonneg)
             and all(v >= 0 and v % self.modulus == 0 for v in mu)
             and (
                 self.norm is None
@@ -127,11 +122,10 @@ def _ceil_div(a: int, b: int) -> int:
 class _Lattice:
     """One coefficient matrix reduced: for each row that moves the origin,
     its index, its pivot value and the pivot's transform over x (`steps`);
-    the basis; the rows over x that become inequalities (`sources`: x_i ≥ 0,
-    then each c·x + a ≥ 0) and their rows over t, merged by coefficients
-    with their sources and divisors; `_gram`."""
+    the basis; the congruence rows over t, which become the inequalities,
+    merged by coefficients with their indices and divisors; `_gram`."""
 
-    __slots__ = ("steps", "basis", "sources", "rows", "gram")
+    __slots__ = ("steps", "basis", "rows", "gram")
 
 
 # The coefficient matrix reduced last, as (key, _Lattice), the key being
@@ -141,7 +135,7 @@ class _Lattice:
 _lattice = (None, None)
 
 
-def _reduce(modulus, n, equalities, congruences, nonneg, weights) -> _Lattice:
+def _reduce(modulus, n, equalities, congruences, weights) -> _Lattice:
     """Column-reduce the equality rows exactly, then take the congruence
     rows modulo k over the kernel they leave.  A column is only its
     unimodular transform u over the n variables: every earlier row is zero
@@ -202,11 +196,8 @@ def _reduce(modulus, n, equalities, congruences, nonneg, weights) -> _Lattice:
     basis = tuple(map(over_x, hnf))
     lat.basis = basis = basis if weights is None else _lll(basis, weights)
 
-    # the sources of inequality rows over x: x_i >= 0, then c·x + a >= 0
-    lat.sources = [tuple(int(i == j) for j in range(n)) for i in sorted(nonneg)]
-    lat.sources += congruences
     merged: dict[tuple[int, ...], list] = {}
-    for s, c in enumerate(lat.sources):
+    for s, c in enumerate(congruences):
         coeffs = tuple([sum(map(_mul, c, b)) for b in basis])
         g = gcd(*coeffs)
         if g > 1:
@@ -342,10 +333,10 @@ def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
     lies in the lattice of the rows before it, so later steps keep every
     earlier row, and a row without a step is constant on origin + L (mod k
     on a congruence row), so testing it at the origin is the whole check it
-    needs.  Nonnegativity and each c·x + a >= 0 become the returned rows
-    coeffs·t >= rhs, normalized by integer rounding (exact, since t is
-    integral) and merged by coefficients.  None when there is no integer
-    solution or a row without coefficients fails."""
+    needs.  Each congruence row's c·x + a >= 0, sign bounds included,
+    becomes a returned row coeffs·t >= rhs, normalized by integer rounding
+    (exact, since t is integral) and merged by coefficients.  None when
+    there is no integer solution or a row without coefficients fails."""
     global _lattice
     k = sys.modulus
     # a row without coefficients is a condition on its constant alone,
@@ -355,7 +346,7 @@ def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
     weights = None if sys.norm is None else sys.norm[0]
     equalities = tuple([c for c, _ in sys.equalities])
     congruences = tuple([c for c, _, _ in sys.congruences])
-    key = (k, len(sys.variables), equalities, congruences, sys.nonneg, weights)
+    key = (k, len(sys.variables), equalities, congruences, weights)
     if _lattice[0] != key:
         _lattice = (key, _reduce(*key))
     lat = _lattice[1]
@@ -378,9 +369,8 @@ def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
     # the rows without a step, at the origin
     if any(sum(map(_mul, c, origin)) != b for c, b in sys.equalities):
         return None
-    consts = [0] * len(sys.nonneg) + [a for _, a, _ in sys.congruences]
-    values = [sum(map(_mul, c, origin)) + a for c, a in zip(lat.sources, consts)]
-    if any(v % k for v in values[len(sys.nonneg):]):
+    values = [sum(map(_mul, c, origin)) + a for c, a, _ in sys.congruences]
+    if any(v % k for v in values):
         return None
     inequalities = []
     for coeffs, members in lat.rows:

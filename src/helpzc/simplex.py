@@ -78,27 +78,22 @@ class _Tableau:
 
     def _phase1(self, base: int) -> bool:
         """Maximize -(sum of artificials); on success drive the artificials
-        out of the basis or drop their rows, which are then redundant."""
+        out of the basis.  Every row has its own surplus column, so the base
+        columns have full row rank, which pivoting keeps: no row is zero
+        over them."""
         obj = self._objective({j: -1 for j in range(base, self.ncols)})
         unbounded = self._run(obj)
         assert unbounded is None, "phase 1 objective is bounded by 0"
         if obj[-1]:
             return False
-        keep = []
         for i, k in enumerate(self.basis):
             if k >= base:
                 row = self.rows[i]
-                piv = next((j for j in range(base) if row[j]), None)
-                if piv is None:
-                    continue
+                piv = next(j for j in range(base) if row[j])
                 if row[piv] < 0:
                     # the row reads 0 = ..., so it may change sign
                     self.rows[i] = [-v for v in row]
                 self._pivot(i, piv, None)
-            keep.append(i)
-        if len(keep) != len(self.rows):
-            self.rows = [self.rows[i] for i in keep]
-            self.basis = [self.basis[i] for i in keep]
         return True
 
     def _objective(self, cost: dict[int, int]) -> list[int]:

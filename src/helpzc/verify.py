@@ -281,7 +281,7 @@ def _candidates(bundle, k, store, options):
                 store.obstructions[k] = REASON_BUDGET
                 return None
             for sol in result.solutions:
-                numerators(sys, sol)  # each k·mu a nonnegative multiple of k
+                numerators(sys, sol)  # each k·mu a non-negative multiple of k
                 top = pa_vector(bundle.ordinary, k, eps_projection(sys, sol))
                 found.append(proper.with_top(top))
         for perm in twists:

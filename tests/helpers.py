@@ -253,7 +253,7 @@ def _reference_assemble(ordinary, tables, k, rows, levels, coefficients, lead):
         scale = lcm(*sizes)
         norm = (tuple(scale // size for size in sizes), scale)
     equality = ((1,) * len(lead), 1)
-    return LinSystem(tuple(lead), (equality,), frozenset(), norm, k, tuple(congruences))
+    return LinSystem(tuple(lead), (equality,), norm, k, tuple(congruences))
 
 
 def full_solve_candidates(bundle, k, store, options):
@@ -310,6 +310,15 @@ def asymmetric_row():
     return tuple(row)
 
 
+def sign_rows(n, nonneg, modulus=1):
+    """x_i >= 0 over n variables for each i in `nonneg`, as the congruence
+    rows (modulus·e_i, 0): the one form in which a LinSystem bounds a
+    sign."""
+    return tuple(
+        (tuple(modulus * (i == j) for j in range(n)), 0, None) for i in sorted(nonneg)
+    )
+
+
 def random_system(rng, max_vars=4, cmax=6, name_prefix="x"):
     n = rng.randint(1, max_vars)
     m = rng.randint(1, 3)
@@ -321,11 +330,12 @@ def random_system(rng, max_vars=4, cmax=6, name_prefix="x"):
         for _ in range(m)
     )
     if rng.random() < 0.5:
-        nonneg = frozenset(range(n))
+        signed = range(n)
     else:
-        nonneg = frozenset(i for i in range(n) if rng.random() < 0.5)
+        signed = [i for i in range(n) if rng.random() < 0.5]
     return LinSystem(
-        tuple(f"{name_prefix}{i}" for i in range(n)), equalities, nonneg
+        tuple(f"{name_prefix}{i}" for i in range(n)), equalities,
+        congruences=sign_rows(n, signed),
     )
 
 
@@ -628,6 +638,35 @@ BUNDLE_CORRUPTIONS = [
     ("degree-not-rational", "s3", ("ordinary", "characters", 1, 0),
      {"n": 3, "coeffs": [[1, 1]]},
      "S3: character 1 at class 1a is encoded over zeta_3, outside Q(zeta_2)"),
+    ("coefficients-not-list", "m11", M11_CYC[:-1], 7,
+     "M11: bad value in characters: coefficients must be a list: 7"),
+    # the classes and power maps are checked before any value is decoded
+    ("group-order-zero", "s3", ("order",), 0,
+     "S3: group order must be positive"),
+    ("no-classes", "s3", ("ordinary", "classes"), [],
+     "S3: table has no classes"),
+    ("class-entry-not-object", "s3", ("ordinary", "classes", 1), "2a",
+     "S3: malformed class entry '2a'"),
+    ("duplicate-class-names", "s3", ("ordinary", "classes", 2, "name"), "2a",
+     "S3: duplicate class names"),
+    ("two-identity-classes", "s3", ("ordinary", "classes", 1, "order"), 1,
+     "S3: need exactly one identity class of size 1"),
+    ("identity-class-size-two", "s3", ("ordinary", "classes", 0, "size"), 2,
+     "S3: need exactly one identity class of size 1"),
+    ("class-order-not-dividing", "s3", ("ordinary", "classes", 2, "order"), 5,
+     "S3: class 3a order 5 does not divide 6"),
+    ("class-size-zero", "s3", ("ordinary", "classes", 1, "size"), 0,
+     "S3: class 2a has nonpositive size"),
+    ("power-map-short", "s3", ("ordinary", "power_maps", "2"), [0, 0],
+     "S3: power map for 2 has wrong length"),
+    ("power-map-bad-index", "s3", ("ordinary", "power_maps", "2"), [0, 0, 5],
+     "S3: power map for 2 has a bad class index 5"),
+    ("no-characters", "s3", ("ordinary", "characters"), [],
+     "S3: table has no characters"),
+    ("brauer-p-not-prime", "m11", ("brauer", 0, "p"), 4,
+     "M11 mod 4: 4 is not a prime"),
+    ("brauer-p-not-dividing", "m11", ("brauer", 0, "p"), 7,
+     "M11 mod 7: 7 does not divide the group order"),
 ]
 
 

@@ -13,6 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from helpers import sign_rows
 import helpzc
 from helpzc import chartables
 from helpzc.chartables import cyclic_table
@@ -119,7 +120,9 @@ def test_every_lp_records_one_span(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(simplex, "_feasible_tableau", counting)
-    system = LinSystem(("x0", "x1", "x2", "x3"), (((1, 1, 1, 1), 3),), frozenset(range(4)))
+    system = LinSystem(
+        ("x0", "x1", "x2", "x3"), (((1, 1, 1, 1), 3),), congruences=sign_rows(4, range(4))
+    )
     result = solve_all(system)
     assert isinstance(result, Finite) and len(result.solutions) == 20
     spans = [span for span in trace.spans if span[0] == "intsolve.lp"]

@@ -499,6 +499,23 @@ def test_malformed_bundle_is_a_bundle_error(base, path, value, message):
     assert str(error.value).startswith(message)
 
 
+def test_unreadable_or_malformed_bundle_file_is_a_bundle_error(tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"group": "S3",')
+    listed = tmp_path / "listed.json"
+    listed.write_text("[]")
+    for source, message in (
+        (tmp_path / "missing.json", f"cannot read bundle {tmp_path / 'missing.json'}: "),
+        (tmp_path, f"cannot read bundle {tmp_path}: "),
+        (broken, f"bundle {broken} is not valid JSON: "),
+        (listed, "bundle must be a JSON object"),
+        ([], "bundle must be a JSON object"),
+    ):
+        with pytest.raises(BundleError) as error:
+            load_bundle(source)
+        assert str(error.value).startswith(message)
+
+
 def test_error_names_the_table():
     data = m11_raw()
     data["brauer"][0]["classes"][4] = "7a"

@@ -11,7 +11,7 @@ import pytest
 from helpers import BUNDLE_CORRUPTIONS, corrupted_bundle
 from helpzc import cli, storefile
 from helpzc.bundlefile import bundle_to_json
-from helpzc.chartables import cyclic_table
+from helpzc.chartables import cyclic_table, resolve_bundle_path
 from helpzc.cli import build_parser, main, solver_options
 from helpzc.intsolve import DEFAULT_MAX_NODES
 
@@ -166,6 +166,12 @@ def test_order_obstruction_overwrites_json_out(capsys, tmp_path):
             id="store-tuple-list",
         ),
         pytest.param(
+            ("zc", "a5", "--store"),
+            {"group": "A5", "solutions": {"5": [{"5": {"5c": 1}}]}},
+            "error: A5: no class named '5c'",
+            id="store-unknown-class",
+        ),
+        pytest.param(
             ("wagner", "0", "m11", "--tuple"),
             {"2": {"2a": 1}},
             "error: orders start at 2",
@@ -176,6 +182,12 @@ def test_order_obstruction_overwrites_json_out(capsys, tmp_path):
             {"2": {"2a": "1"}},
             "error: partial augmentation 2a = '1' at level 2 is not an integer",
             id="wagner-string",
+        ),
+        pytest.param(
+            ("wagner", "2", "m11", "--tuple"),
+            {"2": {"2b": 1}},
+            "error: M11: no class named '2b'",
+            id="wagner-unknown-class",
         ),
     ],
 )
@@ -333,6 +345,37 @@ def test_store_that_is_also_the_json_out_is_refused_first(capsys, tmp_path, monk
             assert err == f"error: --store and --json-out both name {path.name}\n"
     assert store.read_bytes() == saved
     assert not (tmp_path / "absent.json").exists()
+
+
+def test_an_output_that_is_the_bundle_file_is_refused_first(capsys, tmp_path, monkeypatch):
+    # the verdict payload or the store would overwrite the bundle, and every
+    # later run on it would fail to load it; refused before solving, for a
+    # bundle given by path and for one found by name in the data directory
+    data = tmp_path / "data"
+    data.mkdir()
+    bundle = data / "s3.json"
+    bundle.write_bytes(resolve_bundle_path("s3").read_bytes())
+    saved = bundle.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HELPZC_DATA", str(data))
+    for name in (str(bundle), "data/s3.json", "s3"):
+        for option in ("--store", "--json-out"):
+            # the same file, spelled once absolute and once relative
+            for path in (str(bundle), "data/s3.json"):
+                for argv in (("zc", name), ("pq", name), ("order", "2", name)):
+                    code, out, err = run(capsys, *argv, option, path)
+                    assert (code, out) == (1, "")
+                    assert err == f"error: {option} {path} is the bundle file\n"
+    assert bundle.read_bytes() == saved
+    # another output is written; cyclic:N names no file, even once a file
+    # of that name exists, and a bundle that does not resolve reports its
+    # own error
+    assert run(capsys, "zc", "s3", "--json-out", "verdict.json")[0] == 0
+    for _ in range(2):
+        assert run(capsys, "zc", "cyclic:3", "--json-out", "cyclic:3")[0] == 0
+    code, out, err = run(capsys, "zc", "nowhere", "--json-out", "nowhere")
+    assert (code, out) == (1, "") and "no bundle found for 'nowhere'" in err
+    assert bundle.read_bytes() == saved
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import gc
 
 import pytest
 
-from helpers import corrupted_bundle
+from helpers import corrupted_bundle, sign_rows
 from helpzc.chartables import cyclic_table, load_bundle, resolve_bundle_path
 from helpzc.intsolve import Finite, Infinite, LinSystem, solve_all
 from helpzc.verify import (
@@ -55,11 +55,11 @@ def no_brauer(bundle):
 def lp_path(_):
     # no norm bound: the LP bounds the first system and its search finds
     # the 15 points of x + y + z = 4 in N^3; the second is unbounded
-    box = LinSystem(("x", "y", "z"), (((1, 1, 1), 4),), frozenset(range(3)))
+    box = LinSystem(("x", "y", "z"), (((1, 1, 1), 4),), congruences=sign_rows(3, range(3)))
     assert solve_all(box) == Finite(tuple(
         (x, y, 4 - x - y) for x in range(5) for y in range(5 - x)
     ))
-    ray = LinSystem(("x", "y"), (((1, -1), 0),), frozenset(range(2)))
+    ray = LinSystem(("x", "y"), (((1, -1), 0),), congruences=sign_rows(2, range(2)))
     assert isinstance(solve_all(ray), Infinite)
 
 

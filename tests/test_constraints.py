@@ -25,6 +25,7 @@ from helpers import (
 )
 from helpzc import constraints
 from helpzc.arith import divisors, euler_phi, prime_factors
+from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
     CharacterTable,
     cyclic_table,
@@ -280,7 +281,7 @@ def test_variable_layout_and_merging():
     sys = build_system(cyclic_table(2), 2, PATuple(2, ()))
     assert [type(v) for v in sys.variables] == [EpsVar]
     assert sys.equalities == (((1,), 1),)
-    assert sys.nonneg == frozenset() and sys.modulus == 2
+    assert sys.modulus == 2
     # trivial and sign character rows coincide pairwise: ord0 at l = 0 and
     # ord1 at l = 1 have C = (1,), the other two C = (-1,)
     assert [coeffs for coeffs, _, _ in sys.congruences] == [(1,), (-1,)]
@@ -353,7 +354,7 @@ def test_mu_values_reject_a_non_solution():
     sys = build_system(b, 4, trivial_proper(b.ordinary, 4, 1))
     assert solve_all(sys).solutions
     # the message names the (row, l) whose multiplicity fails
-    with pytest.raises(AssertionError, match=r"^\('ord\d', \d\): .* no nonnegative integer"):
+    with pytest.raises(AssertionError, match=r"^\('ord\d', \d\): .* no non-negative integer"):
         mu_values(sys, (2, -1, 0))
 
 
@@ -370,7 +371,7 @@ def test_mu_sums_reject_a_wrong_degree_sum():
     values[j] += 4
     raised = Constants(record.layout, tuple(values))
     bad = LinSystem(
-        sys.variables, sys.equalities, sys.nonneg, sys.norm, sys.modulus,
+        sys.variables, sys.equalities, sys.norm, sys.modulus,
         tuple((coeffs, a, raised) for coeffs, a, _ in sys.congruences),
     )
     key = ("ord2", record.layout.ells[j])
@@ -566,15 +567,15 @@ def test_p_constant_relaxation_preserves_feasibility():
         assert genuine and all({x} in found for x in genuine)
 
         result = solve_all(
-            LinSystem(
-                sys.variables, sys.equalities, sys.nonneg, None,
-                sys.modulus, sys.congruences,
-            )
+            LinSystem(sys.variables, sys.equalities, None, sys.modulus, sys.congruences)
         )
         assert isinstance(result, Infinite)
         for coeffs, _ in sys.equalities:
             assert sum(c * r for c, r in zip(coeffs, result.ray)) == 0
-        assert all(result.ray[i] >= 0 for i in sys.nonneg)
+        assert all(
+            sum(c * r for c, r in zip(coeffs, result.ray)) >= 0
+            for coeffs, _, _ in sys.congruences
+        )
 
 
 def test_p_constant_errors():
@@ -851,3 +852,22 @@ def test_symmetry_breaking_row_shrinks_twists():
     }
     # the units that are 2 mod 3 are lost; 3 mod 4 survives
     assert twists == {3: [1], 4: [1, 3], 6: [1], 12: [1, 7]}
+
+
+def test_galois_twists_need_columns_that_separate_the_classes():
+    # an incomplete table whose columns coincide on two classes maps no
+    # unit but 1 to a permutation of them: C6's trivial and sign rows give
+    # g, g^3 and g^5 one column and g^2, g^4 another; C5's row g -> zeta_5
+    # is faithful and keeps every unit
+    def cut(n, rows):
+        data = bundle_to_json(cyclic_table(n))
+        chars = data["ordinary"]["characters"]
+        data["ordinary"]["characters"] = [chars[r] for r in rows]
+        return load_bundle(data).ordinary
+
+    t = cut(6, [0, 3])
+    assert galois_twists(t, (t,), 6) == {1: {x: x for x in range(1, 6)}}
+    t = cut(5, [0, 1])
+    twists = galois_twists(t, (t,), 5)
+    assert twists == {j: {x: x * j % 5 for x in range(1, 5)} for j in range(1, 5)}
+    assert twists == reference_galois_twists(t, (t,), 5)

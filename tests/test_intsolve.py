@@ -16,6 +16,7 @@ from helpers import (
     reference_reduce,
     reference_simplex,
     round_robin_propagate,
+    sign_rows,
 )
 from helpzc import intsolve, simplex
 from helpzc.intsolve import (
@@ -37,7 +38,8 @@ def sys_of(eqs, nonneg=(), nvars=None):
     if nvars is None:
         nvars = len(eqs[0][0]) if eqs else 0
     return LinSystem(
-        tuple(f"x{i}" for i in range(nvars)), tuple(eqs), frozenset(nonneg)
+        tuple(f"x{i}" for i in range(nvars)), tuple(eqs),
+        congruences=sign_rows(nvars, nonneg),
     )
 
 
@@ -388,7 +390,7 @@ def test_row_permutation_and_negation_invariance():
             ((tuple(-c for c in coeffs), -rhs) if rng.random() < 0.5 else (coeffs, rhs))
             for coeffs, rhs in eqs
         ]
-        flipped = solve_all(LinSystem(s.variables, tuple(eqs), s.nonneg))
+        flipped = solve_all(LinSystem(s.variables, tuple(eqs), congruences=s.congruences))
         assert type(base) is type(flipped)
         if isinstance(base, Finite):
             assert base.solutions == flipped.solutions
@@ -410,7 +412,7 @@ def test_oracle_random_box():
             assert any(ray)
             for coeffs, _ in s.equalities:
                 assert sum(c * v for c, v in zip(coeffs, ray)) == 0
-            assert all(ray[i] >= 0 for i in s.nonneg)
+            assert all(sum(map(mul, c, ray)) >= 0 for c, _, _ in s.congruences)
     assert compared >= 40
 
 
@@ -445,8 +447,8 @@ def test_oracle_property(data):
         a = v if x0 is None else modulus * data.draw(st.integers(0, 2)) - v
         congruences.append((c, a, None))
     s = LinSystem(
-        tuple(f"x{i}" for i in range(n)), eqs, nonneg,
-        modulus=modulus, congruences=tuple(congruences),
+        tuple(f"x{i}" for i in range(n)), eqs,
+        modulus=modulus, congruences=sign_rows(n, nonneg, modulus) + tuple(congruences),
     )
     res = solve_all(s)
     if isinstance(res, Finite):
@@ -498,11 +500,11 @@ def congruence_system(rng, k):
     congruences = tuple((tuple(c), a, None) for c, a in rows)
     if rng.random() < 0.5:
         return LinSystem(
-            variables, tuple(eqs), frozenset(range(n)),
-            modulus=k, congruences=congruences,
+            variables, tuple(eqs),
+            modulus=k, congruences=sign_rows(n, range(n), k) + congruences,
         ), total
     return LinSystem(
-        variables, tuple(eqs), frozenset(), ((1,) * n, 4),
+        variables, tuple(eqs), ((1,) * n, 4),
         modulus=k, congruences=congruences,
     ), 2
 
@@ -519,7 +521,7 @@ def test_mod_k_reduction_matches_the_slack_column_reduction(monkeypatch, k):
         # one lattice: the same Hermite form from either basis
         key = (
             k, len(s.variables), tuple(c for c, _ in s.equalities),
-            tuple(c for c, _, _ in s.congruences), s.nonneg,
+            tuple(c for c, _, _ in s.congruences),
             None if s.norm is None else s.norm[0],
         )
         lat = intsolve._reduce(*key)
@@ -530,12 +532,10 @@ def test_mod_k_reduction_matches_the_slack_column_reduction(monkeypatch, k):
             refused += 1
         elif par is None:
             # refused only by a row that is constant on the lattice
-            sources = [(tuple(int(i == j) for j in range(len(origin))), 0) for i in s.nonneg]
-            sources += [(c, a) for c, a, _ in s.congruences]
             assert any(
                 not any(sum(map(mul, c, b)) for b in basis)
                 and sum(map(mul, c, origin)) + a < 0
-                for c, a in sources
+                for c, a, _ in s.congruences
             )
         else:
             assert in_lattice([a - b for a, b in zip(par.origin, origin)], hermite)

@@ -150,7 +150,7 @@ def test_system_without_norm_bound_loads_simplex_and_matches_reference():
     loaded = loaded_after(
         """
 import sys
-from helpers import box_solutions, reference_simplex
+from helpers import box_solutions, reference_simplex, sign_rows
 from helpzc.intsolve import (
     Finite, LinSystem, diophantine_eliminate, simplex_opt, solve_all,
 )
@@ -158,7 +158,7 @@ from helpzc.intsolve import (
 s = LinSystem(
     ("x0", "x1", "x2", "x3"),
     (((1, 1, 1, 1), 3), ((1, -2, 0, 1), 0)),
-    frozenset(range(4)),
+    congruences=sign_rows(4, range(4)),
 )
 assert "helpzc.simplex" not in sys.modules
 assert solve_all(s) == Finite(box_solutions(s, 3))

@@ -36,8 +36,7 @@ BUNDLES = ["s3", "s4", "a5", "sl23", "m11"]
 
 def without_norm(system):
     return LinSystem(
-        system.variables, system.equalities, system.nonneg, None,
-        system.modulus, system.congruences,
+        system.variables, system.equalities, None, system.modulus, system.congruences
     )
 
 
@@ -139,7 +138,9 @@ def test_norm_search_matches_box_on_random_systems(monkeypatch):
         s = random_system(rng, max_vars=4, cmax=5)
         weights = tuple(rng.randint(1, 6) for _ in s.variables)
         radius = rng.randint(0, 12)
-        bounded = LinSystem(s.variables, s.equalities, s.nonneg, (weights, radius))
+        bounded = LinSystem(
+            s.variables, s.equalities, (weights, radius), congruences=s.congruences
+        )
         got = solve_all(bounded)
         assert solve_unreduced(bounded) == got
         # w_i·x_i² <= R puts every coordinate within sqrt(R / min w)
@@ -200,7 +201,6 @@ def test_lll_reduces_and_keeps_the_lattice():
                 tuple(
                     (tuple(r[i] for r in reduced), b[i]) for i in range(len(weights))
                 ),
-                frozenset(),
             )
             assert len(solve_all(system).solutions) == 1
     # a form that is not positive definite on the lattice leaves it as given
@@ -281,14 +281,14 @@ def test_norm_search_is_exact_far_from_the_origin():
     # coordinates overflow a float's 53-bit mantissa
     k = 10**25 + 1
     for radius, count in ((9 * k * k - 1, 5), (9 * k * k, 7)):
-        s = LinSystem(("x", "y"), (((1, -k), 0),), frozenset(), ((1, 0), radius))
+        s = LinSystem(("x", "y"), (((1, -k), 0),), ((1, 0), radius))
         ys = [y for _, y in solve_all(s).solutions]
         assert ys == list(range(-(count // 2), count // 2 + 1))
 
 
 def test_norm_must_bound_the_lattice():
     # y has weight 0 and is free: no ellipsoid, and no silent fallback
-    s = LinSystem(("x", "y"), (((1, 0), 0),), frozenset(), ((1, 0), 4))
+    s = LinSystem(("x", "y"), (((1, 0), 0),), ((1, 0), 4))
     with pytest.raises(AssertionError, match="positive definite"):
         solve_all(s)
 

@@ -81,10 +81,13 @@ def _fixtures():
         LinSystem: (
             ("x", "y"),
             (((1, 1), 1),),
-            frozenset({0, 1}),
             ((1, 1), 1),
             3,
-            (((1, 2), 1, Constants(Layout(*layout), (1, 1))),),
+            (
+                ((3, 0), 0, None),
+                ((0, 3), 0, None),
+                ((1, 2), 1, Constants(Layout(*layout), (1, 1))),
+            ),
         ),
         Finite: (((1, 0), (0, 1)),),
         Infinite: ((1, -1),),
@@ -235,14 +238,14 @@ def test_defaults_and_keywords():
     [
         (lambda: PAVector(2, ((1, 2),)), ConstraintError),  # sums to 2
         (lambda: PATuple(6, ((4, PAVector(4, ((1, 1),))),)), ConstraintError),
-        (lambda: LinSystem(("x", "y"), (((1,), 0),), frozenset()), ValueError),
-        (lambda: LinSystem(("x", "y"), (), frozenset(), ((1,), 1)), ValueError),
-        (lambda: LinSystem(("x", "y"), (), frozenset(), ((1, -1), 1)), ValueError),
+        (lambda: LinSystem(("x", "y"), (((1,), 0),)), ValueError),
+        (lambda: LinSystem(("x", "y"), (), ((1,), 1)), ValueError),
+        (lambda: LinSystem(("x", "y"), (), ((1, -1), 1)), ValueError),
         (
-            lambda: LinSystem(("x",), (), frozenset(), None, 2, (((1, 1), 0, "mu"),)),
+            lambda: LinSystem(("x",), (), None, 2, (((1, 1), 0, "mu"),)),
             ValueError,
         ),
-        (lambda: LinSystem(("x",), (), frozenset(), None, 0), ValueError),
+        (lambda: LinSystem(("x",), (), None, 0), ValueError),
         (lambda: SolverOptions(max_nodes=-1), DriverError),
     ],
     ids=[

@@ -21,6 +21,7 @@ from helpers import (
     bundle_of,
     constant_terms,
     reference_system,
+    sign_rows,
     solve_unreduced,
 )
 from helpzc import intsolve, verify
@@ -86,8 +87,8 @@ def written_out(system, bounded=True):
     return LinSystem(
         system.variables + tuple(f"mu{i}" for i in range(len(rows))),
         tuple(equalities),
-        frozenset(range(n, n + len(rows))),
         norm,
+        congruences=sign_rows(n + len(rows), range(n, n + len(rows))),
     )
 
 
@@ -129,7 +130,7 @@ def test_shared_lattice_matches_fresh_reduction_and_oracles(
     results = [solve_all(system) for system in systems]
     for system, shared in zip(systems, results):
         n = len(system.variables)
-        assert system.nonneg == frozenset() and system.norm is not None
+        assert system.norm is not None
         assert all(len(row[0]) == n for row in system.congruences)
         monkeypatch.setattr(intsolve, "_lattice", (None, None))
         assert solve_all(system) == shared
