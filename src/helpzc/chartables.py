@@ -209,11 +209,17 @@ def data_dir() -> Path:
 
 
 def resolve_bundle_path(name: str) -> Path:
-    """Resolve a bundle argument: a real path, or a name in the data directory."""
+    """Resolve a bundle argument: a bare name (no directory part and no
+    suffix) names data_dir()/name.json first, so that no file of that name
+    elsewhere, a store say, shadows the bundle; else a real path, or a
+    name in the data directory."""
     p = Path(name)
+    base = data_dir()
+    bare = base / f"{name}.json"
+    if p.name == name and not p.suffix and bare.is_file():
+        return bare
     if p.is_file():
         return p
-    base = data_dir()
     for candidate in (base / name, base / p.name, base / f"{p.name}.json"):
         if candidate.is_file():
             return candidate

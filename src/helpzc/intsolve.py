@@ -38,12 +38,14 @@ x_i >= 0 is the row (k·e_i, 0).  The pipeline:
      `simplex_opt` stays here as the one LP entry, and those names
      resolve as attributes of this module too;
   4. enumerate by depth-first fixing of parameters inside those bounds,
-     pruning by integer interval propagation over the inequality rows: a
-     worklist that starts with every row at the root and, after a
-     parameter is fixed, with the rows that meet it, re-queueing the rows
-     of each parameter a row shrinks, up to 40 visits per row.  The
-     search's recursive closure is emptied when it ends, so a solve
-     leaves no reference cycle and reference counting frees all of it.
+     pruning by integer interval propagation over the inequality rows,
+     each held as its nonzero coefficients only: a worklist that starts
+     with every row at the root and, after a parameter is fixed, with the
+     rows that read a bound the fixing moved (a row with c_j > 0 reads
+     only hi[j], one with c_j < 0 only lo[j]), re-queueing the readers of
+     each bound a row moves, up to 40 visits per row.  The search's
+     recursive closure is emptied when it ends, so a solve leaves no
+     reference cycle and reference counting frees all of it.
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -122,10 +124,11 @@ def _ceil_div(a: int, b: int) -> int:
 class _Lattice:
     """One coefficient matrix reduced: for each row that moves the origin,
     its index, its pivot value and the pivot's transform over x (`steps`);
-    the basis; the congruence rows over t, which become the inequalities,
-    merged by coefficients with their indices and divisors; `_gram`."""
+    the basis, and each basis vector's nonzero (i, v) pairs (`sparse`); the
+    congruence rows over t, which become the inequalities, merged by
+    coefficients with their indices and divisors; `_gram`."""
 
-    __slots__ = ("steps", "basis", "rows", "gram")
+    __slots__ = ("steps", "basis", "sparse", "rows", "gram")
 
 
 # The coefficient matrix reduced last, as (key, _Lattice), the key being
@@ -195,10 +198,11 @@ def _reduce(modulus, n, equalities, congruences, weights) -> _Lattice:
         hnf.append(h)
     basis = tuple(map(over_x, hnf))
     lat.basis = basis = basis if weights is None else _lll(basis, weights)
+    lat.sparse = [[(i, v) for i, v in enumerate(b) if v] for b in basis]
 
     merged: dict[tuple[int, ...], list] = {}
     for s, c in enumerate(congruences):
-        coeffs = tuple([sum(map(_mul, c, b)) for b in basis])
+        coeffs = tuple([sum([c[i] * v for i, v in col]) for col in lat.sparse])
         g = gcd(*coeffs)
         if g > 1:
             coeffs = tuple([v // g for v in coeffs])
@@ -503,42 +507,54 @@ class _Budget(Exception):
 
 def _prepare(rows, d):
     """The rows coeffs·t >= r over d parameters as _interval_propagate
-    reads them, and per parameter the indices of the rows that meet it."""
-    prepared = [
-        (
-            [(j, c) for j, c in enumerate(coeffs) if c],
-            [max(c, 0) for c in coeffs],
-            [min(c, 0) for c in coeffs],
-            r,
-        )
-        for coeffs, r in rows
-    ]
-    meets = [[i for i, (coeffs, _) in enumerate(rows) if coeffs[j]] for j in range(d)]
-    return prepared, meets
+    reads them, each as its nonzero (j, c) pairs and r, and per parameter
+    the indices of the rows that read its lower bound (c_j < 0) and of
+    those that read its upper bound (c_j > 0)."""
+    prepared = []
+    reads_lo = [[] for _ in range(d)]
+    reads_hi = [[] for _ in range(d)]
+    for i, (coeffs, r) in enumerate(rows):
+        nonzero = [(j, c) for j, c in enumerate(coeffs) if c]
+        for j, c in nonzero:
+            (reads_hi if c > 0 else reads_lo)[j].append(i)
+        prepared.append((nonzero, r))
+    return prepared, reads_lo, reads_hi
 
 
-def _interval_propagate(rows, meets, lo, hi, work, cap):
+def _interval_propagate(rows, reads_lo, reads_hi, lo, hi, work, cap):
     """Shrink the integer intervals [lo[j], hi[j]] in place by the rows
     queued in `work` and every row they re-queue; False on conflict.
 
-    `rows` holds (nonzero (j, c) pairs, positive parts, negative parts, r)
-    for each row c·t >= r, and meets[j] the rows with c_j != 0.  Over the
-    box the row's slack s = max c·t - r must be >= 0, and then t_j keeps
-    only the values within s // |c_j| of the end of its interval at which
-    c_j·t_j is largest.  A row whose parameters have not moved since it
-    was last read is stable, so a shrunk t_j queues only meets[j].  Each
-    step is monotone and only shrinks the box, so when every row outside
-    `work` is stable on entry, the box reached is the largest one that all
-    rows leave unchanged, in any order of the queue.  After `cap` rows the
-    box is kept as it is, which is sound."""
+    `rows` holds (nonzero (j, c) pairs, r) for each row c·t >= r, and
+    reads_lo[j] and reads_hi[j] the rows with c_j < 0 and c_j > 0 of
+    `_prepare`.  Over the box the row's slack
+
+        s = Σ_{c_j > 0} c_j·hi[j] + Σ_{c_j < 0} c_j·lo[j] − r
+
+    must be >= 0, and then t_j keeps only the values within s // |c_j| of
+    the end of its interval at which c_j·t_j is largest: hi[j] − s // c_j
+    bounds lo[j] from below when c_j > 0, and lo[j] + s // −c_j bounds
+    hi[j] from above when c_j < 0.  So a row reads hi[j] only where
+    c_j > 0 and lo[j] only where c_j < 0, and it leaves the box unchanged
+    (is stable) when each of its bounds is no tighter than the one it
+    would move.  Moving a bound it does not read leaves its slack and its
+    bounds as they were and only tightens what they are compared with, so
+    it stays stable: a rise of lo[j] queues only reads_lo[j], a fall of
+    hi[j] only reads_hi[j], and the row that moved the bound reads the
+    other one.  Each step is monotone and only shrinks the box, so when
+    every row outside `work` is stable on entry, the box reached is the
+    largest one that all rows leave unchanged, in any order of the queue.
+    After `cap` rows the box is kept as it is, which is sound."""
     queued = set(work)
     work = list(work)
     while work and cap:
         cap -= 1
         i = work.pop()
         queued.discard(i)
-        nonzero, pos, neg, r = rows[i]
-        s = sum(map(_mul, pos, hi)) + sum(map(_mul, neg, lo)) - r
+        nonzero, r = rows[i]
+        s = -r
+        for j, c in nonzero:
+            s += c * (hi[j] if c > 0 else lo[j])
         if s < 0:
             return False
         for j, c in nonzero:
@@ -546,12 +562,14 @@ def _interval_propagate(rows, meets, lo, hi, work, cap):
                 if c * (hi[j] - lo[j]) <= s:
                     continue
                 lo[j] = hi[j] - s // c
+                moved = reads_lo[j]
             elif c * (lo[j] - hi[j]) > s:
                 hi[j] = lo[j] + s // -c
+                moved = reads_hi[j]
             else:
                 continue
-            for i2 in meets[j]:
-                if i2 not in queued and i2 != i:
+            for i2 in moved:
+                if i2 not in queued:
                     queued.add(i2)
                     work.append(i2)
     return True
@@ -599,7 +617,8 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
         intervals, consts, slack = bounded
         _, _, _, D, U, _, _ = par.lattice.gram
 
-    prepared, meets = _prepare(rows, d)
+    prepared, reads_lo, reads_hi = _prepare(rows, d)
+    sparse = par.lattice.sparse
     # as many rows as 40 rounds over all of them
     cap = 40 * len(rows)
     solutions = []
@@ -607,10 +626,12 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
 
     def leaf(t):
         # propagation has checked every row on the point intervals of t
-        x = tuple(
-            par.origin[i] + sum(t[j] * basis[j][i] for j in range(d))
-            for i in range(len(sys.variables))
-        )
+        x = list(par.origin)
+        for tj, col in zip(t, sparse):
+            if tj:
+                for i, v in col:
+                    x[i] += tj * v
+        x = tuple(x)
         assert sys.check_solution(x), "enumerated point must satisfy the system"
         solutions.append(x)
 
@@ -619,7 +640,7 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
         nodes += 1
         if nodes > max_nodes:
             raise _Budget
-        if not _interval_propagate(prepared, meets, lo, hi, work, cap):
+        if not _interval_propagate(prepared, reads_lo, reads_hi, lo, hi, work, cap):
             return
         free = [j for j in range(d) if fixed[j] is None]
         if not free:
@@ -642,6 +663,12 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
         for val in range(first, last + 1):
             nfixed = fixed[:]
             nfixed[j] = val
+            # only the rows that read a bound of t_j that moved can change
+            work = []
+            if val > lo[j]:
+                work += reads_lo[j]
+            if val < hi[j]:
+                work += reads_hi[j]
             nlo, nhi = lo[:], hi[:]
             nlo[j] = nhi[j] = val
             nslack = None
@@ -649,8 +676,7 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
                 lval = p * val + c
                 nslack, rem = divmod(D[j] * slack - lval * lval, p)
                 assert not rem, "the LDL slack must stay integral"
-            # only the rows that meet t_j can have moved
-            dfs(nfixed, nlo, nhi, meets[j], nslack)
+            dfs(nfixed, nlo, nhi, work, nslack)
 
     try:
         dfs(

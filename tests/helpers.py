@@ -795,25 +795,28 @@ def solve_unreduced(system, **kwargs):
 
 
 def round_robin_propagate(rows, intervals):
-    """Interval propagation by up to 40 rounds over every row, stopping
+    """Interval propagation by up to 40 rounds over every row c·t >= r of
+    `rows`, the (coeffs, r) pairs as the search is given them, stopping
     after a round that changes nothing; None on conflict.  An oracle for
-    the worklist of intsolve._interval_propagate, with `rows` laid out as
-    there."""
+    the worklist of intsolve._interval_propagate that shares nothing with
+    it: c_j·t_j must reach r minus the most the other terms reach over the
+    box, each term c_i·t_i reaching max(c_i·lo_i, c_i·hi_i)."""
     lo = [a for a, _ in intervals]
     hi = [b for _, b in intervals]
     for _ in range(40):
         changed = False
-        for nonzero, pos, neg, r in rows:
-            s = sum(map(mul, pos, hi)) + sum(map(mul, neg, lo)) - r
-            if s < 0:
+        for coeffs, r in rows:
+            most = [max(c * a, c * b) for c, a, b in zip(coeffs, lo, hi)]
+            total = sum(most)
+            if total < r:
                 return None
-            for j, c in nonzero:
-                if c > 0:
-                    if c * (hi[j] - lo[j]) > s:
-                        lo[j] = hi[j] - s // c
-                        changed = True
-                elif c * (lo[j] - hi[j]) > s:
-                    hi[j] = lo[j] + s // -c
+            for j, c in enumerate(coeffs):
+                need = r - (total - most[j])
+                if c > 0 and -(-need // c) > lo[j]:
+                    lo[j] = -(-need // c)
+                    changed = True
+                elif c < 0 and need // c < hi[j]:
+                    hi[j] = need // c
                     changed = True
         if not changed:
             break

@@ -378,6 +378,26 @@ def test_an_output_that_is_the_bundle_file_is_refused_first(capsys, tmp_path, mo
     assert bundle.read_bytes() == saved
 
 
+def test_a_bare_name_resolves_in_the_data_directory_first(capsys, tmp_path, monkeypatch):
+    # a store saved under the bundle's bare name, in the working directory
+    # or in the data directory, used to shadow the bundle on the next run
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "s3.json").write_bytes(resolve_bundle_path("s3").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HELPZC_DATA", str(data))
+    for store in ("s3", "data/s3"):
+        for _ in range(2):
+            code, out, err = run(capsys, "zc", "s3", "--store", store)
+            assert (code, err) == (0, "")
+            assert out.startswith("ZC: Proved")
+        assert resolve_bundle_path("s3") == data / "s3.json"
+        assert run(capsys, "zc", "s3")[:2] == (0, out)
+    # a path, or a name with a suffix, is still read as given
+    assert resolve_bundle_path("s3.json") == data / "s3.json"
+    assert resolve_bundle_path("./s3") == Path("./s3")
+
+
 @pytest.mark.parametrize(
     "option, argv",
     [

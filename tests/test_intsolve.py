@@ -551,18 +551,21 @@ def test_mod_k_reduction_matches_the_slack_column_reduction(monkeypatch, k):
 def propagate(rows, d, intervals, work=None):
     """The worklist propagation from `intervals` by the rows in `work` (all
     by default), as the search runs it; None on conflict."""
-    prepared, meets = intsolve._prepare(rows, d)
+    prepared, reads_lo, reads_hi = intsolve._prepare(rows, d)
     lo, hi = [a for a, _ in intervals], [b for _, b in intervals]
     if work is None:
         work = range(len(rows))
-    if not intsolve._interval_propagate(prepared, meets, lo, hi, work, 40 * len(rows)):
+    if not intsolve._interval_propagate(
+        prepared, reads_lo, reads_hi, lo, hi, work, 40 * len(rows)
+    ):
         return None
     return list(zip(lo, hi))
 
 
 def test_worklist_propagation_matches_round_robin():
     # from the root box, and after fixing one parameter of the box reached,
-    # with only the rows that meet it queued, as at a search node
+    # with only the rows that read a bound the fixing moved queued, as at a
+    # search node
     rng = random.Random(73)
     shrunk = conflicts = 0
     for _ in range(2000):
@@ -575,8 +578,7 @@ def test_worklist_propagation_matches_round_robin():
         for _ in range(d):
             a = rng.randint(-6, 6)
             box.append((a, a + rng.randint(0, 9)))
-        prepared, meets = intsolve._prepare(rows, d)
-        want = round_robin_propagate(prepared, box)
+        want = round_robin_propagate(rows, box)
         assert propagate(rows, d, box) == want
         if want is None:
             conflicts += 1
@@ -586,27 +588,104 @@ def test_worklist_propagation_matches_round_robin():
         val = rng.randint(*want[j])
         fixed = want[:]
         fixed[j] = (val, val)
-        assert propagate(rows, d, fixed, meets[j]) == round_robin_propagate(prepared, fixed)
+        # a row with c_j < 0 reads lo[j] only, one with c_j > 0 hi[j] only
+        work = [
+            i
+            for i, (coeffs, _) in enumerate(rows)
+            if coeffs[j] < 0 and val > want[j][0] or coeffs[j] > 0 and val < want[j][1]
+        ]
+        assert propagate(rows, d, fixed, work) == round_robin_propagate(rows, fixed)
     assert shrunk > 300 and conflicts > 300, (shrunk, conflicts)
 
 
 def test_worklist_propagation_matches_round_robin_on_golden_searches(monkeypatch):
     from test_golden import GOLDEN, run
 
-    real = intsolve._interval_propagate
+    prepare, propagate_rows = intsolve._prepare, intsolve._interval_propagate
+    # the search's rows as it was given them, beside their prepared form
+    given = {}
     calls = []
 
-    def checked(rows, meets, lo, hi, work, cap):
+    def recording(rows, d):
+        out = prepare(rows, d)
+        given["prepared"], given["rows"] = out[0], rows
+        return out
+
+    def checked(prepared, reads_lo, reads_hi, lo, hi, work, cap):
+        assert prepared is given["prepared"]
         box = list(zip(lo, hi))
-        got = real(rows, meets, lo, hi, work, cap)
-        want = round_robin_propagate(rows, box)
+        got = propagate_rows(prepared, reads_lo, reads_hi, lo, hi, work, cap)
+        want = round_robin_propagate(given["rows"], box)
         assert got == (want is not None)
         if got:
             assert list(zip(lo, hi)) == want
         calls.append(got)
         return got
 
+    monkeypatch.setattr(intsolve, "_prepare", recording)
     monkeypatch.setattr(intsolve, "_interval_propagate", checked)
     for command in sorted(GOLDEN):
         run(command)
     assert len(calls) > 500 and not all(calls), (len(calls), all(calls))
+
+
+class SearchCounts:
+    """Search nodes and row visits, counted from outside the solver: the
+    row list `_prepare` returns counts the reads of its rows, and each
+    propagation, one per search node, records how many visits it left
+    under its cap."""
+
+    def __init__(self, monkeypatch):
+        self.nodes = self.visits = 0
+        self.headroom = []
+        prepare, propagate_rows = intsolve._prepare, intsolve._interval_propagate
+        counts = self
+
+        class Rows(list):
+            def __getitem__(self, i):
+                counts.visits += 1
+                return super().__getitem__(i)
+
+        def counted_prepare(rows, d):
+            prepared, *reads = prepare(rows, d)
+            return (Rows(prepared), *reads)
+
+        def counted_propagate(*args):
+            before = self.visits
+            got = propagate_rows(*args)
+            self.nodes += 1
+            self.headroom.append(args[-1] - (self.visits - before))
+            return got
+
+        monkeypatch.setattr(intsolve, "_prepare", counted_prepare)
+        monkeypatch.setattr(intsolve, "_interval_propagate", counted_propagate)
+
+
+@pytest.mark.parametrize(
+    "command, nodes, most_visits",
+    [
+        # 411 row visits when a fixing queued every row that meets t_j
+        ("zc m11", 72, 249),
+        ("zc --no-shortcuts cyclic:18", 36, 85),
+        # 1891 row visits when a fixing queued every row that meets t_j
+        ("zc --no-shortcuts cyclic:72", 188, 507),
+    ],
+)
+def test_search_nodes_and_row_visits(monkeypatch, command, nodes, most_visits):
+    from test_golden import run
+
+    counts = SearchCounts(monkeypatch)
+    run(command)
+    assert counts.nodes == nodes
+    assert counts.visits <= most_visits, counts.visits
+
+
+def test_no_golden_search_reaches_the_visit_cap(monkeypatch):
+    # below the cap every propagation reaches its fixpoint, which the order
+    # of the queue cannot change; the least headroom is 77 visits
+    from test_golden import GOLDEN, run
+
+    counts = SearchCounts(monkeypatch)
+    for command in sorted(GOLDEN):
+        run(command)
+    assert counts.nodes > 500 and min(counts.headroom) > 0, min(counts.headroom)
