@@ -24,9 +24,12 @@ x_i >= 0 is the row (k·e_i, 0).  The pipeline:
   3. bound the parameters.  A system with a norm bound (every HeLP system
      over a complete character table, see the constraints module) is
      bounded by its ellipsoid Q(t) <= R, which must be positive definite
-     on the lattice: a fraction-free LDL^T of its Gram matrix (Bareiss)
-     gives the box around its centre and, at each search node, the exact
-     interval of the next parameter in LDL order (Fincke and Pohst 1985).
+     on the lattice.  Its fraction-free LDL^T is read off the LLL's
+     integral Gram–Schmidt data, d and λ, with no Gram matrix built again;
+     the rows V of the elimination's identity part come from a forward
+     recurrence over d and λ (`_ldl`).  Together they give the box around
+     its centre and, at each search node, the exact interval of the next
+     parameter in LDL order (Fincke and Pohst 1985).
      A system without one is bounded per parameter by a fraction-free
      simplex (Bland's rule on an integer tableau with one common
      denominator): one phase 1 per system, then each bound re-optimized
@@ -126,7 +129,8 @@ class _Lattice:
     its index, its pivot value and the pivot's transform over x (`steps`);
     the basis, and each basis vector's nonzero (i, v) pairs (`sparse`); the
     congruence rows over t, which become the inequalities, merged by
-    coefficients with their indices and divisors; `_gram`."""
+    coefficients with their indices and divisors; under a norm, its LDLᵀ
+    read off the LLL (`_ldl`)."""
 
     __slots__ = ("steps", "basis", "sparse", "rows", "gram")
 
@@ -197,8 +201,8 @@ def _reduce(modulus, n, equalities, congruences, weights) -> _Lattice:
                 prev[i:] = [a - q * b for a, b in zip(prev[i:], h[i:])]
         hnf.append(h)
     basis = tuple(map(over_x, hnf))
-    lat.basis = basis = basis if weights is None else _lll(basis, weights)
-    lat.sparse = [[(i, v) for i, v in enumerate(b) if v] for b in basis]
+    lat.basis, *ldl = (basis,) if weights is None else _lll(basis, weights)
+    lat.sparse = [[(i, v) for i, v in enumerate(b) if v] for b in lat.basis]
 
     merged: dict[tuple[int, ...], list] = {}
     for s, c in enumerate(congruences):
@@ -208,7 +212,7 @@ def _reduce(modulus, n, equalities, congruences, weights) -> _Lattice:
             coeffs = tuple([v // g for v in coeffs])
         merged.setdefault(coeffs, []).append((s, max(g, 1)))
     lat.rows = sorted(merged.items())
-    lat.gram = None if weights is None or not basis else _gram(basis, weights)
+    lat.gram = _ldl(lat.basis, weights, *ldl) if ldl and lat.basis else None
     return lat
 
 
@@ -265,8 +269,10 @@ def _lll(basis, weights):
     by length first, d[i] is the Gram determinant of b[1..i] and
     lam[k][j] = d[j]·μ_kj, j < k.  Only integer multiples of one vector are
     added to another and vectors are swapped, so the lattice is unchanged.
-    The basis as given when the form is not positive definite on it
-    (`_gram` rejects it).
+    Returns the reduced basis with its integral Gram–Schmidt data d and
+    lam, from which `_ldl` reads the norm's LDLᵀ; the basis as given and
+    None, None when the form is not positive definite on it (`_ldl`
+    rejects it).
 
     δ = 3/4 is not enough: on the top system of `zc --no-shortcuts
     cyclic:105` it leaves Gram–Schmidt lengths² down to 0.05 against a
@@ -303,7 +309,7 @@ def _lll(basis, weights):
                 if j < k:
                     lam[k][j] = u
                 elif u <= 0:
-                    return basis
+                    return basis, None, None
                 else:
                     d[k] = u
         if k == 1:
@@ -327,7 +333,7 @@ def _lll(basis, weights):
             for l in range(k - 2, 0, -1):
                 red(k, l)
             k += 1
-    return tuple(map(tuple, b[1:]))
+    return tuple(map(tuple, b[1:])), d, lam
 
 
 def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
@@ -389,14 +395,6 @@ def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
 # -- exact simplex ---------------------------------------------------------
 
 
-def _bareiss_row(row, prow, p, D, e):
-    """(row·p - row[e]·prow) / D, which divides exactly."""
-    f = row[e]
-    if not f:
-        return row if p == D else [v * p // D for v in row]
-    return [(v * p - f * w) // D for v, w in zip(row, prow)]
-
-
 def simplex_opt(inequalities, objective, maximize: bool = True):
     """Exact LP over free rational variables t: rows are coeffs·t >= rhs.
 
@@ -432,76 +430,87 @@ def simplex_opt(inequalities, objective, maximize: bool = True):
 # -- norm bound ----------------------------------------------------------------
 
 
-def _gram(basis, weights):
-    """G of the norm Σ w_i·x_i² = tᵀGt + 2hᵀt + c0 over x = origin + Σ t_j·b_j,
-    G positive definite (h and c0 move with the origin: `_ellipsoid`).  A
-    fraction-free Gauss–Jordan elimination of [G | I] (Bareiss) has the
-    leading principal minors D[j + 1] of G as pivots, takes the forward row
-    U[j] = (D[j + 1], ...) over t_j, ..., t_{d-1} and the identity part V[j]
-    as row j becomes the pivot row, and ends at [Δ·I | adj G], Δ = det G.
-    On [G | I | h] it would carry V[j]·h beside U[j] and end at adj G·h, so
-    it serves every origin.  Returns (weighted indices, weights, weighted
-    basis columns, D, U, V, adj G)."""
+def _ldl(basis, weights, D, lam):
+    """The norm Σ w_i·x_i² = tᵀGt + 2hᵀt + c0 over x = origin + Σ t_j·b_j,
+    G positive definite, in the fraction-free LDLᵀ form that `_lll` leaves
+    (h and c0 move with the origin: `_ellipsoid`).  D[j] is the leading
+    principal minor of order j of G (`_lll`'s d[j]), and U[j] = (D[j + 1],
+    λ_{j+2,j+1}, ..., λ_{d,j+1}), λ being `_lll`'s lam, indexed from 1, the
+    row over t_j, ..., t_{d-1} that the forward elimination of G (Bareiss)
+    takes as pivot row j.  The same elimination on [G | I] carries V[j]
+    right of the bar, over t_0, ..., t_j, with V·G = U; on its own it is
+    the recurrence v ← (D[m + 1]·v − λ_{j+1,m+1}·V[m]) / D[m] for m < j,
+    about d³/6 steps, each division exact.  Then
+    G⁻¹ = Σ_j V[j]ᵀ·V[j] / (D[j]·D[j + 1]), whose diagonal, times
+    Δ = det G, bounds the box (`_adj_sum`).  Returns (weighted indices,
+    weights, weighted basis columns, D, U, V, the diagonal of adj G)."""
+    assert D, "the norm must be positive definite on the lattice"
     d = len(basis)
     weighted = [i for i, w in enumerate(weights) if w]
     weights = [weights[i] for i in weighted]
-    cols = [[b[i] for i in weighted] for b in basis]
-    wcols = [list(map(_mul, weights, col)) for col in cols]
-    rows = []
-    for a in range(d):
-        row = [rows[b][a] for b in range(a)]
-        row += [sum(map(_mul, wcols[a], cols[b])) for b in range(a, d)]
-        row += [0] * d
-        row[d + a] = 1
-        rows.append(row)
+    wcols = [[w * b[i] for w, i in zip(weights, weighted)] for b in basis]
+    U = [[D[j], *[lam[i][j] for i in range(j + 1, d + 1)]] for j in range(1, d + 1)]
+    V = []
+    for j in range(1, d + 1):
+        v = []
+        for m in range(1, j):
+            q = lam[j][m]
+            v = [(D[m] * a - q * b) // D[m - 1] for a, b in zip(v + [0], V[m - 1])]
+        V.append(v + [D[j - 1]])
+    adj = _adj_sum(D, [[a * a for a in v] for v in V])
+    return weighted, weights, wcols, D, U, V, adj
 
-    D, U, V = [1], [], []
-    for k in range(d):
-        prow = rows[k]
-        p = prow[k]
-        assert p > 0, "the norm must be positive definite on the lattice"
-        U.append(prow[k:d])
-        V.append(prow[d:])
-        for i in range(d):
-            if i != k:
-                rows[i] = _bareiss_row(rows[i], prow, p, D[-1], k)
-        D.append(p)
-    return weighted, weights, wcols, D, U, V, [row[d:] for row in rows]
+
+def _adj_sum(D, terms):
+    """Δ·Σ_j terms[j] / (D[j]·D[j + 1]), Δ = D[-1], terms[j] a vector of
+    length j + 1 that is (V[j]·y)·V[j] for some integer y: adj G·y, or
+    with y = e_i the i-th entry of the diagonal of adj G.  The sum over
+    j < m, times D[m], is a minor of G bordered by y and e_i, so each step
+    acc ← (D[j + 1]·acc + terms[j]) / D[j] divides exactly."""
+    acc = []
+    for j, term in enumerate(terms):
+        acc = [(D[j + 1] * a + b) // D[j] for a, b in zip(acc + [0], term)]
+    return acc
 
 
 def _ellipsoid(par: Parametrization, radius: int):
-    """The norm bound at this system's origin: with h and c0 of `_gram`,
+    """The norm bound at this system's origin: with h and c0 of `_ldl`,
 
         Q(t) = Σ_j L_j(t)² / (D[j]·D[j + 1]) + c0 − hᵀ·adj G·h / Δ,
         L_j(t) = U[j] · (t_j, ..., t_{d-1}) + V[j]·h,
 
     and with N = Δ·(R − c0) + hᵀ·adj G·h, Δ times the slack at the centre
     −adj G·h / Δ, every t_j lies within √(N·(adj G)_jj) / Δ of the centre.
-    Returns (that box, (V[j]·h)_j, N), or None when the ellipsoid holds no
-    integer point."""
+    adj G·h comes from the V[j]·h (`_adj_sum`).  Returns (that box,
+    (V[j]·h)_j, N), or None when the ellipsoid holds no integer point."""
     weighted, weights, wcols, D, _, V, adj = par.lattice.gram
     origin = [par.origin[i] for i in weighted]
     h = [sum(map(_mul, wcol, origin)) for wcol in wcols]
     c0 = sum(map(_mul, weights, map(_mul, origin, origin)))
-    adj_h = [sum(map(_mul, row, h)) for row in adj]
+    consts = [sum(map(_mul, v, h)) for v in V]
+    adj_h = _adj_sum(D, [[c * a for a in v] for c, v in zip(consts, V)])
     delta = D[-1]
     n = delta * (radius - c0) + sum(map(_mul, h, adj_h))
     if n < 0:
         return None
     intervals = []
-    for j, row in enumerate(adj):
-        s = isqrt(n * row[j])
+    for j, a in enumerate(adj):
+        s = isqrt(n * a)
         lo, hi = _ceil_div(-adj_h[j] - s, delta), (s - adj_h[j]) // delta
         if lo > hi:
             return None
         intervals.append((lo, hi))
-    return intervals, [sum(map(_mul, v, h)) for v in V], n
+    return intervals, consts, n
 
 
 # -- enumeration -------------------------------------------------------------
 
 
 class _Budget(Exception):
+    pass
+
+
+class _Found(Exception):
     pass
 
 
@@ -575,14 +584,16 @@ def _interval_propagate(rows, reads_lo, reads_hi, lo, hi, work, cap):
     return True
 
 
-def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
+def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES, first: bool = False):
     """All integer solutions of the system.
 
     Finite(solutions) with a duplicate-free, lexicographically sorted tuple;
     Infinite(ray) when the relaxation is unbounded along an integer lattice
     direction, which needs a system without a norm bound; Aborted(nodes)
     when the node budget runs out.  Every returned solution is
-    re-substituted into the original system before being reported.
+    re-substituted into the original system before being reported.  With
+    `first` the search stops at its first solution, so Finite holds at most
+    one: enough to tell whether there is any.
     """
     par = diophantine_eliminate(sys)
     if par is None:
@@ -634,6 +645,8 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
         x = tuple(x)
         assert sys.check_solution(x), "enumerated point must satisfy the system"
         solutions.append(x)
+        if first:
+            raise _Found
 
     def dfs(fixed, lo, hi, work, slack):
         nonlocal nodes
@@ -688,6 +701,8 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES):
         )
     except _Budget:
         return Aborted(nodes - 1)
+    except _Found:
+        pass
     finally:
         # dfs holds itself through its closure cell: empty the cell, so
         # that reference counting frees the search and all it refers to

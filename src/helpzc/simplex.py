@@ -16,7 +16,6 @@ import math
 from math import gcd
 
 from . import intsolve
-from .intsolve import _bareiss_row
 from .records import Record
 
 
@@ -30,6 +29,14 @@ class Unbounded(Record):
 
 class Infeasible(Record):
     __slots__ = ()
+
+
+def _bareiss_row(row, prow, p, D, e):
+    """(row·p - row[e]·prow) / D, which divides exactly."""
+    f = row[e]
+    if not f:
+        return row if p == D else [v * p // D for v in row]
+    return [(v * p - f * w) // D for v, w in zip(row, prow)]
 
 
 class _Tableau:

@@ -216,13 +216,14 @@ def _merge_levels(k: int, parts) -> PATuple | None:
 
 def _aggregated_rules_out(bundle, k, proper, tables, options) -> bool:
     """Try the p-constant relaxation for each prime; an infeasible aggregated
-    system rules the order out without solving the full system."""
+    system rules the order out without solving the full system.  Only its
+    emptiness counts, so each search stops at the first solution."""
     for p in prime_factors(k):
         try:
             agg = build_system_p_constant(bundle, k, p, proper, tables)
         except ConstraintError:
             continue
-        result = solve_all(agg, max_nodes=options.max_nodes)
+        result = solve_all(agg, max_nodes=options.max_nodes, first=True)
         if isinstance(result, Finite) and not result.solutions:
             return True
     return False

@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from helpzc import intsolve, verify
@@ -783,10 +783,13 @@ def in_lattice(vector, hermite):
 
 def solve_unreduced(system, **kwargs):
     """solve_all on the basis that the reduction hands to its LLL step,
-    the Hermite normal form modulo k: an oracle for the search on the
+    the Hermite normal form modulo k, with the Gram–Schmidt data of that
+    basis from `reference_gram_schmidt`: an oracle for the search on the
     LLL-reduced basis, which must find the same solutions."""
     saved = intsolve._lll, intsolve._lattice
-    intsolve._lll = lambda basis, weights: basis
+    intsolve._lll = lambda basis, weights: (
+        basis, *reference_gram_schmidt(basis, weights)
+    )
     intsolve._lattice = (None, None)
     try:
         return solve_all(system, **kwargs)
@@ -1028,3 +1031,82 @@ def reference_lll(basis, weights):
                 red(k, l)
             k += 1
     return tuple(map(tuple, b[1:]))
+
+
+# -- reference norm bound -----------------------------------------------------
+
+
+def reference_ldl(basis, weights):
+    """The norm's LDLᵀ over `basis` as intsolve read it before taking it
+    from the LLL: the Gram matrix G built afresh, and a fraction-free
+    Gauss–Jordan elimination of [G | I] (Bareiss), every division checked
+    exact.  Its pivots are the leading principal minors D[j + 1] of G; row
+    j as it becomes the pivot row gives U[j] over t_j, ..., t_{d-1} and
+    the identity part V[j]; it ends at [Δ·I | adj G].  Returns (weighted
+    indices, weights, weighted basis columns, D, U, V, adj G)."""
+    d = len(basis)
+    weighted = [i for i, w in enumerate(weights) if w]
+    weights = [weights[i] for i in weighted]
+    cols = [[b[i] for i in weighted] for b in basis]
+    wcols = [list(map(mul, weights, col)) for col in cols]
+    rows = []
+    for a in range(d):
+        row = [rows[b][a] for b in range(a)]
+        row += [sum(map(mul, wcols[a], cols[b])) for b in range(a, d)]
+        row += [0] * d
+        row[d + a] = 1
+        rows.append(row)
+
+    D, U, V = [1], [], []
+    for k in range(d):
+        prow = rows[k]
+        p = prow[k]
+        assert p > 0, "the norm must be positive definite on the lattice"
+        U.append(prow[k:d])
+        V.append(prow[d:])
+        for i in range(d):
+            if i != k:
+                f = rows[i][k]
+                num = [v * p - f * w for v, w in zip(rows[i], prow)]
+                assert all(v % D[-1] == 0 for v in num), "inexact Bareiss step"
+                rows[i] = [v // D[-1] for v in num]
+        D.append(p)
+    return weighted, weights, wcols, D, U, V, [row[d:] for row in rows]
+
+
+def reference_gram_schmidt(basis, weights):
+    """The integral Gram–Schmidt data (d, lam) of `basis` that
+    intsolve._lll returns with its reduced basis, read off
+    `reference_ldl`: d[j] is D[j] and lam[i][j] = U[j - 1][i - j],
+    1-indexed as in Cohen's Algorithm 2.6.7."""
+    _, _, _, D, U, _, _ = reference_ldl(basis, weights)
+    n = len(basis)
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+    for j in range(1, n + 1):
+        for i in range(j + 1, n + 1):
+            lam[i][j] = U[j - 1][i - j]
+    return D, lam
+
+
+def reference_ellipsoid(ldl, origin, radius):
+    """The box, the constants (V[j]·h)_j, N and the centre's numerators
+    adj G·h of the norm bound at `origin`, as intsolve._ellipsoid gives the
+    first three, from the full adj G of `reference_ldl`: the centre is
+    −adj G·h / Δ and every t_j lies within √(N·(adj G)_jj) / Δ of it;
+    None for the box when it holds no integer point."""
+    weighted, weights, wcols, D, _, V, adj = ldl
+    origin = [origin[i] for i in weighted]
+    h = [sum(map(mul, wcol, origin)) for wcol in wcols]
+    c0 = sum(w * x * x for w, x in zip(weights, origin))
+    adj_h = [sum(map(mul, row, h)) for row in adj]
+    delta = D[-1]
+    n = delta * (radius - c0) + sum(map(mul, h, adj_h))
+    box = None
+    if n >= 0:
+        box = []
+        for j, row in enumerate(adj):
+            s = isqrt(n * row[j])
+            box.append((-((adj_h[j] + s) // delta), (s - adj_h[j]) // delta))
+        if any(lo > hi for lo, hi in box):
+            box = None
+    return box, [sum(map(mul, v, h)) for v in V], n, adj_h

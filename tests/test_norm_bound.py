@@ -15,6 +15,8 @@ from helpers import (
     bundle_of,
     proper,
     random_system,
+    reference_ellipsoid,
+    reference_ldl,
     reference_lll,
     solve_unreduced,
 )
@@ -122,16 +124,44 @@ def test_p_constant_relaxation_keeps_every_full_solution(monkeypatch, name):
     assert checked
 
 
+def assert_ldl_is_the_reference(ldl, basis, weights):
+    """The norm data intsolve._ldl read off the LLL equal, entry for entry,
+    to those of the Gauss–Jordan elimination of `reference_ldl`, whose
+    every division is checked exact; returns the reference."""
+    want = reference_ldl(basis, weights)
+    weighted, w, wcols, D, U, V, adj = ldl
+    assert (weighted, w, wcols, D, U) == want[:5]
+    # V[j] is held over t_0, ..., t_j; the reference's is 0 beyond t_j
+    assert V == [v[: j + 1] for j, v in enumerate(want[5])]
+    assert not any(any(v[j + 1:]) for j, v in enumerate(want[5]))
+    assert adj == [row[j] for j, row in enumerate(want[6])]
+    return want
+
+
+def assert_ellipsoid_is_the_reference(par, radius, got, want_ldl):
+    """_ellipsoid's box, constants and N at this origin, and the centre's
+    numerators adj G·h summed from V, equal those of the full adj G."""
+    box, consts, n, adj_h = reference_ellipsoid(want_ldl, par.origin, radius)
+    if got is None:
+        assert box is None
+        return
+    assert got == (box, consts, n)
+    _, _, _, D, _, V, _ = par.lattice.gram
+    terms = [[c * a for a in v] for c, v in zip(consts, V)]
+    assert intsolve._adj_sum(D, terms) == adj_h
+
+
 def test_norm_search_matches_box_on_random_systems(monkeypatch):
-    # every division of the Gauss-Jordan elimination must be exact
-    real = intsolve._bareiss_row
+    # the LDL read off the LLL is the Gauss-Jordan elimination's, whose
+    # every division must be exact
+    real = intsolve._ldl
 
-    def exact(row, prow, p, D, e):
-        f = row[e]
-        assert all((v * p - f * w) % D == 0 for v, w in zip(row, prow))
-        return real(row, prow, p, D, e)
+    def checked(basis, weights, D, lam):
+        ldl = real(basis, weights, D, lam)
+        assert_ldl_is_the_reference(ldl, basis, weights)
+        return ldl
 
-    monkeypatch.setattr(intsolve, "_bareiss_row", exact)
+    monkeypatch.setattr(intsolve, "_ldl", checked)
     rng = random.Random(41)
     found = cut = 0
     for _ in range(1000):
@@ -182,8 +212,13 @@ def test_lll_reduces_and_keeps_the_lattice():
         norms, _ = gram_schmidt(basis, weights)
         if not all(norms):
             continue
-        reduced = intsolve._lll(basis, weights)
+        reduced, d, lam = intsolve._lll(basis, weights)
         got, mu = gram_schmidt(reduced, weights)
+        # the integral Gram–Schmidt data of the reduced basis
+        for k in range(1, n + 1):
+            assert d[k] == d[k - 1] * got[k - 1]
+            for j in range(1, k):
+                assert lam[k][j] == d[j] * mu[k - 1, j - 1]
         # size-reduced, and the Lovász condition with δ = 99/100
         assert all(abs(m) <= Fraction(1, 2) for m in mu.values())
         for k in range(1, n):
@@ -204,7 +239,7 @@ def test_lll_reduces_and_keeps_the_lattice():
             )
             assert len(solve_all(system).solutions) == 1
     # a form that is not positive definite on the lattice leaves it as given
-    assert intsolve._lll(((1, 0), (0, 1)), (1, 0)) == ((1, 0), (0, 1))
+    assert intsolve._lll(((1, 0), (0, 1)), (1, 0)) == (((1, 0), (0, 1)), None, None)
 
 
 def test_lll_gives_the_basis_of_the_reference():
@@ -215,7 +250,7 @@ def test_lll_gives_the_basis_of_the_reference():
         n, big = rng.randint(1, 8), 10 ** rng.randint(1, 8)
         weights = tuple(rng.randint(0, 5) for _ in range(rng.randint(n, 9)))
         basis = tuple(tuple(rng.randint(-big, big) for _ in weights) for _ in range(n))
-        assert intsolve._lll(basis, weights) == reference_lll(basis, weights)
+        assert intsolve._lll(basis, weights)[0] == reference_lll(basis, weights)
 
 
 @pytest.mark.parametrize("n", [60, 72])
@@ -234,7 +269,72 @@ def test_lll_gives_the_basis_of_the_reference_on_top_systems(monkeypatch, n):
     assert top >= n - 2
     for basis, weights in calls:
         if len(basis) == top:
-            assert real(basis, weights) == reference_lll(basis, weights)
+            assert real(basis, weights)[0] == reference_lll(basis, weights)
+
+
+def test_ldl_read_off_the_lll_is_the_reference_on_random_bases():
+    # the bases of test_lll_gives_the_basis_of_the_reference: zero weights
+    # and entries up to 1e8
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(300):
+        n, big = rng.randint(1, 8), 10 ** rng.randint(1, 8)
+        weights = tuple(rng.randint(0, 5) for _ in range(rng.randint(n, 9)))
+        basis = tuple(tuple(rng.randint(-big, big) for _ in weights) for _ in range(n))
+        reduced, d, lam = intsolve._lll(basis, weights)
+        if d is None:
+            with pytest.raises(AssertionError, match="positive definite"):
+                reference_ldl(basis, weights)
+            continue
+        ldl = intsolve._ldl(reduced, weights, d, lam)
+        want = assert_ldl_is_the_reference(ldl, reduced, weights)
+        lat = intsolve._Lattice()
+        lat.gram = ldl
+        for _ in range(4):
+            origin = tuple(rng.randint(-big, big) for _ in weights)
+            c0 = sum(w * x * x for w, x in zip(weights, origin))
+            radius = rng.randint(0, 2 * c0 + 10)
+            par = intsolve.Parametrization(origin, reduced, (), lat)
+            got = intsolve._ellipsoid(par, radius)
+            assert_ellipsoid_is_the_reference(par, radius, got, want)
+            checked += got is not None
+    assert checked > 300, checked
+
+
+def test_ldl_read_off_the_lll_is_the_reference_on_golden_lattices(monkeypatch):
+    # every lattice that the golden commands reduce under a norm, and the
+    # top lattice of zc --no-shortcuts cyclic:72 (dimension 70), with every
+    # system's box and centre on it
+    from test_golden import GOLDEN, run
+
+    lattices, ellipsoids = {}, []
+    reduce, ellipsoid = intsolve._reduce, intsolve._ellipsoid
+
+    def reducing(modulus, n, equalities, congruences, weights):
+        lat = reduce(modulus, n, equalities, congruences, weights)
+        if lat.gram is not None:
+            lattices[id(lat)] = lat, assert_ldl_is_the_reference(
+                lat.gram, lat.basis, weights
+            )
+        return lat
+
+    def bounding(par, radius):
+        got = ellipsoid(par, radius)
+        ellipsoids.append((par, radius, got))
+        return got
+
+    monkeypatch.setattr(intsolve, "_reduce", reducing)
+    monkeypatch.setattr(intsolve, "_ellipsoid", bounding)
+    for command in [*sorted(GOLDEN), "zc --no-shortcuts cyclic:72"]:
+        monkeypatch.setattr(intsolve, "_lattice", (None, None))
+        run(command)
+        for par, radius, got in ellipsoids:
+            lat, want = lattices[id(par.lattice)]
+            assert lat is par.lattice
+            assert_ellipsoid_is_the_reference(par, radius, got, want)
+        ellipsoids.clear()
+    assert max(len(lat.basis) for lat, _ in lattices.values()) == 70
+    assert len(lattices) > 100, len(lattices)
 
 
 class Captured(Exception):
@@ -291,6 +391,27 @@ def test_norm_must_bound_the_lattice():
     s = LinSystem(("x", "y"), (((1, 0), 0),), ((1, 0), 4))
     with pytest.raises(AssertionError, match="positive definite"):
         solve_all(s)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["zc m11", "zc --no-shortcuts cyclic:18", "zc --no-shortcuts cyclic:72"],
+)
+def test_complete_tables_make_no_bareiss_row_update(monkeypatch, command):
+    # the norm's LDL is read off the LLL: no Gram matrix is eliminated
+    # again, and the simplex's row update, the one Bareiss step left, is
+    # never reached; wherever it is defined, it is counted
+    from test_golden import run
+
+    from helpzc import simplex
+
+    updates = []
+    for module in (intsolve, simplex):
+        if "_bareiss_row" in vars(module):
+            updates += [count_calls(monkeypatch, module, "_bareiss_row")]
+    monkeypatch.setattr(intsolve, "_lattice", (None, None))
+    run(command)
+    assert updates and not any(updates)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from helpzc.chartables import (
     load_bundle,
     resolve_bundle_path,
 )
-from helpzc.constraints import PATuple, pa_vector
+from helpzc.constraints import AggVar, PATuple, pa_vector
 from helpzc.storefile import (
     patuple_from_json,
     patuple_to_json,
@@ -454,6 +454,29 @@ def test_p_constant_skips_full_builds(bundles, monkeypatch):
     # every missing order was ruled out by the aggregated relaxation
     assert {k for k in calls if k in (6, 10, 15)} == set()
     plain = check_pq(bundles["a5"])
+    assert v.store.solutions == plain.store.solutions
+
+
+def test_p_constant_prefilter_stops_at_the_first_solution(monkeypatch):
+    # the prefilter asks only whether a relaxation is empty: each of the six
+    # relaxations of zc --no-shortcuts --p-constant cyclic:30 stops at its
+    # first solution, where listing them all gave 18
+    relaxed = []
+    solve = verify.solve_all
+
+    def solving(system, *args, **kwargs):
+        got = solve(system, *args, **kwargs)
+        if any(isinstance(v, AggVar) for v in system.variables):
+            relaxed.append(got)
+        return got
+
+    monkeypatch.setattr(verify, "solve_all", solving)
+    b = cyclic_table(30)
+    v = check_zc(b, SolverOptions(shortcuts=False, p_constant=True))
+    assert len(relaxed) == 6
+    assert all(len(got.solutions) <= 1 for got in relaxed)
+    monkeypatch.setattr(verify, "solve_all", solve)
+    plain = check_zc(b, SolverOptions(shortcuts=False))
     assert v.store.solutions == plain.store.solutions
 
 
