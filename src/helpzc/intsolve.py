@@ -41,14 +41,16 @@ x_i >= 0 is the row (k·e_i, 0).  The pipeline:
      `simplex_opt` stays here as the one LP entry, and those names
      resolve as attributes of this module too;
   4. enumerate by depth-first fixing of parameters inside those bounds,
-     pruning by integer interval propagation over the inequality rows,
-     each held as its nonzero coefficients only: a worklist that starts
-     with every row at the root and, after a parameter is fixed, with the
-     rows that read a bound the fixing moved (a row with c_j > 0 reads
-     only hi[j], one with c_j < 0 only lo[j]), re-queueing the readers of
-     each bound a row moves, up to 40 visits per row.  The search's
-     recursive closure is emptied when it ends, so a solve leaves no
-     reference cycle and reference counting frees all of it.
+     last first (t_{d-1} first, the LDL order) under either bound, in one
+     loop over an explicit stack of nodes, so that the depth is not
+     bounded by Python's recursion limit and a solve leaves no reference
+     cycle.  Each node is pruned by integer interval propagation over the
+     inequality rows, each held as its nonzero coefficients only: a
+     worklist that starts with every row at the root and, after a
+     parameter is fixed, with the rows that read a bound the fixing moved
+     (a row with c_j > 0 reads only hi[j], one with c_j < 0 only lo[j]),
+     re-queueing the readers of each bound a row moves, up to 40 visits
+     per row.
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -506,14 +508,6 @@ def _ellipsoid(par: Parametrization, radius: int):
 # -- enumeration -------------------------------------------------------------
 
 
-class _Budget(Exception):
-    pass
-
-
-class _Found(Exception):
-    pass
-
-
 def _prepare(rows, d):
     """The rows coeffs·t >= r over d parameters as _interval_propagate
     reads them, each as its nonzero (j, c) pairs and r, and per parameter
@@ -634,48 +628,43 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES, first: bool = 
     cap = 40 * len(rows)
     solutions = []
     nodes = 0
-
-    def leaf(t):
-        # propagation has checked every row on the point intervals of t
-        x = list(par.origin)
-        for tj, col in zip(t, sparse):
-            if tj:
-                for i, v in col:
-                    x[i] += tj * v
-        x = tuple(x)
-        assert sys.check_solution(x), "enumerated point must satisfy the system"
-        solutions.append(x)
-        if first:
-            raise _Found
-
-    def dfs(fixed, lo, hi, work, slack):
-        nonlocal nodes
+    # a node (j, lo, hi, work, slack) fixes t_j, with t_{j+1}, ..., t_{d-1}
+    # fixed already (lo == hi there); at j < 0 it is a point.  Its children
+    # are pushed last value first, so that they are searched in increasing
+    # order
+    lo, hi = map(list, zip(*intervals))
+    stack = [(d - 1, lo, hi, range(len(prepared)), slack)]
+    while stack:
+        j, lo, hi, work, slack = stack.pop()
         nodes += 1
         if nodes > max_nodes:
-            raise _Budget
+            return Aborted(nodes - 1)
         if not _interval_propagate(prepared, reads_lo, reads_hi, lo, hi, work, cap):
-            return
-        free = [j for j in range(d) if fixed[j] is None]
-        if not free:
-            leaf(fixed)
-            return
-        if slack is None:
-            j = min(free, key=lambda j2: (hi[j2] - lo[j2], j2))
-            first, last = lo[j], hi[j]
-        else:
-            # the last free parameter, in LDL order: slack is
-            # D[j + 1]·(R − min Q over the free t_0, ..., t_j), so the
-            # bound leaves L_j(t)² ≤ D[j]·slack
-            j = free[-1]
+            continue
+        if j < 0:
+            # propagation has checked every row on the point intervals of t
+            x = list(par.origin)
+            for tj, col in zip(lo, sparse):
+                if tj:
+                    for i, v in col:
+                        x[i] += tj * v
+            x = tuple(x)
+            assert sys.check_solution(x), "enumerated point must satisfy the system"
+            solutions.append(x)
+            if first:
+                break
+            continue
+        low, high = lo[j], hi[j]
+        if slack is not None:
+            # slack is D[j + 1]·(R − min Q over the free t_0, ..., t_j), so
+            # the bound leaves L_j(t)² ≤ D[j]·slack
             u = U[j]
             p = u[0]
-            c = consts[j] + sum(map(_mul, u[1:], fixed[j + 1:]))
+            c = consts[j] + sum(map(_mul, u[1:], lo[j + 1:]))
             m = isqrt(D[j] * slack)
-            first = max(lo[j], _ceil_div(-m - c, p))
-            last = min(hi[j], (m - c) // p)
-        for val in range(first, last + 1):
-            nfixed = fixed[:]
-            nfixed[j] = val
+            low = max(low, _ceil_div(-m - c, p))
+            high = min(high, (m - c) // p)
+        for val in range(high, low - 1, -1):
             # only the rows that read a bound of t_j that moved can change
             work = []
             if val > lo[j]:
@@ -689,24 +678,7 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES, first: bool = 
                 lval = p * val + c
                 nslack, rem = divmod(D[j] * slack - lval * lval, p)
                 assert not rem, "the LDL slack must stay integral"
-            dfs(nfixed, nlo, nhi, work, nslack)
-
-    try:
-        dfs(
-            [None] * d,
-            [a for a, _ in intervals],
-            [b for _, b in intervals],
-            range(len(prepared)),
-            slack,
-        )
-    except _Budget:
-        return Aborted(nodes - 1)
-    except _Found:
-        pass
-    finally:
-        # dfs holds itself through its closure cell: empty the cell, so
-        # that reference counting frees the search and all it refers to
-        del dfs
+            stack.append((j - 1, nlo, nhi, work, nslack))
 
     return Finite(tuple(sorted(set(solutions))))
 

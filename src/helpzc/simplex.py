@@ -5,9 +5,10 @@ its result records, the bounding of a system's parameters by LP
 Only a system without a norm bound reaches it, which among HeLP systems
 means one over an incomplete character table, so `intsolve` imports this
 module at its first LP and a run over complete tables never compiles it.
-`intsolve.simplex_opt` stays the one LP entry: the functions here call it
-through `intsolve` at each call, and the names moved here from `intsolve`
-still resolve there.
+`intsolve.simplex_opt` stays the one LP entry: the functions here look it
+up in `intsolve` at each call, so that a wrapper put there after this
+module loaded (`bench/tracer.py` puts one) sees every LP solved here.  The
+names moved here from `intsolve` still resolve there.
 """
 
 from __future__ import annotations
@@ -206,13 +207,6 @@ def _feasible_tableau(inequalities, d: int) -> _Tableau:
 # -- LP bounding ------------------------------------------------------------------
 
 
-def simplex_opt(inequalities, objective, maximize: bool = True):
-    """`intsolve.simplex_opt`, looked up at each call, so that a wrapper put
-    there after this module loaded (`bench/tracer.py` puts one) sees every
-    LP solved here."""
-    return intsolve.simplex_opt(inequalities, objective, maximize)
-
-
 def lp_bounds(rows, d: int):
     """Integer bounds of each of the d free parameters over the LP
     relaxation of `rows` (coeffs·t >= rhs): a maximizing and a minimizing
@@ -225,10 +219,10 @@ def lp_bounds(rows, d: int):
     intervals = []
     for j in range(d):
         objective = tuple(1 if i == j else 0 for i in range(d))
-        hi = simplex_opt(rows, objective)
+        hi = intsolve.simplex_opt(rows, objective)
         if isinstance(hi, Infeasible):
             return None
-        lo = simplex_opt(rows, objective, maximize=False)
+        lo = intsolve.simplex_opt(rows, objective, maximize=False)
         if isinstance(hi, Unbounded) or isinstance(lo, Unbounded):
             return hi if isinstance(hi, Unbounded) else lo
         lo, hi = math.ceil(lo.value), math.floor(hi.value)
@@ -267,7 +261,7 @@ def remove_redundant(inequalities):
         coeffs, r = rows[i]
         rest = rows[:i] + rows[i + 1:]
         if rest:
-            res = simplex_opt(rest, coeffs, maximize=False)
+            res = intsolve.simplex_opt(rest, coeffs, maximize=False)
             if isinstance(res, Optimal) and res.value >= r:
                 rows.pop(i)
                 continue

@@ -315,10 +315,12 @@ def solve_order(
     """Admissible tuples of order k, populating the store bottom-up.
 
     Returns None when an obstruction (infinite set or node budget) blocks
-    the order; the reason is recorded in store.obstructions.
+    the order; the reason is recorded in store.obstructions.  Like every
+    driver it first drops the store's node-budget markers.
     """
     _check_order(k)
     _check_store(bundle, store)
+    _drop_budget_markers(store)
     return _solved(bundle, k, store, options or SolverOptions())
 
 

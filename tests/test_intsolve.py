@@ -1,4 +1,7 @@
+import inspect
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -369,6 +372,55 @@ def test_solve_abort_budget():
     s = sys_of([((1, 1, 0), 3), ((1, 0, -1), -2)], nonneg=[1, 2])
     res = solve_all(s, max_nodes=2)
     assert res == Aborted(2)
+
+
+def test_a_deep_search_leaves_the_recursion_limit_alone():
+    # 80 parameters under Σ x_i² <= 1: the search fixes them one below
+    # another, 81 nodes deep
+    n = 80
+    s = LinSystem(tuple(f"x{i}" for i in range(n)), (), ((1,) * n, 1))
+    units = [tuple(v * (i == j) for i in range(n)) for j in range(n) for v in (-1, 1)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        got = solve_all(s)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == Finite(tuple(sorted([(0,) * n, *units])))
+
+
+def test_first_is_one_solution_or_none_when_there_is_none():
+    # each system as drawn, within a box |x_i| <= 3 (both bounded by LP)
+    # and under a norm bound (bounded by its LDL)
+    rng = random.Random(67)
+    several = Counter()
+    for _ in range(300):
+        s = random_system(rng)
+        n = len(s.variables)
+        box = tuple(
+            (tuple(v * (i == j) for j in range(n)), 3, None)
+            for i in range(n)
+            for v in (-1, 1)
+        )
+        weights = tuple(rng.randint(1, 6) for _ in range(n))
+        variants = (
+            s,
+            LinSystem(s.variables, s.equalities, congruences=s.congruences + box),
+            LinSystem(
+                s.variables, s.equalities, (weights, rng.randint(0, 12)),
+                congruences=s.congruences,
+            ),
+        )
+        for system in variants:
+            every = solve_all(system)
+            got = solve_all(system, first=True)
+            assert type(got) is type(every)
+            if not isinstance(every, Finite):
+                continue
+            assert len(got.solutions) == min(1, len(every.solutions))
+            assert set(got.solutions) <= set(every.solutions)
+            several[system.norm is None] += len(every.solutions) > 1
+    assert several[True] >= 40 and several[False] >= 10, several
 
 
 def test_solutions_sorted_and_unique():

@@ -257,11 +257,11 @@ def test_solve_order_reuses_store(bundles):
     store = SolutionStore("A5")
     first = solve_order(a5, 5, store)
     assert solve_order(a5, 5, store) is first
-    store.obstructions[6] = REASON_BUDGET
+    store.obstructions[6] = REASON_INFINITE
     assert solve_order(a5, 6, store) is None
     # the obstruction propagates upward without recomputing
     assert solve_order(a5, 12, store) is None
-    assert store.obstructions[12] == REASON_BUDGET
+    assert store.obstructions[12] == REASON_INFINITE
 
 
 def test_m11_order_eight(bundles):
@@ -404,6 +404,18 @@ def test_pq_and_audit_retry_budget_markers(bundles):
     survivors, pre = solve_order_report(m11, 12, store)
     assert (survivors, len(pre)) == ((), 3)
     assert REASON_BUDGET not in store.obstructions.values()
+
+
+def test_solve_order_retries_budget_markers(bundles):
+    m11 = bundles["m11"]
+    store = SolutionStore(m11.group_name)
+    assert solve_order(m11, 12, store, SolverOptions(max_nodes=0)) is None
+    assert store.obstructions == {6: REASON_BUDGET, 12: REASON_BUDGET}
+    # a marker records the budget of the call that set it, so the default
+    # budget recomputes both orders
+    assert solve_order(m11, 12, store) == ()
+    assert store.obstructions == {}
+    assert store.solutions[12] == solve_order_report(m11, 12, store)[0]
 
 
 def test_infinite_obstruction_propagates(monkeypatch):
