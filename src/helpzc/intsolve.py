@@ -40,17 +40,20 @@ x_i >= 0 is the row (k·e_i, 0).  The pipeline:
      results, so a run over complete tables never loads either.
      `simplex_opt` stays here as the one LP entry, and those names
      resolve as attributes of this module too;
-  4. enumerate by depth-first fixing of parameters inside those bounds,
-     last first (t_{d-1} first, the LDL order) under either bound, in one
-     loop over an explicit stack of nodes, so that the depth is not
-     bounded by Python's recursion limit and a solve leaves no reference
-     cycle.  Each node is pruned by integer interval propagation over the
-     inequality rows, each held as its nonzero coefficients only: a
-     worklist that starts with every row at the root and, after a
-     parameter is fixed, with the rows that read a bound the fixing moved
-     (a row with c_j > 0 reads only hi[j], one with c_j < 0 only lo[j]),
-     re-queueing the readers of each bound a row moves, up to 40 visits
-     per row.
+  4. enumerate by depth-first fixing of parameters inside those bounds:
+     under the norm bound the last free one (t_{d-1} first, the LDL
+     order), under the LP bounds the one whose interval is the narrowest
+     not yet a point, reading the fixed values off the box (lo == hi).
+     One loop over an explicit stack makes each child only when its turn
+     comes, so the depth is not bounded by the recursion limit and the
+     search holds O(d) boxes, however wide the intervals, and leaves no
+     reference cycle.  Each node is pruned by integer interval
+     propagation over the inequality rows, each held as its nonzero
+     coefficients only: a worklist that starts with every row at the root
+     and, after a parameter is fixed, with the rows that read a bound the
+     fixing moved (a row with c_j > 0 reads only hi[j], one with c_j < 0
+     only lo[j]), re-queueing the readers of each bound a row moves, up to
+     40 visits per row.
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -592,14 +595,10 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES, first: bool = 
     par = diophantine_eliminate(sys)
     if par is None:
         return Finite(())
-    basis = par.basis
-    d = len(basis)
+    d = len(par.basis)
     rows = par.inequalities
     if d == 0:
-        sol = par.origin
-        if sys.check_solution(sol):
-            return Finite((sol,))
-        return Finite(())
+        return Finite((par.origin,) if sys.check_solution(par.origin) else ())
 
     if sys.norm is None:
         from .simplex import Unbounded, _scale_ray, lp_bounds
@@ -608,12 +607,8 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES, first: bool = 
         if intervals is None:
             return Finite(())
         if isinstance(intervals, Unbounded):
-            ray_t = intervals.ray
-            ray_x = tuple(
-                sum(ray_t[j2] * basis[j2][i] for j2 in range(d))
-                for i in range(len(sys.variables))
-            )
-            return Infinite(_scale_ray(ray_x))
+            ray = tuple(sum(map(_mul, intervals.ray, col)) for col in zip(*par.basis))
+            return Infinite(_scale_ray(ray))
         slack = None
     else:
         bounded = _ellipsoid(par, sys.norm[1])
@@ -626,59 +621,67 @@ def solve_all(sys: LinSystem, max_nodes: int = DEFAULT_MAX_NODES, first: bool = 
     sparse = par.lattice.sparse
     # as many rows as 40 rounds over all of them
     cap = 40 * len(rows)
-    solutions = []
-    nodes = 0
-    # a node (j, lo, hi, work, slack) fixes t_j, with t_{j+1}, ..., t_{d-1}
-    # fixed already (lo == hi there); at j < 0 it is a point.  Its children
-    # are pushed last value first, so that they are searched in increasing
-    # order
-    lo, hi = map(list, zip(*intervals))
-    stack = [(d - 1, lo, hi, range(len(prepared)), slack)]
-    while stack:
-        j, lo, hi, work, slack = stack.pop()
+    solutions, nodes = [], 0
+    # a node (j, lo, hi, work, slack) fixes t_j as step 4 says, the fixed
+    # values at lo == hi; at j < 0 it is a point.  The stack holds a frame
+    # per depth, whose children are made one at a time in increasing order
+    node = (d - 1, *map(list, zip(*intervals)), range(len(prepared)), slack)
+    stack = []
+    while True:
+        j, lo, hi, work, slack = node
         nodes += 1
         if nodes > max_nodes:
             return Aborted(nodes - 1)
-        if not _interval_propagate(prepared, reads_lo, reads_hi, lo, hi, work, cap):
-            continue
-        if j < 0:
-            # propagation has checked every row on the point intervals of t
-            x = list(par.origin)
-            for tj, col in zip(lo, sparse):
-                if tj:
+        if _interval_propagate(prepared, reads_lo, reads_hi, lo, hi, work, cap):
+            if slack is None:
+                widths = [(hi[i] - lo[i], i) for i in range(d) if lo[i] < hi[i]]
+                j = min(widths)[1] if widths else -1
+            if j < 0:
+                # propagation has checked every row on the point intervals of t
+                x = list(par.origin)
+                for tj, col in zip(lo, sparse):
                     for i, v in col:
                         x[i] += tj * v
-            x = tuple(x)
-            assert sys.check_solution(x), "enumerated point must satisfy the system"
-            solutions.append(x)
-            if first:
+                x = tuple(x)
+                assert sys.check_solution(x), "enumerated point must satisfy the system"
+                solutions.append(x)
+                if first:
+                    break
+            else:
+                low, high, p, c = lo[j], hi[j], None, None
+                if slack is not None:
+                    # slack is D[j + 1]·(R − min Q over the free t_0, ..., t_j),
+                    # so the bound leaves L_j(t)² ≤ D[j]·slack
+                    u = U[j]
+                    p = u[0]
+                    c = consts[j] + sum(map(_mul, u[1:], lo[j + 1:]))
+                    m = isqrt(D[j] * slack)
+                    low = max(low, _ceil_div(-m - c, p))
+                    high = min(high, (m - c) // p)
+                stack.append((j, lo, hi, slack, p, c, iter(range(low, high + 1))))
+        # the next node: the next child of the deepest node that has one
+        while stack:
+            j, lo, hi, slack, p, c, values = stack[-1]
+            val = next(values, None)
+            if val is not None:
                 break
-            continue
-        low, high = lo[j], hi[j]
+            stack.pop()
+        else:
+            break
+        # only the rows that read a bound of t_j that moved can change
+        work = []
+        if val > lo[j]:
+            work += reads_lo[j]
+        if val < hi[j]:
+            work += reads_hi[j]
+        nlo, nhi = lo[:], hi[:]
+        nlo[j] = nhi[j] = val
+        nslack = None
         if slack is not None:
-            # slack is D[j + 1]·(R − min Q over the free t_0, ..., t_j), so
-            # the bound leaves L_j(t)² ≤ D[j]·slack
-            u = U[j]
-            p = u[0]
-            c = consts[j] + sum(map(_mul, u[1:], lo[j + 1:]))
-            m = isqrt(D[j] * slack)
-            low = max(low, _ceil_div(-m - c, p))
-            high = min(high, (m - c) // p)
-        for val in range(high, low - 1, -1):
-            # only the rows that read a bound of t_j that moved can change
-            work = []
-            if val > lo[j]:
-                work += reads_lo[j]
-            if val < hi[j]:
-                work += reads_hi[j]
-            nlo, nhi = lo[:], hi[:]
-            nlo[j] = nhi[j] = val
-            nslack = None
-            if slack is not None:
-                lval = p * val + c
-                nslack, rem = divmod(D[j] * slack - lval * lval, p)
-                assert not rem, "the LDL slack must stay integral"
-            stack.append((j - 1, nlo, nhi, work, nslack))
+            lval = p * val + c
+            nslack, rem = divmod(D[j] * slack - lval * lval, p)
+            assert not rem, "the LDL slack must stay integral"
+        node = (j - 1, nlo, nhi, work, nslack)
 
     return Finite(tuple(sorted(set(solutions))))
 

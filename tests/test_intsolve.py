@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -372,6 +373,24 @@ def test_solve_abort_budget():
     s = sys_of([((1, 1, 0), 3), ((1, 0, -1), -2)], nonneg=[1, 2])
     res = solve_all(s, max_nodes=2)
     assert res == Aborted(2)
+
+
+def test_a_wide_interval_keeps_the_budget():
+    # t takes 10^8 + 1 values under either bound; each node makes its
+    # children one at a time, so a budget of 10 nodes stops the search
+    # after 10 of them, holding a few boxes
+    wide = 10**8
+    for s in (
+        sys_of([((1, 1), wide)], nonneg=[0, 1]),
+        LinSystem(("x0", "x1"), (((1, 1), wide),), ((1, 1), wide * wide)),
+    ):
+        tracemalloc.start()
+        try:
+            assert solve_all(s, max_nodes=10) == Aborted(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 def test_a_deep_search_leaves_the_recursion_limit_alone():
