@@ -16,10 +16,9 @@ otherwise drop what it holds without a word.
 A table that fails any check is rejected outright, since every downstream
 constraint is only as trustworthy as the table it came from.
 
-Group facts are derived, never declared: nilpotency from the class sizes,
-solvability and p-solvability from the chief factors of a complete table
-(unknown for an incomplete one).  A bundle that lists a flags node is
-rejected.
+The file holds tables only.  A bundle's group facts are derived from its
+ordinary table by `chartables.TableBundle`, as for every bundle, so a
+bundle that lists a flags node is rejected.
 
 Only irreducible rows are read; a bundle that lists extra character rows
 is rejected.  A reducible character psi adds nothing a complete table lacks,
@@ -46,7 +45,7 @@ import json
 from math import gcd, lcm
 from pathlib import Path
 
-from .arith import factorize, is_prime, prime_factors
+from .arith import is_prime, prime_factors
 from .chartables import BundleError, CharacterTable, ClassInfo, TableBundle
 from .cyclotomics import ONE, Cyc, FieldError, _canonical
 
@@ -333,50 +332,6 @@ def _parse_brauer(group: str, ordinary: CharacterTable, node) -> CharacterTable:
     )
 
 
-def _sylows_normal(table: CharacterTable) -> bool:
-    """Whether G is nilpotent: for each prime p | |G|, the classes of p-power
-    element order (identity included) must have sizes summing to |G|_p.
-    The p-elements contain every Sylow p-subgroup, so then they are a single
-    Sylow p-subgroup, which is therefore normal; and in a nilpotent group
-    the p-elements are exactly its normal Sylow p-subgroup."""
-    return all(
-        sum(
-            cl.size
-            for cl in table.classes
-            if prime_factors(cl.element_order) in ((), (p,))
-        )
-        == p**e
-        for p, e in factorize(table.group_order)
-    )
-
-
-def _solvability(table: CharacterTable) -> tuple[bool, frozenset[int]]:
-    """(is_solvable, p_solvable_for) of G, from a complete ordinary table.
-
-    Every normal subgroup, as a set of classes, is an intersection of
-    kernels of irreducibles, and each cover M < N in the lattice of those
-    intersections is a chief factor N/M, of order |N|/|M|.  G is solvable
-    when every chief factor has prime-power order, and p-solvable when
-    every chief factor is a p-group or a p'-group."""
-    one = table.identity_index
-    normal = {frozenset(range(len(table.classes)))}
-    for chi in table.characters:
-        kernel = frozenset(x for x, v in enumerate(chi) if v == chi[one])
-        normal |= {n & kernel for n in normal}
-    order = {n: sum(table.classes[x].size for x in n) for n in normal}
-    factors = [
-        prime_factors(order[n] // order[m])
-        for n in normal
-        for m in normal
-        if m < n and not any(m < mid < n for mid in normal)
-    ]
-    return all(len(ps) == 1 for ps in factors), frozenset(
-        p
-        for p in prime_factors(table.group_order)
-        if all(ps == (p,) or p not in ps for ps in factors)
-    )
-
-
 def read_bundle(source: str | Path | dict) -> TableBundle:
     """Load and validate a table bundle from a JSON file or parsed dict."""
     if isinstance(source, (str, Path)):
@@ -413,18 +368,7 @@ def read_bundle(source: str | Path | dict) -> TableBundle:
         _check_brauer(t)
         brauer.append(t)
 
-    solvable, p_solvable = None, frozenset()
-    if len(ordinary.characters) == len(ordinary.classes):
-        solvable, p_solvable = _solvability(ordinary)
-
-    return TableBundle(
-        group,
-        ordinary,
-        tuple(brauer),
-        is_solvable=solvable,
-        is_nilpotent=_sylows_normal(ordinary),
-        p_solvable_for=p_solvable,
-    )
+    return TableBundle(ordinary, tuple(brauer))
 
 
 def bundle_to_json(bundle: TableBundle) -> dict:

@@ -3,12 +3,13 @@
 A bundle holds one ordinary character table and optionally Brauer (p-modular)
 tables for some primes.  Every row is an irreducible character, ordinary or
 Brauer, and all values are cyclotomic integers (`Cyc`).  A bundle
-is built in memory (`cyclic_table`) or loaded from a JSON file
-(`load_bundle`).  The file format and the checks that every loaded table
-must pass live in `bundlefile`, which `load_bundle` imports on its first
-call.  A bundle's group facts (`is_nilpotent`, `is_solvable`,
-`p_solvable_for`) are derived from its ordinary table, never read from a
-file.  `resolve_bundle_path` finds the packaged bundles on disk.
+is built in memory (`cyclic_table`, or `TableBundle` by hand) or loaded
+from a JSON file (`load_bundle`).  The file format and the checks that
+every loaded table must pass live in `bundlefile`, which `load_bundle`
+imports on its first call.  However a bundle is made, `TableBundle`
+derives its group facts (`is_nilpotent`, `is_solvable`, `p_solvable_for`)
+from its ordinary table; no caller declares them.
+`resolve_bundle_path` finds the packaged bundles on disk.
 """
 
 from __future__ import annotations
@@ -145,22 +146,64 @@ class CharacterTable:
         return got
 
 
+def _sylows_normal(table: CharacterTable) -> bool:
+    """Whether G is nilpotent: for each prime p | |G|, the classes of p-power
+    element order (identity included) must have sizes summing to |G|_p.
+    The p-elements contain every Sylow p-subgroup, so then they are a single
+    Sylow p-subgroup, which is therefore normal; and in a nilpotent group
+    the p-elements are exactly its normal Sylow p-subgroup."""
+    return all(
+        sum(
+            cl.size
+            for cl in table.classes
+            if prime_factors(cl.element_order) in ((), (p,))
+        )
+        == p**e
+        for p, e in factorize(table.group_order)
+    )
+
+
+def _solvability(table: CharacterTable) -> tuple[bool, frozenset[int]]:
+    """(is_solvable, p_solvable_for) of G, from a complete ordinary table.
+
+    Every normal subgroup, as a set of classes, is an intersection of
+    kernels of irreducibles, and each cover M < N in the lattice of those
+    intersections is a chief factor N/M, of order |N|/|M|.  G is solvable
+    when every chief factor has prime-power order, and p-solvable when
+    every chief factor is a p-group or a p'-group."""
+    one = table.identity_index
+    normal = {frozenset(range(len(table.classes)))}
+    for chi in table.characters:
+        kernel = frozenset(x for x, v in enumerate(chi) if v == chi[one])
+        normal |= {n & kernel for n in normal}
+    order = {n: sum(table.classes[x].size for x in n) for n in normal}
+    factors = [
+        prime_factors(order[n] // order[m])
+        for n in normal
+        for m in normal
+        if m < n and not any(m < mid < n for mid in normal)
+    ]
+    return all(len(ps) == 1 for ps in factors), frozenset(
+        p
+        for p in prime_factors(table.group_order)
+        if all(ps == (p,) or p not in ps for ps in factors)
+    )
+
+
 class TableBundle:
-    def __init__(
-        self,
-        group_name: str,
-        ordinary: CharacterTable,
-        brauer: tuple[CharacterTable, ...] = (),
-        is_solvable: bool | None = None,
-        is_nilpotent: bool | None = None,
-        p_solvable_for: frozenset[int] = frozenset(),
-    ):
-        self.group_name = group_name
+    """A group's ordinary table and its Brauer tables, named by the ordinary
+    table.  Nilpotency comes from its class sizes; solvability and
+    p-solvability from the chief factors of a complete table, else None
+    and the empty set."""
+
+    def __init__(self, ordinary: CharacterTable, brauer: tuple[CharacterTable, ...] = ()):
+        self.group_name = ordinary.group_name
         self.ordinary = ordinary
         self.brauer = brauer
-        self.is_solvable = is_solvable
-        self.is_nilpotent = is_nilpotent
-        self.p_solvable_for = p_solvable_for
+        self.is_nilpotent = _sylows_normal(ordinary)
+        self.is_solvable, self.p_solvable_for = None, frozenset()
+        if len(ordinary.characters) == len(ordinary.classes):
+            self.is_solvable, self.p_solvable_for = _solvability(ordinary)
 
     @property
     def brauer_primes(self) -> tuple[int, ...]:
@@ -175,24 +218,28 @@ def load_bundle(source: str | Path | dict) -> TableBundle:
     return read_bundle(source)
 
 
+# The largest n that cyclic_table builds: its n rows of n values hold about
+# 8·n² bytes of references, and deriving its facts compares every value.
+CYCLIC_LIMIT = 1000
+
+
 def cyclic_table(n: int) -> TableBundle:
-    """The full table bundle of the cyclic group of order n (generator g)."""
+    """The full table bundle of the cyclic group of order n (generator g),
+    n <= CYCLIC_LIMIT."""
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")
+    if n > CYCLIC_LIMIT:
+        raise ValueError(
+            f"cyclic group order {n} is above the limit of {CYCLIC_LIMIT}:"
+            f" its table would hold {n}² values"
+        )
     classes = tuple(
         ClassInfo(f"g{a}", n // gcd(n, a) if a else 1, 1) for a in range(n)
     )
     power_maps = {p: tuple((a * p) % n for a in range(n)) for p in prime_factors(n)}
     roots = [root_of_unity(n, e) for e in range(n)]
     characters = tuple(tuple(roots[j * a % n] for a in range(n)) for j in range(n))
-    table = CharacterTable(f"C{n}", n, classes, power_maps, characters)
-    return TableBundle(
-        f"C{n}",
-        table,
-        is_solvable=True,
-        is_nilpotent=True,
-        p_solvable_for=frozenset(prime_factors(n)),
-    )
+    return TableBundle(CharacterTable(f"C{n}", n, classes, power_maps, characters))
 
 
 # -- bundled data on disk -----------------------------------------------------

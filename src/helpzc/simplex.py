@@ -191,7 +191,9 @@ def _integer_row(coeffs, r):
 # The row set simplex_opt solved last, as (d, rows), and its tableau, left
 # feasible at the last optimum.  A run of LPs over one row set, such as
 # lp_bounds over a system's parameters, thus does phase 1 once and
-# re-optimizes each objective from the previous optimum.
+# re-optimizes each objective from the previous optimum.  lp_bounds clears
+# it first, so that its result, an unbounded ray too, depends on its rows
+# alone, not on the LPs solved before.
 _warm = (None, None)
 
 
@@ -216,6 +218,8 @@ def lp_bounds(rows, d: int):
     relaxation is infeasible or an interval holds no integer; or the
     Unbounded result of the first unbounded parameter.
     """
+    global _warm
+    _warm = (None, None)
     intervals = []
     for j in range(d):
         objective = tuple(1 if i == j else 0 for i in range(d))

@@ -3,6 +3,14 @@
 import gc
 
 import pytest
+from hypothesis import settings
+
+# Every Hypothesis test draws the same examples on every run (seeded from
+# the test's own code, with no example database), so that a count taken
+# over the suite, such as search nodes, reads the same on two runs of one
+# tree.  Each test keeps its own max_examples.
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(autouse=True)

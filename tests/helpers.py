@@ -294,7 +294,7 @@ def with_rows(b, rows):
         t.group_name, n, t.classes, t.power_maps, t.characters + tuple(rows),
         prime=p,
     )
-    return TableBundle(t.group_name, t, b.brauer + (fake,))
+    return TableBundle(t, b.brauer + (fake,))
 
 
 def brauer_table(b, p):

@@ -9,6 +9,8 @@ from helpzc.arith import prime_factors
 from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
     BundleError,
+    CharacterTable,
+    TableBundle,
     cyclic_table,
     data_dir,
     load_bundle,
@@ -52,7 +54,6 @@ def test_cyclic_small():
     g = c6.index_of("g1")
     assert c6.power_maps[2][g] == c6.index_of("g2")
     assert c6.power_maps[3][g] == c6.index_of("g3")
-    assert cyclic_table(6).is_solvable and cyclic_table(6).is_nilpotent
 
     # entrywise against an independently built root of unity
     for n in range(1, 37):
@@ -74,6 +75,15 @@ def test_cyclic_roundtrip_and_orthogonality(n):
 def test_cyclic_bad_order():
     with pytest.raises(ValueError):
         cyclic_table(0)
+
+
+def test_cyclic_facts_are_derived():
+    # a cyclic group is nilpotent, solvable and p-solvable for every prime
+    # dividing its order; none of this is declared by cyclic_table
+    for n in range(1, 121):
+        b = cyclic_table(n)
+        assert b.group_name == f"C{n}"
+        assert facts(b) == (True, frozenset(prime_factors(n)), True)
 
 
 # -- bundled tables ------------------------------------------------------
@@ -113,6 +123,19 @@ def test_flags(bundles):
 def test_nilpotency_is_derived_when_not_declared():
     c8 = load_bundle(bundle_to_json(cyclic_table(8)))
     assert c8.is_nilpotent is True and c8.is_solvable is True
+
+
+def test_a_bundle_built_by_hand_derives_its_facts(bundles):
+    # the constructor takes tables only: M11's name and facts are those of
+    # the loaded bundle, and an incomplete C6 table is nilpotent by its
+    # class sizes with its solvability unknown, as when it is loaded
+    m11 = bundles["m11.json"]
+    by_hand = TableBundle(m11.ordinary, m11.brauer)
+    assert by_hand.group_name == "M11"
+    assert facts(by_hand) == facts(m11) == FACTS["m11.json"]
+    t = cyclic_table(6).ordinary
+    weak = TableBundle(CharacterTable("C6", 6, t.classes, t.power_maps, t.characters[:2]))
+    assert facts(weak) == facts(load_bundle(bundle_to_json(weak))) == (None, frozenset(), True)
 
 
 def test_order_facts(bundles):

@@ -11,7 +11,7 @@ import pytest
 from helpers import BUNDLE_CORRUPTIONS, corrupted_bundle
 from helpzc import cli, storefile
 from helpzc.bundlefile import bundle_to_json
-from helpzc.chartables import cyclic_table, resolve_bundle_path
+from helpzc.chartables import CYCLIC_LIMIT, cyclic_table, resolve_bundle_path
 from helpzc.cli import build_parser, main, solver_options
 from helpzc.intsolve import DEFAULT_MAX_NODES
 
@@ -47,6 +47,20 @@ def test_zc_unknown_exit_code(capsys):
     code, out, _ = run(capsys, "zc", "s4")
     assert code == 0
     assert out.splitlines()[0] == "ZC: Proved"
+
+
+def test_cyclic_above_the_limit_is_refused_before_any_table(capsys, monkeypatch):
+    # the table of cyclic:20000 would take over 3 GB; no class of it is made
+    def built(*args):
+        pytest.fail("a class was built for cyclic:20000")
+
+    monkeypatch.setattr("helpzc.chartables.ClassInfo", built)
+    code, out, err = run(capsys, "zc", "cyclic:20000")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: cyclic group order 20000 is above the limit of {CYCLIC_LIMIT}:"
+        " its table would hold 20000² values"
+    ]
 
 
 def test_order_audit_names_candidates(capsys, tmp_path):

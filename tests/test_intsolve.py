@@ -246,6 +246,19 @@ def test_bounding_runs_phase_one_once(monkeypatch):
     assert bounded_with_phase1 >= 20
 
 
+def test_an_infinite_ray_does_not_depend_on_earlier_lps():
+    # each lp_bounds starts from its own phase 1, so the witness of an
+    # unbounded system is the same however often it is solved and whatever
+    # LP system was solved before it
+    s = sys_of([((4, -5, -4, -2), 4)], nonneg=range(4))
+    other = sys_of([((1, 1, 1), 3)], nonneg=range(3))
+    first = solve_all(s)
+    assert isinstance(first, Infinite)
+    assert solve_all(s) == first
+    assert isinstance(solve_all(other), Finite)
+    assert solve_all(s) == first
+
+
 def test_bound_lps_are_simplex_calls(monkeypatch):
     # each parameter is bounded by one maximizing and one minimizing
     # simplex_opt call, so a trace of simplex_opt sees every bound LP

@@ -8,6 +8,7 @@ import pytest
 from helpers import asymmetric_row, compatible, full_solve_candidates, with_rows
 from helpzc import intsolve, verify
 from helpzc.arith import divisors, prime_factors
+from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
     CharacterTable,
     TableBundle,
@@ -108,22 +109,37 @@ def test_usable_tables(bundles):
 
 
 def test_usable_tables_fong_swan_skip():
+    # C6 is 2-solvable, as its bundle derives from the chief factors of its
+    # table, so its 2-modular table, over the 2-regular classes, adds
+    # nothing and is dropped; a table for 5, a prime the group is not
+    # p-solvable for, is kept
     t = cyclic_table(6).ordinary
-    fake = [
-        CharacterTable(
-            "C6", 6, t.classes, t.power_maps, t.characters, prime=p
-        )
-        for p in (5, 7)
-    ]
-    b = TableBundle(
-        "C6", t, tuple(fake),
-        is_solvable=True, is_nilpotent=True,
-        p_solvable_for=frozenset({2, 3, 7}),
+    odd = [cl.element_order % 2 == 1 for cl in t.classes]
+    two = CharacterTable(
+        "C6", 6, t.classes, t.power_maps,
+        tuple(
+            tuple(v if keep else None for v, keep in zip(t.characters[j], odd))
+            for j in (0, 2, 4)
+        ),
+        prime=2,
     )
-    # p-solvable for 7, so the mod-7 table adds nothing and is dropped
-    assert [x.prime for x in usable_tables(b, 6)] == [None, 5]
-    # dividing the order excludes the table although 5 is not p-solvable
+    # a genuine Brauer table: loading checks it
+    load_bundle(bundle_to_json(TableBundle(t, (two,))))
+    five = CharacterTable("C6", 6, t.classes, t.power_maps, t.characters, prime=5)
+    b = TableBundle(t, (two, five))
+    assert b.p_solvable_for == frozenset({2, 3})
+    assert [x.prime for x in usable_tables(b, 3)] == [None, 5]
+    # dividing the order excludes a table although 5 is not p-solvable
     assert [x.prime for x in usable_tables(b, 10)] == [None]
+
+
+def test_a_bundle_built_by_hand_takes_no_shortcut(bundles):
+    # M11 is not nilpotent, whether its bundle is loaded or built by hand
+    m11 = bundles["m11"]
+    v = check_zc(TableBundle(m11.ordinary, m11.brauer))
+    assert not v.proved and v.shortcut is None
+    assert [k for k, _ in v.obstructions] == [4, 6, 8, 11]
+    assert v.obstructions == check_zc(m11).obstructions
 
 
 # -- lattice recursion ----------------------------------------------------------
@@ -434,7 +450,9 @@ def test_infinite_obstruction_propagates(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(intsolve, "simplex_opt", counting)
-    v = check_zc(TableBundle("C6", weak))
+    # C6 is nilpotent by its class sizes, so only without the shortcut
+    # does the verdict reach the LP
+    v = check_zc(TableBundle(weak), SolverOptions(shortcuts=False))
     assert not v.proved
     assert v.obstructions == ((3, REASON_INFINITE), (6, REASON_INFINITE))
     assert lps
