@@ -72,6 +72,10 @@ class CharacterTable:
         self.group_elements: dict = {}
         # these rows as constraints.CharRows, built on first use
         self.char_rows = None
+        # on a Brauer table, its rows that restrict no ordinary irreducible,
+        # as a table of their own (constraints.usable_tables), built on
+        # first use
+        self.added = None
 
     @property
     def is_brauer(self) -> bool:
@@ -167,22 +171,28 @@ def _solvability(table: CharacterTable) -> tuple[bool, frozenset[int]]:
     """(is_solvable, p_solvable_for) of G, from a complete ordinary table.
 
     Every normal subgroup, as a set of classes, is an intersection of
-    kernels of irreducibles, and each cover M < N in the lattice of those
-    intersections is a chief factor N/M, of order |N|/|M|.  G is solvable
-    when every chief factor has prime-power order, and p-solvable when
-    every chief factor is a p-group or a p'-group."""
+    kernels of irreducibles.  So every normal subgroup properly inside a
+    normal N lies in some N ∩ ker chi other than N, and a largest of those
+    is a maximal normal subgroup M of G inside N: N/M is a chief factor.
+    Stepping so from G down to 1 gives one chief series, and by Jordan–Hölder
+    its factor orders are those of every chief series.  G is solvable when
+    every chief factor has prime-power order, and p-solvable when every
+    chief factor is a p-group or a p'-group."""
     one = table.identity_index
-    normal = {frozenset(range(len(table.classes)))}
-    for chi in table.characters:
-        kernel = frozenset(x for x, v in enumerate(chi) if v == chi[one])
-        normal |= {n & kernel for n in normal}
-    order = {n: sum(table.classes[x].size for x in n) for n in normal}
-    factors = [
-        prime_factors(order[n] // order[m])
-        for n in normal
-        for m in normal
-        if m < n and not any(m < mid < n for mid in normal)
+    kernels = [
+        frozenset(x for x, v in enumerate(chi) if v == chi[one])
+        for chi in table.characters
     ]
+
+    def order(n):
+        return sum(table.classes[x].size for x in n)
+
+    factors = []
+    n = frozenset(range(len(table.classes)))
+    while below := [n & kernel for kernel in kernels if not n <= kernel]:
+        m = max(below, key=order)
+        factors.append(prime_factors(order(n) // order(m)))
+        n = m
     return all(len(ps) == 1 for ps in factors), frozenset(
         p
         for p in prime_factors(table.group_order)

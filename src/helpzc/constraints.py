@@ -113,6 +113,21 @@ Assembly is integer-only; identities 1 and 2 make that exact.
    they are gathered into merged order; a trace block that breaks it is
    refused there.
 
+7. A Brauer row that restricts an ordinary irreducible adds nothing.  Let
+   p not divide k, and let the Brauer row beta equal the ordinary
+   irreducible chi on the p-regular classes.  Every class of order dividing
+   k is p-regular, the identity among them, so deg beta = deg chi, and the
+   coefficients and each proper level's sums of identity 1 read beta only
+   there.  Hence the rows (beta, l) and (chi, l) have the same coefficient
+   tuple and the same constant, and in the relaxation of identity 4 beta is
+   p-constant iff chi is.  Merging by coefficient tuple puts (beta, l) in
+   the run of (chi, l), so each run holds the same set of constants without
+   it: the same least constant and the same clash test mod k.  The ordinary
+   rows come first, so the first-seen order of the runs is unchanged too.
+   Neither does beta shrink the group of identity 3, as each of its cells
+   is chi's.  So usable_tables keeps only a Brauer table's other rows, each
+   under its label in its own table, and a table left with none is skipped.
+
 Each character table gets one integer block of C_m per unit order m, built
 from the stored exponents on first use, with each distinct value traced
 once, and kept on the table; a table set's coefficients are its tables'
@@ -272,17 +287,19 @@ def char_rows(tables) -> tuple[CharRow, ...]:
     out = []
     for t in tables:
         if t.char_rows is None:
-            t.char_rows = _table_rows(t)
+            t.char_rows = _table_rows(t, range(len(t.characters)))
         out.extend(t.char_rows)
     return tuple(out)
 
 
-def _table_rows(t: CharacterTable):
+def _table_rows(t: CharacterTable, numbers):
+    """The CharRows of t's rows numbered `numbers`, each labelled by its
+    number in t."""
     # a separator keeps mod-3 row 11 apart from mod-31 row 1
     prefix = f"mod{t.prime}:" if t.is_brauer else "ord"
     return tuple(
-        CharRow(f"{prefix}{ri}", t.degree(row), row)
-        for ri, row in enumerate(t.characters)
+        CharRow(f"{prefix}{r}", t.degree(t.characters[r]), t.characters[r])
+        for r in numbers
     )
 
 
@@ -435,15 +452,40 @@ class AggVar(Record):
 
 
 def usable_tables(bundle: TableBundle, k: int, use_brauer: bool = True):
-    """Ordinary table plus, if `use_brauer`, Brauer(p) for p not dividing k;
-    Brauer tables of primes the group is p-solvable for add nothing and are
-    skipped."""
+    """Ordinary table plus, if `use_brauer`, the rows of each Brauer(p) table,
+    p not dividing k, that restrict no ordinary irreducible to the p-regular
+    classes: any other row gives only the rows (psi, l) of the irreducible
+    it restricts (identity 7 of the module docstring).  A Brauer table with
+    no such row is skipped, and so is every Brauer table of a prime the
+    group is p-solvable for, unread: by Fong–Swan all its rows lift."""
     tables = [bundle.ordinary]
     if use_brauer:
         for t in bundle.brauer:
             if k % t.prime and t.prime not in bundle.p_solvable_for:
-                tables.append(t)
+                added = _added_rows(bundle.ordinary, t)
+                if added.characters:
+                    tables.append(added)
     return tuple(tables)
+
+
+def _added_rows(ordinary: CharacterTable, t: CharacterTable) -> CharacterTable:
+    """The rows of the Brauer table t that equal no ordinary irreducible on
+    the p-regular classes, as a table of their own whose rows keep their
+    labels in t.  Built on first use and kept on t."""
+    if t.added is None:
+        regular = [cl.element_order % t.prime != 0 for cl in t.classes]
+        restricted = {
+            tuple([v if r else None for v, r in zip(chi, regular)])
+            for chi in ordinary.characters
+        }
+        numbers = [r for r, row in enumerate(t.characters) if row not in restricted]
+        rows = _table_rows(t, numbers)
+        t.added = CharacterTable(
+            t.group_name, t.group_order, t.classes, t.power_maps,
+            tuple(row.values for row in rows), t.prime,
+        )
+        t.added.char_rows = rows
+    return t.added
 
 
 def build_system(

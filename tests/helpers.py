@@ -286,7 +286,9 @@ def with_rows(b, rows):
     """Bundle b plus a fake Brauer table, for the least prime p not dividing
     the group order, that holds every ordinary character of b and then
     `rows`: a way to put rows the loader would refuse into a system.  With
-    no p-singular class, every one of its rows is used at every order."""
+    no p-singular class, it is read at every order; its copies of the
+    ordinary rows add nothing there and usable_tables drops them (identity
+    7 of constraints), so `rows` are what it adds."""
     t = b.ordinary
     n = t.group_order
     p = next(p for p in range(2, 2 * n + 3) if is_prime(p) and n % p)

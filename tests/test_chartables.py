@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 from math import gcd, lcm
 
 import pytest
@@ -10,6 +11,7 @@ from helpzc.bundlefile import bundle_to_json
 from helpzc.chartables import (
     BundleError,
     CharacterTable,
+    ClassInfo,
     TableBundle,
     cyclic_table,
     data_dir,
@@ -497,6 +499,61 @@ def test_p_solvable_for_a_non_solvable_group():
     bundle = load_bundle(direct_product_json(load_named("s3.json"), 5))
     assert bundle.is_solvable is True
     assert bundle.p_solvable_for == frozenset({2, 3, 5})
+
+
+def elementary_abelian_2(r):
+    """The table of C2^r: its classes and characters both indexed by the
+    vectors of F_2^r, with chi_a(x) = (-1)^(a·x)."""
+    n = 2**r
+    classes = tuple(ClassInfo(f"x{a}", 2 if a else 1, 1) for a in range(n))
+    characters = tuple(
+        tuple(-ONE if bin(a & x).count("1") % 2 else ONE for x in range(n))
+        for a in range(n)
+    )
+    return CharacterTable(f"C2^{r}", n, classes, {2: (0,) * n}, characters)
+
+
+def lattice_solvability(table):
+    """(is_solvable, p_solvable_for) from every cover in the lattice of
+    kernel intersections, as many as 2^r normal subgroups for C2^r: an
+    oracle for the one chief series that TableBundle walks."""
+    one = table.identity_index
+    normal = {frozenset(range(len(table.classes)))}
+    for chi in table.characters:
+        kernel = frozenset(x for x, v in enumerate(chi) if v == chi[one])
+        normal |= {n & kernel for n in normal}
+    order = {n: sum(table.classes[x].size for x in n) for n in normal}
+    factors = [
+        prime_factors(order[n] // order[m])
+        for n in normal
+        for m in normal
+        if m < n and not any(m < mid < n for mid in normal)
+    ]
+    return all(len(ps) == 1 for ps in factors), frozenset(
+        p
+        for p in prime_factors(table.group_order)
+        if all(ps == (p,) or p not in ps for ps in factors)
+    )
+
+
+def test_one_chief_series_decides_as_every_cover_does(bundles):
+    tables = [b.ordinary for b in bundles.values()]
+    tables += [elementary_abelian_2(r) for r in range(1, 5)]
+    tables += [cyclic_table(n).ordinary for n in (1, 12, 30, 36, 60)]
+    for a, n in (("a5.json", 7), ("s3.json", 5)):
+        tables.append(load_bundle(direct_product_json(load_named(a), n)).ordinary)
+    for t in tables:
+        b = TableBundle(t)
+        assert (b.is_solvable, b.p_solvable_for) == lattice_solvability(t), t.group_name
+
+
+def test_c2_6_derives_its_facts_at_once():
+    # C2^6 has 2825 normal subgroups, one per subspace of F_2^6, and the
+    # chief series visits 7 of them
+    start = time.perf_counter()
+    b = TableBundle(elementary_abelian_2(6))
+    assert time.perf_counter() - start < 1.0
+    assert facts(b) == (True, frozenset({2}), True)
 
 
 def test_incomplete_table_may_not_declare_solvability():

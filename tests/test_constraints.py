@@ -695,10 +695,11 @@ def test_trace_blocks_are_shared_between_table_sets(monkeypatch):
         return real(value, m, context)
 
     monkeypatch.setattr(constraints, "_integer_traces", counting)
-    with_mod5 = usable_tables(m11, 2)
-    without_mod5 = usable_tables(m11, 10)
+    # every Brauer row, given as explicit tables: usable_tables would drop
+    # the mod-5 table and all mod-11 rows but one (identity 7)
+    with_mod5 = (t, *m11.brauer)
+    without_mod5 = (t, brauer_table(m11, 11))
     assert [x.prime for x in with_mod5] == [None, 5, 11]
-    assert [x.prime for x in without_mod5] == [None, 11]
     systems = [build_system(m11, 2, PATuple(2, ()), with_mod5)]
     first = len(traced)
     systems.append(build_system(m11, 2, PATuple(2, ()), without_mod5))
@@ -726,20 +727,41 @@ def test_char_rows_are_built_once_per_table(monkeypatch):
     built = []
     real = constraints._table_rows
 
-    def counting(table):
-        built.append(table.prime)
-        return real(table)
+    def counting(table, numbers):
+        built.extend((table.prime, r) for r in numbers)
+        return real(table, numbers)
 
     monkeypatch.setattr(constraints, "_table_rows", counting)
-    with_mod5 = usable_tables(m11, 2)
+    with_mod5 = (m11.ordinary, *m11.brauer)
     first = char_rows(with_mod5)
     build_system(m11, 2, PATuple(2, ()), with_mod5)
-    again = char_rows(usable_tables(m11, 10))
-    assert sorted(built, key=str) == sorted((None, 5, 11), key=str)
+    again = char_rows((m11.ordinary, brauer_table(m11, 11)))
+    assert sorted(built, key=str) == sorted(
+        [(t.prime, r) for t in with_mod5 for r in range(len(t.characters))], key=str
+    )
     # the joined rows are the tables' own row objects, in table order
     kept = [r for r in first if not r.label.startswith("mod5:")]
     assert len(again) == len(kept)
     assert all(a is b for a, b in zip(again, kept))
+
+
+def test_usable_tables_build_only_the_rows_a_brauer_table_adds(monkeypatch):
+    m11 = bundle("m11")
+    built = []
+    real = constraints._table_rows
+
+    def counting(table, numbers):
+        built.extend((table.prime, r) for r in numbers)
+        return real(table, numbers)
+
+    monkeypatch.setattr(constraints, "_table_rows", counting)
+    first = char_rows(usable_tables(m11, 2))
+    again = char_rows(usable_tables(m11, 10))
+    # the ten ordinary rows and mod-11 row 1, each once: M11's mod-5 rows
+    # and its other mod-11 rows restrict ordinary irreducibles (identity 7)
+    assert sorted(built, key=str) == [(11, 1)] + [(None, r) for r in range(10)]
+    assert [row.label for row in first] == [f"ord{r}" for r in range(10)] + ["mod11:1"]
+    assert all(a is b for a, b in zip(again, first)) and len(again) == len(first)
 
 
 def test_assembly_creates_no_cyc(monkeypatch):

@@ -25,7 +25,7 @@ from helpers import (
     solve_unreduced,
 )
 from helpzc import intsolve, verify
-from helpzc.constraints import AggVar, build_system
+from helpzc.constraints import AggVar, build_system, usable_tables
 from helpzc.intsolve import Finite, Infinite, LinSystem, solve_all
 from helpzc.records import Record
 from helpzc.verify import (
@@ -112,6 +112,49 @@ def test_assembly_matches_the_per_system_reference(monkeypatch, name, command, v
         assert rows == [row[:2] for row in reference.congruences], "congruences"
         owners = [o for *_, own in reference.congruences if own for o in own]
         assert list(constant_terms(system).items()) == owners, "constants"
+
+
+@pytest.mark.parametrize("variant", ["default", "p-constant"])
+@pytest.mark.parametrize("command", ["zc", "pq", "order"])
+def test_m11_systems_equal_those_over_every_brauer_row(monkeypatch, command, variant):
+    # usable_tables keeps only the Brauer rows that restrict no ordinary
+    # irreducible (identity 7 of constraints); the reference assembles every
+    # row of every Brauer table whose prime does not divide k
+    m11 = bundle_of("m11")
+    options = SolverOptions(p_constant=variant == "p-constant")
+    calls = built_calls(monkeypatch, m11, run("m11", command), options)
+    assert calls
+    for builder, args, system in calls:
+        if builder == "build_system":
+            _, k, proper, _ = args
+            p = None
+        else:
+            _, k, p, proper, _ = args
+        every = (m11.ordinary, *(t for t in m11.brauer if k % t.prime))
+        reference = reference_system(m11, k, proper, every, p)
+        for field in ("variables", "equalities", "norm", "modulus"):
+            assert getattr(system, field) == getattr(reference, field), field
+        rows = [row[:2] for row in system.congruences]
+        assert rows == [row[:2] for row in reference.congruences], "congruences"
+
+
+@pytest.mark.parametrize(
+    "command, constants",
+    # 5424, 4074 and 1053 when every Brauer row was assembled
+    [("zc", 3245), ("pq", 2695), ("order", 429)],
+)
+def test_m11_assembles_only_the_rows_its_brauer_tables_add(monkeypatch, command, constants):
+    m11 = bundle_of("m11")
+    systems = built_systems(monkeypatch, m11, run("m11", command), SolverOptions())
+    records = [system.congruences[0][2] for system in systems]
+    # the (psi, l) constants of the systems that have them
+    assert sum(len(record.values) for record in records if record) == constants
+    # no Brauer table is traced, summed or flattened whole, and no mod-5
+    # row is assembled at all
+    for table in m11.brauer:
+        assert (table.trace_blocks, table.level_sums, table.char_rows) == ({}, {}, None)
+    labels = {label for record in records if record for label in record.layout.labels}
+    assert {label for label in labels if label.startswith("mod")} <= {"mod11:1"}
 
 
 def lead_part(result, n):
@@ -201,8 +244,12 @@ def test_zc_m11_assembles_each_order_once(monkeypatch, options, systems, templat
     m11 = bundle_of("m11")
     built, summed = [], []
     m11.ordinary.templates = Recording(built, None)
-    for table in (m11.ordinary, *m11.brauer):
-        table.level_sums = Recording(summed, table.prime)
+    # the table of the one mod-11 row that restricts no ordinary irreducible,
+    # kept by usable_tables for every order that reads it
+    (added,) = usable_tables(m11, 2)[1:]
+    tables = (m11.ordinary, added, *m11.brauer)
+    for table in tables:
+        table.level_sums = Recording(summed, table)
     moduli = [s.modulus for s in built_systems(monkeypatch, m11, check_zc, options)]
     assert len(moduli) == systems
     # no template and no level's sums are built twice
@@ -212,10 +259,11 @@ def test_zc_m11_assembles_each_order_once(monkeypatch, options, systems, templat
         # one template per order, up to 10 systems at one order
         assert sorted(k for _, (k, _, _) in built) == sorted(set(moduli))
         assert max(moduli.count(k) for k in moduli) == 10
-    # 12 distinct proper levels reach the ordinary table; each Brauer
-    # table skips the orders its prime divides
-    per_table = [sum(tag == t.prime for tag, _ in summed) for t in (m11.ordinary, *m11.brauer)]
-    assert per_table == [12, 11, 10]
+    # 12 distinct proper levels reach the ordinary table and 10 the mod-11
+    # row, which skips the orders 11 divides; no Brauer table is summed
+    # whole, and no mod-5 row at all
+    per_table = [sum(tag is t for tag, _ in summed) for t in tables]
+    assert per_table == [12, 10, 0, 0]
 
 
 def held(obj, shared):
@@ -242,9 +290,10 @@ def test_zc_m11_order_33_rows_share_one_constants_record(monkeypatch):
     for args, system in calls:
         rows = system.congruences
         record = rows[0][2]
-        # 627 rows (psi, l), 19 table rows times 33, merged into 28
-        # congruence rows that all point at one record
-        assert (len(rows), len(record.values)) == (28, 627)
+        # 330 rows (psi, l), the 10 ordinary rows times 33, merged into 28
+        # congruence rows that all point at one record; the 9 mod-5 rows
+        # restrict ordinary ones and add none (identity 7 of constraints)
+        assert (len(rows), len(record.values)) == (28, 330)
         assert all(row[2] is record for row in rows)
         assert all(type(a) is int for a in record.values)
         # the layout is the template's, kept for the next system

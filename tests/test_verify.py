@@ -16,7 +16,7 @@ from helpzc.chartables import (
     load_bundle,
     resolve_bundle_path,
 )
-from helpzc.constraints import AggVar, PATuple, pa_vector
+from helpzc.constraints import AggVar, PATuple, char_rows, pa_vector
 from helpzc.storefile import (
     patuple_from_json,
     patuple_to_json,
@@ -99,13 +99,20 @@ def test_orders_to_check_pq(bundles):
 
 
 def test_usable_tables(bundles):
+    # every row of M11's mod-5 table restricts an ordinary irreducible, so
+    # the table is skipped at every order; of its mod-11 table only row 1,
+    # of degree 9, is kept, under its own label (identity 7 of constraints)
     m11 = bundles["m11"]
-    assert [t.prime for t in usable_tables(m11, 12)] == [None, 5, 11]
-    assert [t.prime for t in usable_tables(m11, 11)] == [None, 5]
+    assert [t.prime for t in usable_tables(m11, 12)] == [None, 11]
+    assert [t.prime for t in usable_tables(m11, 11)] == [None]
     assert [t.prime for t in usable_tables(m11, 5)] == [None, 11]
     assert [t.prime for t in usable_tables(m11, 55)] == [None]
     no_brauer = usable_tables(m11, 12, use_brauer=False)
     assert [t.prime for t in no_brauer] == [None]
+    added = usable_tables(m11, 12)[1]
+    assert [(row.label, row.degree) for row in char_rows((added,))] == [("mod11:1", 9)]
+    # found once and kept: every order reads the same table
+    assert usable_tables(m11, 5)[1] is added
 
 
 def test_usable_tables_fong_swan_skip():
@@ -128,7 +135,16 @@ def test_usable_tables_fong_swan_skip():
     five = CharacterTable("C6", 6, t.classes, t.power_maps, t.characters, prime=5)
     b = TableBundle(t, (two, five))
     assert b.p_solvable_for == frozenset({2, 3})
-    assert [x.prime for x in usable_tables(b, 3)] == [None, 5]
+    # the table for 5 holds exactly the ordinary rows, so it adds no row
+    # and is dropped as well
+    assert [x.prime for x in usable_tables(b, 3)] == [None]
+    # a row that restricts no ordinary irreducible keeps it, and the table
+    # then holds that row only
+    extra = tuple(a + c for a, c in zip(t.characters[1], t.characters[2]))
+    b = with_rows(cyclic_table(6), [extra])
+    tables = usable_tables(b, 3)
+    assert [x.prime for x in tables] == [None, 5]
+    assert [row.label for row in char_rows(tables[1:])] == ["mod5:6"]
     # dividing the order excludes a table although 5 is not p-solvable
     assert [x.prime for x in usable_tables(b, 10)] == [None]
 
