@@ -72,10 +72,6 @@ class CharacterTable:
         self.group_elements: dict = {}
         # these rows as constraints.CharRows, built on first use
         self.char_rows = None
-        # on a Brauer table, its rows that restrict no ordinary irreducible,
-        # as a table of their own (constraints.usable_tables), built on
-        # first use
-        self.added = None
 
     @property
     def is_brauer(self) -> bool:
@@ -210,6 +206,10 @@ class TableBundle:
         self.group_name = ordinary.group_name
         self.ordinary = ordinary
         self.brauer = brauer
+        # Brauer table -> its rows that restrict no ordinary irreducible, as
+        # a table of their own (constraints.usable_tables), built on first
+        # use: they depend on both tables, and the bundle holds both
+        self.added_rows: dict = {}
         self.is_nilpotent = _sylows_normal(ordinary)
         self.is_solvable, self.p_solvable_for = None, frozenset()
         if len(ordinary.characters) == len(ordinary.classes):

@@ -462,30 +462,31 @@ def usable_tables(bundle: TableBundle, k: int, use_brauer: bool = True):
     if use_brauer:
         for t in bundle.brauer:
             if k % t.prime and t.prime not in bundle.p_solvable_for:
-                added = _added_rows(bundle.ordinary, t)
+                added = _added_rows(bundle, t)
                 if added.characters:
                     tables.append(added)
     return tuple(tables)
 
 
-def _added_rows(ordinary: CharacterTable, t: CharacterTable) -> CharacterTable:
-    """The rows of the Brauer table t that equal no ordinary irreducible on
-    the p-regular classes, as a table of their own whose rows keep their
-    labels in t.  Built on first use and kept on t."""
-    if t.added is None:
+def _added_rows(bundle: TableBundle, t: CharacterTable) -> CharacterTable:
+    """The rows of the Brauer table t of the bundle that equal no ordinary
+    irreducible on the p-regular classes, as a table of their own whose rows
+    keep their labels in t.  Built on first use and kept on the bundle."""
+    added = bundle.added_rows.get(t)
+    if added is None:
         regular = [cl.element_order % t.prime != 0 for cl in t.classes]
         restricted = {
             tuple([v if r else None for v, r in zip(chi, regular)])
-            for chi in ordinary.characters
+            for chi in bundle.ordinary.characters
         }
         numbers = [r for r, row in enumerate(t.characters) if row not in restricted]
         rows = _table_rows(t, numbers)
-        t.added = CharacterTable(
+        added = bundle.added_rows[t] = CharacterTable(
             t.group_name, t.group_order, t.classes, t.power_maps,
             tuple(row.values for row in rows), t.prime,
         )
-        t.added.char_rows = rows
-    return t.added
+        added.char_rows = rows
+    return added
 
 
 def build_system(

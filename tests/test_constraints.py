@@ -743,25 +743,12 @@ def test_char_rows_are_built_once_per_table(monkeypatch):
     kept = [r for r in first if not r.label.startswith("mod5:")]
     assert len(again) == len(kept)
     assert all(a is b for a, b in zip(again, kept))
-
-
-def test_usable_tables_build_only_the_rows_a_brauer_table_adds(monkeypatch):
-    m11 = bundle("m11")
-    built = []
-    real = constraints._table_rows
-
-    def counting(table, numbers):
-        built.extend((table.prime, r) for r in numbers)
-        return real(table, numbers)
-
-    monkeypatch.setattr(constraints, "_table_rows", counting)
-    first = char_rows(usable_tables(m11, 2))
-    again = char_rows(usable_tables(m11, 10))
-    # the ten ordinary rows and mod-11 row 1, each once: M11's mod-5 rows
-    # and its other mod-11 rows restrict ordinary irreducibles (identity 7)
-    assert sorted(built, key=str) == [(11, 1)] + [(None, r) for r in range(10)]
-    assert [row.label for row in first] == [f"ord{r}" for r in range(10)] + ["mod11:1"]
-    assert all(a is b for a, b in zip(again, first)) and len(again) == len(first)
+    # usable_tables builds, once, only the rows a Brauer table adds: of
+    # M11's, mod-11 row 1 (identity 7)
+    built.clear()
+    for k in (2, 10):
+        char_rows(usable_tables(m11, k))
+    assert built == [(11, 1)]
 
 
 def test_assembly_creates_no_cyc(monkeypatch):
@@ -807,10 +794,15 @@ def test_assembly_creates_no_cyc(monkeypatch):
 @pytest.fixture(scope="module")
 def twist_cases():
     """(bundle, k) for every order of the five bundles, of cyclic:2..24 and
-    of C10 with a fake Brauer table of non-rational characters."""
+    of C10 with a fake Brauer table that adds a non-rational character."""
     bundles = [bundle(n) for n in ("s3", "s4", "a5", "sl23", "m11")]
     bundles += [cyclic_table(n) for n in range(2, 25)]
-    bundles.append(with_rows(cyclic_table(10), [cyclic_table(10).ordinary.characters[1]]))
+    # chi_1 + chi_2 restricts no ordinary irreducible, so usable_tables
+    # keeps it at every order (identity 7)
+    chi = cyclic_table(10).ordinary.characters
+    fake = with_rows(cyclic_table(10), [tuple(a + b for a, b in zip(chi[1], chi[2]))])
+    assert all(len(usable_tables(fake, k)) == 2 for k in divisors(10))
+    bundles.append(fake)
     return [
         (b, k) for b in bundles for k in divisors(b.ordinary.exponent()) if k > 1
     ]

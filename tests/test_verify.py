@@ -138,6 +138,11 @@ def test_usable_tables_fong_swan_skip():
     # the table for 5 holds exactly the ordinary rows, so it adds no row
     # and is dropped as well
     assert [x.prime for x in usable_tables(b, 3)] == [None]
+    # the rows a table adds are those of the bundle it sits in: beside the
+    # first three ordinary rows alone, the same table for 5 adds the others
+    part = CharacterTable("C6", 6, t.classes, t.power_maps, t.characters[:3])
+    tables = usable_tables(TableBundle(part, (five,)), 3)
+    assert [row.label for row in char_rows(tables[1:])] == ["mod5:3", "mod5:4", "mod5:5"]
     # a row that restricts no ordinary irreducible keeps it, and the table
     # then holds that row only
     extra = tuple(a + c for a, c in zip(t.characters[1], t.characters[2]))
