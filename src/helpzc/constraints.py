@@ -686,20 +686,3 @@ def numerators(sys: LinSystem, solution):
         key = (layout.labels[j], layout.ells[j])
         raise AssertionError(f"{key}: {values[j]} / {k} is no non-negative integer")
     return layout, values
-
-
-def mu_values(sys: LinSystem, solution) -> dict[tuple[str, int], int]:
-    """(row label, l) -> multiplicity (C·eps + a(psi, l)) / k, recomputed
-    from the solution's eps."""
-    layout, values = numerators(sys, solution)
-    k = sys.modulus
-    return dict(zip(zip(layout.labels, layout.ells), [v // k for v in values]))
-
-
-def mu_sums(sys: LinSystem, solution) -> dict[str, int]:
-    """Row label -> sum of its multiplicities, the row's degree by identity
-    6 of the module docstring."""
-    out: dict[str, int] = {}
-    for (label, _), val in mu_values(sys, solution).items():
-        out[label] = out.get(label, 0) + val
-    return out

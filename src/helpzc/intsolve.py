@@ -10,8 +10,9 @@ x_i >= 0 is the row (k·e_i, 0).  The pipeline:
      solution as origin + integer combination of lattice basis vectors: the
      equality rows are column-reduced exactly, each column held only as its
      transform over the variables, and the congruence rows are taken modulo
-     k over the kernel left, which the lattice contains k times (a sign row,
-     0 mod k, restricts nothing).  Its basis is the Hermite normal form
+     k over the kernel left, which the lattice contains k times, each class
+     of residues mod k once up to sign (a sign row, 0 mod k, restricts
+     nothing).  Its basis is the Hermite normal form
      modulo k (after Cohen, Algorithm 2.4.8; Domich, Kannan and Trotter
      1987).  Under a norm bound it is then LLL-reduced (δ = 99/100,
      integral, Cohen's Algorithm 2.6.7) for the norm's inner product
@@ -19,7 +20,9 @@ x_i >= 0 is the row (k·e_i, 0).  The pipeline:
      its vectors short, so that step 3 searches a short basis.  The
      reduction reads only the coefficients, so it is made once per
      coefficient matrix and shared; each system adds only its right sides,
-     which fix its origin (`diophantine_eliminate`);
+     which fix its origin (`diophantine_eliminate`).  The congruence
+     coefficients are kept by columns, so the rows over the basis and their
+     values at the origin are sums of columns, one per nonzero entry;
   2. push each c·x + a >= 0 through it: inequalities over the parameters;
   3. bound the parameters.  A system with a norm bound (every HeLP system
      over a complete character table, see the constraints module) is
@@ -135,9 +138,10 @@ class _Lattice:
     the basis, and each basis vector's nonzero (i, v) pairs (`sparse`); the
     congruence rows over t, which become the inequalities, merged by
     coefficients with their indices and divisors; under a norm, its LDLᵀ
-    read off the LLL (`_ldl`)."""
+    read off the LLL (`_ldl`); the congruence coefficients by columns, one
+    per variable (`columns`)."""
 
-    __slots__ = ("steps", "basis", "sparse", "rows", "gram")
+    __slots__ = ("steps", "basis", "sparse", "rows", "gram", "columns")
 
 
 # The coefficient matrix reduced last, as (key, _Lattice), the key being
@@ -156,10 +160,15 @@ def _reduce(modulus, n, equalities, congruences, weights) -> _Lattice:
     row c} contains k·Z^d, so d generators held mod k span it with k·Z^d,
     and each row restricts them to its class (`_split`).  A class that is
     0 on every generator is implied by the rows before it, or repeats
-    one: its row is constant mod k on origin + L and records no step.  The
-    basis is the Hermite normal form of L modulo k: lower triangular over
-    y, p | k on the diagonal, each entry in [0, p) for the diagonal entry p
-    of its coordinate."""
+    one: its row is constant mod k on origin + L and records no step.  A
+    row once restricted stays 0 mod k on every generator, as `_split` only
+    combines generators mod k and replaces g0 by (k/p)·g0; so a row whose
+    residues mod k are those of an earlier row, of its negation, or all 0
+    records no step either, and its class is not read.  The basis is the
+    Hermite normal form of L modulo k: lower triangular over y, p | k on
+    the diagonal, each entry in [0, p) for the diagonal entry p of its
+    coordinate.  Each merged row's coefficients over the basis are sums
+    of the coefficient columns, one per nonzero basis entry."""
     k = modulus
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
     lat = _Lattice()
@@ -187,11 +196,15 @@ def _reduce(modulus, n, equalities, congruences, weights) -> _Lattice:
         [v % k for v in u] + [int(i == j) for i in range(d)]
         for j, u in enumerate(cols)
     ]
+    seen = {(0,) * n}
     for r, c in enumerate(congruences, len(equalities)):
-        vals = [sum(map(_mul, c, g)) % k for g in gens]
-        if any(vals):
-            p, h = _split(gens, vals, k)
-            lat.steps.append((r, p, over_x(h[n:])))
+        residues = tuple([v % k for v in c])
+        if residues not in seen:
+            seen.update((residues, tuple([-v % k for v in c])))
+            vals = _classes(c, gens, k)
+            if any(vals):
+                p, h = _split(gens, vals, k)
+                lat.steps.append((r, p, over_x(h[n:])))
     gens = [g[n:] for g in gens]
     # coordinate by coordinate, the generators split off one basis vector,
     # or k·e_i when none is nonzero there, and the vectors before it are
@@ -209,9 +222,11 @@ def _reduce(modulus, n, equalities, congruences, weights) -> _Lattice:
     lat.basis, *ldl = (basis,) if weights is None else _lll(basis, weights)
     lat.sparse = [[(i, v) for i, v in enumerate(b) if v] for b in lat.basis]
 
+    lat.columns = list(zip(*congruences)) or [()] * n
+    over_basis = [_combine(lat.columns, col) for col in lat.sparse]
+    # with no basis vector each row's coefficients are ()
     merged: dict[tuple[int, ...], list] = {}
-    for s, c in enumerate(congruences):
-        coeffs = tuple([sum([c[i] * v for i, v in col]) for col in lat.sparse])
+    for s, coeffs in enumerate(list(zip(*over_basis)) or [()] * len(congruences)):
         g = gcd(*coeffs)
         if g > 1:
             coeffs = tuple([v // g for v in coeffs])
@@ -248,6 +263,16 @@ def _euclid(cols, vals, k=0):
                 else:
                     cols[j] = [x - q * y for x, y in pairs]
         live = [j for j in live if vals[j]]
+
+
+def _classes(c, gens, k):
+    """The class mod k of the row c on each generator's image over x."""
+    return [sum(map(_mul, c, g)) % k for g in gens]
+
+
+def _combine(columns, pairs, *start):
+    """start + Σ v·columns[i] over the (i, v) pairs, entry by entry."""
+    return list(map(sum, zip(*start, *[map(v.__mul__, columns[i]) for i, v in pairs if v])))
 
 
 def _split(gens, vals, k):
@@ -293,13 +318,12 @@ def _lll(basis, weights):
     lam = [[0] * (n + 1) for _ in range(n + 1)]
 
     def red(k, l):
-        # b[k] -= q·b[l], q the integer nearest μ_kl
-        if 2 * abs(lam[k][l]) > d[l]:
-            q = (2 * lam[k][l] + d[l]) // (2 * d[l])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * d[l]
-            for i in range(1, l):
-                lam[k][i] -= q * lam[l][i]
+        # b[k] -= q·b[l], q the integer nearest μ_kl, called when |μ_kl| > 1/2
+        q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+        lam[k][l] -= q * d[l]
+        for i in range(1, l):
+            lam[k][i] -= q * lam[l][i]
 
     k, kmax = 1, 0
     while k <= n:
@@ -320,7 +344,8 @@ def _lll(basis, weights):
         if k == 1:
             k = 2
             continue
-        red(k, k - 1)
+        if 2 * abs(lam[k][k - 1]) > d[k - 1]:
+            red(k, k - 1)
         if 100 * d[k] * d[k - 2] < 99 * d[k - 1] ** 2 - 100 * lam[k][k - 1] ** 2:
             # swap b[k - 1] and b[k]: d[k - 1] and the lam beside them move
             b[k], b[k - 1] = b[k - 1], b[k]
@@ -336,7 +361,8 @@ def _lll(basis, weights):
             k = max(2, k - 1)
         else:
             for l in range(k - 2, 0, -1):
-                red(k, l)
+                if 2 * abs(lam[k][l]) > d[l]:
+                    red(k, l)
             k += 1
     return tuple(map(tuple, b[1:])), d, lam
 
@@ -384,7 +410,7 @@ def diophantine_eliminate(sys: LinSystem) -> Parametrization | None:
     # the rows without a step, at the origin
     if any(sum(map(_mul, c, origin)) != b for c, b in sys.equalities):
         return None
-    values = [sum(map(_mul, c, origin)) + a for c, a, _ in sys.congruences]
+    values = _combine(lat.columns, enumerate(origin), [a for _, a, _ in sys.congruences])
     if any(v % k for v in values):
         return None
     inequalities = []

@@ -26,6 +26,7 @@ from helpzc.constraints import (
     char_rows,
     eps_projection,
     is_p_constant,
+    numerators,
     pa_vector,
     trace_block,
     usable_tables,
@@ -1112,3 +1113,20 @@ def reference_ellipsoid(ldl, origin, radius):
         if any(lo > hi for lo, hi in box):
             box = None
     return box, [sum(map(mul, v, h)) for v in V], n, adj_h
+
+
+def mu_values(sys: LinSystem, solution) -> dict[tuple[str, int], int]:
+    """(row label, l) -> multiplicity (C·eps + a(psi, l)) / k, recomputed
+    from the solution's eps."""
+    layout, values = numerators(sys, solution)
+    k = sys.modulus
+    return dict(zip(zip(layout.labels, layout.ells), [v // k for v in values]))
+
+
+def mu_sums(sys: LinSystem, solution) -> dict[str, int]:
+    """Row label -> sum of its multiplicities, the row's degree by identity
+    6 of the constraints module docstring."""
+    out: dict[str, int] = {}
+    for (label, _), val in mu_values(sys, solution).items():
+        out[label] = out.get(label, 0) + val
+    return out

@@ -24,6 +24,7 @@ from helpers import (
     brute_force_pa_solutions,
     compatible,
     in_box,
+    mu_sums,
     proper,
     random_system,
 )
@@ -39,7 +40,6 @@ from helpzc.constraints import (
     build_system,
     char_rows,
     eps_projection,
-    mu_sums,
 )
 from helpzc.intsolve import Finite, solve_all
 from helpzc.storefile import patuple_to_json

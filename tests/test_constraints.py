@@ -18,6 +18,8 @@ from helpers import (
     brauer_table,
     brute_force_pa_solutions,
     constant_terms,
+    mu_sums,
+    mu_values,
     proper,
     reference_galois_twists,
     trace_to_rational,
@@ -46,8 +48,6 @@ from helpzc.constraints import (
     eps_projection,
     galois_twists,
     is_p_constant,
-    mu_sums,
-    mu_values,
     pa_vector,
     trace_block,
     usable_tables,

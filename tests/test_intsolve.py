@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import sys
@@ -627,6 +628,99 @@ def test_mod_k_reduction_matches_the_slack_column_reduction(monkeypatch, k):
         assert result == Finite(box_solutions(s, bound))
         solved += bool(result.solutions)
     assert refused >= 20 and solved >= 10, (refused, solved)
+
+
+def test_a_row_equal_mod_k_to_an_earlier_one_up_to_sign_is_read_once(monkeypatch):
+    # rows 1-3 are row 0 negated, row 0 shifted by k and a row 0 mod k: only
+    # row 0's class is read, and every row is still tested at the origin
+    k, c = 6, (1, 2, 3)
+    coeffs = (c, tuple(-v for v in c), tuple(v + k for v in c), (k, 0, -k))
+    read = []
+    classes = intsolve._classes
+    monkeypatch.setattr(intsolve, "_classes", lambda *a: read.append(a) or classes(*a))
+    cases = [((1, 5, 7, 0), True), ((1, 4, 7, 0), False), ((1, 5, 7, 3), False)]
+    for constants, solvable in cases:
+        monkeypatch.setattr(intsolve, "_lattice", (None, None))
+        s = LinSystem(
+            ("x", "y", "z"), (), modulus=k,
+            congruences=tuple((r, a, None) for r, a in zip(coeffs, constants)),
+        )
+        par = diophantine_eliminate(s)
+        assert (par is not None) == solvable
+        if solvable:
+            values = [sum(map(mul, r, par.origin)) + a for r, a in zip(coeffs, constants)]
+            assert not any(v % k for v in values)
+    assert len(read) == 3
+
+
+def lattices_made(monkeypatch, commands):
+    """The sha256 over every _Lattice the commands reduce, in order, each
+    command from an empty cache: its steps, basis, sparse basis, merged
+    rows and LDLᵀ; and the number of reductions and of congruence rows
+    reduced."""
+    from test_golden import run
+
+    reduce, made, rows = intsolve._reduce, [], []
+
+    def reducing(*key):
+        lat = reduce(*key)
+        made.append(repr((lat.steps, lat.basis, lat.sparse, lat.rows, lat.gram)))
+        rows.append(len(key[3]))
+        return lat
+
+    monkeypatch.setattr(intsolve, "_reduce", reducing)
+    for command in commands:
+        monkeypatch.setattr(intsolve, "_lattice", (None, None))
+        run(command)
+    return hashlib.sha256("\n".join(made).encode()).hexdigest(), len(made), sum(rows)
+
+
+def no_shortcuts(orders):
+    return [f"zc --no-shortcuts cyclic:{n}" for n in orders]
+
+
+@pytest.mark.parametrize(
+    "commands, digest, reductions",
+    [
+        (
+            "golden",
+            "575995489fc7c9afc09d89535f4671102806b0ca97881932f605bbe7d7481386",
+            158,
+        ),
+        (
+            "cyclic:2..40",
+            "984db19f4ca83657edb665ade323ae5a36e60c52bc86da6b91bd1fc2e5d10604",
+            118,
+        ),
+    ],
+)
+def test_every_lattice_equals_the_reference(monkeypatch, commands, digest, reductions):
+    # the digests of the lattices made before a row's class was read once
+    # per residue vector up to sign, the rows over the basis were summed by
+    # columns and the LLL tested |μ_kl| > 1/2 before calling `red`
+    from test_golden import GOLDEN
+
+    commands = sorted(GOLDEN) if commands == "golden" else no_shortcuts(range(2, 41))
+    assert lattices_made(monkeypatch, commands)[:2] == (digest, reductions)
+
+
+@pytest.mark.parametrize(
+    "commands, rows, most_classes",
+    [
+        (no_shortcuts([18]), 98, 44),
+        (no_shortcuts(range(2, 17)), 394, 172),
+        (["zc m11", "pq m11", "order 12 m11"], 551, 252),
+        (no_shortcuts([72]), 584, 282),
+    ],
+)
+def test_congruence_classes_read(monkeypatch, commands, rows, most_classes):
+    # before a row equal mod k to an earlier one, up to sign, was skipped,
+    # the class of every congruence row was read
+    read = []
+    classes = intsolve._classes
+    monkeypatch.setattr(intsolve, "_classes", lambda *a: read.append(a) or classes(*a))
+    assert lattices_made(monkeypatch, commands)[2] == rows
+    assert len(read) <= most_classes, len(read)
 
 
 # -- interval propagation ------------------------------------------------------
